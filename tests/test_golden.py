@@ -1,0 +1,70 @@
+"""Golden traces: fixed-seed trials must reproduce their logs bit for bit.
+
+Each case runs one shipped config for 5 control steps at seed 0 with the
+controller variant swapped in, and hashes the logged states, controls, costs
+and particles. A changed hash means a change in what a trial computes; record
+the new value only together with a note on why the trajectories moved.
+"""
+import dataclasses
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from steinmpc.configfile import build_trial_config, load_config
+from steinmpc.harness import run_trial
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+STEPS = 5
+
+GOLDEN = {
+    ("cartpole", "stein_adaptive"):
+        "8f0c1be25498fa481ff474917dab3ef56bcc4f5096194502fdc87aae94598333",
+    ("cartpole", "emppi"):
+        "08f8bb90fb77b1988172d307145f2b6562f9edac6e36aaad764ff27d15f56093",
+    ("cartpole", "dro"):
+        "888229b67c0c3d70d4a0ce16769a5aed0e507895acb8294d9bca0e35528f51be",
+    ("cartpole", "nominal"):
+        "9d5d6b753e121335e606e1d0b793466eada77b8125b5467b87fb4c49c6852a60",
+    ("rocket", "stein_adaptive"):
+        "551198fa9cd44c253ed557a0557b3439976c38963c5786cf8494bf52ad122b8b",
+    ("rocket", "emppi"):
+        "9634bc9bf5cdf676e99acf780f698bcc6a6077844af7ab103529caa10825e5cb",
+    ("rocket", "dro"):
+        "481c016c16831aa67c562459f3b68a14c9a8146b2db8d26915d9e1ce5fa3b357",
+    ("rocket", "nominal"):
+        "f15205f9c2ad8bb6ca294debafc1b1554052ec3e925640503b686eeb696bfa9c",
+    ("racing", "stein_adaptive"):
+        "4ef27e335b86d35feb2a44d43539e8a859f207463b7367d3a4268846e56d1f00",
+    ("racing", "emppi"):
+        "c042357f74f22a4b3c635e8d48b838c3f61c52514413c275aeb70261abbec0eb",
+    ("racing", "dro"):
+        "3e4844f5af492f76f511ab9091a18df76fa60ffaa799d42ef5bc26ac280a498e",
+    ("racing", "nominal"):
+        "2290bc8a1c8f9ef36c863282065198415be2f0469b2adf6ace49ff466a9c225e",
+}
+
+
+def trace_digest(result) -> str:
+    h = hashlib.sha256()
+    for arr in (result.states, result.controls, result.costs, result.particles):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def golden_trial(config_name: str, variant: str):
+    doc = load_config(os.path.join(CONFIG_DIR, f"{config_name}.yaml"))
+    trial, _ = build_trial_config(doc, seed=0)
+    controller = dataclasses.replace(trial.controller, variant=variant)
+    return dataclasses.replace(trial, controller=controller,
+                               duration=STEPS * trial.env.dt)
+
+
+@pytest.mark.parametrize("config_name,variant", sorted(GOLDEN))
+def test_golden_trace(config_name, variant):
+    result = run_trial(golden_trial(config_name, variant))
+    assert result.steps == STEPS
+    assert trace_digest(result) == GOLDEN[(config_name, variant)]
