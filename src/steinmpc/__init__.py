@@ -12,7 +12,6 @@ from .controllers import (
     SolverFailureError,
     build_objective,
     mppi_solve,
-    plan,
     shift_warm_start,
 )
 from .costs import (
@@ -20,12 +19,8 @@ from .costs import (
     InverseDisplacementReward,
     UprightEnergyPenalty,
     RobustObjectiveConfig,
-    dro_risk_cost,
     optimality_gap,
-    robust_cost,
     rollout_cost_batch,
-    stage_cost,
-    terminal_cost,
     trajectory_cost,
 )
 from .dynamics import (
@@ -57,7 +52,7 @@ from .inference import (
     posterior_score,
     svgd_step,
 )
-from .kernels import ConstantKernel, ImqKernel, RbfKernel, kernel_eval, kernel_grad
+from .kernels import ConstantKernel, ImqKernel, RbfKernel
 from .track import CenterlineReference, LapProgress, StadiumTrack, track_progress, track_reference
 
 __version__ = "0.1.0"

@@ -7,7 +7,10 @@ Subcommands:
     race-progress  per-method lap-progress series on the racing task
 
 Exit codes: 0 run completed (success or timeout both count), 2 invalid
-configuration (the message names the offending field), 3 solver failure.
+configuration (the message names the offending field), 3 solver failure,
+4 inference failure (the gap turned non-finite during the particle update).
+Codes 3 and 4 come from ``run``; batch commands record each trial's
+terminal reason in its result files.
 """
 
 from __future__ import annotations
@@ -32,10 +35,8 @@ from .controllers import VARIANTS, SolverFailureError
 from .harness import run_batch, run_trial
 from .kernels import ConstantKernel, ImqKernel, RbfKernel
 from .reporting import (
-    aggregate_from_records,
     aggregate_row,
     format_float,
-    progress_series,
     summary_record,
     write_aggregate_csv,
     write_progress_csv,
@@ -43,7 +44,6 @@ from .reporting import (
     write_summary_json,
     write_timing_json,
 )
-from .track import StadiumTrack
 
 __all__ = ["main"]
 
@@ -163,6 +163,9 @@ def cmd_run(args) -> int:
     if result.terminal_reason == "solver_failure":
         print(f"solver failure in trial seed={result.seed}", file=sys.stderr)
         return 3
+    if result.terminal_reason == "inference_failure":
+        print(f"inference failure in trial seed={result.seed}", file=sys.stderr)
+        return 4
     print(f"seed {result.seed}: {result.terminal_reason} "
           f"t={format_float(result.completion_time)}")
     return 0
@@ -233,7 +236,6 @@ def cmd_race_progress(args) -> int:
         return 0
     os.makedirs(args.out, exist_ok=True)
     doc_hash = config_hash(doc)
-    track = trial.track if trial.track is not None else StadiumTrack()
     best_laps, timing = {}, {}
     for variant in VARIANTS:
         controller = dataclasses.replace(trial.controller, variant=variant)
@@ -246,7 +248,7 @@ def cmd_race_progress(args) -> int:
         series = []
         best = None
         for result in batch_result.results:
-            prog = progress_series(track, np.vstack([result.states, result.final_state]))
+            prog = np.append(result.progress, result.final_progress)
             times = np.append(result.times, result.steps * trial.env.dt)
             series.append((times, prog))
             crossed = np.nonzero(prog >= 1.0)[0]

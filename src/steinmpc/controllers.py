@@ -27,7 +27,6 @@ __all__ = [
     "mppi_solve",
     "shift_warm_start",
     "build_objective",
-    "plan",
     "nominal_parameters",
 ]
 
@@ -63,13 +62,6 @@ class MppiConfig:
             raise ValueError("noise_fraction must be nonnegative")
 
 
-def _evaluate(objective, plans: np.ndarray) -> np.ndarray:
-    batch = getattr(objective, "evaluate_batch", None)
-    if batch is not None:
-        return np.asarray(batch(plans), dtype=float)
-    return np.array([float(objective(p)) for p in plans], dtype=float)
-
-
 def mppi_solve(
     env: EnvModel,
     x0,
@@ -97,7 +89,7 @@ def mppi_solve(
     candidates = np.concatenate([warm[None], warm[None] + noise], axis=0)
     np.clip(candidates, lo, hi, out=candidates)
 
-    costs = _evaluate(objective, candidates)
+    costs = np.asarray(objective.evaluate_batch(candidates), dtype=float)
     finite = np.isfinite(costs)
     if not finite.any():
         raise SolverFailureError("no candidate plan produced a finite objective value")
@@ -110,7 +102,7 @@ def mppi_solve(
     averaged = np.einsum("k,k...->...", weights, candidates)
     np.clip(averaged, lo, hi, out=averaged)
 
-    averaged_cost = float(_evaluate(objective, averaged[None])[0])
+    averaged_cost = float(objective.evaluate_batch(averaged[None])[0])
     if not np.isfinite(averaged_cost) or averaged_cost > costs[best]:
         return candidates[best].copy()
     return averaged
@@ -152,7 +144,7 @@ def nominal_parameters(controller: ControllerSpec, env: EnvModel) -> np.ndarray:
 
 
 class _BatchObjective:
-    """Base: a scalar plan objective with a vectorized batch form."""
+    """Base: ``evaluate_batch`` scores a (C, H, m) plan stack; calling scores one plan."""
 
     def __init__(self, spec: CostSpec, env: EnvModel, x0):
         self.spec = spec
@@ -228,18 +220,3 @@ def build_objective(
             raise ValueError("risk_lambda must be calibrated before building the dro objective")
         return RiskAversePlanObjective(spec, env, x0, mat, cfg.risk_lambda, cfg.risk_epsilon)
     return NominalPlanObjective(spec, env, x0, nominal_parameters(controller, env))
-
-
-def plan(
-    controller: ControllerSpec,
-    env: EnvModel,
-    cost_spec: CostSpec,
-    mppi_config: MppiConfig,
-    x0,
-    particles: ParticleSet | np.ndarray,
-    warm: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One planning cycle: build the variant's objective, run the solver."""
-    objective = build_objective(controller, cost_spec, env, x0, particles)
-    return mppi_solve(env, x0, warm, objective, mppi_config, rng)

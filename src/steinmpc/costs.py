@@ -1,34 +1,28 @@
-"""Trajectory costs, robust ensemble objectives, and risk-averse objectives.
+"""Quadratic trajectory costs, terminal terms, and the objective weights.
 
-The workhorse is ``rollout_cost_batch``, which integrates a grid of candidate
-plans against a stack of parameter hypotheses in one vectorized pass. Scalar
-entry points are thin wrappers over it, so a cost computed on its own is the
-same float the planner saw inside a batch.
+The one definition of a trajectory's cost is ``rollout_cost_batch``, which
+integrates a grid of candidate plans against a stack of parameter hypotheses
+in one vectorized pass. ``trajectory_cost`` and ``optimality_gap`` read single
+entries of that grid, so a cost computed on its own is the same float the
+planner saw inside a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dynamics import EnvModel
-from .inference import ParticleSet, particle_mean
 
 __all__ = [
     "CostSpec",
     "RobustObjectiveConfig",
     "InverseDisplacementReward",
     "UprightEnergyPenalty",
-    "stage_cost",
-    "terminal_cost",
     "trajectory_cost",
     "rollout_cost_batch",
     "optimality_gap",
-    "robust_cost",
-    "dro_risk_cost",
 ]
 
 
@@ -60,10 +54,6 @@ class InverseDisplacementReward:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = epsilon
 
-    def __call__(self, x_terminal, u_terminal, theta, x0) -> float:
-        disp = np.abs(np.asarray(x_terminal, dtype=float) - np.asarray(x0, dtype=float))
-        return float(np.sum(self.weights / (disp + self.epsilon)))
-
     def batch(self, x_terminal, u_terminal, theta, x0) -> np.ndarray:
         disp = np.abs(x_terminal - x0)
         return np.sum(self.weights / (disp + self.epsilon), axis=-1)
@@ -87,22 +77,14 @@ class UprightEnergyPenalty:
         self.weight = float(weight)
         self.gravity = float(gravity)
 
-    def _energy_error(self, x, theta):
-        phi = x[..., 1]
-        omega = x[..., 3]
+    def batch(self, x_terminal, u_terminal, theta, x0) -> np.ndarray:
+        phi = x_terminal[..., 1]
+        omega = x_terminal[..., 3]
         m = theta[..., 0]
         length = theta[..., 1]
         kinetic = 0.5 * m * (length * omega) ** 2
         potential = -m * self.gravity * length * np.cos(phi)
-        return kinetic + potential - m * self.gravity * length
-
-    def __call__(self, x_terminal, u_terminal, theta, x0) -> float:
-        err = self._energy_error(np.asarray(x_terminal, dtype=float),
-                                 np.asarray(theta, dtype=float))
-        return float(self.weight * err ** 2)
-
-    def batch(self, x_terminal, u_terminal, theta, x0) -> np.ndarray:
-        err = self._energy_error(x_terminal, theta)
+        err = kinetic + potential - m * self.gravity * length
         return self.weight * err ** 2
 
 
@@ -117,15 +99,16 @@ class CostSpec:
         x_des: goal state vector, or a reference generator exposing
             ``horizon_states(x0, steps, dt) -> (steps + 1, n)`` for tasks
             tracked against a path rather than a point.
-        extra_terminal: optional callable r(x_T, u_T, theta, x0) added to the
-            terminal cost; may expose a vectorized ``batch`` method.
+        extra_terminal: optional terminal term whose
+            ``batch(x_T, u_T, theta, x0)`` is added to the terminal cost,
+            broadcast over the (plan, parameter) grid.
     """
 
     Q: np.ndarray
     R: np.ndarray
     Q_f: np.ndarray
     x_des: object
-    extra_terminal: Callable | None = None
+    extra_terminal: object | None = None
 
     def __post_init__(self):
         n = np.asarray(self.Q, dtype=float).shape[0]
@@ -154,36 +137,6 @@ def _resolve_references(spec: CostSpec, env: EnvModel, x0, steps: int) -> np.nda
 
 def _quad(e: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", e, w, e)
-
-
-def stage_cost(spec: CostSpec, x, u, theta, x_ref=None) -> float:
-    """Running cost (x - ref)' Q (x - ref) + u' R u.
-
-    ``theta`` is accepted for interface symmetry; the quadratic form does not
-    depend on it.
-    """
-    if x_ref is None:
-        if spec.tracks_reference:
-            raise ValueError("stage_cost needs an explicit x_ref for reference-tracking specs")
-        x_ref = spec.x_des
-    e = np.asarray(x, dtype=float) - np.asarray(x_ref, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return float(_quad(e, spec.Q) + _quad(u, spec.R))
-
-
-def terminal_cost(spec: CostSpec, x_terminal, u_terminal, theta, x0=None, x_ref=None) -> float:
-    """Terminal cost (x_T - ref)' Q_f (x_T - ref) plus the extra reward term."""
-    if x_ref is None:
-        if spec.tracks_reference:
-            raise ValueError("terminal_cost needs an explicit x_ref for reference-tracking specs")
-        x_ref = spec.x_des
-    e = np.asarray(x_terminal, dtype=float) - np.asarray(x_ref, dtype=float)
-    total = float(_quad(e, spec.Q_f))
-    if spec.extra_terminal is not None:
-        if x0 is None:
-            raise ValueError("terminal_cost needs x0 when an extra terminal term is configured")
-        total += float(spec.extra_terminal(x_terminal, u_terminal, theta, x0))
-    return total
 
 
 def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas) -> np.ndarray:
@@ -231,14 +184,7 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas) -> np.n
     if spec.extra_terminal is not None:
         if u is None:
             u = np.zeros((n_cand, 1, m))
-        if hasattr(spec.extra_terminal, "batch"):
-            total += spec.extra_terminal.batch(x, u, theta_b, x0)
-        else:
-            for i in range(n_cand):
-                for j in range(n_par):
-                    total[i, j] += float(
-                        spec.extra_terminal(x[i, j], u[i, 0], thetas[j], x0)
-                    )
+        total += spec.extra_terminal.batch(x, u, theta_b, x0)
     return total
 
 
@@ -283,49 +229,3 @@ class RobustObjectiveConfig:
             raise ValueError(f"risk_lambda must be positive, got {self.risk_lambda}")
         if not self.risk_epsilon >= 0:
             raise ValueError(f"risk_epsilon must be nonnegative, got {self.risk_epsilon}")
-
-
-def _particle_matrix(particles) -> np.ndarray:
-    if isinstance(particles, ParticleSet):
-        return particles.particles
-    mat = np.atleast_2d(np.asarray(particles, dtype=float))
-    if mat.shape[0] < 1 or mat.size == 0:
-        raise ValueError("particle stack must be non-empty")
-    return mat
-
-
-def robust_cost(
-    spec: CostSpec, env: EnvModel, x0, plan, particles, config: RobustObjectiveConfig
-) -> float:
-    """Gap-weighted robust plan objective.
-
-    cost(theta_bar) + gamma * mean_i [cost(theta_i) - cost(theta_bar)], with
-    theta_bar the particle mean. Exactly N + 1 rollouts. At gamma = 1 the
-    anchor cancels and this is the plain ensemble average; at gamma = 0 it is
-    the point-estimate cost alone.
-    """
-    mat = _particle_matrix(particles)
-    mean = mat.mean(axis=0)
-    costs = rollout_cost_batch(
-        spec, env, x0, np.asarray(plan, float)[None], np.vstack([mean[None], mat])
-    )[0]
-    gaps = costs[1:] - costs[0]
-    return float(costs[0] + config.gamma * gaps.mean())
-
-
-def dro_risk_cost(
-    spec: CostSpec, env: EnvModel, x0, plan, particles, config: RobustObjectiveConfig
-) -> float:
-    """Risk-averse plan objective: a soft worst case over the particle stack.
-
-    lambda * epsilon + lambda * log mean_i exp(cost_i / lambda), evaluated
-    with a shifted log-sum-exp so large costs cannot overflow. Small lambda
-    approaches the worst particle; large lambda approaches the mean plus a
-    variance penalty shrinking like 1 / (2 * lambda).
-    """
-    if config.risk_lambda is None:
-        raise ValueError("risk_lambda must be set (the harness calibrates it when omitted)")
-    lam = config.risk_lambda
-    mat = _particle_matrix(particles)
-    costs = rollout_cost_batch(spec, env, x0, np.asarray(plan, float)[None], mat)[0]
-    return float(lam * config.risk_epsilon + lam * (logsumexp(costs / lam) - np.log(len(costs))))

@@ -30,6 +30,7 @@ from .dynamics import EnvModel, horizon_steps, rk4_step
 from .inference import (
     ParticleSet,
     PosteriorModel,
+    ScoreEvaluationError,
     SvgdConfig,
     draw_particles,
     ksd_estimate,
@@ -152,7 +153,9 @@ class TrialResult:
 
     Log rows are indexed by executed step: ``states[k]`` is the state the
     k-th control was applied in. ``final_state`` is the state after the last
-    step, which the log rows do not contain.
+    step, which the log rows do not contain. When the plant diverges or
+    inference fails, the failing step is the last row and ``final_state``
+    repeats its state.
     """
 
     success: bool
@@ -182,15 +185,10 @@ def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, particles: ParticleSet) 
     reference = particle_mean(particles)
     ref_cost = trajectory_cost(spec, env, x0, plan, reference)
 
-    def gap(theta):
-        return trajectory_cost(spec, env, x0, plan, theta) - ref_cost
-
-    def gap_batch(thetas):
+    def gap(thetas):
         return rollout_cost_batch(spec, env, x0, plan[None], thetas)[0] - ref_cost
 
-    return PosteriorModel(
-        gap=gap, lower=env.theta_lower, upper=env.theta_upper, gap_batch=gap_batch
-    )
+    return PosteriorModel(gap=gap, lower=env.theta_lower, upper=env.theta_upper)
 
 
 def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerSpec:
@@ -205,7 +203,12 @@ def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerS
 
 
 def run_trial(config: TrialConfig) -> TrialResult:
-    """Run one seeded closed-loop trial to success, timeout, or solver failure.
+    """Run one seeded closed-loop trial to success, timeout, or failure.
+
+    A failure ends the trial with the rows logged so far and a labelled
+    reason: "solver_failure" when no candidate plan scores finitely or the
+    plant diverges, "inference_failure" when the gap turns non-finite during
+    the particle update.
 
     Deterministic: the particle draw and every planning cycle use random
     streams derived from the seed alone, so identical configs reproduce
@@ -277,12 +280,16 @@ def run_trial(config: TrialConfig) -> TrialResult:
 
         if adaptive and config.svgd.iterations > 0 and config.svgd.step_size > 0:
             model = _gap_model(config.cost, env, state, new_plan, particles)
-            for _ in range(config.svgd.iterations):
-                particles = svgd_step(particles, model, config.svgd)
-            if config.log_ksd and kernel_ok:
-                log_ksd.append(
-                    ksd_estimate(particles, model, config.svgd.kernel, config.svgd)
-                )
+            try:
+                for _ in range(config.svgd.iterations):
+                    particles = svgd_step(particles, model, config.svgd)
+                if config.log_ksd and kernel_ok:
+                    log_ksd.append(
+                        ksd_estimate(particles, model, config.svgd.kernel, config.svgd)
+                    )
+            except ScoreEvaluationError:
+                reason = "inference_failure"
+                break
 
         state = next_state
         step_index += 1

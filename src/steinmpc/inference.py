@@ -146,17 +146,14 @@ class PosteriorModel:
     the box, so the score is just the (signed) gap gradient.
 
     Args:
-        gap: scalar function of one parameter vector.
+        gap: gap of every row of a (B, dim) parameter stack, as a (B,) array.
         lower: (dim,) box lower bounds.
         upper: (dim,) box upper bounds.
-        gap_batch: optional vectorized form mapping (B, dim) -> (B,);
-            used to batch finite differencing when available.
     """
 
-    gap: Callable[[np.ndarray], float]
+    gap: Callable[[np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
-    gap_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -165,13 +162,6 @@ class PosteriorModel:
             raise ValueError("bounds must be 1-D arrays of equal shape")
         if not np.all(self.lower < self.upper):
             raise ValueError("lower bounds must be strictly below upper bounds")
-
-    def evaluate_many(self, thetas: np.ndarray) -> np.ndarray:
-        if self.gap_batch is not None:
-            vals = np.asarray(self.gap_batch(thetas), dtype=float)
-        else:
-            vals = np.array([float(self.gap(t)) for t in thetas], dtype=float)
-        return vals
 
 
 def _fd_steps(model: PosteriorModel, fd_epsilon: float) -> np.ndarray:
@@ -188,7 +178,7 @@ def posterior_score_batch(
     """Score of the plan-induced posterior at each row of ``thetas``.
 
     Central finite differences through the gap function, batched over all
-    particles and coordinates in a single evaluation of ``gap_batch``.
+    particles and coordinates in a single evaluation of ``gap``.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n, dim = thetas.shape
@@ -199,7 +189,7 @@ def posterior_score_batch(
     plus = clamped[:, None, :] + offsets[None, :, :]
     minus = clamped[:, None, :] - offsets[None, :, :]
     probe = np.concatenate([plus, minus], axis=1).reshape(2 * n * dim, dim)
-    vals = model.evaluate_many(probe)
+    vals = np.asarray(model.gap(probe), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = probe[~np.isfinite(vals)][0]
         raise ScoreEvaluationError(bad)

@@ -1,9 +1,10 @@
 """Interaction kernels for particle inference.
 
-Every kernel is a small frozen dataclass exposing scalar and batched forms of
-the same three quantities: the kernel value, its gradient with respect to the
-first argument, and the trace of the mixed second derivative (needed by the
-Stein discrepancy estimator). Gradients are closed-form.
+Every kernel is a small frozen dataclass evaluated on whole particle stacks:
+``matrix`` gives the kernel value at every pair, ``grad_first_tensor`` its
+gradient with respect to the first argument, and ``mixed_trace_matrix`` the
+trace of the mixed second derivative (needed by the Stein discrepancy
+estimator). Gradients are closed-form.
 """
 
 from __future__ import annotations
@@ -16,20 +17,7 @@ __all__ = [
     "RbfKernel",
     "ImqKernel",
     "ConstantKernel",
-    "kernel_eval",
-    "kernel_grad",
 ]
-
-
-def _as_pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(
-            f"kernel arguments must be 1-D vectors of equal length, "
-            f"got shapes {a.shape} and {b.shape}"
-        )
-    return a, b
 
 
 def _as_stack(x, y):
@@ -55,17 +43,6 @@ class RbfKernel:
 
     # Differentiable, so the Stein operator is well defined.
     stein_compatible = True
-
-    def evaluate(self, a, b) -> float:
-        a, b = _as_pair(a, b)
-        d = a - b
-        return float(np.exp(-d @ d / self.bandwidth))
-
-    def grad_first(self, a, b) -> np.ndarray:
-        """Gradient of k(a, b) with respect to a."""
-        a, b = _as_pair(a, b)
-        d = a - b
-        return -(2.0 / self.bandwidth) * d * np.exp(-d @ d / self.bandwidth)
 
     def matrix(self, x, y) -> np.ndarray:
         x, y = _as_stack(x, y)
@@ -109,17 +86,6 @@ class ImqKernel:
 
     stein_compatible = True
 
-    def evaluate(self, a, b) -> float:
-        a, b = _as_pair(a, b)
-        d = a - b
-        return float((self.offset**2 + d @ d) ** (-self.decay))
-
-    def grad_first(self, a, b) -> np.ndarray:
-        a, b = _as_pair(a, b)
-        d = a - b
-        base = self.offset**2 + d @ d
-        return -2.0 * self.decay * d * base ** (-self.decay - 1.0)
-
     def matrix(self, x, y) -> np.ndarray:
         x, y = _as_stack(x, y)
         diff = x[:, None, :] - y[None, :, :]
@@ -155,14 +121,6 @@ class ConstantKernel:
 
     stein_compatible = False
 
-    def evaluate(self, a, b) -> float:
-        _as_pair(a, b)
-        return 1.0
-
-    def grad_first(self, a, b) -> np.ndarray:
-        a, b = _as_pair(a, b)
-        return np.zeros_like(a)
-
     def matrix(self, x, y) -> np.ndarray:
         x, y = _as_stack(x, y)
         return np.ones((x.shape[0], y.shape[0]))
@@ -170,13 +128,3 @@ class ConstantKernel:
     def grad_first_tensor(self, x, y) -> np.ndarray:
         x, y = _as_stack(x, y)
         return np.zeros((x.shape[0], y.shape[0], x.shape[1]))
-
-
-def kernel_eval(kernel, a, b) -> float:
-    """Evaluate k(a, b) for two parameter vectors."""
-    return kernel.evaluate(a, b)
-
-
-def kernel_grad(kernel, a, b) -> np.ndarray:
-    """Gradient of k(a, b) with respect to the first argument."""
-    return kernel.grad_first(a, b)

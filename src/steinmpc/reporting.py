@@ -21,8 +21,6 @@ __all__ = [
     "write_summary_json",
     "aggregate_row",
     "write_aggregate_csv",
-    "aggregate_from_records",
-    "progress_series",
     "write_progress_csv",
     "write_timing_json",
     "dumps_sorted",
@@ -147,30 +145,6 @@ def aggregate_row(method: str, env_name: str, batch) -> str:
 def write_aggregate_csv(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([AGGREGATE_HEADER, *rows]) + "\n")
-
-
-def aggregate_from_records(records) -> tuple:
-    """Recompute (success_pct, mean_time, std_time) from per-trial records."""
-    n = len(records)
-    times = sorted(float(r["completion_time"]) for r in records if r["success"])
-    pct = 100.0 * len(times) / n if n else float("nan")
-    if not times:
-        return pct, float("nan"), float("nan")
-    mean = float(np.mean(times))
-    std = float(np.std(times, ddof=1)) if len(times) > 1 else 0.0
-    return pct, mean, std
-
-
-def progress_series(track, states, previous_start: float = 0.0):
-    """Unwrapped lap fractions along a logged state history."""
-    from .track import track_progress
-
-    out = np.empty(len(states))
-    prev = None
-    for i, state in enumerate(states):
-        prev = track_progress(track, state, previous=prev)
-        out[i] = prev
-    return out
 
 
 def write_progress_csv(path, times, mean_progress, std_progress) -> None:

@@ -10,16 +10,9 @@ from steinmpc.controllers import (
     build_objective,
     mppi_solve,
     nominal_parameters,
-    plan,
     shift_warm_start,
 )
-from steinmpc.costs import (
-    CostSpec,
-    RobustObjectiveConfig,
-    dro_risk_cost,
-    robust_cost,
-    trajectory_cost,
-)
+from steinmpc.costs import CostSpec, RobustObjectiveConfig, trajectory_cost
 from steinmpc.dynamics import EnvModel
 from steinmpc.inference import ParticleSet
 
@@ -47,6 +40,28 @@ def nominal_objective():
     return build_objective(
         ControllerSpec(variant="nominal"), SPEC, ENV, X0, PARTICLES
     )
+
+
+def per_particle_costs(plan_arr, thetas):
+    return np.array([trajectory_cost(SPEC, ENV, X0, plan_arr, th) for th in thetas])
+
+
+def robust_oracle(plan_arr, gamma):
+    # anchor at the particle mean, plus gamma times the mean gap to it
+    anchor = trajectory_cost(SPEC, ENV, X0, plan_arr, PARTICLES.particles.mean(axis=0))
+    gaps = per_particle_costs(plan_arr, PARTICLES.particles) - anchor
+    return anchor + gamma * gaps.mean()
+
+
+def risk_oracle(plan_arr, lam, epsilon):
+    # lambda * epsilon + lambda * log mean exp(cost / lambda)
+    costs = per_particle_costs(plan_arr, PARTICLES.particles)
+    return lam * epsilon + lam * np.log(np.mean(np.exp(costs / lam)))
+
+
+def one_cycle(controller, mppi, particles, warm, rng):
+    objective = build_objective(controller, SPEC, ENV, X0, particles)
+    return mppi_solve(ENV, X0, warm, objective, mppi, rng)
 
 
 def test_mppi_config_validation():
@@ -156,13 +171,9 @@ def test_objectives_match_their_scalar_cost_functions():
                               SPEC, ENV, X0, PARTICLES)
 
     for p in plans:
-        assert stein(p) == pytest.approx(
-            robust_cost(SPEC, ENV, X0, p, PARTICLES, cfg), rel=1e-12)
-        assert emppi(p) == pytest.approx(
-            robust_cost(SPEC, ENV, X0, p, PARTICLES,
-                        RobustObjectiveConfig(gamma=1.0)), rel=1e-12)
-        assert dro(p) == pytest.approx(
-            dro_risk_cost(SPEC, ENV, X0, p, PARTICLES, cfg), rel=1e-12)
+        assert stein(p) == pytest.approx(robust_oracle(p, 0.5), rel=1e-12)
+        assert emppi(p) == pytest.approx(robust_oracle(p, 1.0), rel=1e-12)
+        assert dro(p) == pytest.approx(risk_oracle(p, 7.0, 0.1), rel=1e-12)
         assert nominal(p) == pytest.approx(
             trajectory_cost(SPEC, ENV, X0, p, [1.0]), rel=1e-12)
 
@@ -173,8 +184,7 @@ def test_emppi_weighting_ignores_configured_gamma():
     emppi = build_objective(ControllerSpec(variant="emppi", robust=cfg),
                             SPEC, ENV, X0, PARTICLES)
     p = np.full((4, 1), 0.3)
-    assert emppi(p) == pytest.approx(
-        robust_cost(SPEC, ENV, X0, p, PARTICLES, RobustObjectiveConfig(gamma=1.0)))
+    assert emppi(p) == pytest.approx(robust_oracle(p, 1.0))
 
 
 def test_dro_objective_requires_calibrated_lambda():
@@ -189,15 +199,15 @@ def test_plan_runs_one_cycle_for_every_variant():
     for variant in VARIANTS:
         robust = RobustObjectiveConfig(risk_lambda=5.0)
         controller = ControllerSpec(variant=variant, robust=robust)
-        out = plan(controller, ENV, SPEC, MppiConfig(samples=32, noise_fraction=0.3),
-                   X0, PARTICLES, warm, np.random.default_rng(11))
+        out = one_cycle(controller, MppiConfig(samples=32, noise_fraction=0.3),
+                        PARTICLES, warm, np.random.default_rng(11))
         assert out.shape == (5, 1)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
 def test_plan_accepts_raw_particle_matrices():
     warm = np.zeros((4, 1))
-    out = plan(ControllerSpec(variant="emppi"), ENV, SPEC,
-               MppiConfig(samples=16, noise_fraction=0.2),
-               X0, np.array([[0.8], [1.2]]), warm, np.random.default_rng(3))
+    out = one_cycle(ControllerSpec(variant="emppi"),
+                    MppiConfig(samples=16, noise_fraction=0.2),
+                    np.array([[0.8], [1.2]]), warm, np.random.default_rng(3))
     assert out.shape == (4, 1)

@@ -4,17 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from steinmpc.controllers import ControllerSpec, build_objective
 from steinmpc.costs import (
     CostSpec,
     InverseDisplacementReward,
     RobustObjectiveConfig,
     UprightEnergyPenalty,
-    dro_risk_cost,
     optimality_gap,
-    robust_cost,
     rollout_cost_batch,
-    stage_cost,
-    terminal_cost,
     trajectory_cost,
 )
 from steinmpc.dynamics import EnvModel
@@ -51,32 +48,52 @@ DECAY = EnvModel(
 )
 
 
+def still_derivative(x, u, theta):
+    return np.zeros(np.broadcast(x[..., 0], u[..., 0], theta[..., 0]).shape + (2,))
+
+
+# a 2-state plant that never moves, so a rollout's costs are read off x0
+STILL = EnvModel(
+    name="still", state_dim=2, control_dim=1, param_dim=1, dt=1.0,
+    control_lower=[-1.0], control_upper=[1.0],
+    theta_true=[1.0], theta_lower=[0.0], theta_upper=[2.0],
+    derivative=still_derivative,
+)
+
+
 def particles(*rows):
     return ParticleSet(np.array(rows, dtype=float),
                        DRIFT.theta_lower, DRIFT.theta_upper)
 
 
+def objective(variant, plan, ps, cfg, spec=DRIFT_SPEC):
+    controller = ControllerSpec(variant=variant, robust=cfg)
+    return build_objective(controller, spec, DRIFT, [0.0], ps)(plan)
+
+
 def test_stage_cost_quadratic_form():
-    spec = CostSpec(Q=np.diag([2.0, 3.0]), R=[[4.0]], Q_f=np.eye(2), x_des=np.zeros(2))
-    assert stage_cost(spec, [1.0, 2.0], [0.5], None) == pytest.approx(15.0)
+    # Q_f = 0 leaves the one stage term of a one-step rollout
+    spec = CostSpec(Q=np.diag([2.0, 3.0]), R=[[4.0]], Q_f=np.zeros((2, 2)), x_des=np.zeros(2))
+    cost = rollout_cost_batch(spec, STILL, [1.0, 2.0], [[0.5]], [1.0])[0, 0]
+    assert cost == pytest.approx(15.0)
 
 
 def test_stage_cost_zero_at_goal_with_zero_control():
     spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_f=np.eye(2), x_des=[1.0, -1.0])
-    assert stage_cost(spec, [1.0, -1.0], [0.0], None) == 0.0
+    assert rollout_cost_batch(spec, STILL, [1.0, -1.0], [[0.0]], [1.0])[0, 0] == 0.0
+
+
+class SevenBonus:
+    def batch(self, x_terminal, u_terminal, theta, x0):
+        return np.full(x_terminal.shape[:-1], 7.0)
 
 
 def test_terminal_cost_adds_extra_term():
+    # a zero-step plan leaves the terminal cost at x0 alone
     spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_f=2.0 * np.eye(2), x_des=np.zeros(2),
-                    extra_terminal=lambda x, u, th, x0: 7.0)
-    assert terminal_cost(spec, [1.0, 0.0], None, None, x0=np.zeros(2)) == pytest.approx(9.0)
-
-
-def test_terminal_cost_requires_x0_when_extra_term_present():
-    spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_f=np.eye(2), x_des=np.zeros(2),
-                    extra_terminal=lambda x, u, th, x0: 0.0)
-    with pytest.raises(ValueError):
-        terminal_cost(spec, [1.0, 0.0], None, None)
+                    extra_terminal=SevenBonus())
+    cost = rollout_cost_batch(spec, STILL, [1.0, 0.0], np.zeros((0, 1)), [1.0])[0, 0]
+    assert cost == pytest.approx(9.0)
 
 
 def test_trajectory_cost_matches_independent_rk4_on_scalar_decay():
@@ -135,9 +152,9 @@ def test_robust_cost_anchors_at_mean_and_blends_gaps():
     # costs are theta^2: particles {1, 2} have mean cost anchor 1.5^2 = 2.25
     ps = particles([1.0], [2.0])
     cfg = lambda g: RobustObjectiveConfig(gamma=g)
-    assert robust_cost(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, ps, cfg(0.0)) == pytest.approx(2.25)
-    assert robust_cost(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, ps, cfg(0.5)) == pytest.approx(2.375)
-    assert robust_cost(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, ps, cfg(1.0)) == pytest.approx(2.5)
+    assert objective("stein_adaptive", ONE_STEP, ps, cfg(0.0)) == pytest.approx(2.25)
+    assert objective("stein_adaptive", ONE_STEP, ps, cfg(0.5)) == pytest.approx(2.375)
+    assert objective("stein_adaptive", ONE_STEP, ps, cfg(1.0)) == pytest.approx(2.5)
 
 
 def test_robust_cost_gamma_one_is_exact_ensemble_mean():
@@ -148,7 +165,10 @@ def test_robust_cost_gamma_one_is_exact_ensemble_mean():
         pts = rng.uniform(0.0, 3.0, size=(rng.integers(1, 7), 1))
         ps = ParticleSet(pts, DRIFT.theta_lower, DRIFT.theta_upper)
         plan = rng.uniform(-1, 1, size=(3, 1))
-        r = robust_cost(spec, DRIFT, [0.2], plan, ps, RobustObjectiveConfig(gamma=1.0))
+        robust = build_objective(
+            ControllerSpec(variant="stein_adaptive", robust=RobustObjectiveConfig(gamma=1.0)),
+            spec, DRIFT, [0.2], ps)
+        r = robust(plan)
         direct = rollout_cost_batch(spec, DRIFT, [0.2], plan[None], pts)[0].mean()
         worst = max(worst, abs(r - direct))
     assert worst <= 1e-12
@@ -157,7 +177,7 @@ def test_robust_cost_gamma_one_is_exact_ensemble_mean():
 def test_dro_risk_cost_closed_form_small_stack():
     ps = particles([1.0], [2.0])  # costs 1 and 4
     cfg = RobustObjectiveConfig(risk_lambda=2.0, risk_epsilon=0.1)
-    got = dro_risk_cost(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, ps, cfg)
+    got = objective("dro", ONE_STEP, ps, cfg)
     expect = 0.2 + 2.0 * math.log((math.exp(0.5) + math.exp(2.0)) / 2.0)
     assert got == pytest.approx(expect, abs=1e-12)
     assert got == pytest.approx(3.2165321948456143)
@@ -166,28 +186,22 @@ def test_dro_risk_cost_closed_form_small_stack():
 def test_dro_risk_cost_high_temperature_is_mean_plus_variance_correction():
     ps = particles([1.0], [2.0])
     cfg = RobustObjectiveConfig(risk_lambda=1000.0, risk_epsilon=0.0)
-    got = dro_risk_cost(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, ps, cfg)
+    got = objective("dro", ONE_STEP, ps, cfg)
     assert got == pytest.approx(2.5 + 2.25 / 2000.0, abs=1e-6)
 
 
 def test_dro_risk_cost_low_temperature_tracks_worst_particle():
     ps = particles([1.0], [2.0])
     cfg = RobustObjectiveConfig(risk_lambda=0.01, risk_epsilon=0.0)
-    got = dro_risk_cost(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, ps, cfg)
+    got = objective("dro", ONE_STEP, ps, cfg)
     assert got == pytest.approx(4.0, abs=0.01)
-
-
-def test_dro_risk_cost_requires_a_temperature():
-    with pytest.raises(ValueError):
-        dro_risk_cost(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, particles([1.0]),
-                      RobustObjectiveConfig(risk_lambda=None))
 
 
 def test_dro_risk_cost_survives_huge_costs():
     # shifted log-sum-exp: 1e6-scale costs with a small temperature
     spec = CostSpec(Q=[[0.0]], R=[[0.0]], Q_f=[[1e6]], x_des=[0.0])
     cfg = RobustObjectiveConfig(risk_lambda=0.5, risk_epsilon=0.0)
-    got = dro_risk_cost(spec, DRIFT, [0.0], ONE_STEP, particles([1.0], [2.0]), cfg)
+    got = objective("dro", ONE_STEP, particles([1.0], [2.0]), cfg, spec=spec)
     assert np.isfinite(got)
     assert got == pytest.approx(4e6, rel=1e-6)
 
@@ -196,14 +210,14 @@ def test_upright_energy_penalty_zero_on_swingup_manifold():
     pen = UprightEnergyPenalty(70.0)
     theta = np.array([0.5, 0.75])
     upright_rest = np.array([0.3, math.pi, -0.1, 0.0])
-    assert pen(upright_rest, None, theta, np.zeros(4)) == pytest.approx(0.0, abs=1e-20)
+    assert pen.batch(upright_rest, None, theta, np.zeros(4)) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_upright_energy_penalty_hanging_value():
     pen = UprightEnergyPenalty(70.0)
     theta = np.array([0.5, 0.75])
     # hanging rest sits 2 m g l below the upright energy level
-    assert pen(np.zeros(4), None, theta, np.zeros(4)) == pytest.approx(3789.2964375)
+    assert pen.batch(np.zeros(4), None, theta, np.zeros(4)) == pytest.approx(3789.2964375)
 
 
 def test_upright_energy_penalty_batch_matches_scalar():
@@ -212,19 +226,20 @@ def test_upright_energy_penalty_batch_matches_scalar():
     xs = rng.normal(size=(6, 4))
     thetas = rng.uniform(0.3, 1.0, size=(6, 2))
     batch = pen.batch(xs, None, thetas, np.zeros(4))
-    direct = [pen(x, None, th, np.zeros(4)) for x, th in zip(xs, thetas)]
+    # each row of the stack scored on its own
+    direct = [pen.batch(x, None, th, np.zeros(4)) for x, th in zip(xs, thetas)]
     np.testing.assert_allclose(batch, direct)
 
 
 def test_inverse_displacement_reward_values_and_batch():
     inv = InverseDisplacementReward([1.0, 2.0])
-    assert inv(np.array([0.5, 0.0]), None, None, np.zeros(2)) == pytest.approx(
+    assert inv.batch(np.array([0.5, 0.0]), None, None, np.zeros(2)) == pytest.approx(
         1.0 / 0.501 + 2000.0
     )
     xs = np.array([[0.5, 0.0], [1.0, 1.0]])
     np.testing.assert_allclose(
         inv.batch(xs, None, None, np.zeros(2)),
-        [inv(x, None, None, np.zeros(2)) for x in xs],
+        [inv.batch(x, None, None, np.zeros(2)) for x in xs],
     )
 
 
@@ -244,22 +259,12 @@ def test_cost_spec_validation():
         CostSpec(Q=np.eye(2), R=[[1.0]], Q_f=np.eye(2), x_des=np.zeros(3))
 
 
-def test_reference_tracking_spec_needs_explicit_refs_for_scalar_costs():
-    track = StadiumTrack()
-    spec = CostSpec(Q=np.eye(5), R=np.eye(2), Q_f=np.eye(5),
-                    x_des=CenterlineReference(track))
-    assert spec.tracks_reference
-    with pytest.raises(ValueError):
-        stage_cost(spec, np.zeros(5), np.zeros(2), None)
-    with pytest.raises(ValueError):
-        terminal_cost(spec, np.zeros(5), np.zeros(2), None)
-
-
 def test_reference_tracking_rollout_charges_motion_against_moving_target():
     # a car parked at the start line pays more than one tracking the reference
     track = StadiumTrack()
     spec = CostSpec(Q=np.eye(5), R=0.0 * np.eye(2), Q_f=np.eye(5),
                     x_des=CenterlineReference(track))
+    assert spec.tracks_reference
     from steinmpc.dynamics import make_racecar
 
     env = make_racecar()

@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
+from steinmpc import cli, harness
 from steinmpc.configfile import build_trial_config, load_config
 from steinmpc.controllers import ControllerSpec, MppiConfig
 from steinmpc.costs import CostSpec, trajectory_cost
@@ -20,7 +22,7 @@ from steinmpc.harness import (
     run_trial,
 )
 from steinmpc.harness import _calibrated_controller
-from steinmpc.inference import SvgdConfig
+from steinmpc.inference import ScoreEvaluationError, SvgdConfig
 from steinmpc.kernels import ConstantKernel, RbfKernel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -233,6 +235,42 @@ def test_diverging_dynamics_end_in_solver_failure():
     result = run_trial(config)
     assert not result.success
     assert result.terminal_reason == "solver_failure"
+
+
+def _failing_svgd_step(after_calls):
+    calls = []
+
+    def step(particles, model, config):
+        calls.append(None)
+        if len(calls) > after_calls:
+            raise ScoreEvaluationError(particles.particles[0])
+        return particles
+
+    return step
+
+
+def test_inference_failure_ends_trial_with_logged_rows(monkeypatch):
+    monkeypatch.setattr(harness, "svgd_step", _failing_svgd_step(after_calls=2))
+    result = run_trial(_cartpole_trial(controller=ControllerSpec(variant="stein_adaptive")))
+    assert not result.success
+    assert result.terminal_reason == "inference_failure"
+    # the failing third step was planned and logged before inference ran
+    assert result.steps == 3
+    assert result.states.shape == (3, 4)
+    np.testing.assert_array_equal(result.final_state, result.states[-1])
+
+
+def test_cli_run_exits_4_on_inference_failure(monkeypatch, tmp_path, capsys):
+    doc = load_config(os.path.join(CONFIG_DIR, "cartpole.yaml"))
+    doc["harness"]["duration"] = 0.1
+    doc["mppi"]["samples"] = 8
+    path = tmp_path / "cartpole.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    monkeypatch.setattr(harness, "svgd_step", _failing_svgd_step(after_calls=0))
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "0"])
+    assert code == 4
+    assert "inference failure" in capsys.readouterr().err
+    assert (tmp_path / "out" / "trial_0.json").exists()
 
 
 def test_dro_lambda_calibrates_from_warm_start_cost():

@@ -22,19 +22,17 @@ WIDE = np.array([-8.0]), np.array([8.0])
 def normal_model():
     # gap = -theta^2/2, so the adversarial score is -theta: standard normal
     return PosteriorModel(
-        gap=lambda th: -0.5 * float(th[0]) ** 2,
+        gap=lambda ths: -0.5 * ths[:, 0] ** 2,
         lower=WIDE[0],
         upper=WIDE[1],
-        gap_batch=lambda ths: -0.5 * ths[:, 0] ** 2,
     )
 
 
 def flat_model(dim=2, half_width=8.0):
     return PosteriorModel(
-        gap=lambda th: 0.0,
+        gap=lambda ths: np.zeros(len(ths)),
         lower=-half_width * np.ones(dim),
         upper=half_width * np.ones(dim),
-        gap_batch=lambda ths: np.zeros(len(ths)),
     )
 
 
@@ -90,7 +88,7 @@ def test_score_zero_for_flat_gap():
 
 def test_score_of_quadratic_gap_both_signs():
     model = PosteriorModel(
-        gap=lambda th: (float(th[0]) - 1.0) ** 2,
+        gap=lambda ths: (ths[:, 0] - 1.0) ** 2,
         lower=np.array([-8.0]),
         upper=np.array([8.0]),
     )
@@ -106,7 +104,7 @@ def test_score_matches_analytic_gradient_random_quadratics():
         a = rng.normal(size=3)
         h = rng.uniform(0.5, 2.0, size=3)
         model = PosteriorModel(
-            gap=lambda th, a=a, h=h: float(np.sum(h * (th - a) ** 2)),
+            gap=lambda ths, a=a, h=h: np.sum(h * (ths - a) ** 2, axis=1),
             lower=-5.0 * np.ones(3),
             upper=5.0 * np.ones(3),
         )
@@ -117,7 +115,7 @@ def test_score_matches_analytic_gradient_random_quadratics():
 
 def test_score_clamps_theta_into_the_box():
     model = PosteriorModel(
-        gap=lambda th: (float(th[0]) - 1.0) ** 2,
+        gap=lambda ths: (ths[:, 0] - 1.0) ** 2,
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
     )
@@ -128,10 +126,9 @@ def test_score_clamps_theta_into_the_box():
 
 def test_score_error_carries_the_offending_theta():
     model = PosteriorModel(
-        gap=lambda th: float("nan"),
+        gap=lambda ths: np.full(len(ths), np.nan),
         lower=np.array([0.0]),
         upper=np.array([1.0]),
-        gap_batch=lambda ths: np.full(len(ths), np.nan),
     )
     with pytest.raises(ScoreEvaluationError) as info:
         posterior_score(np.array([0.5]), model, SvgdConfig())
@@ -142,7 +139,7 @@ def test_score_steps_normalize_to_box_width():
     # same quadratic expressed on a box 1e6 wider: accuracy must not degrade
     for width in (1.0, 1e6):
         model = PosteriorModel(
-            gap=lambda th: (float(th[0]) / width) ** 2,
+            gap=lambda ths: (ths[:, 0] / width) ** 2,
             lower=np.array([-width]),
             upper=np.array([width]),
         )
@@ -217,10 +214,9 @@ def test_pure_repulsion_leaves_ensemble_mean_fixed():
 
 def test_update_respects_the_box():
     model = PosteriorModel(
-        gap=lambda th: 100.0 * float(th[0]),  # huge outward pull
+        gap=lambda ths: 100.0 * ths[:, 0],  # huge outward pull
         lower=np.array([0.0]),
         upper=np.array([1.0]),
-        gap_batch=lambda ths: 100.0 * ths[:, 0],
     )
     ps = ParticleSet([[0.9], [0.5]], model.lower, model.upper)
     for _ in range(5):
@@ -295,13 +291,9 @@ def test_svgd_config_validation():
     assert SvgdConfig(sign_mode="favoring").sign == -1.0
 
 
-def test_posterior_model_validation_and_batch_fallback():
+def test_posterior_model_validation():
+    flat = lambda ths: np.zeros(len(ths))
     with pytest.raises(ValueError):
-        PosteriorModel(gap=lambda th: 0.0, lower=np.zeros(2), upper=np.ones(3))
+        PosteriorModel(gap=flat, lower=np.zeros(2), upper=np.ones(3))
     with pytest.raises(ValueError):
-        PosteriorModel(gap=lambda th: 0.0, lower=np.ones(2), upper=np.ones(2))
-    scalar_only = PosteriorModel(
-        gap=lambda th: float(th[0]) ** 3, lower=np.array([-2.0]), upper=np.array([2.0])
-    )
-    thetas = np.array([[0.5], [1.5]])
-    np.testing.assert_allclose(scalar_only.evaluate_many(thetas), [0.125, 3.375])
+        PosteriorModel(gap=flat, lower=np.ones(2), upper=np.ones(2))

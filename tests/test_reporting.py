@@ -1,6 +1,5 @@
 """Byte-stable result files: float formatting, CSV layout, sorted JSON."""
 import json
-import math
 import random
 
 import numpy as np
@@ -10,11 +9,9 @@ from steinmpc.harness import BatchResult, TrialResult
 from steinmpc.inference import ParticleSet
 from steinmpc.reporting import (
     AGGREGATE_HEADER,
-    aggregate_from_records,
     aggregate_row,
     dumps_sorted,
     format_float,
-    progress_series,
     step_csv_header,
     summary_record,
     write_aggregate_csv,
@@ -23,7 +20,6 @@ from steinmpc.reporting import (
     write_summary_json,
     write_timing_json,
 )
-from steinmpc.track import StadiumTrack
 
 
 def test_format_float_known_renderings():
@@ -172,45 +168,17 @@ def _result_with(seed, success, completion_time):
     return res
 
 
-def test_aggregate_from_records_matches_batch_properties():
+def test_batch_aggregates_are_order_independent():
     results = [
-        _result_with(0, True, 4.0),
-        _result_with(1, False, 30.0),
-        _result_with(2, True, 6.0),
+        _result_with(0, True, 1.0),
+        _result_with(1, True, 9.0),
+        _result_with(2, True, 0.1),
+        _result_with(3, False, 30.0),
     ]
-    batch = BatchResult(seeds=[0, 1, 2], results=results)
-    records = [summary_record(r, "h", "v") for r in results]
-    pct, mean, std = aggregate_from_records(records)
-    assert pct == batch.success_pct == pytest.approx(200.0 / 3.0)
-    assert mean == batch.mean_time == 5.0
-    assert std == batch.std_time == pytest.approx(math.sqrt(2.0))
-
-
-def test_aggregate_from_records_order_independent():
-    records = [
-        {"success": True, "completion_time": 1.0},
-        {"success": True, "completion_time": 9.0},
-        {"success": False, "completion_time": 30.0},
-    ]
-    assert aggregate_from_records(records) == aggregate_from_records(records[::-1])
-
-
-def test_aggregate_from_records_no_successes():
-    pct, mean, std = aggregate_from_records(
-        [{"success": False, "completion_time": 30.0}]
-    )
-    assert pct == 0.0
-    assert math.isnan(mean) and math.isnan(std)
-
-
-def test_progress_series_unwraps_across_start_line():
-    track = StadiumTrack()
-    # descend the left arc onto the bottom straight, crossing the start line
-    states = [np.array([x, y, 0.0, 1.0, 0.0])
-              for x, y in ((-3.5, -1.5), (-2.6, -1.98), (-2.0, -2.0), (-1.0, -2.0))]
-    out = progress_series(track, states)
-    assert np.all(np.diff(out) > 0)
-    assert out[-1] > 1.0  # wrapped past the start without resetting
+    forward = BatchResult(seeds=[0, 1, 2, 3], results=results)
+    backward = BatchResult(seeds=[3, 2, 1, 0], results=results[::-1])
+    for name in ("success_pct", "mean_time", "std_time", "mean_time_all", "std_time_all"):
+        assert getattr(forward, name) == getattr(backward, name)
 
 
 def test_write_progress_csv_golden(tmp_path):
