@@ -31,7 +31,7 @@ from .configfile import (
     resolve_seeds,
     serialize_config,
 )
-from .controllers import VARIANTS, SolverFailureError
+from .controllers import VARIANTS
 from .harness import run_batch, run_trial
 from .kernels import ConstantKernel, ImqKernel, RbfKernel
 from .reporting import (
@@ -324,9 +324,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"config error at <path>: cannot read {exc.filename}", file=sys.stderr)
         return 2
-    except SolverFailureError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def mppi_solve(
     objective,
     config: MppiConfig,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Improve a warm-start plan by weighted averaging of sampled candidates.
 
     Candidates are the clamped warm plan plus samples - 1 Gaussian
@@ -78,6 +78,12 @@ def mppi_solve(
     The weighted average is only returned if it scores at least as well as
     the best candidate; otherwise the best candidate is, which makes the
     solver monotone against the warm plan by construction.
+
+    Returns:
+        ``(plan, cost, theta_costs)``: the chosen (H, m) plan, its objective
+        value and its (P,) row of the objective's cost matrix. Both come from
+        the rollouts that chose the plan, so scoring the plan again would
+        give the same floats.
 
     Raises:
         SolverFailureError: if every candidate cost is non-finite.
@@ -89,7 +95,8 @@ def mppi_solve(
     candidates = np.concatenate([warm[None], warm[None] + noise], axis=0)
     np.clip(candidates, lo, hi, out=candidates)
 
-    costs = np.asarray(objective.evaluate_batch(candidates), dtype=float)
+    matrix = objective.cost_matrix(candidates)
+    costs = np.asarray(objective.reduce(matrix), dtype=float)
     finite = np.isfinite(costs)
     if not finite.any():
         raise SolverFailureError("no candidate plan produced a finite objective value")
@@ -102,10 +109,11 @@ def mppi_solve(
     averaged = np.einsum("k,k...->...", weights, candidates)
     np.clip(averaged, lo, hi, out=averaged)
 
-    averaged_cost = float(objective.evaluate_batch(averaged[None])[0])
+    averaged_row = objective.cost_matrix(averaged[None])
+    averaged_cost = float(objective.reduce(averaged_row)[0])
     if not np.isfinite(averaged_cost) or averaged_cost > costs[best]:
-        return candidates[best].copy()
-    return averaged
+        return candidates[best].copy(), float(costs[best]), matrix[best].copy()
+    return averaged, averaged_cost, averaged_row[0]
 
 
 def shift_warm_start(plan: np.ndarray) -> np.ndarray:
@@ -144,31 +152,53 @@ def nominal_parameters(controller: ControllerSpec, env: EnvModel) -> np.ndarray:
 
 
 class _BatchObjective:
-    """Base: ``evaluate_batch`` scores a (C, H, m) plan stack; calling scores one plan."""
+    """Base of the plan objectives: a per-parameter cost grid and its reduction.
+
+    ``cost_matrix`` rolls a (C, H, m) plan stack out against the objective's
+    (P, p) parameter stack ``thetas`` and returns the (C, P) cost grid;
+    ``reduce`` turns such a grid into the (C,) objective values. Calling the
+    objective scores one plan. The (H + 1, n) reference states are resolved
+    on the first call and kept in ``refs`` for later calls with the same
+    horizon, so one cycle resolves them once.
+    """
+
+    thetas: np.ndarray
 
     def __init__(self, spec: CostSpec, env: EnvModel, x0):
         self.spec = spec
         self.env = env
         self.x0 = np.asarray(x0, dtype=float)
+        self.refs = None
+
+    def cost_matrix(self, plans) -> np.ndarray:
+        plans = np.asarray(plans, dtype=float)
+        steps = plans.shape[-2]
+        if self.refs is None or len(self.refs) != steps + 1:
+            self.refs = self.spec.references(self.env, self.x0, steps)
+        return rollout_cost_batch(self.spec, self.env, self.x0, plans, self.thetas,
+                                  refs=self.refs)
 
     def __call__(self, plan) -> float:
-        return float(self.evaluate_batch(np.asarray(plan, float)[None])[0])
+        return float(self.reduce(self.cost_matrix(np.asarray(plan, float)[None]))[0])
 
 
 class RobustPlanObjective(_BatchObjective):
-    """cost(theta_bar) + gamma * mean gap over the particle stack."""
+    """cost(theta_bar) + gamma * mean gap over the particle stack.
+
+    Column 0 of the cost matrix is the particle mean ``particles.mean(axis=0)``,
+    the same array ``inference.particle_mean`` returns, so a plan's row starts
+    with its cost under the current point estimate.
+    """
 
     def __init__(self, spec, env, x0, particles: np.ndarray, gamma: float):
         super().__init__(spec, env, x0)
-        self.particles = np.atleast_2d(np.asarray(particles, dtype=float))
-        self.mean = self.particles.mean(axis=0)
+        particles = np.atleast_2d(np.asarray(particles, dtype=float))
         self.gamma = gamma
-        self._thetas = np.vstack([self.mean[None], self.particles])
+        self.thetas = np.vstack([particles.mean(axis=0)[None], particles])
 
-    def evaluate_batch(self, plans) -> np.ndarray:
-        costs = rollout_cost_batch(self.spec, self.env, self.x0, plans, self._thetas)
-        gaps = costs[:, 1:] - costs[:, :1]
-        return costs[:, 0] + self.gamma * gaps.mean(axis=1)
+    def reduce(self, matrix: np.ndarray) -> np.ndarray:
+        gaps = matrix[:, 1:] - matrix[:, :1]
+        return matrix[:, 0] + self.gamma * gaps.mean(axis=1)
 
 
 class RiskAversePlanObjective(_BatchObjective):
@@ -178,15 +208,14 @@ class RiskAversePlanObjective(_BatchObjective):
         super().__init__(spec, env, x0)
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam}")
-        self.particles = np.atleast_2d(np.asarray(particles, dtype=float))
         self.lam = lam
         self.epsilon = epsilon
+        self.thetas = np.atleast_2d(np.asarray(particles, dtype=float))
 
-    def evaluate_batch(self, plans) -> np.ndarray:
+    def reduce(self, matrix: np.ndarray) -> np.ndarray:
         from scipy.special import logsumexp
 
-        costs = rollout_cost_batch(self.spec, self.env, self.x0, plans, self.particles)
-        lse = logsumexp(costs / self.lam, axis=1) - np.log(costs.shape[1])
+        lse = logsumexp(matrix / self.lam, axis=1) - np.log(matrix.shape[1])
         return self.lam * self.epsilon + self.lam * lse
 
 
@@ -195,10 +224,10 @@ class NominalPlanObjective(_BatchObjective):
 
     def __init__(self, spec, env, x0, theta: np.ndarray):
         super().__init__(spec, env, x0)
-        self.theta = np.asarray(theta, dtype=float)
+        self.thetas = np.asarray(theta, dtype=float)[None]
 
-    def evaluate_batch(self, plans) -> np.ndarray:
-        return rollout_cost_batch(self.spec, self.env, self.x0, plans, self.theta[None])[:, 0]
+    def reduce(self, matrix: np.ndarray) -> np.ndarray:
+        return matrix[:, 0]
 
 
 def build_objective(

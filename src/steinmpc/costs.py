@@ -5,6 +5,14 @@ integrates a grid of candidate plans against a stack of parameter hypotheses
 in one vectorized pass. ``trajectory_cost`` and ``optimality_gap`` read single
 entries of that grid, so a cost computed on its own is the same float the
 planner saw inside a batch.
+
+Every entry of the (C, P) grid depends only on its own (plan, parameter) pair,
+so a caller that has the grid never needs to roll a pair out again: the plan
+objectives keep it as their ``cost_matrix`` and reduce it to one value per
+plan. The reference states a cycle tracks depend only on the start state and
+the horizon; ``CostSpec.references`` resolves them, and a caller that scores
+several grids from one start state passes them as ``refs`` instead of having
+each call resolve them again.
 """
 
 from __future__ import annotations
@@ -127,19 +135,18 @@ class CostSpec:
     def tracks_reference(self) -> bool:
         return hasattr(self.x_des, "horizon_states")
 
-
-def _resolve_references(spec: CostSpec, env: EnvModel, x0, steps: int) -> np.ndarray:
-    """(steps + 1, n) reference states for one planning cycle."""
-    if spec.tracks_reference:
-        return np.asarray(spec.x_des.horizon_states(np.asarray(x0, float), steps, env.dt))
-    return np.broadcast_to(spec.x_des, (steps + 1, spec.x_des.size))
+    def references(self, env: EnvModel, x0, steps: int) -> np.ndarray:
+        """(steps + 1, n) reference states for one planning cycle from x0."""
+        if self.tracks_reference:
+            return np.asarray(self.x_des.horizon_states(np.asarray(x0, float), steps, env.dt))
+        return np.broadcast_to(self.x_des, (steps + 1, self.x_des.size))
 
 
 def _quad(e: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", e, w, e)
 
 
-def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas) -> np.ndarray:
+def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=None) -> np.ndarray:
     """Costs of every (plan, parameter) pair on a shared start state.
 
     Args:
@@ -150,6 +157,8 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas) -> np.n
             promoted to C = 1).
         thetas: (P, p) stack of parameter vectors (a single vector is
             promoted to P = 1).
+        refs: (H + 1, n) reference states, as ``spec.references(env, x0, H)``
+            returns them; resolved here when None.
 
     Returns:
         (C, P) array of total trajectory costs.
@@ -162,7 +171,11 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas) -> np.n
     n_cand, steps, m = plans.shape
     n_par = thetas.shape[0]
 
-    refs = _resolve_references(spec, env, x0, steps)
+    if refs is None:
+        refs = spec.references(env, x0, steps)
+    # Controls and their cost do not depend on the state: one pass for all steps.
+    clipped = np.clip(plans, env.control_lower, env.control_upper)
+    control_cost = _quad(clipped, spec.R)
     theta_b = thetas[None, :, :]
     x = np.broadcast_to(x0, (n_cand, n_par, x0.size)).copy()
     total = np.zeros((n_cand, n_par))
@@ -170,9 +183,9 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas) -> np.n
     f = env.derivative
     u = None
     for t in range(steps):
-        u = np.clip(plans[:, t, :], env.control_lower, env.control_upper)[:, None, :]
+        u = clipped[:, t, None, :]
         e = x - refs[t]
-        total += _quad(e, spec.Q) + _quad(u, spec.R)
+        total += _quad(e, spec.Q) + control_cost[:, t, None]
         k1 = f(x, u, theta_b)
         k2 = f(x + 0.5 * dt * k1, u, theta_b)
         k3 = f(x + 0.5 * dt * k2, u, theta_b)

@@ -180,13 +180,15 @@ class TrialResult:
         return len(self.times)
 
 
-def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, particles: ParticleSet) -> PosteriorModel:
-    """Gap posterior of the most recent plan, anchored at the current mean."""
-    reference = particle_mean(particles)
-    ref_cost = trajectory_cost(spec, env, x0, plan, reference)
+def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, ref_cost: float, refs) -> PosteriorModel:
+    """Gap posterior of the most recent plan, anchored at the current mean.
+
+    ``ref_cost`` is the plan's cost under the particle mean and ``refs`` the
+    cycle's reference states, both as the planner already computed them.
+    """
 
     def gap(thetas):
-        return rollout_cost_batch(spec, env, x0, plan[None], thetas)[0] - ref_cost
+        return rollout_cost_batch(spec, env, x0, plan[None], thetas, refs=refs)[0] - ref_cost
 
     return PosteriorModel(gap=gap, lower=env.theta_lower, upper=env.theta_upper)
 
@@ -258,7 +260,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
         )
         objective = build_objective(controller, config.cost, env, state, particles)
         try:
-            new_plan = mppi_solve(env, state, warm, objective, config.mppi, cycle_rng)
+            new_plan, plan_cost, theta_costs = mppi_solve(
+                env, state, warm, objective, config.mppi, cycle_rng)
         except SolverFailureError:
             reason = "solver_failure"
             break
@@ -267,7 +270,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
         log_t.append(t)
         log_x.append(state.copy())
         log_u.append(control.copy())
-        log_c.append(float(objective(new_plan)))
+        log_c.append(plan_cost)
         log_p.append(particles.particles.copy())
         log_pm.append(particle_mean(particles))
         if racing:
@@ -279,7 +282,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
             break
 
         if adaptive and config.svgd.iterations > 0 and config.svgd.step_size > 0:
-            model = _gap_model(config.cost, env, state, new_plan, particles)
+            # The adaptive objective is robust: column 0 is the particle mean.
+            model = _gap_model(config.cost, env, state, new_plan, theta_costs[0], objective.refs)
             try:
                 for _ in range(config.svgd.iterations):
                     particles = svgd_step(particles, model, config.svgd)

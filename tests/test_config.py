@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from steinmpc import cli
 from steinmpc.configfile import (
     BatchSettings,
     ConfigError,
@@ -22,6 +23,7 @@ from steinmpc.kernels import ConstantKernel, ImqKernel, RbfKernel
 from steinmpc.track import CenterlineReference
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+DUMP_DIR = os.path.join(os.path.dirname(__file__), "config_dumps")
 
 
 def minimal_doc():
@@ -341,3 +343,13 @@ def test_shipped_reference_configs_build():
     assert racing.controller.robust.risk_lambda == 0.5
     assert isinstance(racing.cost.extra_terminal, InverseDisplacementReward)
     assert len(racing_batch.seeds) == 16
+
+
+@pytest.mark.parametrize("name", ["cartpole", "kernel_ablation", "racing", "rocket"])
+def test_config_dump_output_is_pinned(name, capsys):
+    # the resolved, fully defaulted document of each shipped config, byte for byte
+    code = cli.main(["run", os.path.join(CONFIG_DIR, f"{name}.yaml"), "--config-dump"])
+    assert code == 0
+    with open(os.path.join(DUMP_DIR, f"{name}.yaml"), "rb") as fh:
+        expected = fh.read()
+    assert capsys.readouterr().out.encode("utf-8") == expected

@@ -1,6 +1,9 @@
 """The path-integral solver and the four plan objectives."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from steinmpc.controllers import (
     ControllerSpec,
@@ -61,7 +64,8 @@ def risk_oracle(plan_arr, lam, epsilon):
 
 def one_cycle(controller, mppi, particles, warm, rng):
     objective = build_objective(controller, SPEC, ENV, X0, particles)
-    return mppi_solve(ENV, X0, warm, objective, mppi, rng)
+    plan, _, _ = mppi_solve(ENV, X0, warm, objective, mppi, rng)
+    return plan
 
 
 def test_mppi_config_validation():
@@ -79,16 +83,45 @@ def test_mppi_never_loses_to_the_warm_start():
     warm = np.zeros((8, 1))
     warm_cost = objective(warm)
     for seed in range(5):
-        improved = mppi_solve(ENV, X0, warm, objective,
+        improved, _, _ = mppi_solve(ENV, X0, warm, objective,
                               MppiConfig(samples=64, temperature=1.0, noise_fraction=0.3),
                               np.random.default_rng(seed))
         assert objective(improved) <= warm_cost + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    warm=arrays(float, st.tuples(st.integers(1, 6), st.just(1)),
+                elements=st.floats(-1.5, 1.5)),
+    thetas=arrays(float, st.tuples(st.integers(1, 4), st.just(1)),
+                  elements=st.floats(0.5, 1.5)),
+    samples=st.integers(1, 48),
+    temperature=st.floats(0.01, 10.0),
+    noise=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mppi_solve_returns_the_chosen_plans_own_costs(
+        variant, warm, thetas, samples, temperature, noise, seed):
+    # The returned cost and per-theta row are what scoring the returned plan
+    # again gives, bit for bit, and the cost never exceeds the warm plan's.
+    controller = ControllerSpec(variant=variant,
+                                robust=RobustObjectiveConfig(risk_lambda=5.0))
+    objective = build_objective(controller, SPEC, ENV, X0, thetas)
+    plan, cost, theta_costs = mppi_solve(
+        ENV, X0, warm, objective,
+        MppiConfig(samples=samples, temperature=temperature, noise_fraction=noise),
+        np.random.default_rng(seed))
+    row = objective.cost_matrix(plan[None])
+    assert cost <= objective(warm)
+    assert cost == objective.reduce(row)[0]
+    assert theta_costs.tobytes() == row[0].tobytes()
+
+
 def test_mppi_single_sample_returns_clamped_warm_plan():
     objective = nominal_objective()
     warm = np.full((4, 1), 3.0)
-    out = mppi_solve(ENV, X0, warm, objective, MppiConfig(samples=1),
+    out, _, _ = mppi_solve(ENV, X0, warm, objective, MppiConfig(samples=1),
                      np.random.default_rng(0))
     np.testing.assert_array_equal(out, np.full((4, 1), 1.0))
 
@@ -97,38 +130,44 @@ def test_mppi_is_deterministic_given_the_generator_state():
     objective = nominal_objective()
     warm = np.zeros((6, 1))
     cfg = MppiConfig(samples=32, temperature=0.5, noise_fraction=0.2)
-    a = mppi_solve(ENV, X0, warm, objective, cfg, np.random.default_rng(123))
-    b = mppi_solve(ENV, X0, warm, objective, cfg, np.random.default_rng(123))
+    a, _, _ = mppi_solve(ENV, X0, warm, objective, cfg, np.random.default_rng(123))
+    b, _, _ = mppi_solve(ENV, X0, warm, objective, cfg, np.random.default_rng(123))
     np.testing.assert_array_equal(a, b)
 
 
 def test_mppi_output_respects_actuator_bounds():
     objective = nominal_objective()
     warm = np.full((5, 1), 0.9)
-    out = mppi_solve(ENV, X0, warm, objective,
-                     MppiConfig(samples=128, temperature=1.0, noise_fraction=2.0),
-                     np.random.default_rng(7))
+    out, _, _ = mppi_solve(ENV, X0, warm, objective,
+                           MppiConfig(samples=128, temperature=1.0, noise_fraction=2.0),
+                           np.random.default_rng(7))
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
 def test_mppi_ignores_nonfinite_candidates():
     class SpikyObjective:
-        def evaluate_batch(self, plans):
+        def cost_matrix(self, plans):
             vals = np.abs(plans).sum(axis=(1, 2))
             vals[vals > 1.5] = np.nan  # poison most perturbed candidates
-            return vals
+            return vals[:, None]
+
+        def reduce(self, matrix):
+            return matrix[:, 0]
 
     warm = np.zeros((3, 1))
-    out = mppi_solve(ENV, X0, warm, SpikyObjective(),
-                     MppiConfig(samples=256, temperature=1.0, noise_fraction=0.5),
-                     np.random.default_rng(2))
+    out, _, _ = mppi_solve(ENV, X0, warm, SpikyObjective(),
+                           MppiConfig(samples=256, temperature=1.0, noise_fraction=0.5),
+                           np.random.default_rng(2))
     assert np.isfinite(np.abs(out).sum())
 
 
 def test_mppi_raises_when_every_candidate_is_nonfinite():
     class HopelessObjective:
-        def evaluate_batch(self, plans):
-            return np.full(len(plans), np.nan)
+        def cost_matrix(self, plans):
+            return np.full((len(plans), 1), np.nan)
+
+        def reduce(self, matrix):
+            return matrix[:, 0]
 
     with pytest.raises(SolverFailureError):
         mppi_solve(ENV, X0, np.zeros((3, 1)), HopelessObjective(),

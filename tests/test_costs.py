@@ -1,9 +1,15 @@
 """Quadratic trajectory costs and the ensemble/risk plan objectives."""
 import math
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from steinmpc.configfile import build_trial_config, load_config
 from steinmpc.controllers import ControllerSpec, build_objective
 from steinmpc.costs import (
     CostSpec,
@@ -273,3 +279,43 @@ def test_reference_tracking_rollout_charges_motion_against_moving_target():
     cost = rollout_cost_batch(spec, env, x0, parked[None], env.theta_true[None])[0, 0]
     # references pull ahead at 2 m/s while the car stands still
     assert cost > 1.0
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# cartpole carries the upright-energy term; racing tracks a CenterlineReference
+# and carries the inverse-displacement term.
+SHIPPED = {
+    name: build_trial_config(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))[0]
+    for name in ("cartpole", "rocket", "racing")
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
+    st.integers(1, 4), st.integers(1, 4), st.integers(0, 6)), data=st.data())
+def test_batched_rollout_entries_equal_single_pair_costs(name, shape, data):
+    # Every grid entry is bit-equal to its pair rolled out alone, so a caller
+    # holding the grid never needs to roll a pair out again.
+    trial = SHIPPED[name]
+    env, spec = trial.env, trial.cost
+    n_cand, n_par, steps = shape
+    lo, hi = env.control_lower, env.control_upper
+    span = hi - lo
+    # plans reach a fifth of the range past the actuator box, so clipping shows
+    u = data.draw(arrays(float, (n_cand, steps, env.control_dim),
+                         elements=st.floats(0.0, 1.0)))
+    plans = lo - 0.2 * span + 1.4 * span * u
+    w = data.draw(arrays(float, (n_par, env.param_dim), elements=st.floats(0.0, 1.0)))
+    thetas = env.theta_lower + (env.theta_upper - env.theta_lower) * w
+    x0 = trial.x0 + data.draw(arrays(float, trial.x0.shape, elements=st.floats(-0.3, 0.3)))
+
+    grid = rollout_cost_batch(spec, env, x0, plans, thetas)
+    assert grid.shape == (n_cand, n_par)
+    refs = spec.references(env, x0, steps)
+    assert refs.shape == (steps + 1, env.state_dim)
+    assert rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs).tobytes() == grid.tobytes()
+    for i in range(n_cand):
+        for j in range(n_par):
+            assert grid[i, j] == trajectory_cost(spec, env, x0, plans[i], thetas[j])
+            alone = rollout_cost_batch(spec, env, x0, plans[i][None], thetas[j][None], refs=refs)
+            assert alone[0, 0] == grid[i, j]

@@ -1,4 +1,5 @@
 """Closed-loop trial mechanics, success criteria, and batch aggregation."""
+import dataclasses
 import math
 import os
 
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from steinmpc import cli, harness
+from steinmpc import cli, controllers, costs, harness
 from steinmpc.configfile import build_trial_config, load_config
-from steinmpc.controllers import ControllerSpec, MppiConfig
+from steinmpc.controllers import ControllerSpec, MppiConfig, SolverFailureError
 from steinmpc.costs import CostSpec, trajectory_cost
 from steinmpc.dynamics import EnvModel, make_cartpole
 from steinmpc.harness import (
@@ -24,6 +25,7 @@ from steinmpc.harness import (
 from steinmpc.harness import _calibrated_controller
 from steinmpc.inference import ScoreEvaluationError, SvgdConfig
 from steinmpc.kernels import ConstantKernel, RbfKernel
+from steinmpc.track import CenterlineReference
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -271,6 +273,50 @@ def test_cli_run_exits_4_on_inference_failure(monkeypatch, tmp_path, capsys):
     assert code == 4
     assert "inference failure" in capsys.readouterr().err
     assert (tmp_path / "out" / "trial_0.json").exists()
+
+
+def test_cli_run_exits_3_on_solver_failure(monkeypatch, tmp_path, capsys):
+    doc = load_config(os.path.join(CONFIG_DIR, "cartpole.yaml"))
+    doc["harness"]["duration"] = 0.1
+    path = tmp_path / "cartpole.yaml"
+    path.write_text(yaml.safe_dump(doc))
+
+    def no_finite_plan(*args, **kwargs):
+        raise SolverFailureError("no candidate plan produced a finite objective value")
+
+    monkeypatch.setattr(harness, "mppi_solve", no_finite_plan)
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "0"])
+    assert code == 3
+    assert "solver failure in trial seed=0" in capsys.readouterr().err
+    assert (tmp_path / "out" / "trial_0.json").exists()
+
+
+@pytest.mark.parametrize("variant,rollouts", [("stein_adaptive", 3), ("nominal", 2)])
+def test_one_cycle_rolls_out_each_question_once(monkeypatch, variant, rollouts):
+    # plan grid, averaged-plan rescore and, when adaptive, the one SVGD probe;
+    # the logged cost and the gap reference reuse the planner's rows, and the
+    # centerline reference is resolved once for every rollout of the cycle.
+    trial, _ = build_trial_config(load_config(os.path.join(CONFIG_DIR, "racing.yaml")))
+    trial = dataclasses.replace(
+        trial, controller=ControllerSpec(variant=variant), duration=trial.env.dt,
+        mppi=MppiConfig(samples=8, temperature=1.0, noise_fraction=0.5))
+    assert trial.svgd.iterations == 1 and not trial.log_ksd
+    calls = {"rollout": 0, "reference": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rollout = counted("rollout", costs.rollout_cost_batch)
+    for module in (controllers, costs, harness):
+        monkeypatch.setattr(module, "rollout_cost_batch", rollout)
+    monkeypatch.setattr(CenterlineReference, "horizon_states",
+                        counted("reference", CenterlineReference.horizon_states))
+    result = run_trial(trial)
+    assert result.steps == 1
+    assert calls == {"rollout": rollouts, "reference": 1}
 
 
 def test_dro_lambda_calibrates_from_warm_start_cost():
