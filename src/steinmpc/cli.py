@@ -11,6 +11,11 @@ configuration (the message names the offending field), 3 solver failure,
 4 inference failure (the gap turned non-finite during the particle update).
 Codes 3 and 4 come from ``run``; batch commands record each trial's
 terminal reason in its result files.
+
+``--config-dump`` prints the document as the parser resolved it, every
+default and every command-line override (``--seed``, ``--seeds``, ``--jobs``)
+filled in, and exits. The printed document is a config file: the same
+subcommand run on it without those flags runs the same trials.
 """
 
 from __future__ import annotations
@@ -24,16 +29,15 @@ import numpy as np
 
 from . import __version__
 from .configfile import (
+    KERNELS,
     ConfigError,
-    build_trial_config,
     config_hash,
     load_config,
-    resolve_seeds,
+    resolve_config,
     serialize_config,
 )
 from .controllers import VARIANTS
 from .harness import run_batch, run_trial
-from .kernels import ConstantKernel, ImqKernel, RbfKernel
 from .reporting import (
     aggregate_row,
     format_float,
@@ -48,99 +52,22 @@ from .reporting import (
 __all__ = ["main"]
 
 
-def _resolved_document(trial, batch, doc):
-    """Reconstruct the fully-defaulted document actually being run."""
-    env = trial.env
-    kernel = trial.svgd.kernel
-    if isinstance(kernel, RbfKernel):
-        kernel_doc = {"type": "rbf", "bandwidth": kernel.bandwidth}
-    elif isinstance(kernel, ImqKernel):
-        kernel_doc = {"type": "imq", "offset": kernel.offset, "decay": kernel.decay}
-    else:
-        kernel_doc = {"type": "constant"}
-    def weight_doc(mat):
-        mat = np.asarray(mat, dtype=float)
-        if np.count_nonzero(mat - np.diag(np.diag(mat))):
-            return [row.tolist() for row in mat]
-        return np.diag(mat).tolist()
+def _prepare(args, seed=None, seed_count=None, env_name=None):
+    """Resolve the config with the command line's overrides.
 
-    cost_doc = {
-        "q": weight_doc(trial.cost.Q),
-        "r": weight_doc(trial.cost.R),
-        "q_f": weight_doc(trial.cost.Q_f),
-    }
-    cost_section = doc.get("cost", {}) or {}
-    if cost_section.get("reference") is not None:
-        cost_doc["reference"] = dict(cost_section["reference"])
-    else:
-        cost_doc["x_des"] = np.asarray(trial.cost.x_des, dtype=float).tolist()
-    if cost_section.get("extra") is not None:
-        cost_doc["extra"] = dict(cost_section["extra"])
-    controller_doc = {
-        "variant": trial.controller.variant,
-        "gamma": trial.controller.robust.gamma,
-        "risk_lambda": trial.controller.robust.risk_lambda,
-        "risk_epsilon": trial.controller.robust.risk_epsilon,
-        "nominal_theta": None if trial.controller.nominal_theta is None
-        else np.asarray(trial.controller.nominal_theta, dtype=float).tolist(),
-    }
-    harness_doc = {
-        "duration": trial.duration,
-        "horizon_seconds": trial.horizon_seconds,
-        "n_particles": trial.n_particles,
-        "x0": np.asarray(trial.x0, dtype=float).tolist(),
-        "success": dataclasses.asdict(trial.success),
-        "log_ksd": trial.log_ksd,
-    }
-    if trial.track is not None:
-        harness_doc["track"] = dataclasses.asdict(trial.track)
-    return {
-        "env": {
-            "name": env.name,
-            "dt": env.dt,
-            "control_lower": np.asarray(env.control_lower, dtype=float).tolist(),
-            "control_upper": np.asarray(env.control_upper, dtype=float).tolist(),
-            "theta_true": np.asarray(env.theta_true, dtype=float).tolist(),
-            "theta_lower": np.asarray(env.theta_lower, dtype=float).tolist(),
-            "theta_upper": np.asarray(env.theta_upper, dtype=float).tolist(),
-        },
-        "cost": cost_doc,
-        "controller": controller_doc,
-        "svgd": {
-            "step_size": trial.svgd.step_size,
-            "iterations": trial.svgd.iterations,
-            "kernel": kernel_doc,
-            "fd_epsilon": trial.svgd.fd_epsilon,
-            "sign_mode": trial.svgd.sign_mode,
-        },
-        "mppi": {
-            "samples": trial.mppi.samples,
-            "temperature": trial.mppi.temperature,
-            "noise_fraction": list(trial.mppi.noise_fraction)
-            if isinstance(trial.mppi.noise_fraction, (tuple, list))
-            else trial.mppi.noise_fraction,
-        },
-        "batch": {"seeds": list(batch.seeds), "jobs": batch.jobs},
-    }
-
-
-def _prepare(args, seed_override=None, seed_count=None):
+    Prints the resolved document and returns None under ``--config-dump``;
+    otherwise makes the output directory and returns (trial, batch, hash of
+    the document as written).
+    """
     doc = load_config(args.config)
-    trial, batch = build_trial_config(doc, seed=seed_override)
-    seeds = resolve_seeds(batch, seed_count)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        if jobs < 1:
-            raise ConfigError("batch.jobs", f"must be >= 1, got {jobs}")
-        batch = dataclasses.replace(batch, jobs=jobs)
-    return doc, trial, batch, seeds
-
-
-def _maybe_dump(args, trial, batch, doc) -> bool:
-    if getattr(args, "config_dump", False):
-        sys.stdout.write(serialize_config(_resolved_document(trial, batch, doc)))
-        return True
-    return False
+    trial, batch, resolved = resolve_config(doc, seed=seed, seed_count=seed_count,
+                                            jobs=getattr(args, "jobs", None),
+                                            env_name=env_name)
+    if args.config_dump:
+        sys.stdout.write(serialize_config(resolved))
+        return None
+    os.makedirs(args.out, exist_ok=True)
+    return trial, batch, config_hash(doc)
 
 
 def _write_trial_outputs(out_dir, result, doc_hash):
@@ -151,12 +78,11 @@ def _write_trial_outputs(out_dir, result, doc_hash):
 
 
 def cmd_run(args) -> int:
-    doc, trial, batch, _ = _prepare(args, seed_override=args.seed)
-    if _maybe_dump(args, trial, batch, doc):
+    prepared = _prepare(args, seed=args.seed)
+    if prepared is None:
         return 0
-    os.makedirs(args.out, exist_ok=True)
+    trial, _, doc_hash = prepared
     result = run_trial(trial)
-    doc_hash = config_hash(doc)
     _write_trial_outputs(args.out, result, doc_hash)
     write_timing_json(os.path.join(args.out, "timing.json"),
                       {f"trial_{result.seed}": result.wall_clock_seconds})
@@ -181,44 +107,33 @@ def _run_one_batch(trial, seeds, jobs, out_dir, doc_hash, label):
 
 
 def cmd_batch(args) -> int:
-    doc, trial, batch, seeds = _prepare(args, seed_count=args.seeds)
-    if _maybe_dump(args, trial, batch, doc):
+    prepared = _prepare(args, seed_count=args.seeds)
+    if prepared is None:
         return 0
-    os.makedirs(args.out, exist_ok=True)
-    doc_hash = config_hash(doc)
+    trial, batch, doc_hash = prepared
     batch_result, _, timing = _run_one_batch(
-        trial, seeds, batch.jobs, args.out, doc_hash, trial.controller.variant)
+        trial, batch.seeds, batch.jobs, args.out, doc_hash, trial.controller.variant)
     row = aggregate_row(trial.controller.variant, trial.env.name, batch_result)
     write_aggregate_csv(os.path.join(args.out, "aggregate.csv"), [row])
     write_timing_json(os.path.join(args.out, "timing.json"), timing)
     print(f"{trial.controller.variant} on {trial.env.name}: "
-          f"{format_float(batch_result.success_pct)}% success over {len(seeds)} seeds")
+          f"{format_float(batch_result.success_pct)}% success over {len(batch.seeds)} seeds")
     return 0
 
 
-_KERNEL_CHOICES = {
-    "rbf": RbfKernel(),
-    "imq": ImqKernel(),
-    "constant": ConstantKernel(),
-}
-
-
 def cmd_ablate_kernels(args) -> int:
-    doc, trial, batch, seeds = _prepare(args, seed_count=args.seeds)
-    if trial.env.name != "rocket2d":
-        raise ConfigError("env.name", "kernel ablation runs on the rocket2d environment")
-    if _maybe_dump(args, trial, batch, doc):
+    prepared = _prepare(args, seed_count=args.seeds, env_name="rocket2d")
+    if prepared is None:
         return 0
-    os.makedirs(args.out, exist_ok=True)
-    doc_hash = config_hash(doc)
+    trial, batch, doc_hash = prepared
     rows, timing = [], {}
-    for name, kernel in _KERNEL_CHOICES.items():
+    for name, kernel in KERNELS.items():
         sub_dir = os.path.join(args.out, name)
         os.makedirs(sub_dir, exist_ok=True)
-        svgd = dataclasses.replace(trial.svgd, kernel=kernel)
+        svgd = dataclasses.replace(trial.svgd, kernel=kernel())
         variant_trial = dataclasses.replace(trial, svgd=svgd)
         batch_result, _, t = _run_one_batch(
-            variant_trial, seeds, batch.jobs, sub_dir, doc_hash, name)
+            variant_trial, batch.seeds, batch.jobs, sub_dir, doc_hash, name)
         rows.append(aggregate_row(name, trial.env.name, batch_result))
         timing.update(t)
         print(f"kernel {name}: {format_float(batch_result.success_pct)}% success, "
@@ -229,13 +144,10 @@ def cmd_ablate_kernels(args) -> int:
 
 
 def cmd_race_progress(args) -> int:
-    doc, trial, batch, seeds = _prepare(args, seed_count=args.seeds)
-    if trial.env.name != "racecar":
-        raise ConfigError("env.name", "race progress runs on the racecar environment")
-    if _maybe_dump(args, trial, batch, doc):
+    prepared = _prepare(args, seed_count=args.seeds, env_name="racecar")
+    if prepared is None:
         return 0
-    os.makedirs(args.out, exist_ok=True)
-    doc_hash = config_hash(doc)
+    trial, batch, doc_hash = prepared
     best_laps, timing = {}, {}
     for variant in VARIANTS:
         controller = dataclasses.replace(trial.controller, variant=variant)
@@ -243,7 +155,7 @@ def cmd_race_progress(args) -> int:
         sub_dir = os.path.join(args.out, variant)
         os.makedirs(sub_dir, exist_ok=True)
         batch_result, _, t = _run_one_batch(
-            variant_trial, seeds, batch.jobs, sub_dir, doc_hash, variant)
+            variant_trial, batch.seeds, batch.jobs, sub_dir, doc_hash, variant)
         timing.update(t)
         series = []
         best = None

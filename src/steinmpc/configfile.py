@@ -4,12 +4,20 @@ An experiment document is a YAML mapping with sections env, cost, controller,
 svgd, mppi, harness, and batch. Validation is strict: unknown keys anywhere
 are rejected with the offending dotted path, so typos fail loudly instead of
 silently falling back to defaults.
+
+This module is the one place that knows the document schema. As the builders
+read a document they record every key with its validated value or default,
+in the order of the section's allowed keys; ``resolve_config`` returns that
+record, which ``--config-dump`` prints and which resolves to itself. The
+default of an optional key lives in the class that takes it (read with
+``_default``), or for env keys in the ``EnvModel`` that the factory returns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -26,10 +34,12 @@ from .track import CenterlineReference, StadiumTrack
 __all__ = [
     "ConfigError",
     "BatchSettings",
+    "KERNELS",
     "parse_config",
     "serialize_config",
     "load_config",
     "config_hash",
+    "resolve_config",
     "build_trial_config",
     "resolve_seeds",
 ]
@@ -39,6 +49,14 @@ _ENV_FACTORIES = {
     "rocket2d": make_rocket,
     "racecar": make_racecar,
 }
+_SUCCESS = {"cartpole": CartpoleSuccess, "rocket2d": RocketSuccess, "racecar": RaceSuccess}
+
+# Kernel names in the order the kernel ablation runs them.
+KERNELS = {"rbf": RbfKernel, "imq": ImqKernel, "constant": ConstantKernel}
+
+# Allowed keys are listed in the order the resolved document gives them.
+_SECTIONS = ("env", "cost", "controller", "svgd", "mppi", "harness", "batch")
+_ENV_ARRAYS = ("control_lower", "control_upper", "theta_true", "theta_lower", "theta_upper")
 
 
 class ConfigError(ValueError):
@@ -77,6 +95,81 @@ def _get(section: dict, key: str, path: str, required=False, default=None):
     return section[key]
 
 
+def _default(cls, name):
+    """The default that ``cls`` gives its argument ``name``."""
+    field = getattr(cls, "__dataclass_fields__", {}).get(name)
+    if field is None:
+        return inspect.signature(cls).parameters[name].default
+    return field.default if field.default_factory is dataclasses.MISSING else field.default_factory()
+
+
+def _fields(cls):
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+class _Section:
+    """One mapping of a document, as the builders read it.
+
+    ``read`` validates one key and records what it resolved to, the given
+    value or the default; ``section`` and ``typed`` open nested mappings.
+    ``resolved()`` returns the record, keys in the order of ``keys``.
+    """
+
+    def __init__(self, raw, path, keys):
+        self.raw = _require_mapping(raw, path)
+        _check_keys(self.raw, keys, path)
+        self.path, self.keys, self.values = path, keys, {}
+
+    def _child(self, key):
+        return key if self.path == "<document>" else f"{self.path}.{key}"
+
+    def read(self, key, convert=None, *args, default=None, required=False):
+        value = _get(self.raw, key, self.path, required=required)
+        if value is None:
+            value = default
+        elif convert is not None:
+            value = convert(value, self._child(key), *args)
+        self.values[key] = value
+        return value
+
+    def section(self, key, keys, required=False):
+        """The mapping at ``key``; an absent optional one reads as empty."""
+        raw = _get(self.raw, key, self.path, required=required, default={})
+        child = self.values[key] = _Section(raw, self._child(key), keys)
+        return child
+
+    def typed(self, key, what, choices, default=None):
+        """(type, section) of the mapping at ``key``, whose ``type`` picks its
+        keys from ``choices``; (None, None) if absent without a default type."""
+        raw = _get(self.raw, key, self.path)
+        if raw is None:
+            if default is None:
+                return None, None
+            raw = {"type": default}
+        path = self._child(key)
+        kind = _get(_require_mapping(raw, path), "type", path, required=True)
+        if kind not in choices:
+            raise ConfigError(f"{path}.type",
+                              f"unknown {what} {kind!r}; expected one of {sorted(choices)}")
+        child = self.values[key] = _Section(raw, path, ("type", *choices[kind]))
+        child.values["type"] = kind
+        return kind, child
+
+    def resolved(self) -> dict:
+        ordered = {key: self.values[key] for key in self.keys if key in self.values}
+        return {key: v.resolved() if isinstance(v, _Section) else v for key, v in ordered.items()}
+
+
+def _read_fields(section: _Section, cls, convert):
+    """Dataclass ``cls`` built from the keys ``section`` gives, each through
+    ``convert``, the rest at their defaults; records every field."""
+    given = {key: section.read(key, convert) for key in _fields(cls)
+             if _get(section.raw, key, section.path) is not None}
+    obj = cls(**given)
+    section.values.update(dataclasses.asdict(obj))
+    return obj
+
+
 def _as_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
@@ -105,6 +198,12 @@ def _as_int(value, path, minimum=None):
     return value
 
 
+def _as_bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    return value
+
+
 def _as_float_list(value, path, length=None):
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a nonempty list of numbers")
@@ -114,16 +213,27 @@ def _as_float_list(value, path, length=None):
     return out
 
 
-def _as_weight_matrix(value, path, dim):
+def _as_weights(value, path, dim):
     """A flat list is a diagonal; a list of rows is the full matrix."""
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a list (diagonal) or list of rows (matrix)")
     if isinstance(value[0], list):
         if len(value) != dim:
             raise ConfigError(path, f"expected {dim} rows, got {len(value)}")
-        rows = [_as_float_list(row, f"{path}[{i}]", dim) for i, row in enumerate(value)]
-        return np.asarray(rows)
-    return np.diag(_as_float_list(value, path, dim))
+        return [_as_float_list(row, f"{path}[{i}]", dim) for i, row in enumerate(value)]
+    return _as_float_list(value, path, dim)
+
+
+def _weight_matrix(weights):
+    return np.asarray(weights) if isinstance(weights[0], list) else np.diag(weights)
+
+
+def _as_noise(value, path):
+    if not isinstance(value, list):
+        return _as_nonnegative(value, path)
+    if not value:
+        raise ConfigError(path, "list must be nonempty")
+    return [_as_nonnegative(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def parse_config(text: str) -> dict:
@@ -153,258 +263,192 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _build_env(doc, path="env"):
-    section = _require_mapping(_get(doc, "env", "<document>", required=True), path)
-    _check_keys(section, {"name", "dt", "control_lower", "control_upper",
-                          "theta_true", "theta_lower", "theta_upper"}, path)
-    name = _get(section, "name", path, required=True)
+def _build_env(root, env_name):
+    section = root.section("env", ("name", "dt", *_ENV_ARRAYS), required=True)
+    name = section.read("name", required=True)
+    name_path = f"{section.path}.name"
     if name not in _ENV_FACTORIES:
-        raise ConfigError(f"{path}.name",
-                          f"unknown environment {name!r}; expected one of {sorted(_ENV_FACTORIES)}")
-    dt = _get(section, "dt", path)
-    env = _ENV_FACTORIES[name]() if dt is None else _ENV_FACTORIES[name](dt=_as_positive(dt, f"{path}.dt"))
-    overrides = {}
-    for key in ("control_lower", "control_upper", "theta_true", "theta_lower", "theta_upper"):
-        value = _get(section, key, path)
-        if value is not None:
-            dim = env.param_dim if key.startswith("theta") else env.control_dim
-            overrides[key] = np.asarray(_as_float_list(value, f"{path}.{key}", dim))
-    if overrides:
-        env = dataclasses.replace(env, **overrides)
-    return env
+        raise ConfigError(name_path, f"unknown environment {name!r}; "
+                                     f"expected one of {sorted(_ENV_FACTORIES)}")
+    if env_name is not None and name != env_name:
+        raise ConfigError(name_path, f"this command runs on the {env_name} environment")
+    env = _ENV_FACTORIES[name]()
+    fields = {"dt": section.read("dt", _as_positive, default=env.dt)}
+    for key in _ENV_ARRAYS:
+        dim = env.param_dim if key.startswith("theta") else env.control_dim
+        fields[key] = section.read(key, _as_float_list, dim, default=getattr(env, key).tolist())
+    return dataclasses.replace(env, **fields)
 
 
-def _build_extra_terminal(section, path):
-    if section is None:
-        return None
-    section = _require_mapping(section, path)
-    kind = _get(section, "type", path, required=True)
+def _build_extra_terminal(cost):
+    kind, section = cost.typed("extra", "terminal term", {
+        "upright_energy": ("weight",),
+        "inverse_displacement": ("weights", "epsilon"),
+    })
     if kind == "upright_energy":
-        _check_keys(section, {"type", "weight"}, path)
-        return UprightEnergyPenalty(_as_nonnegative(_get(section, "weight", path, required=True),
-                                                    f"{path}.weight"))
+        return UprightEnergyPenalty(section.read("weight", _as_nonnegative, required=True))
     if kind == "inverse_displacement":
-        _check_keys(section, {"type", "weights", "epsilon"}, path)
-        weights = _as_float_list(_get(section, "weights", path, required=True), f"{path}.weights")
-        epsilon = _get(section, "epsilon", path, default=1e-3)
-        return InverseDisplacementReward(weights, epsilon=_as_positive(epsilon, f"{path}.epsilon"))
-    raise ConfigError(f"{path}.type", f"unknown terminal term {kind!r}")
+        weights = section.read("weights", _as_float_list, required=True)
+        epsilon = section.read("epsilon", _as_positive,
+                               default=_default(InverseDisplacementReward, "epsilon"))
+        return InverseDisplacementReward(weights, epsilon=epsilon)
+    return None
 
 
-def _build_track(section, path):
-    if section is None:
-        return StadiumTrack()
-    section = _require_mapping(section, path)
-    _check_keys(section, {"straight_length", "radius", "reference_speed"}, path)
-    kwargs = {}
-    for key in ("straight_length", "radius", "reference_speed"):
-        value = _get(section, key, path)
-        if value is not None:
-            kwargs[key] = _as_positive(value, f"{path}.{key}")
-    return StadiumTrack(**kwargs)
-
-
-def _build_cost(doc, env, track, path="cost"):
-    section = _require_mapping(_get(doc, "cost", "<document>", required=True), path)
-    _check_keys(section, {"q", "r", "q_f", "x_des", "extra", "reference"}, path)
+def _build_cost(root, env, track):
+    section = root.section("cost", ("q", "r", "q_f", "x_des", "reference", "extra"),
+                           required=True)
     n, m = env.state_dim, env.control_dim
-    q = _as_weight_matrix(_get(section, "q", path, required=True), f"{path}.q", n)
-    r = _as_weight_matrix(_get(section, "r", path, required=True), f"{path}.r", m)
-    q_f = _as_weight_matrix(_get(section, "q_f", path, required=True), f"{path}.q_f", n)
-    reference = _get(section, "reference", path)
-    x_des_raw = _get(section, "x_des", path)
+    q, r, q_f = (_weight_matrix(section.read(key, _as_weights, dim, required=True))
+                 for key, dim in (("q", n), ("r", m), ("q_f", n)))
+    _, reference = section.typed("reference", "reference", {"centerline": ("speed",)})
     if reference is not None:
-        if x_des_raw is not None:
-            raise ConfigError(f"{path}.x_des", "give either x_des or reference, not both")
-        ref_path = f"{path}.reference"
-        reference = _require_mapping(reference, ref_path)
-        _check_keys(reference, {"type", "speed"}, ref_path)
-        kind = _get(reference, "type", ref_path, required=True)
-        if kind != "centerline":
-            raise ConfigError(f"{ref_path}.type", f"unknown reference {kind!r}")
-        speed = _get(reference, "speed", ref_path)
-        if speed is not None:
-            speed = _as_positive(speed, f"{ref_path}.speed")
+        if _get(section.raw, "x_des", section.path) is not None:
+            raise ConfigError(f"{section.path}.x_des", "give either x_des or reference, not both")
+        speed = reference.read("speed", _as_positive, default=track.reference_speed)
+        if speed != track.reference_speed:  # else the reference shares the harness's track
             track = dataclasses.replace(track, reference_speed=speed)
         x_des = CenterlineReference(track)
     else:
-        if x_des_raw is None:
-            raise ConfigError(f"{path}.x_des", "missing required value")
-        x_des = np.asarray(_as_float_list(x_des_raw, f"{path}.x_des", n))
-    extra = _build_extra_terminal(_get(section, "extra", path), f"{path}.extra")
+        x_des = np.asarray(section.read("x_des", _as_float_list, n, required=True))
+    extra = _build_extra_terminal(section)
     try:
         return CostSpec(Q=q, R=r, Q_f=q_f, x_des=x_des, extra_terminal=extra)
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+        raise ConfigError(section.path, str(exc)) from None
 
 
-def _build_controller(doc, env, path="controller"):
-    section = _require_mapping(_get(doc, "controller", "<document>", required=True), path)
-    _check_keys(section, {"variant", "gamma", "risk_lambda", "risk_epsilon", "nominal_theta"}, path)
-    variant = _get(section, "variant", path, required=True)
-    gamma = _as_nonnegative(_get(section, "gamma", path, default=0.5), f"{path}.gamma")
-    risk_lambda = _get(section, "risk_lambda", path)
-    if risk_lambda is not None:
-        risk_lambda = _as_positive(risk_lambda, f"{path}.risk_lambda")
-    risk_epsilon = _as_nonnegative(_get(section, "risk_epsilon", path, default=0.1),
-                                   f"{path}.risk_epsilon")
-    nominal = _get(section, "nominal_theta", path)
+def _build_controller(root, env):
+    section = root.section("controller", ("variant", "gamma", "risk_lambda", "risk_epsilon",
+                                          "nominal_theta"), required=True)
+    variant = section.read("variant", required=True)
+    robust = RobustObjectiveConfig(
+        gamma=section.read("gamma", _as_nonnegative,
+                           default=_default(RobustObjectiveConfig, "gamma")),
+        risk_lambda=section.read("risk_lambda", _as_positive,
+                                 default=_default(RobustObjectiveConfig, "risk_lambda")),
+        risk_epsilon=section.read("risk_epsilon", _as_nonnegative,
+                                  default=_default(RobustObjectiveConfig, "risk_epsilon")),
+    )
+    nominal = section.read("nominal_theta", _as_float_list, env.param_dim)
     if nominal is not None:
-        nominal = np.asarray(_as_float_list(nominal, f"{path}.nominal_theta", env.param_dim))
-    robust = RobustObjectiveConfig(gamma=gamma, risk_lambda=risk_lambda, risk_epsilon=risk_epsilon)
+        nominal = np.asarray(nominal)
     try:
         return ControllerSpec(variant=variant, robust=robust, nominal_theta=nominal)
     except ValueError as exc:
-        raise ConfigError(f"{path}.variant", str(exc)) from None
+        raise ConfigError(f"{section.path}.variant", str(exc)) from None
 
 
-_KERNELS = {"rbf", "imq", "constant"}
-
-
-def _build_kernel(section, path):
-    if section is None:
-        return RbfKernel()
-    section = _require_mapping(section, path)
-    kind = _get(section, "type", path, required=True)
-    if kind not in _KERNELS:
-        raise ConfigError(f"{path}.type", f"unknown kernel {kind!r}; expected one of {sorted(_KERNELS)}")
-    if kind == "rbf":
-        _check_keys(section, {"type", "bandwidth"}, path)
-        bandwidth = _get(section, "bandwidth", path, default=1.0)
-        return RbfKernel(bandwidth=_as_positive(bandwidth, f"{path}.bandwidth"))
-    if kind == "imq":
-        _check_keys(section, {"type", "offset", "decay"}, path)
-        offset = _get(section, "offset", path, default=1.0)
-        decay = _get(section, "decay", path, default=0.5)
-        return ImqKernel(offset=_as_positive(offset, f"{path}.offset"),
-                         decay=_as_positive(decay, f"{path}.decay"))
-    _check_keys(section, {"type"}, path)
-    return ConstantKernel()
-
-
-def _build_svgd(doc, path="svgd"):
-    section = _require_mapping(_get(doc, "svgd", "<document>", required=True), path)
-    _check_keys(section, {"step_size", "iterations", "kernel", "fd_epsilon", "sign_mode"}, path)
-    step_size = _as_nonnegative(_get(section, "step_size", path, required=True), f"{path}.step_size")
-    iterations = _as_int(_get(section, "iterations", path, default=1), f"{path}.iterations", minimum=0)
-    fd_epsilon = _as_positive(_get(section, "fd_epsilon", path, default=1e-4), f"{path}.fd_epsilon")
-    sign_mode = _get(section, "sign_mode", path, default="adversarial")
-    kernel = _build_kernel(_get(section, "kernel", path), f"{path}.kernel")
+def _build_svgd(root):
+    section = root.section("svgd", ("step_size", "iterations", "kernel", "fd_epsilon",
+                                    "sign_mode"), required=True)
+    kwargs = {
+        "step_size": section.read("step_size", _as_nonnegative, required=True),
+        "iterations": section.read("iterations", _as_int, 0,
+                                   default=_default(SvgdConfig, "iterations")),
+        "fd_epsilon": section.read("fd_epsilon", _as_positive,
+                                   default=_default(SvgdConfig, "fd_epsilon")),
+        "sign_mode": section.read("sign_mode", default=_default(SvgdConfig, "sign_mode")),
+    }
+    default_kernel = type(_default(SvgdConfig, "kernel"))
+    kind, kernel = section.typed(
+        "kernel", "kernel", {name: _fields(cls) for name, cls in KERNELS.items()},
+        default=next(name for name, cls in KERNELS.items() if cls is default_kernel))
+    kwargs["kernel"] = _read_fields(kernel, KERNELS[kind], _as_positive)
     try:
-        return SvgdConfig(step_size=step_size, iterations=iterations, kernel=kernel,
-                          fd_epsilon=fd_epsilon, sign_mode=sign_mode)
+        return SvgdConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}.sign_mode", str(exc)) from None
+        raise ConfigError(f"{section.path}.sign_mode", str(exc)) from None
 
 
-def _build_mppi(doc, path="mppi"):
-    section = _require_mapping(_get(doc, "mppi", "<document>", required=True), path)
-    _check_keys(section, {"samples", "temperature", "noise_fraction"}, path)
-    noise = _get(section, "noise_fraction", path, required=True)
-    if isinstance(noise, list):
-        noise = tuple(_as_nonnegative(v, f"{path}.noise_fraction[{i}]")
-                      for i, v in enumerate(noise))
-        if not noise:
-            raise ConfigError(f"{path}.noise_fraction", "list must be nonempty")
-    else:
-        noise = _as_nonnegative(noise, f"{path}.noise_fraction")
+def _build_mppi(root):
+    section = root.section("mppi", ("samples", "temperature", "noise_fraction"), required=True)
+    noise = section.read("noise_fraction", _as_noise, required=True)
     return MppiConfig(
-        samples=_as_int(_get(section, "samples", path, required=True), f"{path}.samples", minimum=1),
-        temperature=_as_positive(_get(section, "temperature", path, required=True),
-                                 f"{path}.temperature"),
-        noise_fraction=noise,
+        samples=section.read("samples", _as_int, 1, required=True),
+        temperature=section.read("temperature", _as_positive, required=True),
+        noise_fraction=tuple(noise) if isinstance(noise, list) else noise,
     )
 
 
-def _build_success(section, env, path):
-    defaults = {"cartpole": CartpoleSuccess, "rocket2d": RocketSuccess, "racecar": RaceSuccess}
-    cls = defaults[env.name]
-    if section is None:
-        return cls()
-    section = _require_mapping(section, path)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    _check_keys(section, set(fields), path)
-    kwargs = {}
-    for key, value in section.items():
-        kwargs[key] = _as_float(value, f"{path}.{key}")
-    return cls(**kwargs)
+def _build_harness(root, env):
+    """The TrialConfig fields the harness section sets; its keys are their names."""
+    section = root.section("harness", ("duration", "horizon_seconds", "n_particles", "x0",
+                                       "success", "track", "log_ksd"), required=True)
+    fields = {
+        "duration": section.read("duration", _as_positive, required=True),
+        "horizon_seconds": section.read("horizon_seconds", _as_positive, required=True),
+        "n_particles": section.read("n_particles", _as_int, 1,
+                                    default=_default(TrialConfig, "n_particles")),
+        "x0": np.asarray(section.read("x0", _as_float_list, env.state_dim, required=True)),
+        "log_ksd": section.read("log_ksd", _as_bool, default=_default(TrialConfig, "log_ksd")),
+        "track": None,
+    }
+    if env.name == "racecar":
+        fields["track"] = _read_fields(section.section("track", _fields(StadiumTrack)),
+                                       StadiumTrack, _as_positive)
+    elif _get(section.raw, "track", section.path) is not None:
+        raise ConfigError(f"{section.path}.track", "only meaningful for the racecar environment")
+    success = _SUCCESS[env.name]
+    fields["success"] = _read_fields(section.section("success", _fields(success)),
+                                     success, _as_float)
+    return fields
 
 
-def _build_harness(doc, env, path="harness"):
-    section = _require_mapping(_get(doc, "harness", "<document>", required=True), path)
-    _check_keys(section, {"duration", "horizon_seconds", "n_particles", "x0",
-                          "success", "track", "log_ksd"}, path)
-    duration = _as_positive(_get(section, "duration", path, required=True), f"{path}.duration")
-    horizon = _as_positive(_get(section, "horizon_seconds", path, required=True),
-                           f"{path}.horizon_seconds")
-    n_particles = _as_int(_get(section, "n_particles", path, default=5),
-                          f"{path}.n_particles", minimum=1)
-    x0 = np.asarray(_as_float_list(_get(section, "x0", path, required=True),
-                                   f"{path}.x0", env.state_dim))
-    log_ksd = _get(section, "log_ksd", path, default=False)
-    if not isinstance(log_ksd, bool):
-        raise ConfigError(f"{path}.log_ksd", f"expected true or false, got {log_ksd!r}")
-    track = _build_track(_get(section, "track", path), f"{path}.track") if env.name == "racecar" else None
-    if env.name != "racecar" and _get(section, "track", path) is not None:
-        raise ConfigError(f"{path}.track", "only meaningful for the racecar environment")
-    success = _build_success(_get(section, "success", path), env, f"{path}.success")
-    return duration, horizon, n_particles, x0, success, track, log_ksd
-
-
-def _build_batch(doc, path="batch"):
-    section = _get(doc, "batch", "<document>")
-    if section is None:
-        return BatchSettings(seeds=(0,), jobs=1)
-    section = _require_mapping(section, path)
-    _check_keys(section, {"seeds", "base_seed", "jobs"}, path)
-    seeds = _get(section, "seeds", path, default=1)
-    base = _as_int(_get(section, "base_seed", path, default=0), f"{path}.base_seed")
+def _build_batch(root, seed, seed_count, jobs):
+    section = root.section("batch", ("seeds", "base_seed", "jobs"))
+    if jobs is not None:
+        section.raw = {**section.raw, "jobs": jobs}
+    seeds = _get(section.raw, "seeds", section.path, default=1)
+    base = _as_int(_get(section.raw, "base_seed", section.path, default=0),
+                   f"{section.path}.base_seed")
     if isinstance(seeds, list):
-        seeds = tuple(_as_int(s, f"{path}.seeds[{i}]") for i, s in enumerate(seeds))
+        seeds = tuple(_as_int(s, f"{section.path}.seeds[{i}]") for i, s in enumerate(seeds))
         if not seeds:
-            raise ConfigError(f"{path}.seeds", "seed list must be nonempty")
+            raise ConfigError(f"{section.path}.seeds", "seed list must be nonempty")
     else:
-        count = _as_int(seeds, f"{path}.seeds", minimum=1)
+        count = _as_int(seeds, f"{section.path}.seeds", minimum=1)
         seeds = tuple(range(base, base + count))
-    jobs = _as_int(_get(section, "jobs", path, default=1), f"{path}.jobs", minimum=1)
+    if seed is not None:
+        seeds = (int(seed),)
+    seeds = resolve_seeds(BatchSettings(seeds=seeds), seed_count)
+    section.values["seeds"] = list(seeds)
+    jobs = section.read("jobs", _as_int, 1, default=_default(BatchSettings, "jobs"))
     return BatchSettings(seeds=seeds, jobs=jobs)
 
 
-_SECTIONS = {"env", "cost", "controller", "svgd", "mppi", "harness", "batch"}
+def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = None,
+                   jobs: int | None = None, env_name: str | None = None):
+    """Build a document; returns (TrialConfig, BatchSettings, resolved document).
+
+    The keywords are the command line's overrides: ``seed`` makes the batch
+    that one seed, ``seed_count`` rebases the seeds as ``resolve_seeds`` does,
+    ``jobs`` replaces batch.jobs, and ``env_name`` rejects other environments.
+    The resolved document carries them, so it builds the same trial and batch.
+    """
+    root = _Section(doc, "<document>", _SECTIONS)
+    env = _build_env(root, env_name)
+    batch = _build_batch(root, seed, seed_count, jobs)
+    harness = _build_harness(root, env)
+    cost = _build_cost(root, env, harness["track"] or StadiumTrack())
+    controller = _build_controller(root, env)
+    svgd = _build_svgd(root)
+    mppi = _build_mppi(root)
+    try:
+        trial = TrialConfig(env=env, cost=cost, controller=controller, svgd=svgd, mppi=mppi,
+                            seed=batch.seeds[0], **harness)
+    except ValueError as exc:
+        raise ConfigError("harness", str(exc)) from None
+    return trial, batch, root.resolved()
 
 
 def build_trial_config(doc: dict, seed: int | None = None):
     """Materialize a document into a TrialConfig plus batch settings.
 
-    Returns (TrialConfig, BatchSettings); ``seed`` overrides the first batch
-    seed when given.
+    Returns (TrialConfig, BatchSettings); ``seed``, when given, is the
+    trial's seed and the batch's only seed.
     """
-    _check_keys(_require_mapping(doc, "<document>"), _SECTIONS, "<document>")
-    env = _build_env(doc)
-    batch = _build_batch(doc)
-    duration, horizon, n_particles, x0, success, track, log_ksd = _build_harness(doc, env)
-    cost = _build_cost(doc, env, track if track is not None else StadiumTrack())
-    controller = _build_controller(doc, env)
-    svgd = _build_svgd(doc)
-    mppi = _build_mppi(doc)
-    try:
-        trial = TrialConfig(
-            env=env,
-            cost=cost,
-            controller=controller,
-            svgd=svgd,
-            mppi=mppi,
-            success=success,
-            x0=x0,
-            seed=batch.seeds[0] if seed is None else int(seed),
-            n_particles=n_particles,
-            duration=duration,
-            horizon_seconds=horizon,
-            track=track,
-            log_ksd=log_ksd,
-        )
-    except ValueError as exc:
-        raise ConfigError("harness", str(exc)) from None
+    trial, batch, _ = resolve_config(doc, seed=seed)
     return trial, batch
 
 

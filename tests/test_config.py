@@ -1,24 +1,31 @@
 """Strict experiment-document parsing and the shipped reference configs."""
 import copy
+import dataclasses
 import glob
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinmpc import cli
 from steinmpc.configfile import (
+    KERNELS,
     BatchSettings,
     ConfigError,
     build_trial_config,
     config_hash,
     load_config,
     parse_config,
+    resolve_config,
     resolve_seeds,
     serialize_config,
 )
+from steinmpc.controllers import VARIANTS
 from steinmpc.costs import InverseDisplacementReward, UprightEnergyPenalty
-from steinmpc.harness import CartpoleSuccess, RaceSuccess
+from steinmpc.dynamics import make_cartpole, make_racecar, make_rocket
+from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess
 from steinmpc.kernels import ConstantKernel, ImqKernel, RbfKernel
 from steinmpc.track import CenterlineReference
 
@@ -353,3 +360,133 @@ def test_config_dump_output_is_pinned(name, capsys):
     with open(os.path.join(DUMP_DIR, f"{name}.yaml"), "rb") as fh:
         expected = fh.read()
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["batch", "cartpole", "--seeds", "3", "--jobs", "2"], (0, (0, 1, 2), 2)),
+    (["run", "racing", "--seed", "7"], (7, None, None)),
+    (["ablate-kernels", "kernel_ablation", "--seeds", "2", "--jobs", "2"], (0, (0, 1), 2)),
+    (["race-progress", "racing", "--seeds", "1"], (0, (0,), 1)),
+], ids=["batch", "run", "ablate-kernels", "race-progress"])
+def test_config_dump_carries_the_command_line_overrides(argv, expected, tmp_path, monkeypatch,
+                                                        capsys):
+    # the dump, run without the flags, starts the (seed, seeds, jobs) the flags asked for
+    calls = []
+
+    def record(trial, seeds=None, jobs=None):
+        calls.append((trial.seed, seeds and tuple(seeds), jobs))
+        raise Stop
+
+    monkeypatch.setattr(cli, "run_trial", record)
+    monkeypatch.setattr(cli, "run_batch", record)
+    command, name, *flags = argv
+    config = os.path.join(CONFIG_DIR, f"{name}.yaml")
+    assert cli.main([command, config, *flags, "--config-dump"]) == 0
+    dump = tmp_path / "dump.yaml"
+    dump.write_text(capsys.readouterr().out)
+    for args in ([config, *flags], [str(dump)]):
+        with pytest.raises(Stop):
+            cli.main([command, *args, "--out", str(tmp_path / "out")])
+    assert calls == [expected, expected]
+
+
+ENVS = {"cartpole": make_cartpole(), "rocket2d": make_rocket(), "racecar": make_racecar()}
+SUCCESS = {"cartpole": CartpoleSuccess, "rocket2d": RocketSuccess, "racecar": RaceSuccess}
+NUMBER = st.floats(0.01, 10.0) | st.integers(1, 10)
+
+
+@st.composite
+def documents(draw):
+    """Valid documents: every optional key is dropped at random."""
+    name = draw(st.sampled_from(sorted(ENVS)))
+    env = ENVS[name]
+    n, m, p = env.state_dim, env.control_dim, env.param_dim
+
+    def numbers(size, values=NUMBER):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    def optional(section, values):
+        for key, value in values.items():
+            if draw(st.booleans()):
+                section[key] = value
+        return section
+
+    def weights(dim):
+        diag = numbers(dim)
+        if draw(st.booleans()):
+            return diag
+        return [[d if i == j else 0.0 for j in range(dim)] for i, d in enumerate(diag)]
+
+    env_doc = optional({"name": name}, {
+        "dt": draw(st.sampled_from([0.01, 0.015, 0.02])),
+        **{key: getattr(env, key).tolist() for key in (
+            "control_lower", "control_upper", "theta_true", "theta_lower", "theta_upper")},
+    })
+    cost = {"q": weights(n), "r": weights(m), "q_f": weights(n)}
+    if name == "racecar" and draw(st.booleans()):
+        cost["reference"] = optional({"type": "centerline"}, {"speed": draw(NUMBER)})
+    else:
+        cost["x_des"] = numbers(n, st.floats(-5.0, 5.0))
+    extra = draw(st.sampled_from([None, "upright_energy", "inverse_displacement"]))
+    if extra == "upright_energy":
+        cost["extra"] = {"type": extra, "weight": draw(NUMBER)}
+    elif extra == "inverse_displacement":
+        cost["extra"] = optional({"type": extra, "weights": numbers(n)},
+                                 {"epsilon": draw(NUMBER)})
+    controller = optional({"variant": draw(st.sampled_from(VARIANTS))}, {
+        "gamma": draw(NUMBER), "risk_lambda": draw(NUMBER), "risk_epsilon": draw(NUMBER),
+        "nominal_theta": numbers(p),
+    })
+    kernel = draw(st.sampled_from([None, *KERNELS]))
+    svgd = optional({"step_size": draw(NUMBER)}, {
+        "iterations": draw(st.integers(0, 3)), "fd_epsilon": draw(NUMBER),
+        "sign_mode": draw(st.sampled_from(["adversarial", "favoring"])),
+    })
+    if kernel is not None:
+        fields = [f.name for f in dataclasses.fields(KERNELS[kernel])]
+        svgd["kernel"] = optional({"type": kernel}, {f: draw(NUMBER) for f in fields})
+    mppi = {"samples": draw(st.integers(1, 512)), "temperature": draw(NUMBER),
+            "noise_fraction": draw(NUMBER | st.lists(NUMBER, min_size=m, max_size=m))}
+    harness = optional({
+        "duration": draw(NUMBER), "horizon_seconds": draw(NUMBER), "x0": numbers(n),
+    }, {
+        "n_particles": draw(st.integers(1, 8)), "log_ksd": draw(st.booleans()),
+        "success": optional({}, {f.name: draw(NUMBER)
+                                 for f in dataclasses.fields(SUCCESS[name])}),
+    })
+    if name == "racecar":
+        optional(harness, {"track": optional({}, {
+            key: draw(NUMBER) for key in ("straight_length", "radius", "reference_speed")})})
+    doc = {"env": env_doc, "cost": cost, "controller": controller, "svgd": svgd,
+           "mppi": mppi, "harness": harness}
+    return optional(doc, {"batch": optional({}, {
+        "seeds": draw(st.integers(1, 5) | st.lists(st.integers(0, 99), min_size=1, max_size=5)),
+        "base_seed": draw(st.integers(0, 99)), "jobs": draw(st.integers(1, 3)),
+    })})
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=documents())
+def test_resolving_a_document_is_a_fixed_point(doc):
+    assert config_hash(parse_config(serialize_config(doc))) == config_hash(doc)
+    trial, batch, resolved = resolve_config(doc)
+    assert list(resolved) == ["env", "cost", "controller", "svgd", "mppi", "harness", "batch"]
+    again = parse_config(serialize_config(resolved))
+    assert config_hash(again) == config_hash(resolved)
+    trial_again, batch_again, resolved_again = resolve_config(again)
+    assert serialize_config(resolved_again) == serialize_config(resolved)
+    # and the resolved document builds the trial the original one built
+    assert batch_again == batch
+    for name in ("seed", "svgd", "mppi", "success", "track", "duration", "horizon_seconds",
+                 "n_particles", "log_ksd"):
+        assert getattr(trial_again, name) == getattr(trial, name)
+    np.testing.assert_array_equal(trial_again.x0, trial.x0)
+    for name in ("Q", "R", "Q_f"):
+        np.testing.assert_array_equal(getattr(trial_again.cost, name), getattr(trial.cost, name))
+    for name in ("dt", "control_lower", "control_upper", "theta_true", "theta_lower",
+                 "theta_upper"):
+        np.testing.assert_array_equal(getattr(trial_again.env, name), getattr(trial.env, name))

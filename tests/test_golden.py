@@ -4,15 +4,22 @@ Each case runs one shipped config for 5 control steps at seed 0 with the
 controller variant swapped in, and hashes the logged states, controls, costs
 and particles. A changed hash means a change in what a trial computes; record
 the new value only together with a note on why the trajectories moved.
+
+Every case runs twice: from the shipped file, and from the document that
+``run --config-dump`` prints for it (ids ending in ``-dump``). Both must give
+the same hash, so the dump is a faithful, runnable copy of the config.
 """
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 
 import numpy as np
 import pytest
 
-from steinmpc.configfile import build_trial_config, load_config
+from steinmpc import cli
+from steinmpc.configfile import build_trial_config, load_config, parse_config
 from steinmpc.harness import run_trial
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -55,16 +62,33 @@ def trace_digest(result) -> str:
     return h.hexdigest()
 
 
-def golden_trial(config_name: str, variant: str):
-    doc = load_config(os.path.join(CONFIG_DIR, f"{config_name}.yaml"))
-    trial, _ = build_trial_config(doc, seed=0)
+def config_document(config_name: str, source: str) -> dict:
+    path = os.path.join(CONFIG_DIR, f"{config_name}.yaml")
+    if source == "file":
+        return load_config(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["run", path, "--config-dump"]) == 0
+    return parse_config(out.getvalue())
+
+
+def golden_trial(config_name: str, variant: str, source: str = "file"):
+    trial, _ = build_trial_config(config_document(config_name, source), seed=0)
     controller = dataclasses.replace(trial.controller, variant=variant)
     return dataclasses.replace(trial, controller=controller,
                                duration=STEPS * trial.env.dt)
 
 
-@pytest.mark.parametrize("config_name,variant", sorted(GOLDEN))
-def test_golden_trace(config_name, variant):
-    result = run_trial(golden_trial(config_name, variant))
+CASES = [
+    pytest.param(name, variant, source,
+                 id="-".join((name, variant) if source == "file" else (name, variant, source)))
+    for source in ("file", "dump")
+    for name, variant in sorted(GOLDEN)
+]
+
+
+@pytest.mark.parametrize("config_name,variant,source", CASES)
+def test_golden_trace(config_name, variant, source):
+    result = run_trial(golden_trial(config_name, variant, source))
     assert result.steps == STEPS
     assert trace_digest(result) == GOLDEN[(config_name, variant)]

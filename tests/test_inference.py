@@ -1,6 +1,9 @@
 """Particle transport, posterior scores, and the Stein discrepancy diagnostic."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from steinmpc.inference import (
     ParticleSet,
@@ -212,16 +215,25 @@ def test_pure_repulsion_leaves_ensemble_mean_fixed():
     assert ps.particles.std(axis=0).min() > 0.1
 
 
-def test_update_respects_the_box():
-    model = PosteriorModel(
-        gap=lambda ths: 100.0 * ths[:, 0],  # huge outward pull
-        lower=np.array([0.0]),
-        upper=np.array([1.0]),
-    )
-    ps = ParticleSet([[0.9], [0.5]], model.lower, model.upper)
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 4),
+       kernel=st.sampled_from([RbfKernel(1.0), ImqKernel(), ConstantKernel()]),
+       step_size=st.floats(0.0, 10.0), data=st.data())
+def test_update_respects_the_box(dim, kernel, step_size, data):
+    def vector(low, high):
+        return np.array(data.draw(st.lists(st.floats(low, high), min_size=dim, max_size=dim)))
+
+    lower = vector(-10.0, 10.0)
+    upper = lower + vector(0.01, 10.0)
+    pull = vector(-100.0, 100.0)  # up to a huge outward pull
+    count = data.draw(st.integers(1, 6))
+    fractions = data.draw(arrays(float, (count, dim), elements=st.floats(0.0, 1.0)))
+    start = lower + fractions * (upper - lower)
+    model = PosteriorModel(gap=lambda ths: ths @ pull, lower=lower, upper=upper)
+    ps = ParticleSet(np.clip(start, lower, upper), lower, upper)
     for _ in range(5):
-        ps = svgd_step(ps, model, SvgdConfig(step_size=1.0, kernel=RbfKernel(1.0)))
-        assert np.all(ps.particles <= 1.0) and np.all(ps.particles >= 0.0)
+        ps = svgd_step(ps, model, SvgdConfig(step_size=step_size, kernel=kernel))
+        assert np.all(ps.particles <= upper) and np.all(ps.particles >= lower)
 
 
 def test_svgd_step_does_not_mutate_its_input():
