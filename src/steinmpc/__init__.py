@@ -19,7 +19,6 @@ from .costs import (
     InverseDisplacementReward,
     UprightEnergyPenalty,
     RobustObjectiveConfig,
-    optimality_gap,
     rollout_cost_batch,
     trajectory_cost,
 )
@@ -49,7 +48,6 @@ from .inference import (
     draw_particles,
     ksd_estimate,
     particle_mean,
-    posterior_score,
     svgd_step,
 )
 from .kernels import ConstantKernel, ImqKernel, RbfKernel

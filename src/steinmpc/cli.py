@@ -72,9 +72,8 @@ def _prepare(args, seed=None, seed_count=None, env_name=None):
 
 def _write_trial_outputs(out_dir, result, doc_hash):
     write_step_csv(os.path.join(out_dir, f"trial_{result.seed}.csv"), result)
-    record = summary_record(result, doc_hash, __version__)
-    write_summary_json(os.path.join(out_dir, f"trial_{result.seed}.json"), record)
-    return record
+    write_summary_json(os.path.join(out_dir, f"trial_{result.seed}.json"),
+                       summary_record(result, doc_hash, __version__))
 
 
 def cmd_run(args) -> int:
@@ -99,11 +98,11 @@ def cmd_run(args) -> int:
 
 def _run_one_batch(trial, seeds, jobs, out_dir, doc_hash, label):
     batch_result = run_batch(trial, seeds, jobs=jobs)
-    records, timing = [], {}
+    timing = {}
     for result in batch_result.results:
-        records.append(_write_trial_outputs(out_dir, result, doc_hash))
+        _write_trial_outputs(out_dir, result, doc_hash)
         timing[f"{label}_trial_{result.seed}"] = result.wall_clock_seconds
-    return batch_result, records, timing
+    return batch_result, timing
 
 
 def cmd_batch(args) -> int:
@@ -111,7 +110,7 @@ def cmd_batch(args) -> int:
     if prepared is None:
         return 0
     trial, batch, doc_hash = prepared
-    batch_result, _, timing = _run_one_batch(
+    batch_result, timing = _run_one_batch(
         trial, batch.seeds, batch.jobs, args.out, doc_hash, trial.controller.variant)
     row = aggregate_row(trial.controller.variant, trial.env.name, batch_result)
     write_aggregate_csv(os.path.join(args.out, "aggregate.csv"), [row])
@@ -132,7 +131,7 @@ def cmd_ablate_kernels(args) -> int:
         os.makedirs(sub_dir, exist_ok=True)
         svgd = dataclasses.replace(trial.svgd, kernel=kernel())
         variant_trial = dataclasses.replace(trial, svgd=svgd)
-        batch_result, _, t = _run_one_batch(
+        batch_result, t = _run_one_batch(
             variant_trial, batch.seeds, batch.jobs, sub_dir, doc_hash, name)
         rows.append(aggregate_row(name, trial.env.name, batch_result))
         timing.update(t)
@@ -154,7 +153,7 @@ def cmd_race_progress(args) -> int:
         variant_trial = dataclasses.replace(trial, controller=controller)
         sub_dir = os.path.join(args.out, variant)
         os.makedirs(sub_dir, exist_ok=True)
-        batch_result, _, t = _run_one_batch(
+        batch_result, t = _run_one_batch(
             variant_trial, batch.seeds, batch.jobs, sub_dir, doc_hash, variant)
         timing.update(t)
         series = []

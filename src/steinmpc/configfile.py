@@ -25,7 +25,7 @@ import yaml
 
 from .controllers import ControllerSpec, MppiConfig
 from .costs import CostSpec, InverseDisplacementReward, RobustObjectiveConfig, UprightEnergyPenalty
-from .dynamics import make_cartpole, make_racecar, make_rocket
+from .dynamics import horizon_steps, make_cartpole, make_racecar, make_rocket
 from .harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig
 from .inference import SvgdConfig
 from .kernels import ConstantKernel, ImqKernel, RbfKernel
@@ -57,6 +57,8 @@ KERNELS = {"rbf": RbfKernel, "imq": ImqKernel, "constant": ConstantKernel}
 # Allowed keys are listed in the order the resolved document gives them.
 _SECTIONS = ("env", "cost", "controller", "svgd", "mppi", "harness", "batch")
 _ENV_ARRAYS = ("control_lower", "control_upper", "theta_true", "theta_lower", "theta_upper")
+# libyaml's loader builds the same documents as the pure-Python one, faster.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ConfigError(ValueError):
@@ -228,6 +230,16 @@ def _weight_matrix(weights):
     return np.asarray(weights) if isinstance(weights[0], list) else np.diag(weights)
 
 
+def _as_horizon(value, path, dt):
+    """A positive horizon that is a whole number of ``dt`` steps."""
+    value = _as_positive(value, path)
+    try:
+        horizon_steps(value, dt)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+    return value
+
+
 def _as_noise(value, path):
     if not isinstance(value, list):
         return _as_nonnegative(value, path)
@@ -239,7 +251,7 @@ def _as_noise(value, path):
 def parse_config(text: str) -> dict:
     """Parse YAML text into a plain document without building objects."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError("<document>", f"not valid YAML ({exc})") from None
     if doc is None:
@@ -377,7 +389,8 @@ def _build_harness(root, env):
                                        "success", "track", "log_ksd"), required=True)
     fields = {
         "duration": section.read("duration", _as_positive, required=True),
-        "horizon_seconds": section.read("horizon_seconds", _as_positive, required=True),
+        "horizon_seconds": section.read("horizon_seconds", _as_horizon, env.dt,
+                                        required=True),
         "n_particles": section.read("n_particles", _as_int, 1,
                                     default=_default(TrialConfig, "n_particles")),
         "x0": np.asarray(section.read("x0", _as_float_list, env.state_dim, required=True)),

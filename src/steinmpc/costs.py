@@ -2,9 +2,11 @@
 
 The one definition of a trajectory's cost is ``rollout_cost_batch``, which
 integrates a grid of candidate plans against a stack of parameter hypotheses
-in one vectorized pass. ``trajectory_cost`` and ``optimality_gap`` read single
-entries of that grid, so a cost computed on its own is the same float the
-planner saw inside a batch.
+in one vectorized pass, with the same RK4 step the plant advances by.
+``trajectory_cost`` reads a single entry of that grid, so a cost computed on
+its own is the same float the planner saw inside a batch; the gap that
+inference scores (``harness._gap_model``) is a row of it less the plan's cost
+under the particle mean.
 
 Every entry of the (C, P) grid depends only on its own (plan, parameter) pair,
 so a caller that has the grid never needs to roll a pair out again: the plan
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EnvModel
+from .dynamics import EnvModel, _rk4
 
 __all__ = [
     "CostSpec",
@@ -30,7 +32,6 @@ __all__ = [
     "UprightEnergyPenalty",
     "trajectory_cost",
     "rollout_cost_batch",
-    "optimality_gap",
 ]
 
 
@@ -186,11 +187,7 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         u = clipped[:, t, None, :]
         e = x - refs[t]
         total += _quad(e, spec.Q) + control_cost[:, t, None]
-        k1 = f(x, u, theta_b)
-        k2 = f(x + 0.5 * dt * k1, u, theta_b)
-        k3 = f(x + 0.5 * dt * k2, u, theta_b)
-        k4 = f(x + dt * k3, u, theta_b)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4(f, dt, x, u, theta_b)
 
     e = x - refs[steps]
     total += _quad(e, spec.Q_f)
@@ -206,18 +203,6 @@ def trajectory_cost(spec: CostSpec, env: EnvModel, x0, plan, theta) -> float:
     plan = np.asarray(plan, dtype=float)
     theta = np.asarray(theta, dtype=float)
     return float(rollout_cost_batch(spec, env, x0, plan[None], theta[None])[0, 0])
-
-
-def optimality_gap(spec: CostSpec, env: EnvModel, x0, plan, theta, theta_ref) -> float:
-    """Cost excess of running the plan under theta instead of theta_ref.
-
-    Positive values mean theta degrades the plan relative to the reference
-    parameters; the gap at theta_ref itself is exactly zero.
-    """
-    costs = rollout_cost_batch(
-        spec, env, x0, np.asarray(plan, float)[None], np.stack([theta, theta_ref])
-    )[0]
-    return float(costs[0] - costs[1])
 
 
 @dataclass(frozen=True)

@@ -192,8 +192,17 @@ def rk4_step(env: EnvModel, x, u, theta) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     u = env.clamp_control(np.asarray(u, dtype=float))
     theta = np.asarray(theta, dtype=float)
-    f = env.derivative
-    dt = env.dt
+    return _rk4(env.derivative, env.dt, x, u, theta)
+
+
+def _rk4(f, dt: float, x, u, theta) -> np.ndarray:
+    """One classical Runge-Kutta step of x' = f(x, u, theta), u held constant.
+
+    The one integrator step: the plant (``rk4_step``) and the planner's
+    rollouts (``costs.rollout_cost_batch``) both advance through it, each
+    clamping the controls first, so a prediction and the motion it predicts
+    are the same floats.
+    """
     k1 = f(x, u, theta)
     k2 = f(x + 0.5 * dt * k1, u, theta)
     k3 = f(x + 0.5 * dt * k2, u, theta)

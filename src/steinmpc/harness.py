@@ -34,7 +34,6 @@ from .inference import (
     SvgdConfig,
     draw_particles,
     ksd_estimate,
-    particle_mean,
     svgd_step,
 )
 from .track import LapProgress, StadiumTrack
@@ -152,10 +151,12 @@ class TrialResult:
     """Outcome and full per-step log of one trial.
 
     Log rows are indexed by executed step: ``states[k]`` is the state the
-    k-th control was applied in. ``final_state`` is the state after the last
-    step, which the log rows do not contain. When the plant diverges or
-    inference fails, the failing step is the last row and ``final_state``
-    repeats its state.
+    k-th control was applied in, at ``times[k]`` and, when racing, at lap
+    progress ``progress[k]``; ``particles[k]`` is the particle set that
+    planned it, and ``particle_means`` is computed from ``particles``.
+    ``final_state`` is the state after the last step, which the log rows do
+    not contain. When the plant diverges or inference fails, the failing step
+    is the last row and ``final_state`` repeats its state.
     """
 
     success: bool
@@ -166,7 +167,6 @@ class TrialResult:
     controls: np.ndarray
     costs: np.ndarray
     particles: np.ndarray
-    particle_means: np.ndarray
     final_state: np.ndarray
     final_particles: ParticleSet
     seed: int
@@ -178,6 +178,10 @@ class TrialResult:
     @property
     def steps(self) -> int:
         return len(self.times)
+
+    @property
+    def particle_means(self) -> np.ndarray:
+        return self.particles.mean(axis=1)
 
 
 def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, ref_cost: float, refs) -> PosteriorModel:
@@ -232,13 +236,13 @@ def run_trial(config: TrialConfig) -> TrialResult:
     racing = isinstance(config.success, RaceSuccess)
     lap = LapProgress(config.track if config.track is not None else StadiumTrack()) if racing else None
 
+    # Row k of the histories is step k's start; the first len(log_c) rows
+    # are the logged ones, on every exit path.
     state = config.x0.copy()
     times_hist = [0.0]
     states_hist = [state.copy()]
     progress_hist = [lap.update(state)] if racing else None
-
-    log_t, log_x, log_u, log_c = [], [], [], []
-    log_p, log_pm, log_prog, log_ksd = [], [], [], []
+    log_u, log_c, log_p, log_ksd = [], [], [], []
 
     success = False
     completion = config.duration
@@ -266,15 +270,10 @@ def run_trial(config: TrialConfig) -> TrialResult:
             reason = "solver_failure"
             break
 
-        control = env.clamp_control(new_plan[0])
-        log_t.append(t)
-        log_x.append(state.copy())
+        control = new_plan[0]
         log_u.append(control.copy())
         log_c.append(plan_cost)
         log_p.append(particles.particles.copy())
-        log_pm.append(particle_mean(particles))
-        if racing:
-            log_prog.append(progress_hist[-1])
 
         next_state = rk4_step(env, state, control, env.theta_true)
         if not np.all(np.isfinite(next_state)):
@@ -304,23 +303,22 @@ def run_trial(config: TrialConfig) -> TrialResult:
             progress_hist.append(lap.update(state))
         warm = shift_warm_start(new_plan)
 
-    steps = len(log_t)
+    steps = len(log_c)
     return TrialResult(
         success=success,
         completion_time=float(completion),
         terminal_reason=reason,
-        times=np.asarray(log_t, dtype=float),
-        states=np.asarray(log_x, dtype=float).reshape(steps, env.state_dim),
+        times=np.asarray(times_hist[:steps], dtype=float),
+        states=np.asarray(states_hist[:steps], dtype=float).reshape(steps, env.state_dim),
         controls=np.asarray(log_u, dtype=float).reshape(steps, env.control_dim),
         costs=np.asarray(log_c, dtype=float),
         particles=np.asarray(log_p, dtype=float).reshape(
             steps, config.n_particles, env.param_dim
         ),
-        particle_means=np.asarray(log_pm, dtype=float).reshape(steps, env.param_dim),
         final_state=state.copy(),
         final_particles=particles,
         seed=config.seed,
-        progress=np.asarray(log_prog, dtype=float) if racing else None,
+        progress=np.asarray(progress_hist[:steps], dtype=float) if racing else None,
         final_progress=float(progress_hist[-1]) if racing else None,
         ksd=np.asarray(log_ksd, dtype=float) if log_ksd else None,
         wall_clock_seconds=time.perf_counter() - started,
@@ -337,10 +335,6 @@ class BatchResult:
     @property
     def successes(self) -> list[bool]:
         return [r.success for r in self.results]
-
-    @property
-    def completion_times(self) -> list[float]:
-        return [r.completion_time for r in self.results]
 
     @property
     def success_pct(self) -> float:
@@ -361,18 +355,6 @@ class BatchResult:
             return float("nan")
         if len(ts) == 1:
             return 0.0
-        return float(np.std(ts, ddof=1))
-
-    @property
-    def mean_time_all(self) -> float:
-        ts = sorted(self.completion_times)
-        return float(np.mean(ts)) if ts else float("nan")
-
-    @property
-    def std_time_all(self) -> float:
-        ts = sorted(self.completion_times)
-        if len(ts) <= 1:
-            return 0.0 if ts else float("nan")
         return float(np.std(ts, ddof=1))
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "ScoreEvaluationError",
     "draw_particles",
     "particle_mean",
-    "posterior_score",
     "posterior_score_batch",
     "svgd_step",
     "ksd_estimate",
@@ -196,16 +195,6 @@ def posterior_score_batch(
     vals = vals.reshape(n, 2, dim)
     grad = (vals[:, 0, :] - vals[:, 1, :]) / (2.0 * steps)
     return config.sign * grad
-
-
-def posterior_score(
-    theta: np.ndarray, model: PosteriorModel, config: SvgdConfig
-) -> np.ndarray:
-    """Score at a single parameter vector (clamped into the box first)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:
-        raise ValueError(f"theta must be a 1-D vector, got shape {theta.shape}")
-    return posterior_score_batch(theta[None, :], model, config)[0]
 
 
 def svgd_step(

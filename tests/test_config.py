@@ -169,7 +169,7 @@ def test_extra_terminal_terms():
 
 def racing_doc():
     doc = minimal_doc()
-    doc["env"] = {"name": "racecar"}
+    doc["env"] = {"name": "racecar", "dt": 0.015}  # 0.15 s is 10 steps, as shipped
     doc["cost"] = {
         "q": [1.0] * 5,
         "r": [0.1, 0.1],
@@ -314,6 +314,17 @@ def test_config_hash_is_order_independent():
     assert config_hash(changed) != config_hash(doc)
 
 
+def test_cli_run_exits_2_on_a_horizon_of_partial_steps(tmp_path, capsys):
+    doc = load_config(os.path.join(CONFIG_DIR, "racing.yaml"))
+    doc["harness"]["horizon_seconds"] = 0.155  # 10.33 steps of dt 0.015
+    path = tmp_path / "racing.yaml"
+    path.write_text(serialize_config(doc))
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error at harness.horizon_seconds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_reference_configs_build():
     paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
     assert len(paths) == 4
@@ -452,7 +463,9 @@ def documents(draw):
     mppi = {"samples": draw(st.integers(1, 512)), "temperature": draw(NUMBER),
             "noise_fraction": draw(NUMBER | st.lists(NUMBER, min_size=m, max_size=m))}
     harness = optional({
-        "duration": draw(NUMBER), "horizon_seconds": draw(NUMBER), "x0": numbers(n),
+        "duration": draw(NUMBER), "x0": numbers(n),
+        # a whole number of steps of the dt the trial runs at
+        "horizon_seconds": draw(st.integers(1, 500)) * env_doc.get("dt", env.dt),
     }, {
         "n_particles": draw(st.integers(1, 8)), "log_ksd": draw(st.booleans()),
         "success": optional({}, {f.name: draw(NUMBER)

@@ -16,11 +16,11 @@ from steinmpc.costs import (
     InverseDisplacementReward,
     RobustObjectiveConfig,
     UprightEnergyPenalty,
-    optimality_gap,
     rollout_cost_batch,
     trajectory_cost,
 )
-from steinmpc.dynamics import EnvModel
+from steinmpc.dynamics import EnvModel, rk4_step
+from steinmpc.harness import _gap_model
 from steinmpc.inference import ParticleSet
 from steinmpc.track import CenterlineReference, StadiumTrack
 
@@ -145,13 +145,22 @@ def test_rollout_clamps_plans_to_actuator_limits():
     np.testing.assert_allclose(a, b)
 
 
+def optimality_gap(theta, theta_ref):
+    """The gap inference scores: ONE_STEP's cost under theta less its cost under theta_ref."""
+    x0 = np.array([0.0])
+    ref_cost = trajectory_cost(DRIFT_SPEC, DRIFT, x0, ONE_STEP, theta_ref)
+    refs = DRIFT_SPEC.references(DRIFT, x0, len(ONE_STEP))
+    model = _gap_model(DRIFT_SPEC, DRIFT, x0, ONE_STEP, ref_cost, refs)
+    return model.gap(np.array([theta], dtype=float))[0]
+
+
 def test_optimality_gap_is_cost_difference_and_zero_at_reference():
-    assert optimality_gap(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, [2.0], [1.0]) == pytest.approx(3.0)
-    assert optimality_gap(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, [1.3], [1.3]) == 0.0
+    assert optimality_gap([2.0], [1.0]) == pytest.approx(3.0)
+    assert optimality_gap([1.3], [1.3]) == 0.0
 
 
 def test_optimality_gap_can_be_negative():
-    assert optimality_gap(DRIFT_SPEC, DRIFT, [0.0], ONE_STEP, [1.0], [2.0]) == pytest.approx(-3.0)
+    assert optimality_gap([1.0], [2.0]) == pytest.approx(-3.0)
 
 
 def test_robust_cost_anchors_at_mean_and_blends_gaps():
@@ -319,3 +328,34 @@ def test_batched_rollout_entries_equal_single_pair_costs(name, shape, data):
             assert grid[i, j] == trajectory_cost(spec, env, x0, plans[i], thetas[j])
             alone = rollout_cost_batch(spec, env, x0, plans[i][None], thetas[j][None], refs=refs)
             assert alone[0, 0] == grid[i, j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
+    st.integers(1, 40), st.integers(1, 6), st.integers(1, 15)), data=st.data())
+def test_planner_and_plant_integrate_identically(name, shape, data):
+    # With only a terminal |x_T|^2, a grid entry is a function of the state
+    # the planner predicts; it must be the state the plant's rk4_step reaches
+    # under the same plan and parameters, to the last bit.
+    env, x0 = SHIPPED[name].env, SHIPPED[name].x0
+    n = env.state_dim
+    spec = CostSpec(Q=np.zeros((n, n)), R=np.zeros((env.control_dim, env.control_dim)),
+                    Q_f=np.eye(n), x_des=np.zeros(n))
+    n_cand, n_par, steps = shape
+    lo, hi = env.control_lower, env.control_upper
+    span = hi - lo
+    u = data.draw(arrays(float, (n_cand, steps, env.control_dim),
+                         elements=st.floats(0.0, 1.0)))
+    plans = lo - 0.2 * span + 1.4 * span * u
+    w = data.draw(arrays(float, (n_par, env.param_dim), elements=st.floats(0.0, 1.0)))
+    thetas = env.theta_lower + (env.theta_upper - env.theta_lower) * w
+    x0 = x0 + data.draw(arrays(float, x0.shape, elements=st.floats(-0.3, 0.3)))
+    i = data.draw(st.integers(0, n_cand - 1))
+    j = data.draw(st.integers(0, n_par - 1))
+
+    grid = rollout_cost_batch(spec, env, x0, plans, thetas)
+    x = x0
+    for t in range(steps):
+        x = rk4_step(env, x, plans[i, t], thetas[j])
+    # np.sum adds the squares left to right, as the weight-matrix form does
+    assert grid[i, j] == np.sum(x * x)

@@ -262,6 +262,36 @@ def test_inference_failure_ends_trial_with_logged_rows(monkeypatch):
     np.testing.assert_array_equal(result.final_state, result.states[-1])
 
 
+def test_solver_failure_mid_trial_logs_the_steps_before_it(monkeypatch):
+    # The third cycle's solver fails before anything is applied: two rows are
+    # logged, and the state the second control led to is final but not logged.
+    solve = harness.mppi_solve
+    calls = []
+
+    def fails_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SolverFailureError("no candidate plan produced a finite objective value")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "mppi_solve", fails_third)
+    config = _cartpole_trial(controller=ControllerSpec(variant="stein_adaptive"))
+    env = config.env
+    result = run_trial(config)
+    assert result.terminal_reason == "solver_failure" and not result.success
+    assert result.steps == 2
+    np.testing.assert_array_equal(result.times, [0.0, env.dt])
+    assert result.states.shape == (2, 4) and result.controls.shape == (2, 1)
+    assert result.costs.shape == (2,)
+    assert result.particles.shape == (2, config.n_particles, env.param_dim)
+    assert result.particle_means.shape == (2, env.param_dim)
+    x1 = harness.rk4_step(env, config.x0, result.controls[0], env.theta_true)
+    x2 = harness.rk4_step(env, x1, result.controls[1], env.theta_true)
+    np.testing.assert_array_equal(result.states, [config.x0, x1])
+    np.testing.assert_array_equal(result.final_state, x2)
+    assert not np.array_equal(x2, x1)
+
+
 def test_cli_run_exits_4_on_inference_failure(monkeypatch, tmp_path, capsys):
     doc = load_config(os.path.join(CONFIG_DIR, "cartpole.yaml"))
     doc["harness"]["duration"] = 0.1
@@ -377,7 +407,6 @@ def test_batch_aggregates():
     assert batch.success_pct == pytest.approx(200.0 / 3.0)
     assert batch.mean_time == 5.0
     assert batch.std_time == pytest.approx(math.sqrt(2.0))
-    assert batch.mean_time_all == pytest.approx(40.0 / 3.0)
 
     none = BatchResult(seeds=[0], results=[_fake_result(0, False, 30.0)])
     assert none.success_pct == 0.0

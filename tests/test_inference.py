@@ -13,7 +13,6 @@ from steinmpc.inference import (
     draw_particles,
     ksd_estimate,
     particle_mean,
-    posterior_score,
     posterior_score_batch,
     svgd_step,
 )
@@ -85,7 +84,7 @@ def test_particle_mean():
 
 
 def test_score_zero_for_flat_gap():
-    score = posterior_score(np.array([0.3, -0.4]), flat_model(), SvgdConfig())
+    score = posterior_score_batch(np.array([0.3, -0.4])[None], flat_model(), SvgdConfig())[0]
     np.testing.assert_allclose(score, [0.0, 0.0])
 
 
@@ -95,8 +94,9 @@ def test_score_of_quadratic_gap_both_signs():
         lower=np.array([-8.0]),
         upper=np.array([8.0]),
     )
-    up = posterior_score(np.array([2.0]), model, SvgdConfig(sign_mode="adversarial"))
-    down = posterior_score(np.array([2.0]), model, SvgdConfig(sign_mode="favoring"))
+    theta = np.array([2.0])
+    up = posterior_score_batch(theta[None], model, SvgdConfig(sign_mode="adversarial"))[0]
+    down = posterior_score_batch(theta[None], model, SvgdConfig(sign_mode="favoring"))[0]
     assert up[0] == pytest.approx(2.0, abs=1e-6)
     assert down[0] == pytest.approx(-2.0, abs=1e-6)
 
@@ -112,7 +112,7 @@ def test_score_matches_analytic_gradient_random_quadratics():
             upper=5.0 * np.ones(3),
         )
         theta = rng.uniform(-2, 2, size=3)
-        got = posterior_score(theta, model, SvgdConfig())
+        got = posterior_score_batch(theta[None], model, SvgdConfig())[0]
         np.testing.assert_allclose(got, 2.0 * h * (theta - a), atol=1e-4)
 
 
@@ -123,7 +123,7 @@ def test_score_clamps_theta_into_the_box():
         upper=np.array([1.0]),
     )
     # clamped to the boundary 1.0, where the quadratic gradient vanishes
-    score = posterior_score(np.array([5.0]), model, SvgdConfig())
+    score = posterior_score_batch(np.array([5.0])[None], model, SvgdConfig())[0]
     assert abs(score[0]) < 1e-6
 
 
@@ -134,7 +134,7 @@ def test_score_error_carries_the_offending_theta():
         upper=np.array([1.0]),
     )
     with pytest.raises(ScoreEvaluationError) as info:
-        posterior_score(np.array([0.5]), model, SvgdConfig())
+        posterior_score_batch(np.array([0.5])[None], model, SvgdConfig())
     assert info.value.theta.shape == (1,)
 
 
@@ -146,7 +146,7 @@ def test_score_steps_normalize_to_box_width():
             lower=np.array([-width]),
             upper=np.array([width]),
         )
-        got = posterior_score(np.array([0.3 * width]), model, SvgdConfig())
+        got = posterior_score_batch(np.array([0.3 * width])[None], model, SvgdConfig())[0]
         assert got[0] * width == pytest.approx(0.6, abs=1e-6)
 
 
@@ -154,13 +154,8 @@ def test_score_batch_matches_stacked_single_calls():
     model = normal_model()
     thetas = np.linspace(-2, 2, 7)[:, None]
     batch = posterior_score_batch(thetas, model, SvgdConfig())
-    singles = np.stack([posterior_score(t, model, SvgdConfig()) for t in thetas])
+    singles = np.stack([posterior_score_batch(t[None], model, SvgdConfig())[0] for t in thetas])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
-
-
-def test_score_rejects_matrix_theta():
-    with pytest.raises(ValueError):
-        posterior_score(np.zeros((2, 2)), flat_model(), SvgdConfig())
 
 
 # ----------------------------------------------------------------- svgd_step

@@ -54,7 +54,6 @@ def _tiny_result():
         controls=np.array([[0.5], [-0.25]]),
         costs=np.array([3.0, 4.0]),
         particles=np.array([[[0.25], [0.75]], [[0.3], [0.7]]]),
-        particle_means=np.array([[0.5], [0.5]]),
         final_state=np.array([1.6, 2.6]),
         final_particles=ParticleSet(np.array([[0.3], [0.7]]), [0.0], [1.0]),
         seed=7,
@@ -177,7 +176,7 @@ def test_batch_aggregates_are_order_independent():
     ]
     forward = BatchResult(seeds=[0, 1, 2, 3], results=results)
     backward = BatchResult(seeds=[3, 2, 1, 0], results=results[::-1])
-    for name in ("success_pct", "mean_time", "std_time", "mean_time_all", "std_time_all"):
+    for name in ("success_pct", "mean_time", "std_time"):
         assert getattr(forward, name) == getattr(backward, name)
 
 
