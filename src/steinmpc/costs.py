@@ -15,11 +15,24 @@ plan. The reference states a cycle tracks depend only on the start state and
 the horizon; ``CostSpec.references`` resolves them, and a caller that scores
 several grids from one start state passes them as ``refs`` instead of having
 each call resolve them again.
+
+A quadratic form e^T W e is a sum over W's nonzero entries only, listed once
+per ``CostSpec`` in row-major order (``_quad_terms``); rocket's 6 x 6 ``Q``
+has 12. Term (i, j) is (e_i * W_ij) * e_j, and the sum starts from the first
+term and adds the rest one at a time, in order. That is the dense
+``einsum("...i,ij,...j->...")`` bit for bit: in a PSD matrix the first
+nonzero entry of the first nonzero row is on the diagonal, so the first term
+is +0.0 or positive, as einsum's 0 + t_0 is, and the zero terms einsum also
+adds change nothing after it. The terms are never summed by a numpy
+reduction: over a single entry it adds 8 or more terms pairwise, not in
+order, and moves the last bit. Where a coordinate diverges, einsum's 0 * inf
+terms made the cost nan; the sum keeps one zero-weight term for each all-zero
+row of W, so such a cost is still non-finite, though it may read inf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,6 +131,9 @@ class CostSpec:
     Q_f: np.ndarray
     x_des: object
     extra_terminal: object | None = None
+    _q_terms: tuple = field(init=False, repr=False, compare=False)
+    _r_terms: tuple = field(init=False, repr=False, compare=False)
+    _q_f_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.asarray(self.Q, dtype=float).shape[0]
@@ -125,6 +141,9 @@ class CostSpec:
         self.Q = _check_weight_matrix(self.Q, n, "Q")
         self.R = _check_weight_matrix(self.R, m, "R")
         self.Q_f = _check_weight_matrix(self.Q_f, n, "Q_f")
+        self._q_terms = _quad_terms(self.Q)
+        self._r_terms = _quad_terms(self.R)
+        self._q_f_terms = _quad_terms(self.Q_f)
         if not hasattr(self.x_des, "horizon_states"):
             self.x_des = np.asarray(self.x_des, dtype=float)
             if self.x_des.shape != (n,):
@@ -143,8 +162,39 @@ class CostSpec:
         return np.broadcast_to(self.x_des, (steps + 1, self.x_des.size))
 
 
-def _quad(e: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", e, w, e)
+def _quad_terms(w: np.ndarray):
+    """(rows, cols, weights) of the terms ``_quad`` sums, in row-major order.
+
+    The terms are W's nonzero entries. An all-zero row i keeps one (i, i)
+    term of weight +0.0, which adds exactly +0.0 while e_i is finite and nan
+    once it is not: a diverged coordinate that no weight touches still makes
+    the cost non-finite. Weights are a column, to broadcast over the batch.
+    """
+    keep = w != 0
+    dead = np.flatnonzero(~keep.any(axis=1))
+    keep[dead, dead] = True
+    rows, cols = np.nonzero(keep)
+    weights = w[rows, cols]
+    weights[weights == 0] = 0.0
+    return rows, cols, weights[:, None]
+
+
+def _quad(e: np.ndarray, terms) -> np.ndarray:
+    """e^T W e over the last axis of e, from W's ``_quad_terms``.
+
+    The terms (e_i * W_ij) * e_j are the rows of one (terms, entries) array;
+    each row after the first is added to the first in turn (see the module
+    docstring for why not with a reduction).
+    """
+    rows, cols, weights = terms
+    flat = e.reshape(-1, e.shape[-1]).T
+    t = flat[rows]
+    t *= weights
+    t *= flat[cols]
+    acc = t[0]
+    for row in t[1:]:
+        acc += row
+    return acc.reshape(e.shape[:-1])
 
 
 def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=None) -> np.ndarray:
@@ -176,7 +226,7 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         refs = spec.references(env, x0, steps)
     # Controls and their cost do not depend on the state: one pass for all steps.
     clipped = np.clip(plans, env.control_lower, env.control_upper)
-    control_cost = _quad(clipped, spec.R)
+    control_cost = _quad(clipped, spec._r_terms)
     theta_b = thetas[None, :, :]
     x = np.broadcast_to(x0, (n_cand, n_par, x0.size)).copy()
     total = np.zeros((n_cand, n_par))
@@ -186,11 +236,11 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     for t in range(steps):
         u = clipped[:, t, None, :]
         e = x - refs[t]
-        total += _quad(e, spec.Q) + control_cost[:, t, None]
+        total += _quad(e, spec._q_terms) + control_cost[:, t, None]
         x = _rk4(f, dt, x, u, theta_b)
 
     e = x - refs[steps]
-    total += _quad(e, spec.Q_f)
+    total += _quad(e, spec._q_f_terms)
     if spec.extra_terminal is not None:
         if u is None:
             u = np.zeros((n_cand, 1, m))

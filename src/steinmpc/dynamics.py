@@ -43,7 +43,9 @@ class EnvModel:
         control_lower / control_upper: per-channel actuator limits.
         theta_true: ground-truth latent parameters driving the plant.
         theta_lower / theta_upper: admissible parameter box (the prior).
-        derivative: broadcasting time-derivative f(x, u, theta).
+        derivative: broadcasting time-derivative f(x, u, theta). It returns
+            a new writable array on every call, never one of its inputs or a
+            view of them, because the integrator writes into it in place.
     """
 
     name: str
@@ -142,8 +144,9 @@ def rocket_derivative(x, u, theta):
     com = theta[..., 2]
 
     # Thrust in body frame is (sin g, cos g); rotate by the tilt to world frame.
-    world_x = thrust * np.sin(gimbal - tilt)
-    world_y = thrust * np.cos(gimbal - tilt)
+    thrust_angle = gimbal - tilt
+    world_x = thrust * np.sin(thrust_angle)
+    world_y = thrust * np.cos(thrust_angle)
 
     out = np.empty(np.broadcast(tilt, thrust, mass).shape + (6,))
     out[..., 0] = x[..., 3]
@@ -202,12 +205,34 @@ def _rk4(f, dt: float, x, u, theta) -> np.ndarray:
     rollouts (``costs.rollout_cost_batch``) both advance through it, each
     clamping the controls first, so a prediction and the motion it predicts
     are the same floats.
+
+    Each stage input is built in one reused buffer and the weighted sum in
+    the second stage's derivative, which ``f`` returned as a new array. The
+    ufuncs, operands and their order are those of
+    ``x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with stages
+    ``x + (0.5 * dt) * k``; IEEE addition and multiplication commute exactly,
+    so the result is bit-equal to that expression. ``x``, ``u`` and ``theta``
+    are left unchanged.
     """
+    half = 0.5 * dt
     k1 = f(x, u, theta)
-    k2 = f(x + 0.5 * dt * k1, u, theta)
-    k3 = f(x + 0.5 * dt * k2, u, theta)
-    k4 = f(x + dt * k3, u, theta)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(k1, half)
+    stage += x
+    k2 = f(stage, u, theta)
+    np.multiply(k2, half, out=stage)
+    stage += x
+    k3 = f(stage, u, theta)
+    np.multiply(k3, dt, out=stage)
+    stage += x
+    k4 = f(stage, u, theta)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += x
+    return k2
 
 
 def horizon_steps(horizon_seconds: float, dt: float) -> int:

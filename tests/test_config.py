@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from steinmpc import cli
@@ -482,7 +482,6 @@ def documents(draw):
     })})
 
 
-@settings(max_examples=60, deadline=None)
 @given(doc=documents())
 def test_resolving_a_document_is_a_fixed_point(doc):
     assert config_hash(parse_config(serialize_config(doc))) == config_hash(doc)

@@ -1,7 +1,7 @@
 """The path-integral solver and the four plan objectives."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -89,7 +89,6 @@ def test_mppi_never_loses_to_the_warm_start():
         assert objective(improved) <= warm_cost + 1e-12
 
 
-@settings(max_examples=60, deadline=None)
 @given(
     variant=st.sampled_from(VARIANTS),
     warm=arrays(float, st.tuples(st.integers(1, 6), st.just(1)),

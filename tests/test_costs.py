@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,13 +13,15 @@ from steinmpc.configfile import build_trial_config, load_config
 from steinmpc.controllers import ControllerSpec, build_objective
 from steinmpc.costs import (
     CostSpec,
+    _quad,
+    _quad_terms,
     InverseDisplacementReward,
     RobustObjectiveConfig,
     UprightEnergyPenalty,
     rollout_cost_batch,
     trajectory_cost,
 )
-from steinmpc.dynamics import EnvModel, rk4_step
+from steinmpc.dynamics import EnvModel, _rk4, rk4_step
 from steinmpc.harness import _gap_model
 from steinmpc.inference import ParticleSet
 from steinmpc.track import CenterlineReference, StadiumTrack
@@ -299,7 +301,6 @@ SHIPPED = {
 }
 
 
-@settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
     st.integers(1, 4), st.integers(1, 4), st.integers(0, 6)), data=st.data())
 def test_batched_rollout_entries_equal_single_pair_costs(name, shape, data):
@@ -330,7 +331,6 @@ def test_batched_rollout_entries_equal_single_pair_costs(name, shape, data):
             assert alone[0, 0] == grid[i, j]
 
 
-@settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
     st.integers(1, 40), st.integers(1, 6), st.integers(1, 15)), data=st.data())
 def test_planner_and_plant_integrate_identically(name, shape, data):
@@ -359,3 +359,130 @@ def test_planner_and_plant_integrate_identically(name, shape, data):
         x = rk4_step(env, x, plans[i, t], thetas[j])
     # np.sum adds the squares left to right, as the weight-matrix form does
     assert grid[i, j] == np.sum(x * x)
+
+
+def dense_quad(e, w):
+    """e^T W e summed over every entry of W, zeros included, row-major from 0.0."""
+    acc = np.zeros(e.shape[:-1])
+    for i, j in np.ndindex(w.shape):
+        acc += (e[..., i] * w[i, j]) * e[..., j]
+    return acc
+
+
+def einsum_quad(e, w):
+    """The dense einsum the nonzero-term sum replaced, over 9 or more entries.
+
+    einsum's summation order depends on the batch: for a 2 x 2 W and at most
+    2 entries it adds each row's pair first. Over more entries it sums
+    row-major, like ``dense_quad``, so the batch is padded before the call.
+    """
+    flat = e.reshape(-1, w.shape[0])
+    padded = np.concatenate([flat, np.ones((8, w.shape[0]))])
+    out = np.einsum("...i,ij,...j->...", padded, w, padded)
+    return out[:len(flat)].reshape(e.shape[:-1])
+
+
+@st.composite
+def sparse_psd(draw):
+    """Symmetric, diagonally dominant W (so PSD), with random sparsity and dead rows."""
+    n = draw(st.integers(1, 6))
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    density = draw(st.floats(0.0, 1.0))
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not {i, j} & dead and draw(st.floats(0.0, 1.0)) < density:
+                w[i, j] = w[j, i] = draw(st.floats(-1.0, 1.0).filter(bool))
+    for i in range(n):
+        if i not in dead:
+            w[i, i] = np.abs(w[i]).sum() + draw(st.floats(1e-3, 10.0))
+    return w
+
+
+SHIPPED_WEIGHTS = [w for trial in SHIPPED.values()
+                   for w in (trial.cost.Q, trial.cost.R, trial.cost.Q_f)]
+LEADING = st.sampled_from([(), (1,), (1, 1)]) | st.lists(
+    st.integers(0, 5), min_size=1, max_size=3).map(tuple)
+
+
+@given(w=sparse_psd() | st.sampled_from(SHIPPED_WEIGHTS), lead=LEADING,
+       seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0))
+@example(w=SHIPPED["rocket"].cost.Q, lead=(16,), seed=0, zeros=0.0)
+def test_nonzero_term_quad_is_byte_equal_to_the_dense_form(w, lead, seed, zeros):
+    rng = np.random.default_rng(seed)
+    shape = lead + (w.shape[0],)
+    # generic floats over six decades; zeroed entries keep their sign, so
+    # exact +0.0 and -0.0 both occur
+    e = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    e[rng.uniform(size=shape) < zeros] *= 0.0
+    terms = _quad_terms(w)
+    got = _quad(e, terms)
+    assert got.shape == lead
+    assert got.tobytes() == dense_quad(e, w).tobytes()
+    assert got.tobytes() == einsum_quad(e, w).tobytes()
+    # every entry alone (M = 1): numpy reduces a one-column term array
+    # pairwise once it has 8 terms, which a row-by-row sum must not do
+    for row in e.reshape(-1, w.shape[0]):
+        assert _quad(row[None], terms).tobytes() == dense_quad(row[None], w).tobytes()
+
+
+def test_quad_terms_are_the_nonzero_entries_in_row_major_order():
+    w = np.array([[2.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 3.0]])
+    rows, cols, weights = _quad_terms(w)
+    # the dead row 1 keeps a +0.0 diagonal term
+    assert list(zip(rows, cols)) == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
+    assert weights.ravel().tolist() == [2.0, -1.0, 0.0, -1.0, 3.0]
+    assert math.copysign(1.0, weights[2, 0]) == 1.0
+    # the shipped rocket Q has 12 nonzero entries of 36
+    assert len(_quad_terms(SHIPPED["rocket"].cost.Q)[0]) == 12
+
+
+def _exploding_first_coordinate(x, u, theta):
+    out = np.empty(np.broadcast(x[..., 0], u[..., 0], theta[..., 0]).shape + (2,))
+    out[..., 0] = 1e308 * (1.0 + x[..., 0])
+    out[..., 1] = 0.0
+    return out
+
+
+def test_unweighted_diverged_coordinate_gives_nonfinite_cost():
+    # Q and Q_f leave coordinate 0 unweighted, and only coordinate 0 diverges:
+    # a sum over the nonzero weights alone would read a finite 0.0 here
+    env = EnvModel(
+        name="explode", state_dim=2, control_dim=1, param_dim=1, dt=0.1,
+        control_lower=[-1.0], control_upper=[1.0],
+        theta_true=[1.0], theta_lower=[0.5], theta_upper=[1.5],
+        derivative=_exploding_first_coordinate,
+    )
+    spec = CostSpec(Q=np.diag([0.0, 1.0]), R=[[0.1]], Q_f=np.diag([0.0, 1.0]),
+                    x_des=[0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = rollout_cost_batch(spec, env, [0.0, 0.0], np.zeros((3, 4, 1)), [[1.0], [1.2]])
+    assert grid.shape == (3, 2)
+    assert not np.isfinite(grid).any()
+
+
+def rk4_expression(f, dt, x, u, theta):
+    k1 = f(x, u, theta)
+    k2 = f(x + 0.5 * dt * k1, u, theta)
+    k3 = f(x + 0.5 * dt * k2, u, theta)
+    k4 = f(x + dt * k3, u, theta)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
+    st.integers(1, 8), st.integers(1, 6)), data=st.data())
+def test_rk4_step_in_place_leaves_inputs_and_matches_the_expression(name, shape, data):
+    env = SHIPPED[name].env
+    n_cand, n_par = shape
+    x = data.draw(arrays(float, (n_cand, n_par, env.state_dim), elements=st.floats(-3.0, 3.0)))
+    w = data.draw(arrays(float, (n_cand, 1, env.control_dim), elements=st.floats(0.0, 1.0)))
+    u = env.control_lower + (env.control_upper - env.control_lower) * w
+    w = data.draw(arrays(float, (1, n_par, env.param_dim), elements=st.floats(0.0, 1.0)))
+    theta = env.theta_lower + (env.theta_upper - env.theta_lower) * w
+    before = [a.copy() for a in (x, u, theta)]
+
+    out = _rk4(env.derivative, env.dt, x, u, theta)
+    for a, b in zip((x, u, theta), before):
+        assert a.tobytes() == b.tobytes()
+    assert not np.shares_memory(out, x)
+    assert out.tobytes() == rk4_expression(env.derivative, env.dt, x, u, theta).tobytes()

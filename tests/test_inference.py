@@ -1,7 +1,7 @@
 """Particle transport, posterior scores, and the Stein discrepancy diagnostic."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -210,7 +210,6 @@ def test_pure_repulsion_leaves_ensemble_mean_fixed():
     assert ps.particles.std(axis=0).min() > 0.1
 
 
-@settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 4),
        kernel=st.sampled_from([RbfKernel(1.0), ImqKernel(), ConstantKernel()]),
        step_size=st.floats(0.0, 10.0), data=st.data())
