@@ -372,9 +372,10 @@ def dense_quad(e, w):
 def einsum_quad(e, w):
     """The dense einsum the nonzero-term sum replaced, over 9 or more entries.
 
-    einsum's summation order depends on the batch: for a 2 x 2 W and at most
-    2 entries it adds each row's pair first. Over more entries it sums
-    row-major, like ``dense_quad``, so the batch is padded before the call.
+    einsum's summation order depends on the batch: for a 2 x 2 W with nonzero
+    off-diagonal entries and at most 2 entries in the batch it adds each
+    row's pair first. Over more entries it sums row-major, like
+    ``dense_quad``, so the batch is padded before the call.
     """
     flat = e.reshape(-1, w.shape[0])
     padded = np.concatenate([flat, np.ones((8, w.shape[0]))])
