@@ -16,6 +16,13 @@ the horizon; ``CostSpec.references`` resolves them, and a caller that scores
 several grids from one start state passes them as ``refs`` instead of having
 each call resolve them again.
 
+Inside a rollout every array is component-first, as the derivatives take
+them (see ``dynamics``): the state is one (n, C, P) array, the parameters are
+broadcast once per call to (p, C, P), and each step's controls are copied
+into one reused (m, C, P) buffer, so every elementwise operation runs as one
+contiguous loop with no broadcasting. The quadratic forms and terminal terms
+read the same (k, ...) arrays.
+
 A quadratic form e^T W e is a sum over W's nonzero entries only, listed once
 per ``CostSpec`` in row-major order (``_quad_terms``); rocket's 6 x 6 ``Q``
 has 12. Term (i, j) is (e_i * W_ij) * e_j, and the sum starts from the first
@@ -76,9 +83,10 @@ class InverseDisplacementReward:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = epsilon
 
-    def batch(self, x_terminal, u_terminal, theta, x0) -> np.ndarray:
+    def batch(self, x_terminal, theta, x0) -> np.ndarray:
         disp = np.abs(x_terminal - x0)
-        return np.sum(self.weights / (disp + self.epsilon), axis=-1)
+        weights = self.weights.reshape(self.weights.shape + (1,) * (disp.ndim - 1))
+        return np.sum(weights / (disp + self.epsilon), axis=0)
 
 
 class UprightEnergyPenalty:
@@ -99,11 +107,11 @@ class UprightEnergyPenalty:
         self.weight = float(weight)
         self.gravity = float(gravity)
 
-    def batch(self, x_terminal, u_terminal, theta, x0) -> np.ndarray:
-        phi = x_terminal[..., 1]
-        omega = x_terminal[..., 3]
-        m = theta[..., 0]
-        length = theta[..., 1]
+    def batch(self, x_terminal, theta, x0) -> np.ndarray:
+        phi = x_terminal[1]
+        omega = x_terminal[3]
+        m = theta[0]
+        length = theta[1]
         kinetic = 0.5 * m * (length * omega) ** 2
         potential = -m * self.gravity * length * np.cos(phi)
         err = kinetic + potential - m * self.gravity * length
@@ -122,8 +130,10 @@ class CostSpec:
             ``horizon_states(x0, steps, dt) -> (steps + 1, n)`` for tasks
             tracked against a path rather than a point.
         extra_terminal: optional terminal term whose
-            ``batch(x_T, u_T, theta, x0)`` is added to the terminal cost,
-            broadcast over the (plan, parameter) grid.
+            ``batch(x_T, theta, x0)`` is added to the terminal cost. Its
+            arguments are component-first: x_T (n, C, P) and theta (p, C, P)
+            over the (plan, parameter) grid, and x0 (n, 1, 1); it returns the
+            (C, P) grid of values.
     """
 
     Q: np.ndarray
@@ -180,21 +190,21 @@ def _quad_terms(w: np.ndarray):
 
 
 def _quad(e: np.ndarray, terms) -> np.ndarray:
-    """e^T W e over the last axis of e, from W's ``_quad_terms``.
+    """e^T W e over the first axis of a (k, ...) e, from W's ``_quad_terms``.
 
     The terms (e_i * W_ij) * e_j are the rows of one (terms, entries) array;
     each row after the first is added to the first in turn (see the module
-    docstring for why not with a reduction).
+    docstring for why not with a reduction). Returns the (...) batch.
     """
     rows, cols, weights = terms
-    flat = e.reshape(-1, e.shape[-1]).T
+    flat = e.reshape(len(e), -1)
     t = flat[rows]
     t *= weights
     t *= flat[cols]
     acc = t[0]
     for row in t[1:]:
         acc += row
-    return acc.reshape(e.shape[:-1])
+    return acc.reshape(e.shape[1:])
 
 
 def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=None) -> np.ndarray:
@@ -220,31 +230,31 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         plans = plans[None]
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n_cand, steps, m = plans.shape
-    n_par = thetas.shape[0]
+    grid = (n_cand, thetas.shape[0])
 
     if refs is None:
         refs = spec.references(env, x0, steps)
-    # Controls and their cost do not depend on the state: one pass for all steps.
-    clipped = np.clip(plans, env.control_lower, env.control_upper)
-    control_cost = _quad(clipped, spec._r_terms)
-    theta_b = thetas[None, :, :]
-    x = np.broadcast_to(x0, (n_cand, n_par, x0.size)).copy()
-    total = np.zeros((n_cand, n_par))
+    refs = np.asarray(refs)[:, :, None, None]
+    # Controls and their cost do not depend on the state: one pass for all
+    # steps, over the component-first (m, H, C) view of the clipped plans.
+    controls = np.clip(plans, env.control_lower, env.control_upper).transpose(2, 1, 0)
+    control_cost = _quad(controls, spec._r_terms)
+    theta = np.broadcast_to(thetas.T[:, None, :], thetas.shape[1:] + grid).copy()
+    x = np.broadcast_to(x0[:, None, None], x0.shape + grid).copy()
+    u = np.empty((m,) + grid)
+    total = np.zeros(grid)
     dt = env.dt
     f = env.derivative
-    u = None
     for t in range(steps):
-        u = clipped[:, t, None, :]
+        u[...] = controls[:, t, :, None]
         e = x - refs[t]
-        total += _quad(e, spec._q_terms) + control_cost[:, t, None]
-        x = _rk4(f, dt, x, u, theta_b)
+        total += _quad(e, spec._q_terms) + control_cost[t, :, None]
+        x = _rk4(f, dt, x, u, theta)
 
     e = x - refs[steps]
     total += _quad(e, spec._q_f_terms)
     if spec.extra_terminal is not None:
-        if u is None:
-            u = np.zeros((n_cand, 1, m))
-        total += spec.extra_terminal.batch(x, u, theta_b, x0)
+        total += spec.extra_terminal.batch(x, theta, x0[:, None, None])
     return total
 
 

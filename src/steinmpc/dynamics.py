@@ -1,9 +1,12 @@
 """Simulated benchmark environments and the fixed-step integrator.
 
-All derivative functions broadcast over arbitrary leading batch dimensions:
-state (..., n), control (..., m), and parameters (..., p) produce (..., n).
-That single convention is what lets the planner evaluate hundreds of candidate
-plans against several parameter hypotheses in one vectorized rollout.
+All derivative functions are component-first: state (n, ...), control
+(m, ...) and parameters (p, ...) share one batch shape ``...`` and produce a
+new (n, ...) array. Each coordinate ``x[k]`` is one contiguous row over the
+batch, so every elementwise operation runs as a single contiguous loop. That
+single convention is what lets the planner evaluate hundreds of candidate
+plans against several parameter hypotheses in one vectorized rollout; the
+plant's own (n,) state is the case with an empty batch shape.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ class EnvModel:
         control_lower / control_upper: per-channel actuator limits.
         theta_true: ground-truth latent parameters driving the plant.
         theta_lower / theta_upper: admissible parameter box (the prior).
-        derivative: broadcasting time-derivative f(x, u, theta). It returns
-            a new writable array on every call, never one of its inputs or a
-            view of them, because the integrator writes into it in place.
+        derivative: component-first time-derivative f(x, u, theta) of x
+            (n, ...), u (m, ...) and theta (p, ...) with one shared batch
+            shape. It returns a new writable (n, ...) array on every call,
+            never one of its inputs or a view of them, because the integrator
+            writes into it in place.
     """
 
     name: str
@@ -102,12 +107,12 @@ def cartpole_derivative(x, u, theta):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    angle = x[..., 1]
-    vel = x[..., 2]
-    rate = x[..., 3]
-    force = u[..., 0]
-    m_p = theta[..., 0]
-    length = theta[..., 1]
+    angle = x[1]
+    vel = x[2]
+    rate = x[3]
+    force = u[0]
+    m_p = theta[0]
+    length = theta[1]
 
     sin = np.sin(angle)
     cos = np.cos(angle)
@@ -115,11 +120,11 @@ def cartpole_derivative(x, u, theta):
     acc = (force + m_p * sin * (length * rate * rate + GRAVITY * cos)) / denom
     ang_acc = -(acc * cos + GRAVITY * sin) / length
 
-    out = np.empty(np.broadcast(angle, force, m_p).shape + (4,))
-    out[..., 0] = vel
-    out[..., 1] = rate
-    out[..., 2] = acc
-    out[..., 3] = ang_acc
+    out = np.empty(x.shape)
+    out[0] = vel
+    out[1] = rate
+    out[2] = acc
+    out[3] = ang_acc
     return out
 
 
@@ -136,25 +141,25 @@ def rocket_derivative(x, u, theta):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    tilt = x[..., 2]
-    thrust = u[..., 0]
-    gimbal = u[..., 1]
-    mass = theta[..., 0]
-    inertia = theta[..., 1]
-    com = theta[..., 2]
+    tilt = x[2]
+    thrust = u[0]
+    gimbal = u[1]
+    mass = theta[0]
+    inertia = theta[1]
+    com = theta[2]
 
     # Thrust in body frame is (sin g, cos g); rotate by the tilt to world frame.
     thrust_angle = gimbal - tilt
     world_x = thrust * np.sin(thrust_angle)
     world_y = thrust * np.cos(thrust_angle)
 
-    out = np.empty(np.broadcast(tilt, thrust, mass).shape + (6,))
-    out[..., 0] = x[..., 3]
-    out[..., 1] = x[..., 4]
-    out[..., 2] = x[..., 5]
-    out[..., 3] = world_x / mass
-    out[..., 4] = world_y / mass - GRAVITY
-    out[..., 5] = thrust * np.sin(gimbal) * com / inertia
+    out = np.empty(x.shape)
+    out[0] = x[3]
+    out[1] = x[4]
+    out[2] = x[5]
+    out[3] = world_x / mass
+    out[4] = world_y / mass - GRAVITY
+    out[5] = thrust * np.sin(gimbal) * com / inertia
     return out
 
 
@@ -168,20 +173,20 @@ def racecar_derivative(x, u, theta):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    heading = x[..., 2]
-    speed = x[..., 3]
-    yaw = x[..., 4]
-    throttle = u[..., 0]
-    steer = u[..., 1]
-    mass = theta[..., 0]
-    inertia = theta[..., 1]
+    heading = x[2]
+    speed = x[3]
+    yaw = x[4]
+    throttle = u[0]
+    steer = u[1]
+    mass = theta[0]
+    inertia = theta[1]
 
-    out = np.empty(np.broadcast(heading, throttle, mass).shape + (5,))
-    out[..., 0] = speed * np.cos(heading)
-    out[..., 1] = speed * np.sin(heading)
-    out[..., 2] = yaw
-    out[..., 3] = throttle / mass - LINEAR_DRAG * speed
-    out[..., 4] = steer / inertia - ANGULAR_DRAG * yaw
+    out = np.empty(x.shape)
+    out[0] = speed * np.cos(heading)
+    out[1] = speed * np.sin(heading)
+    out[2] = yaw
+    out[3] = throttle / mass - LINEAR_DRAG * speed
+    out[4] = steer / inertia - ANGULAR_DRAG * yaw
     return out
 
 
@@ -189,8 +194,9 @@ def rk4_step(env: EnvModel, x, u, theta) -> np.ndarray:
     """Advance the state one control period with classical Runge-Kutta.
 
     The control is clamped to the actuator limits and held constant over the
-    step. Broadcasts over leading batch dimensions exactly like the
-    derivative functions.
+    step. Advances one state: x (n,), u (m,) and theta (p,), the plant's
+    vectors. The planner's rollouts integrate their component-first
+    (n, C, P) grids through ``_rk4`` directly, after clamping the plans.
     """
     x = np.asarray(x, dtype=float)
     u = env.clamp_control(np.asarray(u, dtype=float))

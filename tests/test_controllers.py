@@ -22,9 +22,9 @@ from steinmpc.inference import ParticleSet
 
 def integrator_derivative(x, u, theta):
     # [position, velocity], accelerated directly by the control
-    out = np.empty(np.broadcast(x[..., 0], u[..., 0], theta[..., 0]).shape + (2,))
-    out[..., 0] = x[..., 1]
-    out[..., 1] = u[..., 0] * theta[..., 0]
+    out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
+    out[0] = x[1]
+    out[1] = u[0] * theta[0]
     return out
 
 

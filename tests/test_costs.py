@@ -29,8 +29,8 @@ from steinmpc.track import CenterlineReference, StadiumTrack
 
 def drift_derivative(x, u, theta):
     # xdot = theta: after one unit step the state equals theta exactly
-    shape = np.broadcast(x[..., 0], u[..., 0], theta[..., 0]).shape
-    return np.broadcast_to(theta[..., :1], shape + (1,)).copy()
+    shape = np.broadcast(x[0], u[0], theta[0]).shape
+    return np.broadcast_to(theta[:1], (1,) + shape).copy()
 
 
 DRIFT = EnvModel(
@@ -45,7 +45,7 @@ ONE_STEP = np.zeros((1, 1))
 
 
 def decay_derivative(x, u, theta):
-    return -x + 0.0 * u[..., :1] + 0.0 * theta[..., :1]
+    return -x + 0.0 * u[:1] + 0.0 * theta[:1]
 
 
 DECAY = EnvModel(
@@ -57,7 +57,7 @@ DECAY = EnvModel(
 
 
 def still_derivative(x, u, theta):
-    return np.zeros(np.broadcast(x[..., 0], u[..., 0], theta[..., 0]).shape + (2,))
+    return np.zeros((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
 
 
 # a 2-state plant that never moves, so a rollout's costs are read off x0
@@ -92,8 +92,8 @@ def test_stage_cost_zero_at_goal_with_zero_control():
 
 
 class SevenBonus:
-    def batch(self, x_terminal, u_terminal, theta, x0):
-        return np.full(x_terminal.shape[:-1], 7.0)
+    def batch(self, x_terminal, theta, x0):
+        return np.full(x_terminal.shape[1:], 7.0)
 
 
 def test_terminal_cost_adds_extra_term():
@@ -227,14 +227,14 @@ def test_upright_energy_penalty_zero_on_swingup_manifold():
     pen = UprightEnergyPenalty(70.0)
     theta = np.array([0.5, 0.75])
     upright_rest = np.array([0.3, math.pi, -0.1, 0.0])
-    assert pen.batch(upright_rest, None, theta, np.zeros(4)) == pytest.approx(0.0, abs=1e-20)
+    assert pen.batch(upright_rest, theta, np.zeros(4)) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_upright_energy_penalty_hanging_value():
     pen = UprightEnergyPenalty(70.0)
     theta = np.array([0.5, 0.75])
     # hanging rest sits 2 m g l below the upright energy level
-    assert pen.batch(np.zeros(4), None, theta, np.zeros(4)) == pytest.approx(3789.2964375)
+    assert pen.batch(np.zeros(4), theta, np.zeros(4)) == pytest.approx(3789.2964375)
 
 
 def test_upright_energy_penalty_batch_matches_scalar():
@@ -242,21 +242,21 @@ def test_upright_energy_penalty_batch_matches_scalar():
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(6, 4))
     thetas = rng.uniform(0.3, 1.0, size=(6, 2))
-    batch = pen.batch(xs, None, thetas, np.zeros(4))
+    batch = pen.batch(xs.T, thetas.T, np.zeros((4, 1)))
     # each row of the stack scored on its own
-    direct = [pen.batch(x, None, th, np.zeros(4)) for x, th in zip(xs, thetas)]
+    direct = [pen.batch(x, th, np.zeros(4)) for x, th in zip(xs, thetas)]
     np.testing.assert_allclose(batch, direct)
 
 
 def test_inverse_displacement_reward_values_and_batch():
     inv = InverseDisplacementReward([1.0, 2.0])
-    assert inv.batch(np.array([0.5, 0.0]), None, None, np.zeros(2)) == pytest.approx(
+    assert inv.batch(np.array([0.5, 0.0]), None, np.zeros(2)) == pytest.approx(
         1.0 / 0.501 + 2000.0
     )
     xs = np.array([[0.5, 0.0], [1.0, 1.0]])
     np.testing.assert_allclose(
-        inv.batch(xs, None, None, np.zeros(2)),
-        [inv.batch(x, None, None, np.zeros(2)) for x in xs],
+        inv.batch(xs.T, None, np.zeros((2, 1))),
+        [inv.batch(x, None, np.zeros(2)) for x in xs],
     )
 
 
@@ -363,9 +363,9 @@ def test_planner_and_plant_integrate_identically(name, shape, data):
 
 def dense_quad(e, w):
     """e^T W e summed over every entry of W, zeros included, row-major from 0.0."""
-    acc = np.zeros(e.shape[:-1])
+    acc = np.zeros(e.shape[1:])
     for i, j in np.ndindex(w.shape):
-        acc += (e[..., i] * w[i, j]) * e[..., j]
+        acc += (e[i] * w[i, j]) * e[j]
     return acc
 
 
@@ -377,10 +377,10 @@ def einsum_quad(e, w):
     row's pair first. Over more entries it sums row-major, like
     ``dense_quad``, so the batch is padded before the call.
     """
-    flat = e.reshape(-1, w.shape[0])
+    flat = e.reshape(w.shape[0], -1).T
     padded = np.concatenate([flat, np.ones((8, w.shape[0]))])
     out = np.einsum("...i,ij,...j->...", padded, w, padded)
-    return out[:len(flat)].reshape(e.shape[:-1])
+    return out[:len(flat)].reshape(e.shape[1:])
 
 
 @st.composite
@@ -411,7 +411,7 @@ LEADING = st.sampled_from([(), (1,), (1, 1)]) | st.lists(
 @example(w=SHIPPED["rocket"].cost.Q, lead=(16,), seed=0, zeros=0.0)
 def test_nonzero_term_quad_is_byte_equal_to_the_dense_form(w, lead, seed, zeros):
     rng = np.random.default_rng(seed)
-    shape = lead + (w.shape[0],)
+    shape = (w.shape[0],) + lead
     # generic floats over six decades; zeroed entries keep their sign, so
     # exact +0.0 and -0.0 both occur
     e = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
@@ -423,8 +423,8 @@ def test_nonzero_term_quad_is_byte_equal_to_the_dense_form(w, lead, seed, zeros)
     assert got.tobytes() == einsum_quad(e, w).tobytes()
     # every entry alone (M = 1): numpy reduces a one-column term array
     # pairwise once it has 8 terms, which a row-by-row sum must not do
-    for row in e.reshape(-1, w.shape[0]):
-        assert _quad(row[None], terms).tobytes() == dense_quad(row[None], w).tobytes()
+    for col in e.reshape(w.shape[0], -1).T:
+        assert _quad(col[:, None], terms).tobytes() == dense_quad(col[:, None], w).tobytes()
 
 
 def test_quad_terms_are_the_nonzero_entries_in_row_major_order():
@@ -439,9 +439,9 @@ def test_quad_terms_are_the_nonzero_entries_in_row_major_order():
 
 
 def _exploding_first_coordinate(x, u, theta):
-    out = np.empty(np.broadcast(x[..., 0], u[..., 0], theta[..., 0]).shape + (2,))
-    out[..., 0] = 1e308 * (1.0 + x[..., 0])
-    out[..., 1] = 0.0
+    out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
+    out[0] = 1e308 * (1.0 + x[0])
+    out[1] = 0.0
     return out
 
 
@@ -475,11 +475,15 @@ def rk4_expression(f, dt, x, u, theta):
 def test_rk4_step_in_place_leaves_inputs_and_matches_the_expression(name, shape, data):
     env = SHIPPED[name].env
     n_cand, n_par = shape
-    x = data.draw(arrays(float, (n_cand, n_par, env.state_dim), elements=st.floats(-3.0, 3.0)))
-    w = data.draw(arrays(float, (n_cand, 1, env.control_dim), elements=st.floats(0.0, 1.0)))
-    u = env.control_lower + (env.control_upper - env.control_lower) * w
-    w = data.draw(arrays(float, (1, n_par, env.param_dim), elements=st.floats(0.0, 1.0)))
-    theta = env.theta_lower + (env.theta_upper - env.theta_lower) * w
+    grid = (n_cand, n_par)
+    x = data.draw(arrays(float, (env.state_dim,) + grid, elements=st.floats(-3.0, 3.0)))
+    # controls vary by plan and parameters by hypothesis, as in a rollout
+    w = data.draw(arrays(float, (env.control_dim, n_cand, 1), elements=st.floats(0.0, 1.0)))
+    lo, hi = env.control_lower[:, None, None], env.control_upper[:, None, None]
+    u = np.broadcast_to(lo + (hi - lo) * w, (env.control_dim,) + grid).copy()
+    w = data.draw(arrays(float, (env.param_dim, 1, n_par), elements=st.floats(0.0, 1.0)))
+    lo, hi = env.theta_lower[:, None, None], env.theta_upper[:, None, None]
+    theta = np.broadcast_to(lo + (hi - lo) * w, (env.param_dim,) + grid).copy()
     before = [a.copy() for a in (x, u, theta)]
 
     out = _rk4(env.derivative, env.dt, x, u, theta)

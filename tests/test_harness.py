@@ -211,9 +211,9 @@ def test_racing_trial_reports_progress():
 
 
 def _exploding_derivative(x, u, theta):
-    out = np.empty(np.broadcast(x[..., 0], u[..., 0], theta[..., 0]).shape + (2,))
-    out[..., 0] = 1e308 * (1.0 + x[..., 0])
-    out[..., 1] = 0.0
+    out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
+    out[0] = 1e308 * (1.0 + x[0])
+    out[1] = 0.0
     return out
 
 
