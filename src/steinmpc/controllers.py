@@ -90,10 +90,17 @@ def mppi_solve(
     """
     warm = np.asarray(warm, dtype=float)
     lo, hi = env.control_lower, env.control_upper
-    std = np.asarray(config.noise_fraction, dtype=float) * (hi - lo)
-    noise = rng.normal(size=(config.samples - 1,) + warm.shape) * std
-    candidates = np.concatenate([warm[None], warm[None] + noise], axis=0)
-    np.clip(candidates, lo, hi, out=candidates)
+    # Scale and clip on (samples, H * m) rows with each per-channel vector
+    # tiled over the horizon, so no inner loop runs over the m channels alone.
+    horizon = warm.shape[0]
+    std = np.tile(np.asarray(config.noise_fraction, dtype=float) * (hi - lo), horizon)
+    noise = rng.normal(size=(config.samples - 1, warm.size))
+    noise *= std
+    candidates = np.empty((config.samples,) + warm.shape)
+    flat = candidates.reshape(config.samples, -1)
+    flat[0] = warm.reshape(-1)
+    np.add(warm.reshape(-1), noise, out=flat[1:])
+    np.clip(flat, np.tile(lo, horizon), np.tile(hi, horizon), out=flat)
 
     matrix = objective.cost_matrix(candidates)
     costs = np.asarray(objective.reduce(matrix), dtype=float)

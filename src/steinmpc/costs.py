@@ -20,8 +20,11 @@ Inside a rollout every array is component-first, as the derivatives take
 them (see ``dynamics``): the state is one (n, C, P) array, the parameters are
 broadcast once per call to (p, C, P), and each step's controls are copied
 into one reused (m, C, P) buffer, so every elementwise operation runs as one
-contiguous loop with no broadcasting. The quadratic forms and terminal terms
-read the same (k, ...) arrays.
+contiguous loop with no broadcasting. Each step binds the derivative to that
+buffer and theta once, ``f = env.derivative(u, theta)``, so the terms of
+u and theta alone are computed once for RK4's four stages; ``f`` may hold
+views of the buffer, which is refilled only after the step. The quadratic
+forms and terminal terms read the same (k, ...) arrays.
 
 A quadratic form e^T W e is a sum over W's nonzero entries only, listed once
 per ``CostSpec`` in row-major order (``_quad_terms``); rocket's 6 x 6 ``Q``
@@ -236,20 +239,24 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         refs = spec.references(env, x0, steps)
     refs = np.asarray(refs)[:, :, None, None]
     # Controls and their cost do not depend on the state: one pass for all
-    # steps, over the component-first (m, H, C) view of the clipped plans.
-    controls = np.clip(plans, env.control_lower, env.control_upper).transpose(2, 1, 0)
+    # steps, over one contiguous component-first (m, H, C) copy of the plans,
+    # clipped in place.
+    controls = plans.transpose(2, 1, 0).copy()
+    np.clip(controls, env.control_lower[:, None, None], env.control_upper[:, None, None],
+            out=controls)
     control_cost = _quad(controls, spec._r_terms)
     theta = np.broadcast_to(thetas.T[:, None, :], thetas.shape[1:] + grid).copy()
     x = np.broadcast_to(x0[:, None, None], x0.shape + grid).copy()
     u = np.empty((m,) + grid)
     total = np.zeros(grid)
     dt = env.dt
-    f = env.derivative
     for t in range(steps):
+        # The bound derivative may hold views of u, so u is refilled only
+        # after the step that uses it.
         u[...] = controls[:, t, :, None]
         e = x - refs[t]
         total += _quad(e, spec._q_terms) + control_cost[t, :, None]
-        x = _rk4(f, dt, x, u, theta)
+        x = _rk4(env.derivative(u, theta), dt, x)
 
     e = x - refs[steps]
     total += _quad(e, spec._q_f_terms)

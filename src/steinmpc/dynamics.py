@@ -1,12 +1,19 @@
 """Simulated benchmark environments and the fixed-step integrator.
 
-All derivative functions are component-first: state (n, ...), control
-(m, ...) and parameters (p, ...) share one batch shape ``...`` and produce a
-new (n, ...) array. Each coordinate ``x[k]`` is one contiguous row over the
-batch, so every elementwise operation runs as a single contiguous loop. That
-single convention is what lets the planner evaluate hundreds of candidate
-plans against several parameter hypotheses in one vectorized rollout; the
-plant's own (n,) state is the case with an empty batch shape.
+A derivative is bound to a control and parameters before it sees a state:
+``f = derivative(u, theta)`` takes control (m, ...) and parameters (p, ...),
+computes every term that depends on them alone, and returns ``f(x)``, the
+time-derivative of a state (n, ...) with the same batch shape ``...``. RK4
+holds u and theta fixed over a step, so one binding serves its four stages.
+All arrays are component-first: each coordinate ``x[k]`` is one contiguous
+row over the batch, so every elementwise operation runs as a single
+contiguous loop. That single convention is what lets the planner evaluate
+hundreds of candidate plans against several parameter hypotheses in one
+vectorized rollout; the plant's own (n,) state is the case with an empty
+batch shape.
+
+``f`` may hold views of u and theta, so a caller must not overwrite them
+while it still calls ``f``.
 """
 
 from __future__ import annotations
@@ -46,11 +53,14 @@ class EnvModel:
         control_lower / control_upper: per-channel actuator limits.
         theta_true: ground-truth latent parameters driving the plant.
         theta_lower / theta_upper: admissible parameter box (the prior).
-        derivative: component-first time-derivative f(x, u, theta) of x
-            (n, ...), u (m, ...) and theta (p, ...) with one shared batch
-            shape. It returns a new writable (n, ...) array on every call,
-            never one of its inputs or a view of them, because the integrator
-            writes into it in place.
+        derivative: ``derivative(u, theta) -> f`` binds a control u
+            (m, ...) and parameters theta (p, ...) and returns the
+            component-first time-derivative ``f(x)`` of a state x (n, ...)
+            with the same batch shape. It reads u and theta without changing
+            them, but ``f`` may hold views of them, so they must not be
+            overwritten while ``f`` is in use. ``f`` returns a new writable
+            (n, ...) array on every call, never one of its inputs or a view
+            of them, because the integrator writes into it in place.
     """
 
     name: str
@@ -63,7 +73,7 @@ class EnvModel:
     theta_true: np.ndarray
     theta_lower: np.ndarray
     theta_upper: np.ndarray
-    derivative: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
     def __post_init__(self):
         for name in (
@@ -96,39 +106,52 @@ class EnvModel:
         return np.clip(u, self.control_lower, self.control_upper)
 
 
-def cartpole_derivative(x, u, theta):
+def cartpole_derivative(u, theta):
     """Cart with a point-mass pole on a massless rod.
 
     State [cart position, pole angle, cart velocity, pole rate]; the angle is
     measured from the downward vertical, so hanging rest is all zeros and the
     upright goal sits at pi. Control is a horizontal force on the cart.
-    Parameters are [pole mass, pole length].
+    Parameters are [pole mass, pole length]. No term depends on u and theta
+    alone, so binding only reads their rows.
     """
-    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    angle = x[1]
-    vel = x[2]
-    rate = x[3]
     force = u[0]
     m_p = theta[0]
     length = theta[1]
 
-    sin = np.sin(angle)
-    cos = np.cos(angle)
-    denom = CART_MASS + m_p * sin * sin
-    acc = (force + m_p * sin * (length * rate * rate + GRAVITY * cos)) / denom
-    ang_acc = -(acc * cos + GRAVITY * sin) / length
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        angle = x[1]
+        rate = x[3]
+        sin = np.sin(angle)
+        cos = np.cos(angle)
+        out = np.empty(x.shape)
+        out[0:2] = x[2:4]
+        # acc = (force + m_p sin (length rate^2 + g cos)) / (M + m_p sin^2)
+        acc = out[2, ...]
+        np.multiply(length, rate, out=acc)
+        acc *= rate
+        acc += GRAVITY * cos
+        lever = m_p * sin
+        acc *= lever
+        acc += force
+        lever *= sin
+        lever += CART_MASS
+        acc /= lever
+        # ang_acc = -(acc cos + g sin) / length
+        ang_acc = out[3, ...]
+        np.multiply(acc, cos, out=ang_acc)
+        ang_acc += GRAVITY * sin
+        np.negative(ang_acc, out=ang_acc)
+        ang_acc /= length
+        return out
 
-    out = np.empty(x.shape)
-    out[0] = vel
-    out[1] = rate
-    out[2] = acc
-    out[3] = ang_acc
-    return out
+    return f
 
 
-def rocket_derivative(x, u, theta):
+def rocket_derivative(u, theta):
     """Planar rocket with gimbaled thrust applied at the base.
 
     State [x, y, tilt, vx, vy, tilt rate]; positive tilt is a counterclockwise
@@ -136,101 +159,116 @@ def rocket_derivative(x, u, theta):
     angle], the gimbal measured from the body axis. Parameters are
     [mass, rotational inertia, base-to-center-of-mass distance]. The thrust
     line misses the center of mass whenever the gimbal is deflected, producing
-    the torque thrust * sin(gimbal) * com_offset.
+    the torque thrust * sin(gimbal) * com_offset, which binding computes once.
     """
-    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    tilt = x[2]
     thrust = u[0]
     gimbal = u[1]
     mass = theta[0]
-    inertia = theta[1]
-    com = theta[2]
+    torque = thrust * np.sin(gimbal) * theta[2] / theta[1]
 
-    # Thrust in body frame is (sin g, cos g); rotate by the tilt to world frame.
-    thrust_angle = gimbal - tilt
-    world_x = thrust * np.sin(thrust_angle)
-    world_y = thrust * np.cos(thrust_angle)
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        out[0:3] = x[3:6]
+        # Thrust in body frame is (sin g, cos g); rotate by the tilt to world
+        # frame. The thrust angle is held in the torque row until last.
+        thrust_angle = out[5, ...]
+        np.subtract(gimbal, x[2], out=thrust_angle)
+        world_x = out[3, ...]
+        np.sin(thrust_angle, out=world_x)
+        world_x *= thrust
+        world_x /= mass
+        world_y = out[4, ...]
+        np.cos(thrust_angle, out=world_y)
+        world_y *= thrust
+        world_y /= mass
+        world_y -= GRAVITY
+        out[5] = torque
+        return out
 
-    out = np.empty(x.shape)
-    out[0] = x[3]
-    out[1] = x[4]
-    out[2] = x[5]
-    out[3] = world_x / mass
-    out[4] = world_y / mass - GRAVITY
-    out[5] = thrust * np.sin(gimbal) * com / inertia
-    return out
+    return f
 
 
-def racecar_derivative(x, u, theta):
+def racecar_derivative(u, theta):
     """Dynamic unicycle with linear drag.
 
     State [x, y, heading, speed, yaw rate]; controls [throttle force,
     steering torque]; parameters [mass, yaw inertia]. Drag coefficients are
-    fixed properties of the car, not latent parameters.
+    fixed properties of the car, not latent parameters. Binding computes the
+    two accelerations the controls impart, throttle / mass and
+    steer / inertia.
     """
-    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    heading = x[2]
-    speed = x[3]
-    yaw = x[4]
-    throttle = u[0]
-    steer = u[1]
-    mass = theta[0]
-    inertia = theta[1]
+    accel = u[0] / theta[0]
+    turn = u[1] / theta[1]
 
-    out = np.empty(x.shape)
-    out[0] = speed * np.cos(heading)
-    out[1] = speed * np.sin(heading)
-    out[2] = yaw
-    out[3] = throttle / mass - LINEAR_DRAG * speed
-    out[4] = steer / inertia - ANGULAR_DRAG * yaw
-    return out
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        heading = x[2]
+        speed = x[3]
+        yaw = x[4]
+        out = np.empty(x.shape)
+        vx = out[0, ...]
+        np.cos(heading, out=vx)
+        vx *= speed
+        vy = out[1, ...]
+        np.sin(heading, out=vy)
+        vy *= speed
+        out[2] = yaw
+        dspeed = out[3, ...]
+        np.multiply(LINEAR_DRAG, speed, out=dspeed)
+        np.subtract(accel, dspeed, out=dspeed)
+        dyaw = out[4, ...]
+        np.multiply(ANGULAR_DRAG, yaw, out=dyaw)
+        np.subtract(turn, dyaw, out=dyaw)
+        return out
+
+    return f
 
 
 def rk4_step(env: EnvModel, x, u, theta) -> np.ndarray:
     """Advance the state one control period with classical Runge-Kutta.
 
     The control is clamped to the actuator limits and held constant over the
-    step. Advances one state: x (n,), u (m,) and theta (p,), the plant's
-    vectors. The planner's rollouts integrate their component-first
-    (n, C, P) grids through ``_rk4`` directly, after clamping the plans.
+    step, so the derivative is bound to it and theta once. Advances one
+    state: x (n,), u (m,) and theta (p,), the plant's vectors. The planner's
+    rollouts integrate their component-first (n, C, P) grids through
+    ``_rk4`` directly, after clamping the plans and binding each step.
     """
     x = np.asarray(x, dtype=float)
     u = env.clamp_control(np.asarray(u, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    return _rk4(env.derivative, env.dt, x, u, theta)
+    return _rk4(env.derivative(u, theta), env.dt, x)
 
 
-def _rk4(f, dt: float, x, u, theta) -> np.ndarray:
-    """One classical Runge-Kutta step of x' = f(x, u, theta), u held constant.
+def _rk4(f, dt: float, x) -> np.ndarray:
+    """One classical Runge-Kutta step of x' = f(x), f bound to a held u and theta.
 
     The one integrator step: the plant (``rk4_step``) and the planner's
     rollouts (``costs.rollout_cost_batch``) both advance through it, each
-    clamping the controls first, so a prediction and the motion it predicts
-    are the same floats.
+    clamping the controls and binding ``f = env.derivative(u, theta)``
+    first, so a prediction and the motion it predicts are the same floats.
 
     Each stage input is built in one reused buffer and the weighted sum in
     the second stage's derivative, which ``f`` returned as a new array. The
     ufuncs, operands and their order are those of
     ``x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with stages
     ``x + (0.5 * dt) * k``; IEEE addition and multiplication commute exactly,
-    so the result is bit-equal to that expression. ``x``, ``u`` and ``theta``
-    are left unchanged.
+    so the result is bit-equal to that expression. ``x`` is left unchanged.
     """
     half = 0.5 * dt
-    k1 = f(x, u, theta)
+    k1 = f(x)
     stage = np.multiply(k1, half)
     stage += x
-    k2 = f(stage, u, theta)
+    k2 = f(stage)
     np.multiply(k2, half, out=stage)
     stage += x
-    k3 = f(stage, u, theta)
+    k3 = f(stage)
     np.multiply(k3, dt, out=stage)
     stage += x
-    k4 = f(stage, u, theta)
+    k4 = f(stage)
     k2 *= 2.0
     k2 += k1
     k3 *= 2.0

@@ -20,12 +20,14 @@ from steinmpc.dynamics import EnvModel
 from steinmpc.inference import ParticleSet
 
 
-def integrator_derivative(x, u, theta):
+def integrator_derivative(u, theta):
     # [position, velocity], accelerated directly by the control
-    out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
-    out[0] = x[1]
-    out[1] = u[0] * theta[0]
-    return out
+    def f(x):
+        out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
+        out[0] = x[1]
+        out[1] = u[0] * theta[0]
+        return out
+    return f
 
 
 ENV = EnvModel(

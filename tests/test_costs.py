@@ -27,10 +27,12 @@ from steinmpc.inference import ParticleSet
 from steinmpc.track import CenterlineReference, StadiumTrack
 
 
-def drift_derivative(x, u, theta):
+def drift_derivative(u, theta):
     # xdot = theta: after one unit step the state equals theta exactly
-    shape = np.broadcast(x[0], u[0], theta[0]).shape
-    return np.broadcast_to(theta[:1], (1,) + shape).copy()
+    def f(x):
+        shape = np.broadcast(x[0], u[0], theta[0]).shape
+        return np.broadcast_to(theta[:1], (1,) + shape).copy()
+    return f
 
 
 DRIFT = EnvModel(
@@ -44,8 +46,8 @@ DRIFT_SPEC = CostSpec(Q=[[0.0]], R=[[0.0]], Q_f=[[1.0]], x_des=[0.0])
 ONE_STEP = np.zeros((1, 1))
 
 
-def decay_derivative(x, u, theta):
-    return -x + 0.0 * u[:1] + 0.0 * theta[:1]
+def decay_derivative(u, theta):
+    return lambda x: -x + 0.0 * u[:1] + 0.0 * theta[:1]
 
 
 DECAY = EnvModel(
@@ -56,8 +58,8 @@ DECAY = EnvModel(
 )
 
 
-def still_derivative(x, u, theta):
-    return np.zeros((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
+def still_derivative(u, theta):
+    return lambda x: np.zeros((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
 
 
 # a 2-state plant that never moves, so a rollout's costs are read off x0
@@ -438,11 +440,13 @@ def test_quad_terms_are_the_nonzero_entries_in_row_major_order():
     assert len(_quad_terms(SHIPPED["rocket"].cost.Q)[0]) == 12
 
 
-def _exploding_first_coordinate(x, u, theta):
-    out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
-    out[0] = 1e308 * (1.0 + x[0])
-    out[1] = 0.0
-    return out
+def _exploding_first_coordinate(u, theta):
+    def f(x):
+        out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
+        out[0] = 1e308 * (1.0 + x[0])
+        out[1] = 0.0
+        return out
+    return f
 
 
 def test_unweighted_diverged_coordinate_gives_nonfinite_cost():
@@ -462,11 +466,11 @@ def test_unweighted_diverged_coordinate_gives_nonfinite_cost():
     assert not np.isfinite(grid).any()
 
 
-def rk4_expression(f, dt, x, u, theta):
-    k1 = f(x, u, theta)
-    k2 = f(x + 0.5 * dt * k1, u, theta)
-    k3 = f(x + 0.5 * dt * k2, u, theta)
-    k4 = f(x + dt * k3, u, theta)
+def rk4_expression(f, dt, x):
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -486,8 +490,9 @@ def test_rk4_step_in_place_leaves_inputs_and_matches_the_expression(name, shape,
     theta = np.broadcast_to(lo + (hi - lo) * w, (env.param_dim,) + grid).copy()
     before = [a.copy() for a in (x, u, theta)]
 
-    out = _rk4(env.derivative, env.dt, x, u, theta)
+    f = env.derivative(u, theta)
+    out = _rk4(f, env.dt, x)
     for a, b in zip((x, u, theta), before):
         assert a.tobytes() == b.tobytes()
     assert not np.shares_memory(out, x)
-    assert out.tobytes() == rk4_expression(env.derivative, env.dt, x, u, theta).tobytes()
+    assert out.tobytes() == rk4_expression(f, env.dt, x).tobytes()

@@ -4,9 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from steinmpc.dynamics import (
+    ANGULAR_DRAG,
+    CART_MASS,
     GRAVITY,
+    LINEAR_DRAG,
     cartpole_derivative,
     horizon_steps,
     make_cartpole,
@@ -21,8 +27,8 @@ from steinmpc.dynamics import (
 def test_cartpole_horizontal_pole_accelerations():
     # pole horizontal, everything at rest: cart stays put for that instant,
     # angular acceleration is -g/l for a point-mass pole
-    d = cartpole_derivative(np.array([0.0, np.pi / 2, 0.0, 0.0]), np.array([0.0]),
-                            np.array([0.5, 0.75]))
+    d = cartpole_derivative(np.array([0.0]), np.array([0.5, 0.75]))(
+        np.array([0.0, np.pi / 2, 0.0, 0.0]))
     assert d[0] == 0.0 and d[1] == 0.0
     assert d[2] == pytest.approx(0.0, abs=1e-12)
     assert d[3] == pytest.approx(-GRAVITY / 0.75, abs=1e-10)
@@ -30,33 +36,33 @@ def test_cartpole_horizontal_pole_accelerations():
 
 def test_cartpole_generic_state_accelerations():
     # frozen from an independent Euler-Lagrange derivation
-    d = cartpole_derivative(np.array([0.3, 1.1, -0.4, 2.2]), np.array([3.0]),
-                            np.array([0.62, 0.48]))
+    d = cartpole_derivative(np.array([3.0]), np.array([0.62, 0.48]))(
+        np.array([0.3, 1.1, -0.4, 2.2]))
     assert d[2] == pytest.approx(4.51771613, abs=1e-7)
     assert d[3] == pytest.approx(-22.48325566, abs=1e-7)
 
 
 def test_cartpole_hanging_rest_is_fixed_point():
-    d = cartpole_derivative(np.zeros(4), np.zeros(1), np.array([0.5, 0.75]))
+    d = cartpole_derivative(np.zeros(1), np.array([0.5, 0.75]))(np.zeros(4))
     assert np.all(d == 0.0)
 
 
 def test_rocket_hover_is_fixed_point():
     theta = np.array([0.1, 0.01, 0.7])
-    d = rocket_derivative(np.zeros(6), np.array([0.1 * GRAVITY, 0.0]), theta)
+    d = rocket_derivative(np.array([0.1 * GRAVITY, 0.0]), theta)(np.zeros(6))
     assert np.abs(d).max() < 1e-12
 
 
 def test_rocket_gimbal_torque():
     theta = np.array([0.1, 0.01, 0.7])
-    d = rocket_derivative(np.zeros(6), np.array([1.0, np.pi / 6]), theta)
+    d = rocket_derivative(np.array([1.0, np.pi / 6]), theta)(np.zeros(6))
     assert d[5] == pytest.approx(35.0, abs=1e-9)
 
 
 def test_rocket_generic_state_derivative():
     # thrust acts along the gimbal axis measured in the body frame
-    d = rocket_derivative(np.array([0.1, 0.4, 0.05, -0.2, 0.1, 0.3]),
-                          np.array([1.2, 0.2]), np.array([0.1, 0.01, 0.7]))
+    d = rocket_derivative(np.array([1.2, 0.2]), np.array([0.1, 0.01, 0.7]))(
+        np.array([0.1, 0.4, 0.05, -0.2, 0.1, 0.3]))
     assert np.allclose(d[:3], [-0.2, 0.1, 0.3])
     assert d[3] == pytest.approx(1.2 * np.sin(0.15) / 0.1, abs=1e-9)
     assert d[4] == pytest.approx(1.2 * np.cos(0.15) / 0.1 - GRAVITY, abs=1e-9)
@@ -64,8 +70,8 @@ def test_rocket_generic_state_derivative():
 
 
 def test_racecar_generic_state_derivative():
-    d = racecar_derivative(np.array([0.5, -1.0, 0.7, 1.5, 0.4]),
-                           np.array([0.3, 0.02]), np.array([0.1, 0.01]))
+    d = racecar_derivative(np.array([0.3, 0.02]), np.array([0.1, 0.01]))(
+        np.array([0.5, -1.0, 0.7, 1.5, 0.4]))
     assert d[0] == pytest.approx(1.5 * np.cos(0.7), abs=1e-12)
     assert d[1] == pytest.approx(1.5 * np.sin(0.7), abs=1e-12)
     assert d[2] == 0.4
@@ -75,8 +81,8 @@ def test_racecar_generic_state_derivative():
 
 def test_racecar_steady_speed():
     # throttle balancing drag: throttle/m = drag * v
-    d = racecar_derivative(np.array([0.0, 0.0, 0.0, 2.0, 0.0]),
-                           np.array([0.02, 0.0]), np.array([0.1, 0.01]))
+    d = racecar_derivative(np.array([0.02, 0.0]), np.array([0.1, 0.01]))(
+        np.array([0.0, 0.0, 0.0, 2.0, 0.0]))
     assert abs(d[3]) < 1e-12
 
 
@@ -90,17 +96,100 @@ def test_derivatives_broadcast_over_batches(deriv, n, m, p):
     x = rng.normal(size=(n, 7, 3))
     u = rng.uniform(0.1, 0.5, size=(m, 7, 3))
     theta = rng.uniform(0.2, 0.8, size=(p, 7, 3))
-    out = deriv(x, u, theta)
+    out = deriv(u, theta)(x)
     assert out.shape == (n, 7, 3)
     for i in range(7):
         for j in range(3):
-            alone = deriv(x[:, i, j], u[:, i, j], theta[:, i, j])
+            alone = deriv(u[:, i, j], theta[:, i, j])(x[:, i, j])
             assert out[:, i, j].tobytes() == alone.tobytes()
 
 
+# The three derivatives as one unbound function of (x, u, theta), each
+# computing every term in every call: the reference the bound forms must
+# match byte for byte.
+def reference_cartpole(x, u, theta):
+    angle, vel, rate = x[1], x[2], x[3]
+    force, m_p, length = u[0], theta[0], theta[1]
+    sin = np.sin(angle)
+    cos = np.cos(angle)
+    denom = CART_MASS + m_p * sin * sin
+    acc = (force + m_p * sin * (length * rate * rate + GRAVITY * cos)) / denom
+    ang_acc = -(acc * cos + GRAVITY * sin) / length
+    out = np.empty(x.shape)
+    out[0] = vel
+    out[1] = rate
+    out[2] = acc
+    out[3] = ang_acc
+    return out
+
+
+def reference_rocket(x, u, theta):
+    tilt, thrust, gimbal = x[2], u[0], u[1]
+    mass, inertia, com = theta[0], theta[1], theta[2]
+    thrust_angle = gimbal - tilt
+    world_x = thrust * np.sin(thrust_angle)
+    world_y = thrust * np.cos(thrust_angle)
+    out = np.empty(x.shape)
+    out[0] = x[3]
+    out[1] = x[4]
+    out[2] = x[5]
+    out[3] = world_x / mass
+    out[4] = world_y / mass - GRAVITY
+    out[5] = thrust * np.sin(gimbal) * com / inertia
+    return out
+
+
+def reference_racecar(x, u, theta):
+    heading, speed, yaw = x[2], x[3], x[4]
+    throttle, steer, mass, inertia = u[0], u[1], theta[0], theta[1]
+    out = np.empty(x.shape)
+    out[0] = speed * np.cos(heading)
+    out[1] = speed * np.sin(heading)
+    out[2] = yaw
+    out[3] = throttle / mass - LINEAR_DRAG * speed
+    out[4] = steer / inertia - ANGULAR_DRAG * yaw
+    return out
+
+
+REFERENCES = {
+    "cartpole": (make_cartpole(), reference_cartpole),
+    "rocket": (make_rocket(), reference_rocket),
+    "racecar": (make_racecar(), reference_racecar),
+}
+
+
+def _draw_in_box(data, lower, upper, batch):
+    w = data.draw(arrays(float, lower.shape + batch, elements=st.floats(0.0, 1.0)))
+    shape = lower.shape + (1,) * len(batch)
+    return lower.reshape(shape) + (upper - lower).reshape(shape) * w
+
+
+@given(name=st.sampled_from(sorted(REFERENCES)),
+       batch=st.one_of(st.just(()), st.tuples(st.integers(1, 6), st.integers(1, 6))),
+       data=st.data())
+def test_bound_derivative_is_byte_equal_to_the_unbound_reference(name, batch, data):
+    # batch () is the plant's (n,) vectors; (C, P) a rollout's grid
+    env, reference = REFERENCES[name]
+    x = data.draw(arrays(float, (env.state_dim,) + batch, elements=st.floats(-4.0, 4.0)))
+    u = _draw_in_box(data, env.control_lower, env.control_upper, batch)
+    theta = _draw_in_box(data, env.theta_lower, env.theta_upper, batch)
+    before = [a.copy() for a in (x, u, theta)]
+
+    f = env.derivative(u, theta)
+    out = f(x)
+    again = f(x)
+    for a, b in zip((x, u, theta), before):
+        assert a.tobytes() == b.tobytes()
+    assert out.shape == x.shape and out.flags.writeable
+    assert out.tobytes() == reference(x, u, theta).tobytes()
+    assert again.tobytes() == out.tobytes()
+    for a in (x, u, theta, again):
+        assert not np.shares_memory(out, a)
+
+
 def test_rk4_matches_quartic_taylor_on_linear_decay():
-    def decay(x, u, theta):
-        return -x + 0.0 * u[:1] + 0.0 * theta[:1]
+    def decay(u, theta):
+        return lambda x: -x + 0.0 * u[:1] + 0.0 * theta[:1]
 
     env = dataclasses.replace(make_cartpole(), dt=0.1, state_dim=1, control_dim=1,
                               param_dim=1, control_lower=np.array([-1.0]),

@@ -210,11 +210,13 @@ def test_racing_trial_reports_progress():
     assert result.terminal_reason == "timeout"
 
 
-def _exploding_derivative(x, u, theta):
-    out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
-    out[0] = 1e308 * (1.0 + x[0])
-    out[1] = 0.0
-    return out
+def _exploding_derivative(u, theta):
+    def f(x):
+        out = np.empty((2,) + np.broadcast(x[0], u[0], theta[0]).shape)
+        out[0] = 1e308 * (1.0 + x[0])
+        out[1] = 0.0
+        return out
+    return f
 
 
 def test_diverging_dynamics_end_in_solver_failure():
