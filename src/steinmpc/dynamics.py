@@ -122,7 +122,6 @@ def cartpole_derivative(u, theta):
     length = theta[1]
 
     def f(x):
-        x = np.asarray(x, dtype=float)
         angle = x[1]
         rate = x[3]
         sin = np.sin(angle)
@@ -169,7 +168,6 @@ def rocket_derivative(u, theta):
     torque = thrust * np.sin(gimbal) * theta[2] / theta[1]
 
     def f(x):
-        x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
         out[0:3] = x[3:6]
         # Thrust in body frame is (sin g, cos g); rotate by the tilt to world
@@ -202,11 +200,10 @@ def racecar_derivative(u, theta):
     """
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    accel = u[0] / theta[0]
-    turn = u[1] / theta[1]
+    # [throttle / mass, steer / inertia] as one (2, ...) array
+    accel = u[0:2] / theta[0:2]
 
     def f(x):
-        x = np.asarray(x, dtype=float)
         heading = x[2]
         speed = x[3]
         yaw = x[4]
@@ -218,12 +215,10 @@ def racecar_derivative(u, theta):
         np.sin(heading, out=vy)
         vy *= speed
         out[2] = yaw
-        dspeed = out[3, ...]
-        np.multiply(LINEAR_DRAG, speed, out=dspeed)
-        np.subtract(accel, dspeed, out=dspeed)
-        dyaw = out[4, ...]
-        np.multiply(ANGULAR_DRAG, yaw, out=dyaw)
-        np.subtract(turn, dyaw, out=dyaw)
+        np.multiply(LINEAR_DRAG, speed, out=out[3, ...])
+        np.multiply(ANGULAR_DRAG, yaw, out=out[4, ...])
+        drag = out[3:5]
+        np.subtract(accel, drag, out=drag)
         return out
 
     return f
