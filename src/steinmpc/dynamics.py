@@ -215,10 +215,11 @@ def racecar_derivative(u, theta):
         np.sin(heading, out=vy)
         vy *= speed
         out[2] = yaw
+        # speed and yaw-rate derivatives: control accelerations less drag
+        rates = out[3:5]
         np.multiply(LINEAR_DRAG, speed, out=out[3, ...])
         np.multiply(ANGULAR_DRAG, yaw, out=out[4, ...])
-        drag = out[3:5]
-        np.subtract(accel, drag, out=drag)
+        np.subtract(accel, rates, out=rates)
         return out
 
     return f
