@@ -69,6 +69,7 @@ def mppi_solve(
     objective,
     config: MppiConfig,
     rng: np.random.Generator,
+    probe=(),
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Improve a warm-start plan by weighted averaging of sampled candidates.
 
@@ -79,11 +80,17 @@ def mppi_solve(
     the best candidate; otherwise the best candidate is, which makes the
     solver monotone against the warm plan by construction.
 
+    The rescore rolls out both plans that can be chosen, the averaged plan
+    and the best candidate, in one grid against the objective's P thetas
+    followed by the (B, p) ``probe`` thetas (B = 0 by default).
+    Only the first P columns decide which plan is chosen, so a non-finite
+    probe cost never fails the solve or changes the plan.
+
     Returns:
         ``(plan, cost, theta_costs)``: the chosen (H, m) plan, its objective
-        value and its (P,) row of the objective's cost matrix. Both come from
-        the rollouts that chose the plan, so scoring the plan again would
-        give the same floats.
+        value and its (P + B,) row of costs, the objective's P thetas first
+        and then the probe's B. All come from the rollouts that chose the
+        plan, so scoring the plan again would give the same floats.
 
     Raises:
         SolverFailureError: if every candidate cost is non-finite.
@@ -116,11 +123,11 @@ def mppi_solve(
     averaged = np.einsum("k,k...->...", weights, candidates)
     np.clip(averaged, lo, hi, out=averaged)
 
-    averaged_row = objective.cost_matrix(averaged[None])
-    averaged_cost = float(objective.reduce(averaged_row)[0])
+    rows = objective.cost_matrix(np.stack([averaged, candidates[best]]), probe)
+    averaged_cost = float(objective.reduce(rows[:1, :matrix.shape[1]])[0])
     if not np.isfinite(averaged_cost) or averaged_cost > costs[best]:
-        return candidates[best].copy(), float(costs[best]), matrix[best].copy()
-    return averaged, averaged_cost, averaged_row[0]
+        return candidates[best].copy(), float(costs[best]), rows[1]
+    return averaged, averaged_cost, rows[0]
 
 
 def shift_warm_start(plan: np.ndarray) -> np.ndarray:
@@ -162,8 +169,9 @@ class _BatchObjective:
     """Base of the plan objectives: a per-parameter cost grid and its reduction.
 
     ``cost_matrix`` rolls a (C, H, m) plan stack out against the objective's
-    (P, p) parameter stack ``thetas`` and returns the (C, P) cost grid;
-    ``reduce`` turns such a grid into the (C,) objective values. Calling the
+    (P, p) parameter stack ``thetas``, followed by an optional (B, p)
+    ``probe`` stack, and returns the (C, P + B) cost grid; ``reduce`` turns
+    a (C, P) grid into the (C,) objective values. Calling the
     objective scores one plan. The (H + 1, n) reference states are resolved
     on the first call and kept in ``refs`` for later calls with the same
     horizon, so one cycle resolves them once.
@@ -177,12 +185,13 @@ class _BatchObjective:
         self.x0 = np.asarray(x0, dtype=float)
         self.refs = None
 
-    def cost_matrix(self, plans) -> np.ndarray:
+    def cost_matrix(self, plans, probe=()) -> np.ndarray:
         plans = np.asarray(plans, dtype=float)
         steps = plans.shape[-2]
         if self.refs is None or len(self.refs) != steps + 1:
             self.refs = self.spec.references(self.env, self.x0, steps)
-        return rollout_cost_batch(self.spec, self.env, self.x0, plans, self.thetas,
+        thetas = np.concatenate([self.thetas, np.reshape(probe, (-1, self.thetas.shape[1]))])
+        return rollout_cost_batch(self.spec, self.env, self.x0, plans, thetas,
                                   refs=self.refs)
 
     def __call__(self, plan) -> float:

@@ -4,9 +4,11 @@ The one definition of a trajectory's cost is ``rollout_cost_batch``, which
 integrates a grid of candidate plans against a stack of parameter hypotheses
 in one vectorized pass, with the same RK4 step the plant advances by.
 ``trajectory_cost`` reads a single entry of that grid, so a cost computed on
-its own is the same float the planner saw inside a batch; the gap that
-inference scores (``harness._gap_model``) is a row of it less the plan's cost
-under the particle mean.
+its own is the same float the planner saw inside a batch. The gap that
+inference scores (``harness._gap_model``) is the chosen plan's cost under each
+probe theta less its cost under the particle mean; the planner's rescore rolls
+the probe out with the objective's thetas (``controllers.mppi_solve``), so
+both are entries of the chosen plan's rescore row, the gap its tail.
 
 Every entry of the (C, P) grid depends only on its own (plan, parameter) pair,
 so a caller that has the grid never needs to roll a pair out again: the plan

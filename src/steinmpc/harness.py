@@ -34,6 +34,7 @@ from .inference import (
     SvgdConfig,
     draw_particles,
     ksd_estimate,
+    probe_thetas,
     svgd_step,
 )
 from .track import LapProgress, StadiumTrack
@@ -184,14 +185,22 @@ class TrialResult:
         return self.particles.mean(axis=1)
 
 
-def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, ref_cost: float, refs) -> PosteriorModel:
+def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, ref_cost: float, refs,
+               known=None) -> PosteriorModel:
     """Gap posterior of the most recent plan, anchored at the current mean.
 
     ``ref_cost`` is the plan's cost under the particle mean and ``refs`` the
     cycle's reference states, both as the planner already computed them.
+    ``known`` is an optional ``(probe, costs)`` pair: a (B, p) theta stack
+    and the plan's (B,) costs under it, as the planner's rescore rolled them
+    out. The gap of exactly that stack reads those costs; any other stack
+    is rolled out.
     """
-
     def gap(thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        if known is not None and thetas.shape == known[0].shape and (
+                thetas.tobytes() == known[0].tobytes()):
+            return known[1] - ref_cost
         return rollout_cost_batch(spec, env, x0, plan[None], thetas, refs=refs)[0] - ref_cost
 
     return PosteriorModel(gap=gap, lower=env.theta_lower, upper=env.theta_upper)
@@ -216,6 +225,13 @@ def run_trial(config: TrialConfig) -> TrialResult:
     plant diverges, "inference_failure" when the gap turns non-finite during
     the particle update.
 
+    When the trial moves its particles (the adaptive variant with SVGD
+    iterations and a positive step size), each cycle builds the first SVGD
+    step's finite-difference probe from the particles before planning, and
+    the planner's rescore rolls the chosen plan out against it together with
+    the objective's thetas. The first step's gaps are read from that row, so
+    a cycle makes two rollouts: the planner grid and the rescore.
+
     Deterministic: the particle draw and every planning cycle use random
     streams derived from the seed alone, so identical configs reproduce
     identical results bit for bit.
@@ -230,7 +246,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
     )
     warm = env.clamp_control(np.zeros((steps_h, env.control_dim)))
     controller = _calibrated_controller(config, warm)
-    adaptive = controller.variant == "stein_adaptive"
+    infer = (controller.variant == "stein_adaptive" and config.svgd.iterations > 0
+             and config.svgd.step_size > 0)
     kernel_ok = getattr(config.svgd.kernel, "stein_compatible", False)
 
     racing = isinstance(config.success, RaceSuccess)
@@ -263,9 +280,11 @@ def run_trial(config: TrialConfig) -> TrialResult:
             np.random.SeedSequence(config.seed, spawn_key=(1, step_index))
         )
         objective = build_objective(controller, config.cost, env, state, particles)
+        probe = (probe_thetas(particles.particles, env.theta_lower, env.theta_upper,
+                              config.svgd.fd_epsilon) if infer else ())
         try:
             new_plan, plan_cost, theta_costs = mppi_solve(
-                env, state, warm, objective, config.mppi, cycle_rng)
+                env, state, warm, objective, config.mppi, cycle_rng, probe)
         except SolverFailureError:
             reason = "solver_failure"
             break
@@ -280,9 +299,12 @@ def run_trial(config: TrialConfig) -> TrialResult:
             reason = "solver_failure"
             break
 
-        if adaptive and config.svgd.iterations > 0 and config.svgd.step_size > 0:
-            # The adaptive objective is robust: column 0 is the particle mean.
-            model = _gap_model(config.cost, env, state, new_plan, theta_costs[0], objective.refs)
+        if infer:
+            # The adaptive objective is robust: column 0 is the particle mean,
+            # and the columns after its P thetas are the probe's.
+            known = (probe, theta_costs[len(objective.thetas):])
+            model = _gap_model(config.cost, env, state, new_plan, theta_costs[0],
+                               objective.refs, known)
             try:
                 for _ in range(config.svgd.iterations):
                     particles = svgd_step(particles, model, config.svgd)

@@ -24,6 +24,7 @@ __all__ = [
     "ScoreEvaluationError",
     "draw_particles",
     "particle_mean",
+    "probe_thetas",
     "posterior_score_batch",
     "svgd_step",
     "ksd_estimate",
@@ -163,12 +164,32 @@ class PosteriorModel:
             raise ValueError("lower bounds must be strictly below upper bounds")
 
 
-def _fd_steps(model: PosteriorModel, fd_epsilon: float) -> np.ndarray:
+def _fd_steps(lower, upper, fd_epsilon: float) -> np.ndarray:
     # Step sizes are expressed per normalized coordinate: a unit of fd_epsilon
     # spans the same fraction of every box side regardless of raw scale.
-    span = model.upper - model.lower
+    span = upper - lower
     span = np.where(np.isfinite(span) & (span > 0), span, 1.0)
     return fd_epsilon * span
+
+
+def probe_thetas(thetas: np.ndarray, lower, upper, fd_epsilon: float) -> np.ndarray:
+    """The parameters the score of ``thetas`` evaluates the gap at.
+
+    Each row of ``thetas`` is clamped to the box [lower, upper] and moved by
+    +- fd_epsilon times the box side along each coordinate in turn. Returns
+    the (2 * n * dim, dim) stack: per row, the dim plus steps, then the dim
+    minus steps. A caller that knows the particles before the gap can
+    evaluate these thetas early and hand their gaps to the model.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n, dim = thetas.shape
+    clamped = np.clip(thetas, lower, upper)
+    offsets = np.eye(dim) * _fd_steps(lower, upper, fd_epsilon)  # (dim, dim)
+    plus = clamped[:, None, :] + offsets[None, :, :]
+    minus = clamped[:, None, :] - offsets[None, :, :]
+    return np.concatenate([plus, minus], axis=1).reshape(2 * n * dim, dim)
 
 
 def posterior_score_batch(
@@ -177,22 +198,18 @@ def posterior_score_batch(
     """Score of the plan-induced posterior at each row of ``thetas``.
 
     Central finite differences through the gap function, batched over all
-    particles and coordinates in a single evaluation of ``gap``.
+    particles and coordinates in a single evaluation of ``gap`` at the
+    ``probe_thetas`` of ``thetas``.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n, dim = thetas.shape
-    clamped = np.clip(thetas, model.lower, model.upper)
-    steps = _fd_steps(model, config.fd_epsilon)
-
-    offsets = np.eye(dim) * steps  # (dim, dim)
-    plus = clamped[:, None, :] + offsets[None, :, :]
-    minus = clamped[:, None, :] - offsets[None, :, :]
-    probe = np.concatenate([plus, minus], axis=1).reshape(2 * n * dim, dim)
+    probe = probe_thetas(thetas, model.lower, model.upper, config.fd_epsilon)
     vals = np.asarray(model.gap(probe), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = probe[~np.isfinite(vals)][0]
         raise ScoreEvaluationError(bad)
     vals = vals.reshape(n, 2, dim)
+    steps = _fd_steps(model.lower, model.upper, config.fd_epsilon)
     grad = (vals[:, 0, :] - vals[:, 1, :]) / (2.0 * steps)
     return config.sign * grad
 

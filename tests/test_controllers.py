@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from steinmpc import controllers
 from steinmpc.controllers import (
     ControllerSpec,
     MppiConfig,
@@ -15,9 +16,9 @@ from steinmpc.controllers import (
     nominal_parameters,
     shift_warm_start,
 )
-from steinmpc.costs import CostSpec, RobustObjectiveConfig, trajectory_cost
+from steinmpc.costs import CostSpec, RobustObjectiveConfig, rollout_cost_batch, trajectory_cost
 from steinmpc.dynamics import EnvModel
-from steinmpc.inference import ParticleSet
+from steinmpc.inference import ParticleSet, probe_thetas
 
 
 def integrator_derivative(u, theta):
@@ -119,6 +120,43 @@ def test_mppi_solve_returns_the_chosen_plans_own_costs(
     assert theta_costs.tobytes() == row[0].tobytes()
 
 
+def test_mppi_solve_rolls_the_probe_out_in_the_rescore(monkeypatch):
+    # A probe only adds columns to the rescore: plan and cost are the no-probe
+    # call's bytes, the row starts with the no-probe row, and its tail is the
+    # chosen plan's own costs under the probe. Both branches are covered: the
+    # averaged plan accepted, and the best candidate kept.
+    objective = build_objective(ControllerSpec(), SPEC, ENV, X0, PARTICLES)
+    probe = probe_thetas(PARTICLES.particles, ENV.theta_lower, ENV.theta_upper, 1e-2)
+    n_thetas = len(objective.thetas)
+    rescored = []
+
+    def recording(spec, env, x0, plans, thetas, refs=None):
+        rescored.append(np.array(plans))
+        return rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs)
+
+    monkeypatch.setattr(controllers, "rollout_cost_batch", recording)
+    branches = set()
+    for temperature, noise in [(0.01, 0.2), (100.0, 2.0)]:
+        cfg = MppiConfig(samples=32, temperature=temperature, noise_fraction=noise)
+        for seed in range(4):
+            warm = np.random.default_rng(seed).uniform(-1, 1, size=(6, 1))
+            plan, cost, row = mppi_solve(ENV, X0, warm, objective, cfg,
+                                         np.random.default_rng(seed))
+            p_plan, p_cost, p_row = mppi_solve(ENV, X0, warm, objective, cfg,
+                                               np.random.default_rng(seed), probe)
+            averaged, best = rescored[-1]
+            assert p_plan.tobytes() == plan.tobytes()
+            assert np.float64(p_cost).tobytes() == np.float64(cost).tobytes()
+            assert p_row.shape == (n_thetas + len(probe),)
+            assert p_row[:n_thetas].tobytes() == row.tobytes()
+            tail = rollout_cost_batch(SPEC, ENV, X0, p_plan[None], probe)[0]
+            assert p_row[n_thetas:].tobytes() == tail.tobytes()
+            assert plan.tobytes() in (averaged.tobytes(), best.tobytes())
+            if averaged.tobytes() != best.tobytes():
+                branches.add("averaged" if plan.tobytes() == averaged.tobytes() else "best")
+    assert branches == {"averaged", "best"}
+
+
 def test_mppi_single_sample_returns_clamped_warm_plan():
     objective = nominal_objective()
     warm = np.full((4, 1), 3.0)
@@ -147,7 +185,7 @@ def test_mppi_output_respects_actuator_bounds():
 
 def test_mppi_ignores_nonfinite_candidates():
     class SpikyObjective:
-        def cost_matrix(self, plans):
+        def cost_matrix(self, plans, probe=()):
             vals = np.abs(plans).sum(axis=(1, 2))
             vals[vals > 1.5] = np.nan  # poison most perturbed candidates
             return vals[:, None]
@@ -164,7 +202,7 @@ def test_mppi_ignores_nonfinite_candidates():
 
 def test_mppi_raises_when_every_candidate_is_nonfinite():
     class HopelessObjective:
-        def cost_matrix(self, plans):
+        def cost_matrix(self, plans, probe=()):
             return np.full((len(plans), 1), np.nan)
 
         def reduce(self, matrix):

@@ -9,7 +9,13 @@ import yaml
 
 from steinmpc import cli, controllers, costs, harness
 from steinmpc.configfile import build_trial_config, load_config
-from steinmpc.controllers import ControllerSpec, MppiConfig, SolverFailureError
+from steinmpc.controllers import (
+    ControllerSpec,
+    MppiConfig,
+    SolverFailureError,
+    build_objective,
+    mppi_solve,
+)
 from steinmpc.costs import CostSpec, trajectory_cost
 from steinmpc.dynamics import EnvModel, make_cartpole
 from steinmpc.harness import (
@@ -22,8 +28,14 @@ from steinmpc.harness import (
     run_batch,
     run_trial,
 )
-from steinmpc.harness import _calibrated_controller
-from steinmpc.inference import ScoreEvaluationError, SvgdConfig
+from steinmpc.harness import _calibrated_controller, _gap_model
+from steinmpc.inference import (
+    ParticleSet,
+    ScoreEvaluationError,
+    SvgdConfig,
+    probe_thetas,
+    svgd_step,
+)
 from steinmpc.kernels import ConstantKernel, RbfKernel
 from steinmpc.track import CenterlineReference
 
@@ -264,6 +276,69 @@ def test_inference_failure_ends_trial_with_logged_rows(monkeypatch):
     np.testing.assert_array_equal(result.final_state, result.states[-1])
 
 
+def _fragile_derivative(u, theta):
+    # a double integrator whose gain is nan for every theta above 1.2
+    gain = np.where(theta[0] > 1.2, np.nan, theta[0])
+
+    def f(x):
+        out = np.empty((2,) + np.broadcast(x[0], u[0], gain).shape)
+        out[0] = x[1]
+        out[1] = u[0] * gain
+        return out
+    return f
+
+
+def test_nonfinite_probe_costs_fail_inference_not_the_solve(monkeypatch):
+    # The last particle sits on the fragile edge: its plus probe diverges
+    # while every theta the objective scores stays finite.
+    env = EnvModel(
+        name="fragile", state_dim=2, control_dim=1, param_dim=1, dt=0.1,
+        control_lower=[-1.0], control_upper=[1.0],
+        theta_true=[1.0], theta_lower=[0.5], theta_upper=[1.5],
+        derivative=_fragile_derivative,
+    )
+    spec = CostSpec(Q=np.eye(2), R=[[0.1]], Q_f=np.eye(2), x_des=[1.0, 0.0])
+    x0 = np.zeros(2)
+    particles = ParticleSet([[0.7], [1.0], [1.2]], env.theta_lower, env.theta_upper)
+    svgd = SvgdConfig()
+    probe = probe_thetas(particles.particles, env.theta_lower, env.theta_upper,
+                         svgd.fd_epsilon)
+    objective = build_objective(ControllerSpec(), spec, env, x0, particles)
+    cfg = MppiConfig(samples=16, noise_fraction=0.3)
+    warm = np.zeros((5, 1))
+    plan, cost, _ = mppi_solve(env, x0, warm, objective, cfg, np.random.default_rng(0))
+    p_plan, p_cost, row = mppi_solve(env, x0, warm, objective, cfg,
+                                     np.random.default_rng(0), probe)
+    assert p_plan.tobytes() == plan.tobytes() and p_cost == cost
+    n = len(objective.thetas)
+    assert np.all(np.isfinite(row[:n]))
+    np.testing.assert_array_equal(np.isfinite(row[n:]), probe[:, 0] <= 1.2)
+
+    # Reading the rescore's probe costs fails on the same row as rolling out.
+    known = _gap_model(spec, env, x0, plan, row[0], objective.refs, (probe, row[n:]))
+    rolled = _gap_model(spec, env, x0, plan, row[0], objective.refs)
+    with pytest.raises(ScoreEvaluationError) as from_known:
+        svgd_step(particles, known, svgd)
+    with pytest.raises(ScoreEvaluationError) as from_rollout:
+        svgd_step(particles, rolled, svgd)
+    assert from_known.value.theta.tobytes() == from_rollout.value.theta.tobytes()
+    assert from_known.value.theta.tobytes() == probe[4].tobytes()
+
+    # An equal probe is read, not rolled out; any other stack is rolled out.
+    rollouts = []
+
+    def counted(*args, **kwargs):
+        rollouts.append(args[4])
+        return costs.rollout_cost_batch(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "rollout_cost_batch", counted)
+    assert known.gap(probe.copy()).tobytes() == (row[n:] - row[0]).tobytes()
+    assert rollouts == []
+    others = particles.particles
+    assert known.gap(others).tobytes() == rolled.gap(others).tobytes()
+    assert len(rollouts) == 2
+
+
 def test_solver_failure_mid_trial_logs_the_steps_before_it(monkeypatch):
     # The third cycle's solver fails before anything is applied: two rows are
     # logged, and the state the second control led to is final but not logged.
@@ -323,11 +398,13 @@ def test_cli_run_exits_3_on_solver_failure(monkeypatch, tmp_path, capsys):
     assert (tmp_path / "out" / "trial_0.json").exists()
 
 
-@pytest.mark.parametrize("variant,rollouts", [("stein_adaptive", 3), ("nominal", 2)])
+@pytest.mark.parametrize("variant,rollouts", [("stein_adaptive", 2), ("nominal", 2)])
 def test_one_cycle_rolls_out_each_question_once(monkeypatch, variant, rollouts):
-    # plan grid, averaged-plan rescore and, when adaptive, the one SVGD probe;
-    # the logged cost and the gap reference reuse the planner's rows, and the
-    # centerline reference is resolved once for every rollout of the cycle.
+    # plan grid and the rescore of the averaged plan and the best candidate;
+    # when adaptive, the first SVGD step's probe rides in the rescore. The
+    # logged cost, the gap reference and the probe's gaps reuse the chosen
+    # plan's rescore row, and the centerline reference is resolved once for
+    # every rollout of the cycle.
     trial, _ = build_trial_config(load_config(os.path.join(CONFIG_DIR, "racing.yaml")))
     trial = dataclasses.replace(
         trial, controller=ControllerSpec(variant=variant), duration=trial.env.dt,
