@@ -25,13 +25,20 @@ into one reused (m, C, P) buffer, so every elementwise operation runs as one
 contiguous loop with no broadcasting. Each step binds the derivative to that
 buffer and theta once, ``f = env.derivative(u, theta)``, so the terms of
 u and theta alone are computed once for RK4's four stages; ``f`` may hold
-views of the buffer, which is refilled only after the step. The quadratic
-forms and terminal terms read the same (k, ...) arrays.
+views of the buffer, which is refilled only after the step. The horizon
+loop only integrates: each step writes its tracking error x - refs[t] into
+slot t of one (n, H, C, P) ``errors`` array. No stage cost feeds back into
+the dynamics, so after the loop one quadratic form scores every step at once,
+the controls' costs are added in one op, and the H stage costs are added to
+the total one step at a time, in step order, as a per-step sum would. The
+terminal terms read the final (n, C, P) state.
 
 A quadratic form e^T W e is a sum over W's nonzero entries only, listed once
 per ``CostSpec`` in row-major order (``_quad_terms``); rocket's 6 x 6 ``Q``
-has 12. Term (i, j) is (e_i * W_ij) * e_j, and the sum starts from the first
-term and adds the rest one at a time, in order. That is the dense
+has 12. Term (i, j) is (e_i * W_ij) * e_j, formed over the whole batch in one
+reused buffer, and the sum starts from the first term and adds the rest one
+at a time, in order, so no (terms x entries) array is ever built. Each entry
+sees the same products and adds whatever the batch's shape. That is the dense
 ``einsum("...i,ij,...j->...")`` bit for bit: in a PSD matrix the first
 nonzero entry of the first nonzero row is on the diagonal, so the first term
 is +0.0 or positive, as einsum's 0 + t_0 is, and the zero terms einsum also
@@ -177,13 +184,13 @@ class CostSpec:
         return np.broadcast_to(self.x_des, (steps + 1, self.x_des.size))
 
 
-def _quad_terms(w: np.ndarray):
-    """(rows, cols, weights) of the terms ``_quad`` sums, in row-major order.
+def _quad_terms(w: np.ndarray) -> tuple:
+    """The (i, j, W_ij) terms ``_quad`` sums, in row-major order.
 
     The terms are W's nonzero entries. An all-zero row i keeps one (i, i)
     term of weight +0.0, which adds exactly +0.0 while e_i is finite and nan
     once it is not: a diverged coordinate that no weight touches still makes
-    the cost non-finite. Weights are a column, to broadcast over the batch.
+    the cost non-finite.
     """
     keep = w != 0
     dead = np.flatnonzero(~keep.any(axis=1))
@@ -191,25 +198,25 @@ def _quad_terms(w: np.ndarray):
     rows, cols = np.nonzero(keep)
     weights = w[rows, cols]
     weights[weights == 0] = 0.0
-    return rows, cols, weights[:, None]
+    return tuple(zip(rows.tolist(), cols.tolist(), weights.tolist()))
 
 
 def _quad(e: np.ndarray, terms) -> np.ndarray:
     """e^T W e over the first axis of a (k, ...) e, from W's ``_quad_terms``.
 
-    The terms (e_i * W_ij) * e_j are the rows of one (terms, entries) array;
-    each row after the first is added to the first in turn (see the module
+    Each term (e_i * W_ij) * e_j is formed over the whole batch in one
+    reused buffer and added to the running sum in order (see the module
     docstring for why not with a reduction). Returns the (...) batch.
     """
-    rows, cols, weights = terms
-    flat = e.reshape(len(e), -1)
-    t = flat[rows]
-    t *= weights
-    t *= flat[cols]
-    acc = t[0]
-    for row in t[1:]:
-        acc += row
-    return acc.reshape(e.shape[1:])
+    (i, j, w), rest = terms[0], terms[1:]
+    acc = np.multiply(e[i], w, out=np.empty(e.shape[1:]))
+    acc *= e[j]
+    term = np.empty_like(acc)
+    for i, j, w in rest:
+        np.multiply(e[i], w, out=term)
+        term *= e[j]
+        acc += term
+    return acc
 
 
 def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=None) -> np.ndarray:
@@ -227,7 +234,11 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
             returns them; resolved here when None.
 
     Returns:
-        (C, P) array of total trajectory costs.
+        (C, P) array of total trajectory costs: the stage costs of steps
+        0..H-1, each its state's ``Q`` form plus its control's ``R`` form,
+        added in step order, then the terminal ``Q_f`` form and the extra
+        terminal term. The horizon loop only integrates; every stage cost is
+        scored after it, from the stored tracking errors.
     """
     x0 = np.asarray(x0, dtype=float)
     plans = np.asarray(plans, dtype=float)
@@ -250,16 +261,23 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     theta = np.broadcast_to(thetas.T[:, None, :], thetas.shape[1:] + grid).copy()
     x = np.broadcast_to(x0[:, None, None], x0.shape + grid).copy()
     u = np.empty((m,) + grid)
-    total = np.zeros(grid)
+    errors = np.empty((x0.size, steps) + grid)
     dt = env.dt
     for t in range(steps):
         # The bound derivative may hold views of u, so u is refilled only
         # after the step that uses it.
         u[...] = controls[:, t, :, None]
-        e = x - refs[t]
-        total += _quad(e, spec._q_terms) + control_cost[t, :, None]
+        np.subtract(x, refs[t], out=errors[:, t])
         x = _rk4(env.derivative(u, theta), dt, x)
 
+    # No stage cost feeds back into the dynamics, so all are scored here in
+    # one pass. The horizon is summed one step at a time: a reduction over a
+    # lone (plan, parameter) pair adds 8 or more steps pairwise.
+    stage = _quad(errors, spec._q_terms)
+    stage += control_cost[:, :, None]
+    total = np.zeros(grid)
+    for cost in stage:
+        total += cost
     e = x - refs[steps]
     total += _quad(e, spec._q_f_terms)
     if spec.extra_terminal is not None:

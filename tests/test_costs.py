@@ -1,7 +1,7 @@
 """Quadratic trajectory costs and the ensemble/risk plan objectives."""
 import math
-
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,10 +386,10 @@ def einsum_quad(e, w):
 
 
 @st.composite
-def sparse_psd(draw):
+def sparse_psd(draw, dims=st.integers(1, 6), max_dead=2):
     """Symmetric, diagonally dominant W (so PSD), with random sparsity and dead rows."""
-    n = draw(st.integers(1, 6))
-    dead = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    n = draw(dims)
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=max_dead))
     density = draw(st.floats(0.0, 1.0))
     w = np.zeros((n, n))
     for i in range(n):
@@ -431,13 +431,88 @@ def test_nonzero_term_quad_is_byte_equal_to_the_dense_form(w, lead, seed, zeros)
 
 def test_quad_terms_are_the_nonzero_entries_in_row_major_order():
     w = np.array([[2.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 3.0]])
-    rows, cols, weights = _quad_terms(w)
+    terms = _quad_terms(w)
     # the dead row 1 keeps a +0.0 diagonal term
-    assert list(zip(rows, cols)) == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
-    assert weights.ravel().tolist() == [2.0, -1.0, 0.0, -1.0, 3.0]
-    assert math.copysign(1.0, weights[2, 0]) == 1.0
+    assert [(i, j) for i, j, _ in terms] == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
+    assert [weight for _, _, weight in terms] == [2.0, -1.0, 0.0, -1.0, 3.0]
+    assert math.copysign(1.0, terms[2][2]) == 1.0
     # the shipped rocket Q has 12 nonzero entries of 36
-    assert len(_quad_terms(SHIPPED["rocket"].cost.Q)[0]) == 12
+    assert len(_quad_terms(SHIPPED["rocket"].cost.Q)) == 12
+
+
+def test_quad_allocates_no_term_arrays():
+    # rocket's Q over its planner errors (6, H x C x P = 10 x 256 x 6): the
+    # sum and one term buffer, not a (12, 15360) array of gathered terms
+    terms = SHIPPED["rocket"].cost._q_terms
+    e = np.random.default_rng(0).normal(size=(6, 15360))
+    _quad(e, terms)
+    tracemalloc.start()
+    try:
+        _quad(e, terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 15360 * 8
+
+
+def per_step_rollout_cost(spec, env, x0, plans, thetas):
+    """The rollout with each stage cost added at its own step, quadratic forms dense."""
+    n_cand, steps, m = plans.shape
+    grid = (n_cand, len(thetas))
+    refs = spec.references(env, x0, steps)[:, :, None, None]
+    lo, hi = env.control_lower[:, None, None], env.control_upper[:, None, None]
+    controls = np.clip(plans.transpose(2, 1, 0), lo, hi)
+    theta = np.broadcast_to(thetas.T[:, None, :], thetas.shape[1:] + grid).copy()
+    x = np.broadcast_to(x0[:, None, None], x0.shape + grid).copy()
+    total = np.zeros(grid)
+    for t in range(steps):
+        u = np.broadcast_to(controls[:, t, :, None], (m,) + grid).copy()
+        total += dense_quad(x - refs[t], spec.Q) + dense_quad(controls[:, t], spec.R)[:, None]
+        x = _rk4(env.derivative(u, theta), env.dt, x)
+    total += dense_quad(x - refs[steps], spec.Q_f)
+    if spec.extra_terminal is not None:
+        total += spec.extra_terminal.batch(x, theta, x0[:, None, None])
+    return total
+
+
+def _shipped_case(name):
+    # the shipped Q, or a random one with 8 or more terms so that a sum over
+    # them by a numpy reduction would not add them in order
+    n = SHIPPED[name].env.state_dim
+    dense = sparse_psd(st.just(n), max_dead=1).filter(lambda w: len(_quad_terms(w)) >= 8)
+    return st.tuples(st.just(name), st.none() | dense)
+
+
+@given(case=st.sampled_from(sorted(SHIPPED)).flatmap(_shipped_case),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 20)),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=("rocket", None), shape=(1, 1, 20), seed=0)
+@example(case=("racing", None), shape=(1, 1, 12), seed=1)
+@example(case=("cartpole", None), shape=(6, 6, 1), seed=2)
+@example(case=("rocket", None), shape=(3, 2, 0), seed=3)
+def test_rollout_scored_after_the_horizon_equals_per_step_scoring(case, shape, seed):
+    # Scoring every stage cost after the state recursion gives the floats of
+    # adding each one as its step is reached: the same terms, the horizon
+    # summed in step order even for a lone (plan, parameter) pair.
+    name, q = case
+    trial = SHIPPED[name]
+    env, spec = trial.env, trial.cost
+    if q is not None:
+        spec = CostSpec(Q=q, R=spec.R, Q_f=spec.Q_f, x_des=spec.x_des,
+                        extra_terminal=spec.extra_terminal)
+    n_cand, n_par, steps = shape
+    rng = np.random.default_rng(seed)
+    span = env.control_upper - env.control_lower
+    plans = env.control_lower - 0.2 * span + 1.4 * span * rng.uniform(
+        size=(n_cand, steps, env.control_dim))
+    thetas = env.theta_lower + (env.theta_upper - env.theta_lower) * rng.uniform(
+        size=(n_par, env.param_dim))
+    x0 = trial.x0 + rng.uniform(-0.3, 0.3, size=trial.x0.shape)
+
+    got = rollout_cost_batch(spec, env, x0, plans, thetas)
+    want = per_step_rollout_cost(spec, env, x0, plans, thetas)
+    assert np.isfinite(want).all()
+    assert got.tobytes() == want.tobytes()
 
 
 def _exploding_first_coordinate(u, theta):
