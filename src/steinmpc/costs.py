@@ -237,8 +237,7 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         (C, P) array of total trajectory costs: the stage costs of steps
         0..H-1, each its state's ``Q`` form plus its control's ``R`` form,
         added in step order, then the terminal ``Q_f`` form and the extra
-        terminal term. The horizon loop only integrates; every stage cost is
-        scored after it, from the stored tracking errors.
+        terminal term.
     """
     x0 = np.asarray(x0, dtype=float)
     plans = np.asarray(plans, dtype=float)
@@ -270,11 +269,10 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         np.subtract(x, refs[t], out=errors[:, t])
         x = _rk4(env.derivative(u, theta), dt, x)
 
-    # No stage cost feeds back into the dynamics, so all are scored here in
-    # one pass. The horizon is summed one step at a time: a reduction over a
-    # lone (plan, parameter) pair adds 8 or more steps pairwise.
     stage = _quad(errors, spec._q_terms)
     stage += control_cost[:, :, None]
+    # Summed one step at a time: a reduction over a lone (plan, parameter)
+    # pair adds 8 or more steps pairwise, not in step order.
     total = np.zeros(grid)
     for cost in stage:
         total += cost
