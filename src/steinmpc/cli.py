@@ -156,24 +156,15 @@ def cmd_race_progress(args) -> int:
         batch_result, t = _run_one_batch(
             variant_trial, batch.seeds, batch.jobs, sub_dir, doc_hash, variant)
         timing.update(t)
-        series = []
-        best = None
-        for result in batch_result.results:
-            prog = np.append(result.progress, result.final_progress)
-            times = np.append(result.times, result.steps * trial.env.dt)
-            series.append((times, prog))
-            crossed = np.nonzero(prog >= 1.0)[0]
-            if crossed.size:
-                lap_t = times[crossed[0]]
-                best = lap_t if best is None else min(best, lap_t)
-        best_laps[variant] = best
-        longest = max(len(t) for t, _ in series)
-        grid = max((t for t, _ in series), key=len)
-        padded = np.vstack([
-            np.append(p, np.full(longest - len(p), p[-1])) for _, p in series
-        ])
+        results = batch_result.results
+        series = [np.append(r.progress, r.final_progress) for r in results]
+        times = [np.append(r.times, r.steps * trial.env.dt) for r in results]
+        laps = [t[p >= 1.0] for t, p in zip(times, series)]
+        best = best_laps[variant] = min((lap[0] for lap in laps if lap.size), default=None)
+        grid = max(times, key=len)
+        padded = np.array([np.pad(p, (0, len(grid) - len(p)), mode="edge") for p in series])
         mean = padded.mean(axis=0)
-        std = padded.std(axis=0, ddof=1) if padded.shape[0] > 1 else np.zeros(longest)
+        std = padded.std(axis=0, ddof=1) if len(padded) > 1 else np.zeros(len(grid))
         write_progress_csv(os.path.join(args.out, f"progress_{variant}.csv"),
                            grid, mean, std)
         lap_text = "none" if best is None else format_float(best)

@@ -64,7 +64,6 @@ class MppiConfig:
 
 def mppi_solve(
     env: EnvModel,
-    x0,
     warm: np.ndarray,
     objective,
     config: MppiConfig,

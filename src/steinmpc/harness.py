@@ -284,7 +284,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
                               config.svgd.fd_epsilon) if infer else ())
         try:
             new_plan, plan_cost, theta_costs = mppi_solve(
-                env, state, warm, objective, config.mppi, cycle_rng, probe)
+                env, warm, objective, config.mppi, cycle_rng, probe)
         except SolverFailureError:
             reason = "solver_failure"
             break
@@ -309,9 +309,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
                 for _ in range(config.svgd.iterations):
                     particles = svgd_step(particles, model, config.svgd)
                 if config.log_ksd and kernel_ok:
-                    log_ksd.append(
-                        ksd_estimate(particles, model, config.svgd.kernel, config.svgd)
-                    )
+                    log_ksd.append(ksd_estimate(particles, model, config.svgd))
             except ScoreEvaluationError:
                 reason = "inference_failure"
                 break

@@ -243,28 +243,22 @@ def svgd_step(
     return ParticleSet(moved, particles.lower, particles.upper)
 
 
-def ksd_estimate(
-    particles: ParticleSet,
-    model: PosteriorModel,
-    kernel,
-    config: SvgdConfig | None = None,
-) -> float:
+def ksd_estimate(particles: ParticleSet, model: PosteriorModel, config: SvgdConfig) -> float:
     """V-statistic estimate of the kernelized Stein discrepancy.
 
     Measures how far the particle set is from the posterior induced by the
-    model; zero means indistinguishable under the kernel's Stein operator.
-    Diagnostic only, never fed back into control.
+    model under ``config.kernel``; zero means indistinguishable under the
+    kernel's Stein operator. Diagnostic only, never fed back into control.
 
     Raises:
         ValueError: for kernels with a degenerate Stein operator.
     """
+    kernel = config.kernel
     if not getattr(kernel, "stein_compatible", False):
         raise ValueError(
             f"{type(kernel).__name__} has a degenerate Stein operator; "
             "the discrepancy is undefined"
         )
-    if config is None:
-        config = SvgdConfig()
     x = particles.particles
     s = posterior_score_batch(x, model, config)
 

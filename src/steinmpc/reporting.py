@@ -2,8 +2,12 @@
 
 Every float written by this module goes through a fixed 17-significant-digit
 formatter, so a rerun of the same experiment produces byte-identical files.
-Wall-clock timings are deliberately kept out of the result artifacts; they go
-to a separate timing sidecar that carries no scientific content.
+Every file goes through one write path, ``_write_lines``: UTF-8, LF line
+ends and a trailing newline. The step-CSV layout is read off the trial's
+``(steps, ·)`` arrays, so a trial of zero steps writes the full header and
+no rows. Wall-clock timings are deliberately kept out of the result
+artifacts; they go to a separate timing sidecar that carries no scientific
+content.
 """
 
 from __future__ import annotations
@@ -50,52 +54,40 @@ def step_csv_header(state_dim: int, control_dim: int, n_particles: int, param_di
     return ",".join(cols)
 
 
-def write_step_csv(path, result) -> None:
-    """Per-step trajectory log: t, state, control, cost, particle coordinates."""
-    steps = result.steps
-    n_particles = result.particles.shape[1] if steps else 0
-    param_dim = result.particles.shape[2] if steps else 0
-    state_dim = result.states.shape[1] if steps else len(result.final_state)
-    control_dim = result.controls.shape[1] if steps else 0
-    lines = [step_csv_header(state_dim, control_dim, n_particles, param_dim)]
-    for k in range(steps):
-        values = [result.times[k], *result.states[k], *result.controls[k],
-                  result.costs[k], *result.particles[k].reshape(-1)]
-        lines.append(_row(values))
+def _write_lines(path, lines) -> None:
+    """The one write path: UTF-8, LF line ends, a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def write_step_csv(path, result) -> None:
+    """Per-step trajectory log: t, state, control, cost, particle coordinates."""
+    steps, n, p = result.particles.shape
+    table = np.column_stack([result.times, result.states, result.controls, result.costs,
+                             result.particles.reshape(steps, n * p)])
+    _write_lines(path, [step_csv_header(result.states.shape[1], result.controls.shape[1], n, p),
+                        *map(_row, table)])
 
 
 def summary_record(result, doc_hash: str, version: str) -> dict:
     """Flatten one trial outcome into a JSON-ready record (no wall clock)."""
+    particles = result.final_particles.particles
     record = {
         "seed": int(result.seed),
         "success": bool(result.success),
-        "completion_time": None if result.completion_time is None else float(result.completion_time),
+        "completion_time": float(result.completion_time),
         "terminal_reason": str(result.terminal_reason),
         "steps": int(result.steps),
-        "final_state": _jsonable(result.final_state),
-        "final_particles": _jsonable(result.final_particles.particles),
-        "final_particle_mean": _jsonable(np.mean(result.final_particles.particles, axis=0)),
+        "final_state": result.final_state.tolist(),
+        "final_particles": particles.tolist(),
+        "final_particle_mean": particles.mean(axis=0).tolist(),
         "config_hash": doc_hash,
         "version": version,
     }
     if result.final_progress is not None:
         record["final_progress"] = float(result.final_progress)
     if result.ksd is not None:
-        record["ksd"] = _jsonable(result.ksd)
+        record["ksd"] = result.ksd.tolist()
     return record
 
 
@@ -125,8 +117,7 @@ def dumps_sorted(value, indent: int = 0) -> str:
 
 
 def write_summary_json(path, record: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_sorted(record) + "\n")
+    _write_lines(path, [dumps_sorted(record)])
 
 
 AGGREGATE_HEADER = "method,env,success_pct,mean_time,std_time"
@@ -143,20 +134,15 @@ def aggregate_row(method: str, env_name: str, batch) -> str:
 
 
 def write_aggregate_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([AGGREGATE_HEADER, *rows]) + "\n")
+    _write_lines(path, [AGGREGATE_HEADER, *rows])
 
 
 def write_progress_csv(path, times, mean_progress, std_progress) -> None:
-    lines = ["t,mean_progress,std_progress"]
-    for t, m, s in zip(times, mean_progress, std_progress):
-        lines.append(_row([t, m, s]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["t,mean_progress,std_progress",
+                        *map(_row, zip(times, mean_progress, std_progress))])
 
 
 def write_timing_json(path, wall_clocks: dict) -> None:
     """Nondeterministic wall-clock sidecar, one entry per trial label."""
     record = {str(k): float(v) for k, v in wall_clocks.items()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _write_lines(path, [json.dumps(record, sort_keys=True, indent=2)])

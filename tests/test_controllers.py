@@ -67,7 +67,7 @@ def risk_oracle(plan_arr, lam, epsilon):
 
 def one_cycle(controller, mppi, particles, warm, rng):
     objective = build_objective(controller, SPEC, ENV, X0, particles)
-    plan, _, _ = mppi_solve(ENV, X0, warm, objective, mppi, rng)
+    plan, _, _ = mppi_solve(ENV, warm, objective, mppi, rng)
     return plan
 
 
@@ -86,7 +86,7 @@ def test_mppi_never_loses_to_the_warm_start():
     warm = np.zeros((8, 1))
     warm_cost = objective(warm)
     for seed in range(5):
-        improved, _, _ = mppi_solve(ENV, X0, warm, objective,
+        improved, _, _ = mppi_solve(ENV, warm, objective,
                               MppiConfig(samples=64, temperature=1.0, noise_fraction=0.3),
                               np.random.default_rng(seed))
         assert objective(improved) <= warm_cost + 1e-12
@@ -111,7 +111,7 @@ def test_mppi_solve_returns_the_chosen_plans_own_costs(
                                 robust=RobustObjectiveConfig(risk_lambda=5.0))
     objective = build_objective(controller, SPEC, ENV, X0, thetas)
     plan, cost, theta_costs = mppi_solve(
-        ENV, X0, warm, objective,
+        ENV, warm, objective,
         MppiConfig(samples=samples, temperature=temperature, noise_fraction=noise),
         np.random.default_rng(seed))
     row = objective.cost_matrix(plan[None])
@@ -140,9 +140,9 @@ def test_mppi_solve_rolls_the_probe_out_in_the_rescore(monkeypatch):
         cfg = MppiConfig(samples=32, temperature=temperature, noise_fraction=noise)
         for seed in range(4):
             warm = np.random.default_rng(seed).uniform(-1, 1, size=(6, 1))
-            plan, cost, row = mppi_solve(ENV, X0, warm, objective, cfg,
+            plan, cost, row = mppi_solve(ENV, warm, objective, cfg,
                                          np.random.default_rng(seed))
-            p_plan, p_cost, p_row = mppi_solve(ENV, X0, warm, objective, cfg,
+            p_plan, p_cost, p_row = mppi_solve(ENV, warm, objective, cfg,
                                                np.random.default_rng(seed), probe)
             averaged, best = rescored[-1]
             assert p_plan.tobytes() == plan.tobytes()
@@ -160,7 +160,7 @@ def test_mppi_solve_rolls_the_probe_out_in_the_rescore(monkeypatch):
 def test_mppi_single_sample_returns_clamped_warm_plan():
     objective = nominal_objective()
     warm = np.full((4, 1), 3.0)
-    out, _, _ = mppi_solve(ENV, X0, warm, objective, MppiConfig(samples=1),
+    out, _, _ = mppi_solve(ENV, warm, objective, MppiConfig(samples=1),
                      np.random.default_rng(0))
     np.testing.assert_array_equal(out, np.full((4, 1), 1.0))
 
@@ -169,15 +169,15 @@ def test_mppi_is_deterministic_given_the_generator_state():
     objective = nominal_objective()
     warm = np.zeros((6, 1))
     cfg = MppiConfig(samples=32, temperature=0.5, noise_fraction=0.2)
-    a, _, _ = mppi_solve(ENV, X0, warm, objective, cfg, np.random.default_rng(123))
-    b, _, _ = mppi_solve(ENV, X0, warm, objective, cfg, np.random.default_rng(123))
+    a, _, _ = mppi_solve(ENV, warm, objective, cfg, np.random.default_rng(123))
+    b, _, _ = mppi_solve(ENV, warm, objective, cfg, np.random.default_rng(123))
     np.testing.assert_array_equal(a, b)
 
 
 def test_mppi_output_respects_actuator_bounds():
     objective = nominal_objective()
     warm = np.full((5, 1), 0.9)
-    out, _, _ = mppi_solve(ENV, X0, warm, objective,
+    out, _, _ = mppi_solve(ENV, warm, objective,
                            MppiConfig(samples=128, temperature=1.0, noise_fraction=2.0),
                            np.random.default_rng(7))
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
@@ -194,7 +194,7 @@ def test_mppi_ignores_nonfinite_candidates():
             return matrix[:, 0]
 
     warm = np.zeros((3, 1))
-    out, _, _ = mppi_solve(ENV, X0, warm, SpikyObjective(),
+    out, _, _ = mppi_solve(ENV, warm, SpikyObjective(),
                            MppiConfig(samples=256, temperature=1.0, noise_fraction=0.5),
                            np.random.default_rng(2))
     assert np.isfinite(np.abs(out).sum())
@@ -209,7 +209,7 @@ def test_mppi_raises_when_every_candidate_is_nonfinite():
             return matrix[:, 0]
 
     with pytest.raises(SolverFailureError):
-        mppi_solve(ENV, X0, np.zeros((3, 1)), HopelessObjective(),
+        mppi_solve(ENV, np.zeros((3, 1)), HopelessObjective(),
                    MppiConfig(samples=16), np.random.default_rng(0))
 
 

@@ -37,6 +37,7 @@ from steinmpc.inference import (
     svgd_step,
 )
 from steinmpc.kernels import ConstantKernel, RbfKernel
+from steinmpc.reporting import step_csv_header, write_step_csv
 from steinmpc.track import CenterlineReference
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -288,15 +289,42 @@ def _fragile_derivative(u, theta):
     return f
 
 
+def _fragile_env(theta_true):
+    return EnvModel(
+        name="fragile", state_dim=2, control_dim=1, param_dim=1, dt=0.1,
+        control_lower=[-1.0], control_upper=[1.0],
+        theta_true=theta_true, theta_lower=[0.5], theta_upper=[1.5],
+        derivative=_fragile_derivative,
+    )
+
+
+def test_plant_divergence_ends_in_solver_failure_after_the_planned_row():
+    # The nominal variant plans at theta = 1.0, where every rollout is
+    # finite; the plant runs at 1.4, where the gain is nan, so the first
+    # step it takes leaves no finite state.
+    config = TrialConfig(
+        env=_fragile_env(theta_true=[1.4]),
+        cost=CostSpec(Q=np.eye(2), R=[[0.1]], Q_f=np.eye(2), x_des=[1.0, 0.0]),
+        controller=ControllerSpec(variant="nominal"),
+        svgd=SvgdConfig(step_size=0.001, kernel=RbfKernel()),
+        mppi=MppiConfig(samples=4, temperature=1.0, noise_fraction=0.5),
+        success=RaceSuccess(),
+        x0=np.zeros(2),
+        duration=1.0,
+    )
+    result = run_trial(config)
+    assert not result.success
+    assert result.terminal_reason == "solver_failure"
+    assert result.steps == 1
+    assert np.isfinite(result.costs[0])
+    np.testing.assert_array_equal(result.states, [config.x0])
+    np.testing.assert_array_equal(result.final_state, config.x0)
+
+
 def test_nonfinite_probe_costs_fail_inference_not_the_solve(monkeypatch):
     # The last particle sits on the fragile edge: its plus probe diverges
     # while every theta the objective scores stays finite.
-    env = EnvModel(
-        name="fragile", state_dim=2, control_dim=1, param_dim=1, dt=0.1,
-        control_lower=[-1.0], control_upper=[1.0],
-        theta_true=[1.0], theta_lower=[0.5], theta_upper=[1.5],
-        derivative=_fragile_derivative,
-    )
+    env = _fragile_env(theta_true=[1.0])
     spec = CostSpec(Q=np.eye(2), R=[[0.1]], Q_f=np.eye(2), x_des=[1.0, 0.0])
     x0 = np.zeros(2)
     particles = ParticleSet([[0.7], [1.0], [1.2]], env.theta_lower, env.theta_upper)
@@ -306,8 +334,8 @@ def test_nonfinite_probe_costs_fail_inference_not_the_solve(monkeypatch):
     objective = build_objective(ControllerSpec(), spec, env, x0, particles)
     cfg = MppiConfig(samples=16, noise_fraction=0.3)
     warm = np.zeros((5, 1))
-    plan, cost, _ = mppi_solve(env, x0, warm, objective, cfg, np.random.default_rng(0))
-    p_plan, p_cost, row = mppi_solve(env, x0, warm, objective, cfg,
+    plan, cost, _ = mppi_solve(env, warm, objective, cfg, np.random.default_rng(0))
+    p_plan, p_cost, row = mppi_solve(env, warm, objective, cfg,
                                      np.random.default_rng(0), probe)
     assert p_plan.tobytes() == plan.tobytes() and p_cost == cost
     n = len(objective.thetas)
@@ -369,6 +397,26 @@ def test_solver_failure_mid_trial_logs_the_steps_before_it(monkeypatch):
     assert not np.array_equal(x2, x1)
 
 
+def _no_finite_plan(*args, **kwargs):
+    raise SolverFailureError("no candidate plan produced a finite objective value")
+
+
+@pytest.mark.parametrize("case", ["duration_below_dt", "solver_fails_first_cycle"])
+def test_zero_step_trial_writes_the_full_header_and_no_rows(case, monkeypatch, tmp_path):
+    if case == "solver_fails_first_cycle":
+        monkeypatch.setattr(harness, "mppi_solve", _no_finite_plan)
+        config = _cartpole_trial()
+    else:
+        config = _cartpole_trial(duration=0.5 * make_cartpole().dt)
+    result = run_trial(config)
+    assert result.steps == 0
+    path = tmp_path / "trial.csv"
+    write_step_csv(path, result)
+    env = config.env
+    header = step_csv_header(env.state_dim, env.control_dim, config.n_particles, env.param_dim)
+    assert path.read_bytes() == (header + "\n").encode()
+
+
 def test_cli_run_exits_4_on_inference_failure(monkeypatch, tmp_path, capsys):
     doc = load_config(os.path.join(CONFIG_DIR, "cartpole.yaml"))
     doc["harness"]["duration"] = 0.1
@@ -387,11 +435,7 @@ def test_cli_run_exits_3_on_solver_failure(monkeypatch, tmp_path, capsys):
     doc["harness"]["duration"] = 0.1
     path = tmp_path / "cartpole.yaml"
     path.write_text(yaml.safe_dump(doc))
-
-    def no_finite_plan(*args, **kwargs):
-        raise SolverFailureError("no candidate plan produced a finite objective value")
-
-    monkeypatch.setattr(harness, "mppi_solve", no_finite_plan)
+    monkeypatch.setattr(harness, "mppi_solve", _no_finite_plan)
     code = cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "0"])
     assert code == 3
     assert "solver failure in trial seed=0" in capsys.readouterr().err

@@ -253,16 +253,16 @@ def test_imq_kernel_also_transports_toward_the_target():
 def test_ksd_single_particle_at_mode_is_two_over_bandwidth():
     model = normal_model()
     one = ParticleSet([[0.0]], *WIDE)
-    cfg = SvgdConfig()
-    assert ksd_estimate(one, model, RbfKernel(1.0), cfg) == pytest.approx(2.0, abs=1e-9)
-    assert ksd_estimate(one, model, RbfKernel(2.0), cfg) == pytest.approx(1.0, abs=1e-9)
+    for bandwidth, expected in [(1.0, 2.0), (2.0, 1.0)]:
+        cfg = SvgdConfig(kernel=RbfKernel(bandwidth))
+        assert ksd_estimate(one, model, cfg) == pytest.approx(expected, abs=1e-9)
 
 
 def test_ksd_small_for_iid_target_draws():
     model = normal_model()
     rng = np.random.default_rng(7)
     draws = np.clip(rng.standard_normal((500, 1)), -8, 8)
-    ksd = ksd_estimate(ParticleSet(draws, *WIDE), model, RbfKernel(1.0), SvgdConfig())
+    ksd = ksd_estimate(ParticleSet(draws, *WIDE), model, SvgdConfig(kernel=RbfKernel(1.0)))
     assert -1e-10 < ksd < 0.1
 
 
@@ -270,15 +270,16 @@ def test_ksd_decreases_under_transport():
     model = normal_model()
     cfg = SvgdConfig(step_size=0.05, kernel=RbfKernel(1.0))
     ps = ParticleSet(np.linspace(2.0, 4.0, 20)[:, None], *WIDE)
-    k0 = ksd_estimate(ps, model, cfg.kernel, cfg)
+    k0 = ksd_estimate(ps, model, cfg)
     for _ in range(200):
         ps = svgd_step(ps, model, cfg)
-    assert ksd_estimate(ps, model, cfg.kernel, cfg) < k0
+    assert ksd_estimate(ps, model, cfg) < k0
 
 
 def test_ksd_rejects_degenerate_kernels():
     with pytest.raises(ValueError):
-        ksd_estimate(ParticleSet([[0.0]], *WIDE), normal_model(), ConstantKernel())
+        ksd_estimate(ParticleSet([[0.0]], *WIDE), normal_model(),
+                     SvgdConfig(kernel=ConstantKernel()))
 
 
 # ------------------------------------------------------------------- config
