@@ -240,11 +240,12 @@ def _as_horizon(value, path, dt):
     return value
 
 
-def _as_noise(value, path):
+def _as_noise(value, path, length):
+    """One nonnegative fraction for every channel, or exactly one per channel."""
     if not isinstance(value, list):
         return _as_nonnegative(value, path)
-    if not value:
-        raise ConfigError(path, "list must be nonempty")
+    if len(value) != length:
+        raise ConfigError(path, f"expected {length} entries, got {len(value)}")
     return [_as_nonnegative(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
@@ -373,9 +374,9 @@ def _build_svgd(root):
         raise ConfigError(f"{section.path}.sign_mode", str(exc)) from None
 
 
-def _build_mppi(root):
+def _build_mppi(root, env):
     section = root.section("mppi", ("samples", "temperature", "noise_fraction"), required=True)
-    noise = section.read("noise_fraction", _as_noise, required=True)
+    noise = section.read("noise_fraction", _as_noise, env.control_dim, required=True)
     return MppiConfig(
         samples=section.read("samples", _as_int, 1, required=True),
         temperature=section.read("temperature", _as_positive, required=True),
@@ -419,6 +420,8 @@ def _build_batch(root, seed, seed_count, jobs):
         seeds = tuple(_as_int(s, f"{section.path}.seeds[{i}]") for i, s in enumerate(seeds))
         if not seeds:
             raise ConfigError(f"{section.path}.seeds", "seed list must be nonempty")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"{section.path}.seeds", f"seeds must be distinct, got {list(seeds)}")
     else:
         count = _as_int(seeds, f"{section.path}.seeds", minimum=1)
         seeds = tuple(range(base, base + count))
@@ -446,7 +449,7 @@ def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = 
     cost = _build_cost(root, env, harness["track"] or StadiumTrack())
     controller = _build_controller(root, env)
     svgd = _build_svgd(root)
-    mppi = _build_mppi(root)
+    mppi = _build_mppi(root, env)
     try:
         trial = TrialConfig(env=env, cost=cost, controller=controller, svgd=svgd, mppi=mppi,
                             seed=batch.seeds[0], **harness)

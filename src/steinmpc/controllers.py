@@ -12,6 +12,7 @@ objective a candidate plan is scored with:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -164,8 +165,8 @@ def nominal_parameters(controller: ControllerSpec, env: EnvModel) -> np.ndarray:
     return 0.5 * (env.theta_lower + env.theta_upper)
 
 
-class _BatchObjective:
-    """Base of the plan objectives: a per-parameter cost grid and its reduction.
+class PlanObjective:
+    """A plan objective: a per-parameter cost grid and its reduction.
 
     ``cost_matrix`` rolls a (C, H, m) plan stack out against the objective's
     (P, p) parameter stack ``thetas``, followed by an optional (B, p)
@@ -174,14 +175,17 @@ class _BatchObjective:
     objective scores one plan. The (H + 1, n) reference states are resolved
     on the first call and kept in ``refs`` for later calls with the same
     horizon, so one cycle resolves them once.
+
+    The variants differ only in ``thetas`` and ``reduce``, and
+    ``build_objective`` is the one place that chooses them.
     """
 
-    thetas: np.ndarray
-
-    def __init__(self, spec: CostSpec, env: EnvModel, x0):
+    def __init__(self, spec: CostSpec, env: EnvModel, x0, thetas: np.ndarray, reduce):
         self.spec = spec
         self.env = env
         self.x0 = np.asarray(x0, dtype=float)
+        self.thetas = thetas
+        self.reduce = reduce
         self.refs = None
 
     def cost_matrix(self, plans, probe=()) -> np.ndarray:
@@ -197,52 +201,22 @@ class _BatchObjective:
         return float(self.reduce(self.cost_matrix(np.asarray(plan, float)[None]))[0])
 
 
-class RobustPlanObjective(_BatchObjective):
-    """cost(theta_bar) + gamma * mean gap over the particle stack.
-
-    Column 0 of the cost matrix is the particle mean ``particles.mean(axis=0)``,
-    the same array ``inference.particle_mean`` returns, so a plan's row starts
-    with its cost under the current point estimate.
-    """
-
-    def __init__(self, spec, env, x0, particles: np.ndarray, gamma: float):
-        super().__init__(spec, env, x0)
-        particles = np.atleast_2d(np.asarray(particles, dtype=float))
-        self.gamma = gamma
-        self.thetas = np.vstack([particles.mean(axis=0)[None], particles])
-
-    def reduce(self, matrix: np.ndarray) -> np.ndarray:
-        gaps = matrix[:, 1:] - matrix[:, :1]
-        return matrix[:, 0] + self.gamma * gaps.mean(axis=1)
+def _robust(matrix: np.ndarray, gamma: float) -> np.ndarray:
+    """cost(theta_bar) + gamma * mean gap, with theta_bar in column 0."""
+    return matrix[:, 0] + gamma * (matrix[:, 1:] - matrix[:, :1]).mean(axis=1)
 
 
-class RiskAversePlanObjective(_BatchObjective):
+def _risk_averse(matrix: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
     """lambda * epsilon + lambda * log mean exp(cost_i / lambda)."""
+    from scipy.special import logsumexp
 
-    def __init__(self, spec, env, x0, particles: np.ndarray, lam: float, epsilon: float):
-        super().__init__(spec, env, x0)
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        self.lam = lam
-        self.epsilon = epsilon
-        self.thetas = np.atleast_2d(np.asarray(particles, dtype=float))
-
-    def reduce(self, matrix: np.ndarray) -> np.ndarray:
-        from scipy.special import logsumexp
-
-        lse = logsumexp(matrix / self.lam, axis=1) - np.log(matrix.shape[1])
-        return self.lam * self.epsilon + self.lam * lse
+    lse = logsumexp(matrix / lam, axis=1) - np.log(matrix.shape[1])
+    return lam * epsilon + lam * lse
 
 
-class NominalPlanObjective(_BatchObjective):
-    """Plain trajectory cost under one parameter vector."""
-
-    def __init__(self, spec, env, x0, theta: np.ndarray):
-        super().__init__(spec, env, x0)
-        self.thetas = np.asarray(theta, dtype=float)[None]
-
-    def reduce(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix[:, 0]
+def _nominal(matrix: np.ndarray) -> np.ndarray:
+    """Plain trajectory cost under the one parameter vector."""
+    return matrix[:, 0]
 
 
 def build_objective(
@@ -251,16 +225,26 @@ def build_objective(
     env: EnvModel,
     x0,
     particles: ParticleSet | np.ndarray,
-):
-    """Construct the plan objective a variant scores candidates with."""
-    mat = particles.particles if isinstance(particles, ParticleSet) else np.atleast_2d(particles)
+) -> PlanObjective:
+    """Construct the plan objective a variant scores candidates with.
+
+    stein_adaptive and emppi score against the particle mean followed by the
+    particles; the mean is ``particles.mean(axis=0)``, the same array
+    ``inference.particle_mean`` returns, so a plan's row starts with its cost
+    under the current point estimate. dro scores against the particles and
+    nominal against ``nominal_parameters`` alone.
+    """
+    mat = particles.particles if isinstance(particles, ParticleSet) else particles
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
     cfg = controller.robust
-    if controller.variant == "stein_adaptive":
-        return RobustPlanObjective(spec, env, x0, mat, cfg.gamma)
-    if controller.variant == "emppi":
-        return RobustPlanObjective(spec, env, x0, mat, 1.0)
-    if controller.variant == "dro":
+    if controller.variant in ("stein_adaptive", "emppi"):
+        gamma = cfg.gamma if controller.variant == "stein_adaptive" else 1.0
+        thetas, reduce = np.vstack([mat.mean(axis=0)[None], mat]), partial(_robust, gamma=gamma)
+    elif controller.variant == "dro":
         if cfg.risk_lambda is None:
             raise ValueError("risk_lambda must be calibrated before building the dro objective")
-        return RiskAversePlanObjective(spec, env, x0, mat, cfg.risk_lambda, cfg.risk_epsilon)
-    return NominalPlanObjective(spec, env, x0, nominal_parameters(controller, env))
+        thetas = mat
+        reduce = partial(_risk_averse, lam=cfg.risk_lambda, epsilon=cfg.risk_epsilon)
+    else:
+        thetas, reduce = nominal_parameters(controller, env)[None], _nominal
+    return PlanObjective(spec, env, x0, thetas, reduce)

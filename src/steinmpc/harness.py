@@ -207,12 +207,19 @@ def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, ref_cost: float, refs,
 
 
 def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerSpec:
-    """Fill in the risk temperature from the warm-start cost scale if unset."""
+    """Fill in the risk temperature from the warm-start cost scale if unset.
+
+    Raises:
+        SolverFailureError: if the warm start's cost under the nominal
+            parameters is not finite, so there is no scale to calibrate from.
+    """
     controller = config.controller
     if controller.variant != "dro" or controller.robust.risk_lambda is not None:
         return controller
     nominal = nominal_parameters(controller, config.env)
     scale = abs(trajectory_cost(config.cost, config.env, config.x0, warm, nominal))
+    if not math.isfinite(scale):
+        raise SolverFailureError(f"warm-start cost {scale} cannot calibrate risk_lambda")
     lam = 10.0 * max(scale, 1e-6)
     return replace(controller, robust=replace(controller.robust, risk_lambda=lam))
 
@@ -223,7 +230,10 @@ def run_trial(config: TrialConfig) -> TrialResult:
     A failure ends the trial with the rows logged so far and a labelled
     reason: "solver_failure" when no candidate plan scores finitely or the
     plant diverges, "inference_failure" when the gap turns non-finite during
-    the particle update.
+    the particle update. A dro trial whose risk temperature cannot be
+    calibrated, because the warm start's cost under the nominal parameters
+    is not finite, ends as "solver_failure" before its first step, with no
+    logged rows and ``final_state`` equal to ``x0``.
 
     When the trial moves its particles (the adaptive variant with SVGD
     iterations and a positive step size), each cycle builds the first SVGD
@@ -245,8 +255,12 @@ def run_trial(config: TrialConfig) -> TrialResult:
         env.theta_lower, env.theta_upper, config.n_particles, rng_init
     )
     warm = env.clamp_control(np.zeros((steps_h, env.control_dim)))
-    controller = _calibrated_controller(config, warm)
-    infer = (controller.variant == "stein_adaptive" and config.svgd.iterations > 0
+    reason = "timeout"
+    try:
+        controller = _calibrated_controller(config, warm)
+    except SolverFailureError:
+        reason = "solver_failure"
+    infer = (config.controller.variant == "stein_adaptive" and config.svgd.iterations > 0
              and config.svgd.step_size > 0)
     kernel_ok = getattr(config.svgd.kernel, "stein_compatible", False)
 
@@ -263,11 +277,12 @@ def run_trial(config: TrialConfig) -> TrialResult:
 
     success = False
     completion = config.duration
-    reason = "timeout"
     step_index = 0
     t = 0.0
 
-    while True:
+    # Every exit sets its reason and breaks, so the condition only stops a
+    # trial whose calibration already failed from taking a step.
+    while reason == "timeout":
         if check_success(config.success, times_hist, states_hist, progress_hist):
             success = True
             completion = t

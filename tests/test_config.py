@@ -116,6 +116,23 @@ def test_type_and_range_validation():
     assert error_field(doc) == "svgd.step_size"
 
 
+@pytest.mark.parametrize("noise", [[0.1, 0.2, 0.3], [0.1], []])
+def test_noise_fraction_list_needs_one_entry_per_channel(noise, tmp_path, capsys):
+    # racing has two control channels; a list of any other length used to
+    # broadcast silently or fail inside the solver
+    doc = load_config(os.path.join(CONFIG_DIR, "racing.yaml"))
+    doc["mppi"]["noise_fraction"] = noise
+    assert error_field(doc) == "mppi.noise_fraction"
+    path = tmp_path / "racing.yaml"
+    path.write_text(serialize_config(doc))
+    for flags in (["--out", str(tmp_path / "out")], ["--config-dump"]):
+        assert cli.main(["run", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "config error at mppi.noise_fraction" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_weight_vector_becomes_diagonal():
     trial, _ = build_trial_config(minimal_doc())
     assert np.array_equal(trial.cost.Q, np.diag([1.0, 1.0, 1.0, 1.0]))
@@ -273,6 +290,19 @@ def test_batch_seed_forms():
 
     doc["batch"] = {"seeds": [], "jobs": 2}
     assert error_field(doc) == "batch.seeds"
+
+
+def test_repeated_batch_seeds_are_rejected(tmp_path, capsys):
+    # two trials of one seed would write one trial file but count twice
+    doc = minimal_doc()
+    doc["batch"] = {"seeds": [3, 1, 3]}
+    assert error_field(doc) == "batch.seeds"
+    path = tmp_path / "cartpole.yaml"
+    path.write_text(serialize_config(doc))
+    code = cli.main(["batch", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error at batch.seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_wins():
@@ -477,7 +507,7 @@ def documents(draw):
     doc = {"env": env_doc, "cost": cost, "controller": controller, "svgd": svgd,
            "mppi": mppi, "harness": harness}
     return optional(doc, {"batch": optional({}, {
-        "seeds": draw(st.integers(1, 5) | st.lists(st.integers(0, 99), min_size=1, max_size=5)),
+        "seeds": draw(st.integers(1, 5) | st.lists(st.integers(0, 99), min_size=1, max_size=5, unique=True)),
         "base_seed": draw(st.integers(0, 99)), "jobs": draw(st.integers(1, 3)),
     })})
 

@@ -256,6 +256,48 @@ def test_objectives_match_their_scalar_cost_functions():
             trajectory_cost(SPEC, ENV, X0, p, [1.0]), rel=1e-12)
 
 
+def variant_formula(variant, robust, particles, plans):
+    # Each variant's theta stack and reduction, written out against a plain
+    # rollout of the stack.
+    if variant == "nominal":
+        return rollout_cost_batch(SPEC, ENV, X0, plans, np.array([[1.0]]))[:, 0]
+    if variant == "dro":
+        from scipy.special import logsumexp
+
+        lam, grid = robust.risk_lambda, rollout_cost_batch(SPEC, ENV, X0, plans, particles)
+        lse = logsumexp(grid / lam, axis=1) - np.log(grid.shape[1])
+        return lam * robust.risk_epsilon + lam * lse
+    thetas = np.vstack([particles.mean(axis=0)[None], particles])
+    grid = rollout_cost_batch(SPEC, ENV, X0, plans, thetas)
+    gamma = robust.gamma if variant == "stein_adaptive" else 1.0
+    return grid[:, 0] + gamma * (grid[:, 1:] - grid[:, :1]).mean(axis=1)
+
+
+@given(
+    variant=st.sampled_from(VARIANTS),
+    plans=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 6), st.just(1)),
+                 elements=st.floats(-1.0, 1.0)),
+    particles=arrays(float, st.tuples(st.integers(1, 5), st.just(1)),
+                     elements=st.floats(0.5, 1.5)),
+    gamma=st.floats(0.0, 5.0),
+    lam=st.floats(0.01, 100.0),
+    epsilon=st.floats(0.0, 1.0),
+    as_set=st.booleans(),
+)
+def test_objective_values_are_the_variant_formula_bit_for_bit(
+        variant, plans, particles, gamma, lam, epsilon, as_set):
+    # reduce(cost_matrix(plans)) and the objective's own call give exactly the
+    # floats of the variant's formula, P = 1 included.
+    robust = RobustObjectiveConfig(gamma=gamma, risk_lambda=lam, risk_epsilon=epsilon)
+    given_particles = (ParticleSet(particles, ENV.theta_lower, ENV.theta_upper)
+                       if as_set else particles)
+    objective = build_objective(ControllerSpec(variant=variant, robust=robust),
+                                SPEC, ENV, X0, given_particles)
+    expected = variant_formula(variant, robust, particles, plans)
+    assert np.array_equal(objective.reduce(objective.cost_matrix(plans)), expected)
+    assert np.array_equal(objective(plans[0]), expected[0])
+
+
 def test_emppi_weighting_ignores_configured_gamma():
     # the ensemble variant always averages, whatever gamma says
     cfg = RobustObjectiveConfig(gamma=0.0)

@@ -1,5 +1,6 @@
 """Closed-loop trial mechanics, success criteria, and batch aggregation."""
 import dataclasses
+import json
 import math
 import os
 
@@ -487,6 +488,48 @@ def test_dro_lambda_calibrates_from_warm_start_cost():
     assert _calibrated_controller(explicit, warm) is explicit.controller
     stein = _cartpole_trial(controller=ControllerSpec(variant="stein_adaptive"))
     assert _calibrated_controller(stein, warm) is stein.controller
+
+
+def test_dro_calibration_on_a_nonfinite_warm_cost_ends_in_solver_failure():
+    # At the nominal theta of 1.4 the fragile gain is nan, so the warm start's
+    # cost gives no scale for the risk temperature: the trial fails before
+    # its first step instead of raising.
+    config = TrialConfig(
+        env=_fragile_env(theta_true=[1.0]),
+        cost=CostSpec(Q=np.eye(2), R=[[0.1]], Q_f=np.eye(2), x_des=[1.0, 0.0]),
+        controller=ControllerSpec(variant="dro", nominal_theta=[1.4]),
+        svgd=SvgdConfig(step_size=0.001, kernel=RbfKernel()),
+        mppi=MppiConfig(samples=4, temperature=1.0, noise_fraction=0.5),
+        success=RaceSuccess(),
+        x0=np.zeros(2),
+        duration=1.0,
+    )
+    with pytest.raises(SolverFailureError):
+        _calibrated_controller(config, np.zeros((2, 1)))
+    result = run_trial(config)
+    assert not result.success
+    assert result.terminal_reason == "solver_failure"
+    assert result.steps == 0
+    np.testing.assert_array_equal(result.final_state, config.x0)
+
+
+def test_cli_dro_with_a_nonfinite_warm_cost_exits_3_and_batches_write_records(
+        tmp_path, capsys):
+    doc = load_config(os.path.join(CONFIG_DIR, "rocket.yaml"))
+    doc["controller"] = {"variant": "dro", "nominal_theta": [0.0, 0.01, 0.7]}
+    doc["harness"]["duration"] = 0.03
+    doc["batch"] = {"seeds": [0, 1]}
+    path = tmp_path / "rocket.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "run"), "--seed", "0"])
+    assert code == 3
+    assert "solver failure in trial seed=0" in capsys.readouterr().err
+    assert cli.main(["batch", str(path), "--out", str(tmp_path / "batch")]) == 0
+    for out, seed in [("run", 0), ("batch", 0), ("batch", 1)]:
+        record = json.loads((tmp_path / out / f"trial_{seed}.json").read_text())
+        assert record["terminal_reason"] == "solver_failure"
+        assert record["steps"] == 0
+        assert record["final_state"] == doc["harness"]["x0"]
 
 
 def test_dro_trial_runs_without_explicit_lambda():
