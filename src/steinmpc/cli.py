@@ -7,8 +7,9 @@ Subcommands:
     race-progress  per-method lap-progress series on the racing task
 
 Exit codes: 0 run completed (success or timeout both count), 2 invalid
-configuration (the message names the offending field), 3 solver failure,
-4 inference failure (the gap turned non-finite during the particle update).
+configuration, cross-field rules included, before any trial starts (the
+message names the key or section at fault), 3 solver failure, 4 inference
+failure (the gap turned non-finite during the particle update).
 Codes 3 and 4 come from ``run``; batch commands record each trial's
 terminal reason in its result files.
 

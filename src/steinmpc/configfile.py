@@ -5,6 +5,11 @@ svgd, mppi, harness, and batch. Validation is strict: unknown keys anywhere
 are rejected with the offending dotted path, so typos fail loudly instead of
 silently falling back to defaults.
 
+Every invalid document ends in a ``ConfigError`` at the key or section at
+fault: the ``_as_*`` converters check one value, the builders the rules across
+keys, and every object is built through ``_built``, which reports a rule its
+constructor enforces (say, a PSD weight) at the section it builds.
+
 This module is the one place that knows the document schema. As the builders
 read a document they record every key with its validated value or default,
 in the order of the section's allowed keys; ``resolve_config`` returns that
@@ -167,9 +172,18 @@ def _read_fields(section: _Section, cls, convert):
     ``convert``, the rest at their defaults; records every field."""
     given = {key: section.read(key, convert) for key in _fields(cls)
              if _get(section.raw, key, section.path) is not None}
-    obj = cls(**given)
+    obj = _built(section.path, cls, **given)
     section.values.update(dataclasses.asdict(obj))
     return obj
+
+
+def _built(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ``ValueError`` it raises reported as
+    a ``ConfigError`` at ``path``: the one way a document object is built."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _as_float(value, path):
@@ -233,10 +247,7 @@ def _weight_matrix(weights):
 def _as_horizon(value, path, dt):
     """A positive horizon that is a whole number of ``dt`` steps."""
     value = _as_positive(value, path)
-    try:
-        horizon_steps(value, dt)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    _built(path, horizon_steps, value, dt)
     return value
 
 
@@ -290,52 +301,51 @@ def _build_env(root, env_name):
     for key in _ENV_ARRAYS:
         dim = env.param_dim if key.startswith("theta") else env.control_dim
         fields[key] = section.read(key, _as_float_list, dim, default=getattr(env, key).tolist())
-    return dataclasses.replace(env, **fields)
+    return _built(section.path, dataclasses.replace, env, **fields)
 
 
-def _build_extra_terminal(cost):
+def _build_extra_terminal(cost, n):
     kind, section = cost.typed("extra", "terminal term", {
         "upright_energy": ("weight",),
         "inverse_displacement": ("weights", "epsilon"),
     })
     if kind == "upright_energy":
-        return UprightEnergyPenalty(section.read("weight", _as_nonnegative, required=True))
+        return _built(section.path, UprightEnergyPenalty,
+                      section.read("weight", _as_nonnegative, required=True))
     if kind == "inverse_displacement":
-        weights = section.read("weights", _as_float_list, required=True)
+        weights = section.read("weights", _as_float_list, n, required=True)
         epsilon = section.read("epsilon", _as_positive,
                                default=_default(InverseDisplacementReward, "epsilon"))
-        return InverseDisplacementReward(weights, epsilon=epsilon)
+        return _built(section.path, InverseDisplacementReward, weights, epsilon=epsilon)
     return None
 
 
 def _build_cost(root, env, track):
+    """The cost section; ``track`` is the harness's, None off the racetrack."""
     section = root.section("cost", ("q", "r", "q_f", "x_des", "reference", "extra"),
                            required=True)
     n, m = env.state_dim, env.control_dim
     q, r, q_f = (_weight_matrix(section.read(key, _as_weights, dim, required=True))
                  for key, dim in (("q", n), ("r", m), ("q_f", n)))
-    _, reference = section.typed("reference", "reference", {"centerline": ("speed",)})
+    _, reference = section.typed("reference", "reference", {"centerline": ()})
     if reference is not None:
+        if track is None:
+            raise ConfigError(reference.path, "only meaningful for the racecar environment")
         if _get(section.raw, "x_des", section.path) is not None:
             raise ConfigError(f"{section.path}.x_des", "give either x_des or reference, not both")
-        speed = reference.read("speed", _as_positive, default=track.reference_speed)
-        if speed != track.reference_speed:  # else the reference shares the harness's track
-            track = dataclasses.replace(track, reference_speed=speed)
-        x_des = CenterlineReference(track)
+        x_des = _built(reference.path, CenterlineReference, track)
     else:
         x_des = np.asarray(section.read("x_des", _as_float_list, n, required=True))
-    extra = _build_extra_terminal(section)
-    try:
-        return CostSpec(Q=q, R=r, Q_f=q_f, x_des=x_des, extra_terminal=extra)
-    except ValueError as exc:
-        raise ConfigError(section.path, str(exc)) from None
+    extra = _build_extra_terminal(section, n)
+    return _built(section.path, CostSpec, Q=q, R=r, Q_f=q_f, x_des=x_des, extra_terminal=extra)
 
 
 def _build_controller(root, env):
     section = root.section("controller", ("variant", "gamma", "risk_lambda", "risk_epsilon",
                                           "nominal_theta"), required=True)
     variant = section.read("variant", required=True)
-    robust = RobustObjectiveConfig(
+    robust = _built(
+        section.path, RobustObjectiveConfig,
         gamma=section.read("gamma", _as_nonnegative,
                            default=_default(RobustObjectiveConfig, "gamma")),
         risk_lambda=section.read("risk_lambda", _as_positive,
@@ -344,12 +354,11 @@ def _build_controller(root, env):
                                   default=_default(RobustObjectiveConfig, "risk_epsilon")),
     )
     nominal = section.read("nominal_theta", _as_float_list, env.param_dim)
-    if nominal is not None:
-        nominal = np.asarray(nominal)
-    try:
-        return ControllerSpec(variant=variant, robust=robust, nominal_theta=nominal)
-    except ValueError as exc:
-        raise ConfigError(f"{section.path}.variant", str(exc)) from None
+    if nominal is not None and np.any((nominal < env.theta_lower) | (nominal > env.theta_upper)):
+        raise ConfigError(f"{section.path}.nominal_theta",
+                          "must lie inside the parameter box, as env.theta_true must")
+    return _built(f"{section.path}.variant", ControllerSpec,
+                  variant=variant, robust=robust, nominal_theta=nominal)
 
 
 def _build_svgd(root):
@@ -368,16 +377,14 @@ def _build_svgd(root):
         "kernel", "kernel", {name: _fields(cls) for name, cls in KERNELS.items()},
         default=next(name for name, cls in KERNELS.items() if cls is default_kernel))
     kwargs["kernel"] = _read_fields(kernel, KERNELS[kind], _as_positive)
-    try:
-        return SvgdConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section.path}.sign_mode", str(exc)) from None
+    return _built(f"{section.path}.sign_mode", SvgdConfig, **kwargs)
 
 
 def _build_mppi(root, env):
     section = root.section("mppi", ("samples", "temperature", "noise_fraction"), required=True)
     noise = section.read("noise_fraction", _as_noise, env.control_dim, required=True)
-    return MppiConfig(
+    return _built(
+        section.path, MppiConfig,
         samples=section.read("samples", _as_int, 1, required=True),
         temperature=section.read("temperature", _as_positive, required=True),
         noise_fraction=tuple(noise) if isinstance(noise, list) else noise,
@@ -430,7 +437,7 @@ def _build_batch(root, seed, seed_count, jobs):
     seeds = resolve_seeds(BatchSettings(seeds=seeds), seed_count)
     section.values["seeds"] = list(seeds)
     jobs = section.read("jobs", _as_int, 1, default=_default(BatchSettings, "jobs"))
-    return BatchSettings(seeds=seeds, jobs=jobs)
+    return _built(section.path, BatchSettings, seeds=seeds, jobs=jobs)
 
 
 def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = None,
@@ -446,15 +453,12 @@ def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = 
     env = _build_env(root, env_name)
     batch = _build_batch(root, seed, seed_count, jobs)
     harness = _build_harness(root, env)
-    cost = _build_cost(root, env, harness["track"] or StadiumTrack())
+    cost = _build_cost(root, env, harness["track"])
     controller = _build_controller(root, env)
     svgd = _build_svgd(root)
     mppi = _build_mppi(root, env)
-    try:
-        trial = TrialConfig(env=env, cost=cost, controller=controller, svgd=svgd, mppi=mppi,
-                            seed=batch.seeds[0], **harness)
-    except ValueError as exc:
-        raise ConfigError("harness", str(exc)) from None
+    trial = _built("harness", TrialConfig, env=env, cost=cost, controller=controller,
+                   svgd=svgd, mppi=mppi, seed=batch.seeds[0], **harness)
     return trial, batch, root.resolved()
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EnvModel, _rk4
+from .dynamics import GRAVITY, EnvModel, _rk4
 
 __all__ = [
     "CostSpec",
@@ -106,18 +106,17 @@ class UprightEnergyPenalty:
 
     For a point-mass pole (theta = [m_pole, l_pole]) with angle measured from
     the downward vertical, total energy about the pivot is
-    E = 0.5 m l^2 w^2 - m g l cos(phi) and the upright rest level is
-    E* = m g l. The penalty weight * (E - E*)^2 vanishes on the swing-up
-    manifold, which removes the hanging local minimum that a short planning
-    horizon cannot otherwise escape. Quadratic state costs take over near the
-    top, where this term is flat.
+    E = 0.5 m l^2 w^2 - m g l cos(phi), g = ``dynamics.GRAVITY``, and the
+    upright rest level is E* = m g l. The penalty weight * (E - E*)^2
+    vanishes on the swing-up manifold, which removes the hanging local
+    minimum that a short planning horizon cannot otherwise escape. Quadratic
+    state costs take over near the top, where this term is flat.
     """
 
-    def __init__(self, weight: float, gravity: float = 9.81):
+    def __init__(self, weight: float):
         if not weight >= 0:
             raise ValueError(f"weight must be nonnegative, got {weight}")
         self.weight = float(weight)
-        self.gravity = float(gravity)
 
     def batch(self, x_terminal, theta, x0) -> np.ndarray:
         phi = x_terminal[1]
@@ -125,8 +124,8 @@ class UprightEnergyPenalty:
         m = theta[0]
         length = theta[1]
         kinetic = 0.5 * m * (length * omega) ** 2
-        potential = -m * self.gravity * length * np.cos(phi)
-        err = kinetic + potential - m * self.gravity * length
+        potential = -m * GRAVITY * length * np.cos(phi)
+        err = kinetic + potential - m * GRAVITY * length
         return self.weight * err ** 2
 
 

@@ -14,6 +14,9 @@ batch shape.
 
 ``f`` may hold views of u and theta, so a caller must not overwrite them
 while it still calls ``f``.
+
+The ``make_*`` factories take no arguments; a config sets ``dt`` and the
+bounds with ``dataclasses.replace``, which runs ``EnvModel``'s checks again.
 """
 
 from __future__ import annotations
@@ -290,7 +293,7 @@ def horizon_steps(horizon_seconds: float, dt: float) -> int:
     return int(rounded)
 
 
-def make_cartpole(dt: float = 0.02) -> EnvModel:
+def make_cartpole() -> EnvModel:
     """Swing-up benchmark: true pole mass 0.5 kg, length 0.75 m.
 
     The default control period is 0.02 s; ``configs/cartpole.yaml`` keeps it,
@@ -301,7 +304,7 @@ def make_cartpole(dt: float = 0.02) -> EnvModel:
         state_dim=4,
         control_dim=1,
         param_dim=2,
-        dt=dt,
+        dt=0.02,
         control_lower=[-10.0],
         control_upper=[10.0],
         theta_true=[0.5, 0.75],
@@ -311,14 +314,14 @@ def make_cartpole(dt: float = 0.02) -> EnvModel:
     )
 
 
-def make_rocket(dt: float = 0.015) -> EnvModel:
+def make_rocket() -> EnvModel:
     """Landing benchmark: true mass 0.1, inertia 0.01, COM offset 0.7."""
     return EnvModel(
         name="rocket2d",
         state_dim=6,
         control_dim=2,
         param_dim=3,
-        dt=dt,
+        dt=0.015,
         control_lower=[0.0, -0.5],
         control_upper=[5.0, 0.5],
         theta_true=[0.1, 0.01, 0.7],
@@ -328,7 +331,7 @@ def make_rocket(dt: float = 0.015) -> EnvModel:
     )
 
 
-def make_racecar(dt: float = 0.02) -> EnvModel:
+def make_racecar() -> EnvModel:
     """Lap benchmark: true mass 0.1, yaw inertia 0.01.
 
     The default control period is 0.02 s. ``configs/racing.yaml`` overrides
@@ -340,7 +343,7 @@ def make_racecar(dt: float = 0.02) -> EnvModel:
         state_dim=5,
         control_dim=2,
         param_dim=2,
-        dt=dt,
+        dt=0.02,
         control_lower=[-0.2, -0.05],
         control_upper=[0.5, 0.05],
         theta_true=[0.1, 0.01],

@@ -20,7 +20,9 @@ __all__ = [
 ]
 
 
-def _as_stack(x, y):
+def _pairs(x, y):
+    """(diff, sq) over every pair of two particle stacks (N, d) and (M, d):
+    diff[i, j] = x[i] - y[j], (N, M, d), and sq its squared norm, (N, M)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[1] != y.shape[1]:
@@ -28,7 +30,8 @@ def _as_stack(x, y):
             f"particle stacks must share the vector dimension, "
             f"got shapes {x.shape} and {y.shape}"
         )
-    return x, y
+    diff = x[:, None, :] - y[None, :, :]
+    return diff, np.sum(diff * diff, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -44,27 +47,22 @@ class RbfKernel:
     # Differentiable, so the Stein operator is well defined.
     stein_compatible = True
 
+    def _value(self, sq):
+        return np.exp(-sq / self.bandwidth)
+
     def matrix(self, x, y) -> np.ndarray:
-        x, y = _as_stack(x, y)
-        diff = x[:, None, :] - y[None, :, :]
-        return np.exp(-np.sum(diff * diff, axis=-1) / self.bandwidth)
+        return self._value(_pairs(x, y)[1])
 
     def grad_first_tensor(self, x, y) -> np.ndarray:
         """(N, M, d) tensor of gradients w.r.t. the first argument."""
-        x, y = _as_stack(x, y)
-        diff = x[:, None, :] - y[None, :, :]
-        k = np.exp(-np.sum(diff * diff, axis=-1) / self.bandwidth)
-        return -(2.0 / self.bandwidth) * diff * k[..., None]
+        diff, sq = _pairs(x, y)
+        return -(2.0 / self.bandwidth) * diff * self._value(sq)[..., None]
 
     def mixed_trace_matrix(self, x, y) -> np.ndarray:
         """(N, M) matrix of trace(d^2 k / da db) at every pair."""
-        x, y = _as_stack(x, y)
-        dim = x.shape[1]
-        diff = x[:, None, :] - y[None, :, :]
-        sq = np.sum(diff * diff, axis=-1)
-        k = np.exp(-sq / self.bandwidth)
-        h = self.bandwidth
-        return (2.0 * dim / h) * k - (4.0 / h**2) * sq * k
+        diff, sq = _pairs(x, y)
+        k, h = self._value(sq), self.bandwidth
+        return (2.0 * diff.shape[-1] / h) * k - (4.0 / h**2) * sq * k
 
 
 @dataclass(frozen=True)
@@ -86,27 +84,21 @@ class ImqKernel:
 
     stein_compatible = True
 
+    def _base(self, sq):
+        return self.offset**2 + sq
+
     def matrix(self, x, y) -> np.ndarray:
-        x, y = _as_stack(x, y)
-        diff = x[:, None, :] - y[None, :, :]
-        return (self.offset**2 + np.sum(diff * diff, axis=-1)) ** (-self.decay)
+        return self._base(_pairs(x, y)[1]) ** (-self.decay)
 
     def grad_first_tensor(self, x, y) -> np.ndarray:
-        x, y = _as_stack(x, y)
-        diff = x[:, None, :] - y[None, :, :]
-        base = self.offset**2 + np.sum(diff * diff, axis=-1)
-        return -2.0 * self.decay * diff * (base ** (-self.decay - 1.0))[..., None]
+        diff, sq = _pairs(x, y)
+        return -2.0 * self.decay * diff * (self._base(sq) ** (-self.decay - 1.0))[..., None]
 
     def mixed_trace_matrix(self, x, y) -> np.ndarray:
-        x, y = _as_stack(x, y)
-        dim = x.shape[1]
-        diff = x[:, None, :] - y[None, :, :]
-        sq = np.sum(diff * diff, axis=-1)
-        base = self.offset**2 + sq
-        z = self.decay
-        return 2.0 * z * dim * base ** (-z - 1.0) - 4.0 * z * (z + 1.0) * sq * base ** (
-            -z - 2.0
-        )
+        diff, sq = _pairs(x, y)
+        base, z = self._base(sq), self.decay
+        return (2.0 * z * diff.shape[-1] * base ** (-z - 1.0)
+                - 4.0 * z * (z + 1.0) * sq * base ** (-z - 2.0))
 
 
 @dataclass(frozen=True)
@@ -122,9 +114,7 @@ class ConstantKernel:
     stein_compatible = False
 
     def matrix(self, x, y) -> np.ndarray:
-        x, y = _as_stack(x, y)
-        return np.ones((x.shape[0], y.shape[0]))
+        return np.ones(_pairs(x, y)[1].shape)
 
     def grad_first_tensor(self, x, y) -> np.ndarray:
-        x, y = _as_stack(x, y)
-        return np.zeros((x.shape[0], y.shape[0], x.shape[1]))
+        return np.zeros(_pairs(x, y)[0].shape)

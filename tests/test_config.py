@@ -133,6 +133,61 @@ def test_noise_fraction_list_needs_one_entry_per_channel(noise, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def _patched(doc, patch):
+    """``doc`` with ``patch`` merged in, mapping by mapping; None drops a key."""
+    for key, value in patch.items():
+        if value is None:
+            del doc[key]
+        elif isinstance(value, dict) and isinstance(doc.get(key), dict):
+            _patched(doc[key], value)
+        else:
+            doc[key] = value
+    return doc
+
+
+NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("command,name,patch,field", [
+    # a constructor's rule, reported at the section it checks
+    ("run", "racing", {"env": {"theta_lower": [0.3, 0.5], "theta_upper": [0.05, 1e-5]}}, "env"),
+    ("run", "racing", {"env": {"theta_true": [10.0, 0.01]}}, "env"),
+    ("run", "racing", {"env": {"control_lower": [0.5, 0.05], "control_upper": [-0.2, -0.05]}},
+     "env"),
+    ("run", "racing", {"cost": {"extra": {"weights": [-1.0, 1e-4, 0, 0, 0]}}}, "cost.extra"),
+    ("run", "cartpole", {"cost": {"q": NOT_PSD}}, "cost"),
+    ("run", "cartpole", {"svgd": {"sign_mode": "sideways"}}, "svgd.sign_mode"),
+    # cross-field rules that used to pass validation and fail the trial
+    ("run", "racing", {"cost": {"extra": {"weights": [1e-4, 1e-4, 0]}}}, "cost.extra.weights"),
+    ("run", "cartpole", {"cost": {"x_des": None, "reference": {"type": "centerline"}}},
+     "cost.reference"),
+    ("run", "rocket", {"controller": {"variant": "nominal", "nominal_theta": [0.0, 0.01, 0.7]}},
+     "controller.nominal_theta"),
+    # one rejection of each value converter, and a command's environment
+    ("run", "cartpole", {"svgd": {"step_size": -0.5}}, "svgd.step_size"),
+    ("run", "cartpole", {"mppi": {"samples": 0}}, "mppi.samples"),
+    ("run", "cartpole", {"harness": {"log_ksd": "yes"}}, "harness.log_ksd"),
+    ("run", "cartpole", {"harness": {"x0": []}}, "harness.x0"),
+    ("run", "cartpole", {"cost": {"q": 3.0}}, "cost.q"),
+    ("ablate-kernels", "cartpole", {}, "env.name"),
+], ids=["theta_box_empty", "theta_true_outside", "control_box_empty",
+        "extra_weight_negative", "q_not_psd", "sign_mode_unknown", "extra_weights_short",
+        "centerline_off_the_track", "nominal_theta_outside", "step_size_negative",
+        "samples_zero", "log_ksd_not_bool", "x0_empty", "q_not_a_list", "ablate_on_cartpole"])
+def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field, tmp_path,
+                                                     capsys):
+    doc = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
+    doc = _patched(_patched(doc, {"harness": {"duration": 0.03}}), patch)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(serialize_config(doc))
+    for flags in (["--out", str(tmp_path / "out")], ["--config-dump"]):
+        assert cli.main([command, str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"config error at {field}:" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_weight_vector_becomes_diagonal():
     trial, _ = build_trial_config(minimal_doc())
     assert np.array_equal(trial.cost.Q, np.diag([1.0, 1.0, 1.0, 1.0]))
@@ -210,12 +265,11 @@ def test_centerline_reference_shares_harness_track():
     assert isinstance(trial.success, RaceSuccess)
 
 
-def test_reference_speed_override_beats_track_speed():
+def test_reference_speed_is_set_only_on_the_track():
+    # the centerline reference marches at harness.track.reference_speed
     doc = racing_doc()
     doc["cost"]["reference"]["speed"] = 1.5
-    trial, _ = build_trial_config(doc)
-    assert trial.cost.x_des.track.reference_speed == 1.5
-    assert trial.track.reference_speed == 3.0
+    assert error_field(doc) == "cost.reference.speed"
 
 
 def test_x_des_and_reference_are_exclusive():
@@ -469,7 +523,7 @@ def documents(draw):
     })
     cost = {"q": weights(n), "r": weights(m), "q_f": weights(n)}
     if name == "racecar" and draw(st.booleans()):
-        cost["reference"] = optional({"type": "centerline"}, {"speed": draw(NUMBER)})
+        cost["reference"] = {"type": "centerline"}
     else:
         cost["x_des"] = numbers(n, st.floats(-5.0, 5.0))
     extra = draw(st.sampled_from([None, "upright_energy", "inverse_displacement"]))
@@ -480,7 +534,9 @@ def documents(draw):
                                  {"epsilon": draw(NUMBER)})
     controller = optional({"variant": draw(st.sampled_from(VARIANTS))}, {
         "gamma": draw(NUMBER), "risk_lambda": draw(NUMBER), "risk_epsilon": draw(NUMBER),
-        "nominal_theta": numbers(p),
+        # inside the parameter box, as env.theta_true must be
+        "nominal_theta": [draw(st.floats(lo, hi))
+                          for lo, hi in zip(env.theta_lower, env.theta_upper)],
     })
     kernel = draw(st.sampled_from([None, *KERNELS]))
     svgd = optional({"step_size": draw(NUMBER)}, {

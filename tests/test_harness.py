@@ -515,8 +515,12 @@ def test_dro_calibration_on_a_nonfinite_warm_cost_ends_in_solver_failure():
 
 def test_cli_dro_with_a_nonfinite_warm_cost_exits_3_and_batches_write_records(
         tmp_path, capsys):
+    # A goal 1e200 m to the side at a tilt of 1e200 rad: the squared errors
+    # overflow to inf and q's x-tilt coupling to -inf, so the warm start's
+    # cost under the nominal parameters is nan.
     doc = load_config(os.path.join(CONFIG_DIR, "rocket.yaml"))
-    doc["controller"] = {"variant": "dro", "nominal_theta": [0.0, 0.01, 0.7]}
+    doc["controller"] = {"variant": "dro"}
+    doc["cost"]["x_des"] = [1e200, 0.5, 1e200, 0.0, 0.0, 0.0]
     doc["harness"]["duration"] = 0.03
     doc["batch"] = {"seeds": [0, 1]}
     path = tmp_path / "rocket.yaml"

@@ -137,6 +137,43 @@ def test_mismatched_shapes_rejected():
         RbfKernel().matrix(np.zeros(2), np.zeros(3))
 
 
+def closed_forms(kernel, x, y):
+    """(matrix, grad_first_tensor, mixed_trace_matrix) written out in full."""
+    diff = x[:, None, :] - y[None, :, :]
+    sq = np.sum(diff * diff, axis=-1)
+    dim = x.shape[1]
+    if isinstance(kernel, RbfKernel):
+        h = kernel.bandwidth
+        k = np.exp(-sq / h)
+        return k, -(2.0 / h) * diff * k[..., None], (2.0 * dim / h) * k - (4.0 / h**2) * sq * k
+    if isinstance(kernel, ImqKernel):
+        c, z = kernel.offset, kernel.decay
+        base = c**2 + sq
+        return (base ** (-z), -2.0 * z * diff * (base ** (-z - 1.0))[..., None],
+                2.0 * z * dim * base ** (-z - 1.0) - 4.0 * z * (z + 1.0) * sq * base ** (-z - 2.0))
+    return np.ones(sq.shape), np.zeros(diff.shape), None
+
+
+@pytest.mark.parametrize("family", ["rbf", "imq", "constant"])
+def test_every_method_is_its_closed_form_bit_for_bit(family):
+    # byte-equal, not approx: a rewrite of the kernels must keep every float
+    rng = np.random.default_rng({"rbf": 21, "imq": 22, "constant": 23}[family])
+    for _ in range(300):
+        kernel = {"rbf": lambda: RbfKernel(10 ** rng.uniform(-2, 2)),
+                  "imq": lambda: ImqKernel(10 ** rng.uniform(-2, 1), 10 ** rng.uniform(-1, 0.5)),
+                  "constant": ConstantKernel}[family]()
+        dim = int(rng.integers(1, 4))
+        scale = 10 ** rng.uniform(-3, 2)
+        x = scale * rng.normal(size=(int(rng.integers(1, 8)), dim))
+        y = scale * rng.normal(size=(int(rng.integers(1, 8)), dim))
+        want = closed_forms(kernel, x, y)
+        got = (kernel.matrix(x, y), kernel.grad_first_tensor(x, y),
+               kernel.mixed_trace_matrix(x, y) if kernel.stein_compatible else None)
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+
 def test_stein_compatibility_flags():
     assert RbfKernel().stein_compatible
     assert ImqKernel().stein_compatible
