@@ -53,9 +53,9 @@ GOLDEN = {
 }
 
 
-def trace_digest(result) -> str:
+def trace_digest(result, extra=()) -> str:
     h = hashlib.sha256()
-    for arr in (result.states, result.controls, result.costs, result.particles):
+    for arr in (result.states, result.controls, result.costs, result.particles, *extra):
         arr = np.ascontiguousarray(arr, dtype="<f8")
         h.update(repr(arr.shape).encode())
         h.update(arr.tobytes())
@@ -92,3 +92,28 @@ def test_golden_trace(config_name, variant, source):
     result = run_trial(golden_trial(config_name, variant, source))
     assert result.steps == STEPS
     assert trace_digest(result) == GOLDEN[(config_name, variant)]
+
+
+# Paths no shipped config runs: a second SVGD iteration in every cycle, whose
+# probe is rolled out afresh, and the logged KSD. Each case is the adaptive
+# golden trial with ``svgd.iterations: 2`` and ``harness.log_ksd: true``, and
+# its hash also covers the KSD log and the final particles.
+UNSHIPPED = {
+    "cartpole":
+        "4138761b34c8c5943658eeb1735968df54b0f15bd7ad0054434e3819f4ac3d52",
+    "rocket":
+        "14e7c579c4c0ba699d48d536702bd33c90ef298fd0e58095519ca3955cb73c26",
+    "racing":
+        "b8f00a9ae28e8691d796079fc5873b5e8c9a3d730896179ad30485133e4c250f",
+}
+
+
+@pytest.mark.parametrize("config_name", sorted(UNSHIPPED))
+def test_second_iteration_and_ksd_trace(config_name):
+    trial = golden_trial(config_name, "stein_adaptive")
+    trial = dataclasses.replace(trial, svgd=dataclasses.replace(trial.svgd, iterations=2),
+                                log_ksd=True)
+    result = run_trial(trial)
+    assert result.steps == STEPS and len(result.ksd) == STEPS
+    digest = trace_digest(result, (result.ksd, result.final_particles.particles))
+    assert digest == UNSHIPPED[config_name]

@@ -443,18 +443,24 @@ def test_cli_run_exits_3_on_solver_failure(monkeypatch, tmp_path, capsys):
     assert (tmp_path / "out" / "trial_0.json").exists()
 
 
-@pytest.mark.parametrize("variant,rollouts", [("stein_adaptive", 2), ("nominal", 2)])
-def test_one_cycle_rolls_out_each_question_once(monkeypatch, variant, rollouts):
+@pytest.mark.parametrize("variant,iterations,log_ksd,rollouts", [
+    ("stein_adaptive", 1, False, 2), ("nominal", 1, False, 2),
+    ("stein_adaptive", 2, False, 3), ("stein_adaptive", 1, True, 3)],
+    ids=["stein_adaptive-2", "nominal-2", "stein_adaptive-iterations_2-3",
+         "stein_adaptive-log_ksd-3"])
+def test_one_cycle_rolls_out_each_question_once(monkeypatch, variant, iterations, log_ksd,
+                                                rollouts):
     # plan grid and the rescore of the averaged plan and the best candidate;
     # when adaptive, the first SVGD step's probe rides in the rescore. The
     # logged cost, the gap reference and the probe's gaps reuse the chosen
     # plan's rescore row, and the centerline reference is resolved once for
-    # every rollout of the cycle.
+    # every rollout of the cycle. A second SVGD step and the KSD each roll
+    # out the probe of the particles they score.
     trial, _ = build_trial_config(load_config(os.path.join(CONFIG_DIR, "racing.yaml")))
     trial = dataclasses.replace(
         trial, controller=ControllerSpec(variant=variant), duration=trial.env.dt,
-        mppi=MppiConfig(samples=8, temperature=1.0, noise_fraction=0.5))
-    assert trial.svgd.iterations == 1 and not trial.log_ksd
+        mppi=MppiConfig(samples=8, temperature=1.0, noise_fraction=0.5),
+        svgd=dataclasses.replace(trial.svgd, iterations=iterations), log_ksd=log_ksd)
     calls = {"rollout": 0, "reference": 0}
 
     def counted(key, fn):
