@@ -42,7 +42,6 @@ from .harness import (
 )
 from .inference import (
     ParticleSet,
-    PosteriorModel,
     ScoreEvaluationError,
     SvgdConfig,
     draw_particles,

@@ -155,7 +155,7 @@ class _Section:
             raw = {"type": default}
         path = self._child(key)
         kind = _get(_require_mapping(raw, path), "type", path, required=True)
-        if kind not in choices:
+        if not isinstance(kind, str) or kind not in choices:
             raise ConfigError(f"{path}.type",
                               f"unknown {what} {kind!r}; expected one of {sorted(choices)}")
         child = self.values[key] = _Section(raw, path, ("type", *choices[kind]))
@@ -189,7 +189,10 @@ def _built(path, make, *args, **kwargs):
 def _as_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(path, "integer too large for a float") from None
 
 
 def _as_positive(value, path):
@@ -291,7 +294,7 @@ def _build_env(root, env_name):
     section = root.section("env", ("name", "dt", *_ENV_ARRAYS), required=True)
     name = section.read("name", required=True)
     name_path = f"{section.path}.name"
-    if name not in _ENV_FACTORIES:
+    if not isinstance(name, str) or name not in _ENV_FACTORIES:
         raise ConfigError(name_path, f"unknown environment {name!r}; "
                                      f"expected one of {sorted(_ENV_FACTORIES)}")
     if env_name is not None and name != env_name:

@@ -5,10 +5,12 @@ integrates a grid of candidate plans against a stack of parameter hypotheses
 in one vectorized pass, with the same RK4 step the plant advances by.
 ``trajectory_cost`` reads a single entry of that grid, so a cost computed on
 its own is the same float the planner saw inside a batch. The gap that
-inference scores (``harness._gap_model``) is the chosen plan's cost under each
-probe theta less its cost under the particle mean; the planner's rescore rolls
-the probe out with the objective's thetas (``controllers.mppi_solve``), so
-both are entries of the chosen plan's rescore row, the gap its tail.
+inference scores is the chosen plan's cost under each probe theta less its
+cost under the particle mean. The planner's rescore rolls the first SVGD
+step's probe out with the objective's thetas (``controllers.mppi_solve``), so
+both are entries of the chosen plan's rescore row, and the harness hands the
+row's tail less its first entry to the Stein step as its gaps; a later step's
+probe is rolled out on its own by ``harness._gap_model``, to the same floats.
 
 Every entry of the (C, P) grid depends only on its own (plan, parameter) pair,
 so a caller that has the grid never needs to roll a pair out again: the plan

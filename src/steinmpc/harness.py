@@ -29,7 +29,6 @@ from .costs import CostSpec, rollout_cost_batch, trajectory_cost
 from .dynamics import EnvModel, horizon_steps, rk4_step
 from .inference import (
     ParticleSet,
-    PosteriorModel,
     ScoreEvaluationError,
     SvgdConfig,
     draw_particles,
@@ -186,24 +185,11 @@ class TrialResult:
 
 
 def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, ref_cost: float, refs,
-               known=None) -> PosteriorModel:
-    """Gap posterior of the most recent plan, anchored at the current mean.
-
-    ``ref_cost`` is the plan's cost under the particle mean and ``refs`` the
-    cycle's reference states, both as the planner already computed them.
-    ``known`` is an optional ``(probe, costs)`` pair: a (B, p) theta stack
-    and the plan's (B,) costs under it, as the planner's rescore rolled them
-    out. The gap of exactly that stack reads those costs; any other stack
-    is rolled out.
-    """
-    def gap(thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        if known is not None and thetas.shape == known[0].shape and (
-                thetas.tobytes() == known[0].tobytes()):
-            return known[1] - ref_cost
-        return rollout_cost_batch(spec, env, x0, plan[None], thetas, refs=refs)[0] - ref_cost
-
-    return PosteriorModel(gap=gap, lower=env.theta_lower, upper=env.theta_upper)
+               thetas) -> np.ndarray:
+    """The gap of ``plan`` at each row of the (B, p) stack ``thetas``: its
+    cost under that theta less ``ref_cost``, its cost under the particle
+    mean. ``refs`` are the cycle's reference states."""
+    return rollout_cost_batch(spec, env, x0, plan[None], thetas, refs=refs)[0] - ref_cost
 
 
 def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerSpec:
@@ -239,8 +225,11 @@ def run_trial(config: TrialConfig) -> TrialResult:
     iterations and a positive step size), each cycle builds the first SVGD
     step's finite-difference probe from the particles before planning, and
     the planner's rescore rolls the chosen plan out against it together with
-    the objective's thetas. The first step's gaps are read from that row, so
-    a cycle makes two rollouts: the planner grid and the rescore.
+    the objective's thetas. The first step's gaps are the tail of the chosen
+    plan's rescore row less its cost under the particle mean, so a cycle
+    makes two rollouts: the planner grid and the rescore. Each further SVGD
+    step, and the logged KSD, rolls out the probe of the particles it
+    scores (``_gap_model``), one rollout each.
 
     Deterministic: the particle draw and every planning cycle use random
     streams derived from the seed alone, so identical configs reproduce
@@ -295,8 +284,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
             np.random.SeedSequence(config.seed, spawn_key=(1, step_index))
         )
         objective = build_objective(controller, config.cost, env, state, particles)
-        probe = (probe_thetas(particles.particles, env.theta_lower, env.theta_upper,
-                              config.svgd.fd_epsilon) if infer else ())
+        probe = probe_thetas(particles, config.svgd.fd_epsilon) if infer else ()
         try:
             new_plan, plan_cost, theta_costs = mppi_solve(
                 env, warm, objective, config.mppi, cycle_rng, probe)
@@ -317,14 +305,18 @@ def run_trial(config: TrialConfig) -> TrialResult:
         if infer:
             # The adaptive objective is robust: column 0 is the particle mean,
             # and the columns after its P thetas are the probe's.
-            known = (probe, theta_costs[len(objective.thetas):])
-            model = _gap_model(config.cost, env, state, new_plan, theta_costs[0],
-                               objective.refs, known)
+            gaps = theta_costs[len(objective.thetas):] - theta_costs[0]
+            log = config.log_ksd and kernel_ok
             try:
-                for _ in range(config.svgd.iterations):
-                    particles = svgd_step(particles, model, config.svgd)
-                if config.log_ksd and kernel_ok:
-                    log_ksd.append(ksd_estimate(particles, model, config.svgd))
+                for i in range(1, config.svgd.iterations + 1):
+                    particles = svgd_step(particles, gaps, config.svgd)
+                    if i < config.svgd.iterations or log:
+                        # The next step or the KSD scores the moved particles.
+                        gaps = _gap_model(config.cost, env, state, new_plan, theta_costs[0],
+                                          objective.refs,
+                                          probe_thetas(particles, config.svgd.fd_epsilon))
+                if log:
+                    log_ksd.append(ksd_estimate(particles, gaps, config.svgd))
             except ScoreEvaluationError:
                 reason = "inference_failure"
                 break

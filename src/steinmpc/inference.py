@@ -2,16 +2,20 @@
 
 A particle set lives inside a box of admissible parameters. The update rule
 transports the whole set along a kernelized gradient flow whose target density
-is proportional to exp(sign * gap(theta)) times a uniform prior over the box:
-parameters that change the cost of the current plan the most accumulate
-probability mass. A kernelized Stein discrepancy estimator is included as a
-convergence diagnostic.
+is proportional to exp(sign * gap(theta)) times a uniform prior over the box,
+where gap(theta) is the current plan's cost under theta less its cost under a
+reference: parameters that change the cost of the plan the most accumulate
+probability mass. The prior adds no gradient inside the box, so the score is
+the signed gap gradient by central finite differences. The caller evaluates
+the gap at ``probe_thetas(particles, fd_epsilon)`` and hands the values, in
+that stack's order, to ``svgd_step`` as ``gaps``. A kernelized Stein
+discrepancy estimator on the same gaps is included as a convergence
+diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -20,7 +24,6 @@ from .kernels import ConstantKernel, RbfKernel
 __all__ = [
     "ParticleSet",
     "SvgdConfig",
-    "PosteriorModel",
     "ScoreEvaluationError",
     "draw_particles",
     "particle_mean",
@@ -32,9 +35,9 @@ __all__ = [
 
 
 class ScoreEvaluationError(RuntimeError):
-    """Raised when the gap function returns a non-finite value.
+    """Raised when a probe gap is not finite.
 
-    Carries the offending parameter vector as ``theta``.
+    Carries that probe row's parameter vector as ``theta``.
     """
 
     def __init__(self, theta):
@@ -137,92 +140,60 @@ class SvgdConfig:
         return 1.0 if self.sign_mode == "adversarial" else -1.0
 
 
-@dataclass
-class PosteriorModel:
-    """Unnormalized log-density over parameters induced by a plan.
-
-    log p'(theta) = sign * gap(theta) + log prior(theta), with a uniform
-    prior over [lower, upper]. The prior contributes zero gradient inside
-    the box, so the score is just the (signed) gap gradient.
-
-    Args:
-        gap: gap of every row of a (B, dim) parameter stack, as a (B,) array.
-        lower: (dim,) box lower bounds.
-        upper: (dim,) box upper bounds.
-    """
-
-    gap: Callable[[np.ndarray], np.ndarray]
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise ValueError("bounds must be 1-D arrays of equal shape")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-
-
-def _fd_steps(lower, upper, fd_epsilon: float) -> np.ndarray:
+def _fd_steps(particles: ParticleSet, fd_epsilon: float) -> np.ndarray:
     # Step sizes are expressed per normalized coordinate: a unit of fd_epsilon
     # spans the same fraction of every box side regardless of raw scale.
-    span = upper - lower
-    span = np.where(np.isfinite(span) & (span > 0), span, 1.0)
-    return fd_epsilon * span
+    span = particles.upper - particles.lower
+    return fd_epsilon * np.where(np.isfinite(span), span, 1.0)
 
 
-def probe_thetas(thetas: np.ndarray, lower, upper, fd_epsilon: float) -> np.ndarray:
-    """The parameters the score of ``thetas`` evaluates the gap at.
+def probe_thetas(particles: ParticleSet, fd_epsilon: float) -> np.ndarray:
+    """The parameters the score of ``particles`` evaluates the gap at.
 
-    Each row of ``thetas`` is clamped to the box [lower, upper] and moved by
-    +- fd_epsilon times the box side along each coordinate in turn. Returns
-    the (2 * n * dim, dim) stack: per row, the dim plus steps, then the dim
-    minus steps. A caller that knows the particles before the gap can
-    evaluate these thetas early and hand their gaps to the model.
+    Each particle is moved by +- fd_epsilon times the box side along each
+    coordinate in turn. Returns the (2 * n * dim, dim) stack: per particle,
+    the dim plus steps, then the dim minus steps.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n, dim = thetas.shape
-    clamped = np.clip(thetas, lower, upper)
-    offsets = np.eye(dim) * _fd_steps(lower, upper, fd_epsilon)  # (dim, dim)
-    plus = clamped[:, None, :] + offsets[None, :, :]
-    minus = clamped[:, None, :] - offsets[None, :, :]
+    x = particles.particles
+    n, dim = x.shape
+    offsets = np.eye(dim) * _fd_steps(particles, fd_epsilon)  # (dim, dim)
+    plus = x[:, None, :] + offsets[None, :, :]
+    minus = x[:, None, :] - offsets[None, :, :]
     return np.concatenate([plus, minus], axis=1).reshape(2 * n * dim, dim)
 
 
 def posterior_score_batch(
-    thetas: np.ndarray, model: PosteriorModel, config: SvgdConfig
+    particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig
 ) -> np.ndarray:
-    """Score of the plan-induced posterior at each row of ``thetas``.
+    """Score of the plan-induced posterior at each particle, as (n, dim).
 
-    Central finite differences through the gap function, batched over all
-    particles and coordinates in a single evaluation of ``gap`` at the
-    ``probe_thetas`` of ``thetas``.
+    Central finite differences of ``gaps``, the (2 * n * dim,) gap values at
+    ``probe_thetas(particles, config.fd_epsilon)`` in that stack's order.
+
+    Raises:
+        ValueError: if ``gaps`` does not have one value per probe row.
+        ScoreEvaluationError: if a gap is not finite.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n, dim = thetas.shape
-    probe = probe_thetas(thetas, model.lower, model.upper, config.fd_epsilon)
-    vals = np.asarray(model.gap(probe), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = probe[~np.isfinite(vals)][0]
+    n, dim = particles.particles.shape
+    gaps = np.asarray(gaps, dtype=float)
+    if gaps.shape != (2 * n * dim,):
+        raise ValueError(f"expected {2 * n * dim} probe gaps, got shape {gaps.shape}")
+    if not np.all(np.isfinite(gaps)):
+        bad = probe_thetas(particles, config.fd_epsilon)[~np.isfinite(gaps)][0]
         raise ScoreEvaluationError(bad)
-    vals = vals.reshape(n, 2, dim)
-    steps = _fd_steps(model.lower, model.upper, config.fd_epsilon)
-    grad = (vals[:, 0, :] - vals[:, 1, :]) / (2.0 * steps)
+    vals = gaps.reshape(n, 2, dim)
+    grad = (vals[:, 0, :] - vals[:, 1, :]) / (2.0 * _fd_steps(particles, config.fd_epsilon))
     return config.sign * grad
 
 
-def svgd_step(
-    particles: ParticleSet, model: PosteriorModel, config: SvgdConfig
-) -> ParticleSet:
+def svgd_step(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> ParticleSet:
     """One kernelized transport step of the whole particle set.
 
     Each particle moves along the kernel-weighted average of all particle
     scores plus the kernel repulsion term, then is projected back onto the
-    box. The input set is never mutated; score failures propagate before
-    any new set is built.
+    box. ``gaps`` are the probe gaps ``posterior_score_batch`` takes. The
+    input set is never mutated; score failures propagate before any new set
+    is built.
 
     The constant kernel is special: with no interaction structure the flow
     reduces to independent gradient ascent per particle, and that reduction
@@ -230,7 +201,7 @@ def svgd_step(
     """
     x = particles.particles
     n = particles.count
-    scores = posterior_score_batch(x, model, config)
+    scores = posterior_score_batch(particles, gaps, config)
 
     if isinstance(config.kernel, ConstantKernel):
         drift = scores
@@ -243,12 +214,13 @@ def svgd_step(
     return ParticleSet(moved, particles.lower, particles.upper)
 
 
-def ksd_estimate(particles: ParticleSet, model: PosteriorModel, config: SvgdConfig) -> float:
+def ksd_estimate(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> float:
     """V-statistic estimate of the kernelized Stein discrepancy.
 
-    Measures how far the particle set is from the posterior induced by the
-    model under ``config.kernel``; zero means indistinguishable under the
-    kernel's Stein operator. Diagnostic only, never fed back into control.
+    Measures how far the particle set is from the posterior whose probe gaps
+    are ``gaps`` (as ``posterior_score_batch`` takes them), under
+    ``config.kernel``; zero means indistinguishable under the kernel's Stein
+    operator. Diagnostic only, never fed back into control.
 
     Raises:
         ValueError: for kernels with a degenerate Stein operator.
@@ -260,7 +232,7 @@ def ksd_estimate(particles: ParticleSet, model: PosteriorModel, config: SvgdConf
             "the discrepancy is undefined"
         )
     x = particles.particles
-    s = posterior_score_batch(x, model, config)
+    s = posterior_score_batch(particles, gaps, config)
 
     k = kernel.matrix(x, x)
     g = kernel.grad_first_tensor(x, x)  # g[i, j] = d k(x_i, x_j) / d x_i

@@ -170,10 +170,18 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     ("run", "cartpole", {"harness": {"x0": []}}, "harness.x0"),
     ("run", "cartpole", {"cost": {"q": 3.0}}, "cost.q"),
     ("ablate-kernels", "cartpole", {}, "env.name"),
+    # a name looked up in a table must be a string, and a number must fit a float
+    ("run", "cartpole", {"env": {"name": [1]}}, "env.name"),
+    ("run", "cartpole", {"svgd": {"kernel": {"type": [1]}}}, "svgd.kernel.type"),
+    ("run", "cartpole", {"cost": {"extra": {"type": {"x": 1}}}}, "cost.extra.type"),
+    ("run", "cartpole", {"mppi": {"temperature": 10**400}}, "mppi.temperature"),
+    ("run", "cartpole", {"harness": {"x0": [10**400, 0, 0, 0]}}, "harness.x0[0]"),
 ], ids=["theta_box_empty", "theta_true_outside", "control_box_empty",
         "extra_weight_negative", "q_not_psd", "sign_mode_unknown", "extra_weights_short",
         "centerline_off_the_track", "nominal_theta_outside", "step_size_negative",
-        "samples_zero", "log_ksd_not_bool", "x0_empty", "q_not_a_list", "ablate_on_cartpole"])
+        "samples_zero", "log_ksd_not_bool", "x0_empty", "q_not_a_list", "ablate_on_cartpole",
+        "env_name_a_list", "kernel_type_a_list", "extra_type_a_mapping",
+        "temperature_beyond_float", "x0_entry_beyond_float"])
 def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field, tmp_path,
                                                      capsys):
     doc = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))

@@ -126,7 +126,7 @@ def test_mppi_solve_rolls_the_probe_out_in_the_rescore(monkeypatch):
     # chosen plan's own costs under the probe. Both branches are covered: the
     # averaged plan accepted, and the best candidate kept.
     objective = build_objective(ControllerSpec(), SPEC, ENV, X0, PARTICLES)
-    probe = probe_thetas(PARTICLES.particles, ENV.theta_lower, ENV.theta_upper, 1e-2)
+    probe = probe_thetas(PARTICLES, 1e-2)
     n_thetas = len(objective.thetas)
     rescored = []
 

@@ -154,8 +154,8 @@ def optimality_gap(theta, theta_ref):
     x0 = np.array([0.0])
     ref_cost = trajectory_cost(DRIFT_SPEC, DRIFT, x0, ONE_STEP, theta_ref)
     refs = DRIFT_SPEC.references(DRIFT, x0, len(ONE_STEP))
-    model = _gap_model(DRIFT_SPEC, DRIFT, x0, ONE_STEP, ref_cost, refs)
-    return model.gap(np.array([theta], dtype=float))[0]
+    return _gap_model(DRIFT_SPEC, DRIFT, x0, ONE_STEP, ref_cost, refs,
+                      np.array([theta], dtype=float))[0]
 
 
 def test_optimality_gap_is_cost_difference_and_zero_at_reference():
