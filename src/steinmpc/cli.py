@@ -15,8 +15,9 @@ terminal reason in its result files.
 
 ``--config-dump`` prints the document as the parser resolved it, every
 default and every command-line override (``--seed``, ``--seeds``, ``--jobs``)
-filled in, and exits. The printed document is a config file: the same
-subcommand run on it without those flags runs the same trials.
+filled in, and exits; it makes no ``--out`` directory and writes no file.
+The printed document is a config file: the same subcommand run on it without
+those flags runs the same trials.
 """
 
 from __future__ import annotations
@@ -53,35 +54,13 @@ from .reporting import (
 __all__ = ["main"]
 
 
-def _prepare(args, seed=None, seed_count=None, env_name=None):
-    """Resolve the config with the command line's overrides.
-
-    Prints the resolved document and returns None under ``--config-dump``;
-    otherwise makes the output directory and returns (trial, batch, hash of
-    the document as written).
-    """
-    doc = load_config(args.config)
-    trial, batch, resolved = resolve_config(doc, seed=seed, seed_count=seed_count,
-                                            jobs=getattr(args, "jobs", None),
-                                            env_name=env_name)
-    if args.config_dump:
-        sys.stdout.write(serialize_config(resolved))
-        return None
-    os.makedirs(args.out, exist_ok=True)
-    return trial, batch, config_hash(doc)
-
-
 def _write_trial_outputs(out_dir, result, doc_hash):
     write_step_csv(os.path.join(out_dir, f"trial_{result.seed}.csv"), result)
     write_summary_json(os.path.join(out_dir, f"trial_{result.seed}.json"),
                        summary_record(result, doc_hash, __version__))
 
 
-def cmd_run(args) -> int:
-    prepared = _prepare(args, seed=args.seed)
-    if prepared is None:
-        return 0
-    trial, _, doc_hash = prepared
+def cmd_run(args, trial, batch, doc_hash) -> int:
     result = run_trial(trial)
     _write_trial_outputs(args.out, result, doc_hash)
     write_timing_json(os.path.join(args.out, "timing.json"),
@@ -106,11 +85,7 @@ def _run_one_batch(trial, seeds, jobs, out_dir, doc_hash, label):
     return batch_result, timing
 
 
-def cmd_batch(args) -> int:
-    prepared = _prepare(args, seed_count=args.seeds)
-    if prepared is None:
-        return 0
-    trial, batch, doc_hash = prepared
+def cmd_batch(args, trial, batch, doc_hash) -> int:
     batch_result, timing = _run_one_batch(
         trial, batch.seeds, batch.jobs, args.out, doc_hash, trial.controller.variant)
     row = aggregate_row(trial.controller.variant, trial.env.name, batch_result)
@@ -121,42 +96,40 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def cmd_ablate_kernels(args) -> int:
-    prepared = _prepare(args, seed_count=args.seeds, env_name="rocket2d")
-    if prepared is None:
-        return 0
-    trial, batch, doc_hash = prepared
-    rows, timing = [], {}
-    for name, kernel in KERNELS.items():
-        sub_dir = os.path.join(args.out, name)
+def _sweep(out, batch, doc_hash, settings):
+    """Run ``batch`` once per ``(label, trial)`` setting, into ``out/<label>``.
+
+    Yields ``(label, BatchResult)`` as each setting finishes; after the last,
+    writes every trial's wall time to ``out/timing.json``.
+    """
+    timing = {}
+    for label, trial in settings:
+        sub_dir = os.path.join(out, label)
         os.makedirs(sub_dir, exist_ok=True)
-        svgd = dataclasses.replace(trial.svgd, kernel=kernel())
-        variant_trial = dataclasses.replace(trial, svgd=svgd)
-        batch_result, t = _run_one_batch(
-            variant_trial, batch.seeds, batch.jobs, sub_dir, doc_hash, name)
-        rows.append(aggregate_row(name, trial.env.name, batch_result))
+        batch_result, t = _run_one_batch(trial, batch.seeds, batch.jobs, sub_dir, doc_hash, label)
         timing.update(t)
+        yield label, batch_result
+    write_timing_json(os.path.join(out, "timing.json"), timing)
+
+
+def cmd_ablate_kernels(args, trial, batch, doc_hash) -> int:
+    settings = [(name, dataclasses.replace(trial, svgd=dataclasses.replace(
+        trial.svgd, kernel=kernel()))) for name, kernel in KERNELS.items()]
+    rows = []
+    for name, batch_result in _sweep(args.out, batch, doc_hash, settings):
+        rows.append(aggregate_row(name, trial.env.name, batch_result))
         print(f"kernel {name}: {format_float(batch_result.success_pct)}% success, "
               f"mean time {format_float(batch_result.mean_time)}")
     write_aggregate_csv(os.path.join(args.out, "ablation.csv"), rows)
-    write_timing_json(os.path.join(args.out, "timing.json"), timing)
     return 0
 
 
-def cmd_race_progress(args) -> int:
-    prepared = _prepare(args, seed_count=args.seeds, env_name="racecar")
-    if prepared is None:
-        return 0
-    trial, batch, doc_hash = prepared
-    best_laps, timing = {}, {}
-    for variant in VARIANTS:
-        controller = dataclasses.replace(trial.controller, variant=variant)
-        variant_trial = dataclasses.replace(trial, controller=controller)
-        sub_dir = os.path.join(args.out, variant)
-        os.makedirs(sub_dir, exist_ok=True)
-        batch_result, t = _run_one_batch(
-            variant_trial, batch.seeds, batch.jobs, sub_dir, doc_hash, variant)
-        timing.update(t)
+def cmd_race_progress(args, trial, batch, doc_hash) -> int:
+    settings = [(variant, dataclasses.replace(
+        trial, controller=dataclasses.replace(trial.controller, variant=variant)))
+        for variant in VARIANTS]
+    best_laps = {}
+    for variant, batch_result in _sweep(args.out, batch, doc_hash, settings):
         results = batch_result.results
         series = [np.append(r.progress, r.final_progress) for r in results]
         times = [np.append(r.times, r.steps * trial.env.dt) for r in results]
@@ -171,7 +144,6 @@ def cmd_race_progress(args) -> int:
         lap_text = "none" if best is None else format_float(best)
         print(f"{variant}: best lap {lap_text}")
     write_summary_json(os.path.join(args.out, "best_laps.json"), best_laps)
-    write_timing_json(os.path.join(args.out, "timing.json"), timing)
     return 0
 
 
@@ -183,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seeds_flag=True):
+    def add_common(p, func, seeds_flag=True, env_name=None):
+        p.set_defaults(func=func, env_name=env_name)
         p.add_argument("config", help="path to an experiment config file")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--config-dump", action="store_true",
@@ -195,31 +168,34 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="worker processes (default from config)")
 
     p_run = sub.add_parser("run", help="run a single trial")
-    add_common(p_run, seeds_flag=False)
+    add_common(p_run, cmd_run, seeds_flag=False)
     p_run.add_argument("--seed", type=int, default=None, help="seed override")
-    p_run.set_defaults(func=cmd_run)
 
     p_batch = sub.add_parser("batch", help="run a seed batch")
-    add_common(p_batch)
-    p_batch.set_defaults(func=cmd_batch)
+    add_common(p_batch, cmd_batch)
 
     p_ablate = sub.add_parser("ablate-kernels",
                               help="repeat a rocket batch across kernels")
-    add_common(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate_kernels)
+    add_common(p_ablate, cmd_ablate_kernels, env_name="rocket2d")
 
     p_race = sub.add_parser("race-progress",
                             help="lap-progress series for each controller")
-    add_common(p_race)
-    p_race.set_defaults(func=cmd_race_progress)
+    add_common(p_race, cmd_race_progress, env_name="racecar")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc = load_config(args.config)
+        trial, batch, resolved = resolve_config(
+            doc, seed=getattr(args, "seed", None), seed_count=getattr(args, "seeds", None),
+            jobs=getattr(args, "jobs", None), env_name=args.env_name)
+        if args.config_dump:
+            sys.stdout.write(serialize_config(resolved))
+            return 0
+        os.makedirs(args.out, exist_ok=True)
+        return args.func(args, trial, batch, config_hash(doc))
     except ConfigError as exc:
         print(f"config error at {exc.field}: {exc.args[0].split(': ', 1)[-1]}",
               file=sys.stderr)

@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 
 import numpy as np
 import yaml
@@ -46,7 +47,6 @@ __all__ = [
     "config_hash",
     "resolve_config",
     "build_trial_config",
-    "resolve_seeds",
 ]
 
 _ENV_FACTORIES = {
@@ -55,6 +55,10 @@ _ENV_FACTORIES = {
     "racecar": make_racecar,
 }
 _SUCCESS = {"cartpole": CartpoleSuccess, "rocket2d": RocketSuccess, "racecar": RaceSuccess}
+
+# Caps on a batch: seeds in one batch, and worker processes.
+MAX_SEEDS = 10_000
+MAX_JOBS = 64
 
 # Kernel names in the order the kernel ablation runs them.
 KERNELS = {"rbf": RbfKernel, "imq": ImqKernel, "constant": ConstantKernel}
@@ -190,9 +194,12 @@ def _as_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     try:
-        return float(value)
+        v = float(value)
     except OverflowError:
         raise ConfigError(path, "integer too large for a float") from None
+    if not math.isfinite(v):
+        raise ConfigError(path, f"must be finite, got {v}")
+    return v
 
 
 def _as_positive(value, path):
@@ -419,27 +426,37 @@ def _build_harness(root, env):
     return fields
 
 
+def _seed_range(first, count, path):
+    """``count`` consecutive seeds from ``first``, for a count of 1 to ``MAX_SEEDS``."""
+    if not 1 <= count <= MAX_SEEDS:
+        raise ConfigError(path, f"seed count must be in 1..{MAX_SEEDS}, got {count}")
+    return tuple(range(first, first + count))
+
+
 def _build_batch(root, seed, seed_count, jobs):
     section = root.section("batch", ("seeds", "base_seed", "jobs"))
+    seeds_path = f"{section.path}.seeds"
     if jobs is not None:
         section.raw = {**section.raw, "jobs": jobs}
     seeds = _get(section.raw, "seeds", section.path, default=1)
     base = _as_int(_get(section.raw, "base_seed", section.path, default=0),
-                   f"{section.path}.base_seed")
+                   f"{section.path}.base_seed", 0)
     if isinstance(seeds, list):
-        seeds = tuple(_as_int(s, f"{section.path}.seeds[{i}]") for i, s in enumerate(seeds))
-        if not seeds:
-            raise ConfigError(f"{section.path}.seeds", "seed list must be nonempty")
+        seeds = tuple(_as_int(s, f"{seeds_path}[{i}]", 0) for i, s in enumerate(seeds))
+        if not 1 <= len(seeds) <= MAX_SEEDS:
+            raise ConfigError(seeds_path, f"expected 1..{MAX_SEEDS} seeds, got {len(seeds)}")
         if len(set(seeds)) != len(seeds):
-            raise ConfigError(f"{section.path}.seeds", f"seeds must be distinct, got {list(seeds)}")
+            raise ConfigError(seeds_path, f"seeds must be distinct, got {list(seeds)}")
     else:
-        count = _as_int(seeds, f"{section.path}.seeds", minimum=1)
-        seeds = tuple(range(base, base + count))
+        seeds = _seed_range(base, _as_int(seeds, seeds_path), seeds_path)
     if seed is not None:
-        seeds = (int(seed),)
-    seeds = resolve_seeds(BatchSettings(seeds=seeds), seed_count)
+        seeds = (_as_int(int(seed), seeds_path, 0),)
+    if seed_count is not None:
+        seeds = _seed_range(seeds[0], seed_count, seeds_path)
     section.values["seeds"] = list(seeds)
     jobs = section.read("jobs", _as_int, 1, default=_default(BatchSettings, "jobs"))
+    if jobs > MAX_JOBS:
+        raise ConfigError(f"{section.path}.jobs", f"must be <= {MAX_JOBS}, got {jobs}")
     return _built(section.path, BatchSettings, seeds=seeds, jobs=jobs)
 
 
@@ -448,7 +465,7 @@ def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = 
     """Build a document; returns (TrialConfig, BatchSettings, resolved document).
 
     The keywords are the command line's overrides: ``seed`` makes the batch
-    that one seed, ``seed_count`` rebases the seeds as ``resolve_seeds`` does,
+    that one seed, ``seed_count`` makes it that many seeds from its first,
     ``jobs`` replaces batch.jobs, and ``env_name`` rejects other environments.
     The resolved document carries them, so it builds the same trial and batch.
     """
@@ -474,12 +491,3 @@ def build_trial_config(doc: dict, seed: int | None = None):
     trial, batch, _ = resolve_config(doc, seed=seed)
     return trial, batch
 
-
-def resolve_seeds(batch: BatchSettings, count: int | None) -> tuple:
-    """Seed list for a batch run; ``count`` rebases to range(base, base+count)."""
-    if count is None:
-        return batch.seeds
-    if count < 1:
-        raise ConfigError("batch.seeds", f"seed count must be >= 1, got {count}")
-    base = batch.seeds[0]
-    return tuple(range(base, base + count))

@@ -391,7 +391,7 @@ def _run_with_seed(payload) -> TrialResult:
 
 
 def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> BatchResult:
-    """Run one trial per seed, optionally across worker processes.
+    """Run one trial per seed, across up to ``min(jobs, len(seeds))`` worker processes.
 
     Results are keyed and ordered by position in ``seeds`` regardless of
     which worker finished first, so aggregates do not depend on ``jobs``.
@@ -402,9 +402,10 @@ def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> BatchResult:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     payloads = [(base, s) for s in seeds]
-    if jobs == 1 or len(seeds) == 1:
+    workers = min(jobs, len(seeds))
+    if workers == 1:
         results = [_run_with_seed(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_with_seed, payloads))
     return BatchResult(seeds=seeds, results=results)

@@ -126,3 +126,15 @@ def test_cli_run_exits_2_on_a_missing_config(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"config error at <path>: cannot read {missing}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_config_dump_writes_nothing(command, tmp_path, capsys):
+    name, build, flags = CASES[command]
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(serialize_config(build(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))))
+    out = tmp_path / "out"
+    assert cli.main([command, str(path), *flags, "--config-dump", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("env:\n")
+    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == [f"{name}.yaml"]

@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import glob
+import math
 import os
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from steinmpc import cli
 from steinmpc.configfile import (
     KERNELS,
+    MAX_JOBS,
+    MAX_SEEDS,
     BatchSettings,
     ConfigError,
     build_trial_config,
@@ -19,7 +22,6 @@ from steinmpc.configfile import (
     load_config,
     parse_config,
     resolve_config,
-    resolve_seeds,
     serialize_config,
 )
 from steinmpc.controllers import VARIANTS
@@ -176,12 +178,28 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     ("run", "cartpole", {"cost": {"extra": {"type": {"x": 1}}}}, "cost.extra.type"),
     ("run", "cartpole", {"mppi": {"temperature": 10**400}}, "mppi.temperature"),
     ("run", "cartpole", {"harness": {"x0": [10**400, 0, 0, 0]}}, "harness.x0[0]"),
+    # a number must be finite: .inf and .nan are YAML floats
+    ("run", "racing", {"env": {"theta_upper": [math.inf, 1.0]}}, "env.theta_upper[0]"),
+    ("run", "racing", {"harness": {"track": {"radius": math.inf}}}, "harness.track.radius"),
+    ("run", "cartpole", {"env": {"control_upper": [math.inf]}}, "env.control_upper[0]"),
+    ("run", "racing", {"env": {"theta_true": [math.nan, 0.5]}}, "env.theta_true[0]"),
+    ("run", "cartpole", {"harness": {"duration": math.inf}}, "harness.duration"),
+    # seeds are nonnegative, and a batch has at most MAX_SEEDS seeds and MAX_JOBS workers
+    ("batch", "cartpole", {"batch": {"seeds": [-3]}}, "batch.seeds[0]"),
+    ("batch", "cartpole", {"batch": {"seeds": 2, "base_seed": -3}}, "batch.base_seed"),
+    ("run", "cartpole", {"batch": {"seeds": 10**400}}, "batch.seeds"),
+    ("batch", "cartpole", {"batch": {"seeds": MAX_SEEDS + 1}}, "batch.seeds"),
+    ("batch", "cartpole", {"batch": {"seeds": list(range(MAX_SEEDS + 1))}}, "batch.seeds"),
+    ("batch", "cartpole", {"batch": {"jobs": MAX_JOBS + 1}}, "batch.jobs"),
 ], ids=["theta_box_empty", "theta_true_outside", "control_box_empty",
         "extra_weight_negative", "q_not_psd", "sign_mode_unknown", "extra_weights_short",
         "centerline_off_the_track", "nominal_theta_outside", "step_size_negative",
         "samples_zero", "log_ksd_not_bool", "x0_empty", "q_not_a_list", "ablate_on_cartpole",
         "env_name_a_list", "kernel_type_a_list", "extra_type_a_mapping",
-        "temperature_beyond_float", "x0_entry_beyond_float"])
+        "temperature_beyond_float", "x0_entry_beyond_float", "theta_upper_infinite",
+        "track_radius_infinite", "control_upper_infinite", "theta_true_nan",
+        "duration_infinite", "seed_negative", "base_seed_negative", "seed_count_beyond_platform",
+        "seed_count_over_cap", "seed_list_over_cap", "jobs_over_cap"])
 def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field, tmp_path,
                                                      capsys):
     doc = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
@@ -194,6 +212,33 @@ def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field
         assert f"config error at {field}:" in captured.err
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flags,field", [
+    ("run", ["--seed", "-1"], "batch.seeds"),
+    ("batch", ["--seeds", "0"], "batch.seeds"),
+    ("batch", ["--seeds", str(MAX_SEEDS + 1)], "batch.seeds"),
+    ("batch", ["--jobs", "0"], "batch.jobs"),
+    ("batch", ["--jobs", str(MAX_JOBS + 1)], "batch.jobs"),
+], ids=["seed_negative", "seeds_zero", "seeds_over_cap", "jobs_zero", "jobs_over_cap"])
+def test_every_invalid_override_exits_2_at_its_field(command, flags, field, tmp_path, capsys):
+    config = os.path.join(CONFIG_DIR, "cartpole.yaml")
+    for more in (["--out", str(tmp_path / "out")], ["--config-dump"]):
+        assert cli.main([command, config, *flags, *more]) == 2
+        captured = capsys.readouterr()
+        assert f"config error at {field}:" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_batch_caps_are_inclusive():
+    doc = minimal_doc()
+    doc["batch"] = {"seeds": MAX_SEEDS, "base_seed": 5, "jobs": MAX_JOBS}
+    _, batch, _ = resolve_config(doc)
+    assert batch.seeds == tuple(range(5, 5 + MAX_SEEDS))
+    assert batch.jobs == MAX_JOBS
+    _, batch, _ = resolve_config(minimal_doc(), seed_count=MAX_SEEDS, jobs=MAX_JOBS)
+    assert (len(batch.seeds), batch.jobs) == (MAX_SEEDS, MAX_JOBS)
 
 
 def test_weight_vector_becomes_diagonal():
@@ -375,12 +420,14 @@ def test_seed_override_wins():
 
 
 def test_resolve_seeds():
-    batch = BatchSettings(seeds=(3, 4, 5))
-    assert resolve_seeds(batch, None) == (3, 4, 5)
-    assert resolve_seeds(batch, 2) == (3, 4)
-    assert resolve_seeds(batch, 5) == (3, 4, 5, 6, 7)
+    # a seed count rebases the batch's seeds on its first
+    doc = minimal_doc()
+    doc["batch"] = {"seeds": [3, 4, 5]}
+    assert resolve_config(doc, seed_count=None)[1].seeds == (3, 4, 5)
+    assert resolve_config(doc, seed_count=2)[1].seeds == (3, 4)
+    assert resolve_config(doc, seed_count=5)[1].seeds == (3, 4, 5, 6, 7)
     with pytest.raises(ConfigError):
-        resolve_seeds(batch, 0)
+        resolve_config(doc, seed_count=0)
 
 
 def test_parse_round_trip():

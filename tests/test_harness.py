@@ -545,6 +545,31 @@ def test_run_batch_is_ordered_and_parallel_invariant():
         assert np.array_equal(a.controls, b.controls)
 
 
+def test_run_batch_starts_at_most_one_worker_per_seed(monkeypatch):
+    # a stand-in pool that records its size and maps in this process
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    config = _cartpole_trial(duration=0.0)
+    assert run_batch(config, [3, 1], jobs=64).seeds == [3, 1]
+    run_batch(config, [3, 1, 4], jobs=2)
+    run_batch(config, [5], jobs=8)
+    assert started == [2, 2]
+
+
 def test_run_batch_validation():
     config = _cartpole_trial()
     with pytest.raises(ValueError):
