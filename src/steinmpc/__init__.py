@@ -36,7 +36,6 @@ from .harness import (
     RocketSuccess,
     TrialConfig,
     TrialResult,
-    check_success,
     run_batch,
     run_trial,
 )
@@ -50,6 +49,6 @@ from .inference import (
     svgd_step,
 )
 from .kernels import ConstantKernel, ImqKernel, RbfKernel
-from .track import CenterlineReference, LapProgress, StadiumTrack, track_progress, track_reference
+from .track import CenterlineReference, LapProgress, StadiumTrack
 
 __version__ = "0.1.0"

@@ -59,6 +59,10 @@ _SUCCESS = {"cartpole": CartpoleSuccess, "rocket2d": RocketSuccess, "racecar": R
 # Caps on a batch: seeds in one batch, and worker processes.
 MAX_SEEDS = 10_000
 MAX_JOBS = 64
+# The most bytes one trial's largest arrays may take (``_check_memory``). A
+# constant, not read from the machine, so a document is valid or invalid
+# everywhere; a trial of a shipped config takes about 1 MB.
+MAX_TRIAL_BYTES = 2**30
 
 # Kernel names in the order the kernel ablation runs them.
 KERNELS = {"rbf": RbfKernel, "imq": ImqKernel, "constant": ConstantKernel}
@@ -276,6 +280,9 @@ def parse_config(text: str) -> dict:
         doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError("<document>", f"not valid YAML ({exc})") from None
+    except ValueError as exc:
+        # PyYAML's int() refuses a decimal integer of more than 4300 digits.
+        raise ConfigError("<document>", f"cannot be read ({exc})") from None
     if doc is None:
         raise ConfigError("<document>", "empty document")
     return _require_mapping(doc, "<document>")
@@ -460,6 +467,35 @@ def _build_batch(root, seed, seed_count, jobs):
     return _built(section.path, BatchSettings, seeds=seeds, jobs=jobs)
 
 
+def _check_memory(trial):
+    """Reject a trial whose largest arrays would take more than ``MAX_TRIAL_BYTES``.
+
+    Three float64 arrays bound a trial's memory: the planner's (n, H,
+    samples, P) tracking errors, the rescore's (n, H, 2, P + B) with the
+    probe's B rows, and the histories, (duration / dt + 1) rows of the state
+    and the particles. P = n_particles + 1 and B = 2 * n_particles * p are
+    the most any variant rolls out. Each estimate is a product of factors,
+    added as logarithms so that no value overflows, and the error is raised
+    at the key with the largest factor in the largest estimate.
+    """
+    env, k = trial.env, trial.n_particles
+    n, p, log_dt = env.state_dim, env.param_dim, math.log(env.dt)
+    horizon = [(math.log(trial.horizon_seconds), "harness.horizon_seconds"), (-log_dt, "env.dt")]
+    estimates = [
+        [(math.log(8 * n), None), *horizon, (math.log(trial.mppi.samples), "mppi.samples"),
+         (math.log(k + 1), "harness.n_particles")],
+        [(math.log(16 * n), None), *horizon, (math.log(k + 1 + 2 * k * p), "harness.n_particles")],
+        [(math.log(8 * (n + k * p)), "harness.n_particles"),
+         (math.log(trial.duration + env.dt), "harness.duration"), (-log_dt, "env.dt")],
+    ]
+    log_bytes, factors = max(((sum(f for f, _ in e), e) for e in estimates), key=lambda t: t[0])
+    if log_bytes > math.log(MAX_TRIAL_BYTES):
+        key = max((f, key) for f, key in factors if key is not None)[1]
+        size = f"10^{log_bytes / math.log(10):.1f}"
+        raise ConfigError(key, f"a trial's arrays would take about {size} bytes, "
+                               f"more than MAX_TRIAL_BYTES = {MAX_TRIAL_BYTES}")
+
+
 def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = None,
                    jobs: int | None = None, env_name: str | None = None):
     """Build a document; returns (TrialConfig, BatchSettings, resolved document).
@@ -468,6 +504,8 @@ def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = 
     that one seed, ``seed_count`` makes it that many seeds from its first,
     ``jobs`` replaces batch.jobs, and ``env_name`` rejects other environments.
     The resolved document carries them, so it builds the same trial and batch.
+    A trial whose arrays would exceed ``MAX_TRIAL_BYTES`` is rejected here,
+    before anything is allocated.
     """
     root = _Section(doc, "<document>", _SECTIONS)
     env = _build_env(root, env_name)
@@ -479,6 +517,7 @@ def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = 
     mppi = _build_mppi(root, env)
     trial = _built("harness", TrialConfig, env=env, cost=cost, controller=controller,
                    svgd=svgd, mppi=mppi, seed=batch.seeds[0], **harness)
+    _check_memory(trial)
     return trial, batch, root.resolved()
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .costs import CostSpec, RobustObjectiveConfig, rollout_cost_batch
 from .dynamics import EnvModel
-from .inference import ParticleSet
+from .inference import ParticleSet, particle_mean
 
 __all__ = [
     "MppiConfig",
@@ -228,18 +228,17 @@ def build_objective(
 ) -> PlanObjective:
     """Construct the plan objective a variant scores candidates with.
 
-    stein_adaptive and emppi score against the particle mean followed by the
-    particles; the mean is ``particles.mean(axis=0)``, the same array
-    ``inference.particle_mean`` returns, so a plan's row starts with its cost
-    under the current point estimate. dro scores against the particles and
-    nominal against ``nominal_parameters`` alone.
+    stein_adaptive and emppi score against the particle mean
+    (``inference.particle_mean``) followed by the particles, so a plan's row
+    starts with its cost under the current point estimate. dro scores
+    against the particles and nominal against ``nominal_parameters`` alone.
     """
     mat = particles.particles if isinstance(particles, ParticleSet) else particles
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     cfg = controller.robust
     if controller.variant in ("stein_adaptive", "emppi"):
         gamma = cfg.gamma if controller.variant == "stein_adaptive" else 1.0
-        thetas, reduce = np.vstack([mat.mean(axis=0)[None], mat]), partial(_robust, gamma=gamma)
+        thetas, reduce = np.vstack([particle_mean(mat)[None], mat]), partial(_robust, gamma=gamma)
     elif controller.variant == "dro":
         if cfg.risk_lambda is None:
             raise ValueError("risk_lambda must be calibrated before building the dro objective")

@@ -285,6 +285,8 @@ def horizon_steps(horizon_seconds: float, dt: float) -> int:
     else silently changes the optimization problem, so it is rejected.
     """
     steps = horizon_seconds / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"horizon {horizon_seconds} s is too many steps of dt={dt} s to count")
     rounded = round(steps)
     if rounded < 1 or abs(steps - rounded) > 1e-9:
         raise ValueError(

@@ -33,6 +33,7 @@ from .inference import (
     SvgdConfig,
     draw_particles,
     ksd_estimate,
+    particle_mean,
     probe_thetas,
     svgd_step,
 )
@@ -45,7 +46,6 @@ __all__ = [
     "TrialConfig",
     "TrialResult",
     "BatchResult",
-    "check_success",
     "run_trial",
     "run_batch",
 ]
@@ -62,6 +62,16 @@ class CartpoleSuccess:
     def satisfied(self, state) -> bool:
         err = (state[1] - math.pi + math.pi) % (2.0 * math.pi) - math.pi
         return abs(err) < self.angle_tol and abs(state[3]) < self.rate_tol
+
+    def reached(self, times, states, progress=None) -> bool:
+        """The trailing run of satisfied states spans at least hold_duration."""
+        i = len(states) - 1
+        while i >= 0 and self.satisfied(states[i]):
+            i -= 1
+        if i == len(states) - 1:
+            return False
+        span = times[-1] - times[i + 1]
+        return span >= self.hold_duration - 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,6 +94,9 @@ class RocketSuccess:
             and speed < self.speed_tol
         )
 
+    def reached(self, times, states, progress=None) -> bool:
+        return self.satisfied(states[-1])
+
 
 @dataclass(frozen=True)
 class RaceSuccess:
@@ -91,34 +104,22 @@ class RaceSuccess:
 
     laps: float = 1.0
 
-
-def check_success(criterion, times, states, progress=None) -> bool:
-    """Evaluate a success criterion on the trailing window of a trial history.
-
-    ``times`` and ``states`` are the full histories so far (initial state
-    included); ``progress`` carries unwrapped lap fractions for the racing
-    criterion and is ignored otherwise.
-    """
-    if len(states) == 0:
-        return False
-    if isinstance(criterion, RaceSuccess):
-        return progress is not None and len(progress) > 0 and progress[-1] >= criterion.laps
-    if isinstance(criterion, RocketSuccess):
-        return criterion.satisfied(states[-1])
-    if isinstance(criterion, CartpoleSuccess):
-        i = len(states) - 1
-        while i >= 0 and criterion.satisfied(states[i]):
-            i -= 1
-        if i == len(states) - 1:
-            return False
-        span = times[-1] - times[i + 1]
-        return span >= criterion.hold_duration - 1e-9
-    raise TypeError(f"unknown success criterion type {type(criterion).__name__}")
+    def reached(self, times, states, progress=None) -> bool:
+        """False without progress: a trial off a track completes no lap."""
+        return progress is not None and len(progress) > 0 and progress[-1] >= self.laps
 
 
 @dataclass
 class TrialConfig:
-    """Everything one closed-loop trial needs, plus its seed."""
+    """Everything one closed-loop trial needs, plus its seed.
+
+    ``success`` is the criterion that the trial asks, before every step,
+    ``reached(times, states, progress)`` on its histories so far, initial
+    state included. ``track`` is the racetrack: when it is set, the trial
+    logs lap progress on it for ``RaceSuccess`` to read; when it is None,
+    ``progress`` is None and a ``RaceSuccess`` trial never succeeds. A config
+    file sets it exactly for the racecar environment.
+    """
 
     env: EnvModel
     cost: CostSpec
@@ -151,7 +152,7 @@ class TrialResult:
     """Outcome and full per-step log of one trial.
 
     Log rows are indexed by executed step: ``states[k]`` is the state the
-    k-th control was applied in, at ``times[k]`` and, when racing, at lap
+    k-th control was applied in, at ``times[k]`` and, on a track, at lap
     progress ``progress[k]``; ``particles[k]`` is the particle set that
     planned it, and ``particle_means`` is computed from ``particles``.
     ``final_state`` is the state after the last step, which the log rows do
@@ -181,7 +182,7 @@ class TrialResult:
 
     @property
     def particle_means(self) -> np.ndarray:
-        return self.particles.mean(axis=1)
+        return particle_mean(self.particles)
 
 
 def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, ref_cost: float, refs,
@@ -253,8 +254,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
              and config.svgd.step_size > 0)
     kernel_ok = getattr(config.svgd.kernel, "stein_compatible", False)
 
-    racing = isinstance(config.success, RaceSuccess)
-    lap = LapProgress(config.track if config.track is not None else StadiumTrack()) if racing else None
+    racing = config.track is not None
+    lap = LapProgress(config.track) if racing else None
 
     # Row k of the histories is step k's start; the first len(log_c) rows
     # are the logged ones, on every exit path.
@@ -272,7 +273,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
     # Every exit sets its reason and breaks, so the condition only stops a
     # trial whose calibration already failed from taking a step.
     while reason == "timeout":
-        if check_success(config.success, times_hist, states_hist, progress_hist):
+        if config.success.reached(times_hist, states_hist, progress_hist):
             success = True
             completion = t
             reason = "success"

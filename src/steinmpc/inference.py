@@ -98,9 +98,15 @@ def draw_particles(lower, upper, count: int, rng: np.random.Generator) -> Partic
     return ParticleSet(pts, lower, upper)
 
 
-def particle_mean(particles: ParticleSet) -> np.ndarray:
-    """Arithmetic mean of the particle stack, the point estimate of theta."""
-    return particles.particles.mean(axis=0)
+def particle_mean(stack: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of a particle stack, the point estimate of theta.
+
+    ``stack`` is any (..., n, p) array of n particles of dimension p, such as
+    one set's (n, p) ``ParticleSet.particles`` or a trial's (steps, n, p)
+    log; the mean is over the particle axis, so the result is (..., p). This
+    is the one place a particle mean is taken.
+    """
+    return stack.mean(axis=-2)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .inference import particle_mean
+
 __all__ = [
     "format_float",
     "step_csv_header",
@@ -80,7 +82,7 @@ def summary_record(result, doc_hash: str, version: str) -> dict:
         "steps": int(result.steps),
         "final_state": result.final_state.tolist(),
         "final_particles": particles.tolist(),
-        "final_particle_mean": particles.mean(axis=0).tolist(),
+        "final_particle_mean": particle_mean(particles).tolist(),
         "config_hash": doc_hash,
         "version": version,
     }

@@ -3,6 +3,12 @@
 The centerline is two parallel straights joined by two semicircles, traversed
 counterclockwise, parameterized by arc length starting at the left end of the
 bottom straight heading along +x. All geometry is closed form; no splines.
+
+A racing trial reads the track through two objects. ``LapProgress`` is the
+trial's lap count: the plant's state after each step, projected onto the
+centerline, as an unwrapped fraction of a lap. ``CenterlineReference`` is
+the cost's moving target: in each planning cycle, the centerline states
+that a plan starting from the car's state tracks.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ import numpy as np
 
 __all__ = [
     "StadiumTrack",
-    "track_reference",
-    "track_progress",
     "LapProgress",
     "CenterlineReference",
 ]
@@ -129,51 +133,30 @@ class StadiumTrack:
         return best_s % self.total_length
 
 
-def track_reference(track: StadiumTrack, s: float) -> np.ndarray:
-    """Full reference state [x, y, heading, speed, yaw rate] at arc length s."""
-    pos = track.point(s)
-    return np.array(
-        [
-            pos[0],
-            pos[1],
-            track.heading(s),
-            track.reference_speed,
-            track.yaw_rate_reference(s),
-        ]
-    )
-
-
-def track_progress(track: StadiumTrack, state, previous: float | None = None) -> float:
-    """Fraction of the lap at the nearest centerline point, unwrapped.
-
-    ``previous`` is the value returned for the preceding state of the same
-    trial; passing it keeps the fraction continuous across the finish line so
-    a completed lap reads >= 1.0. The first call of a trial passes None and
-    gets the raw fraction.
-    """
-    frac = track.nearest_arclength(np.asarray(state, dtype=float)[:2]) / track.total_length
-    if previous is None:
-        return frac
-    delta = (frac - previous) % 1.0
-    if delta >= 0.5:
-        delta -= 1.0
-    return previous + delta
-
-
 class LapProgress:
-    """Accumulates unwrapped lap fraction over the lifetime of one trial."""
+    """Unwrapped lap fraction of one trial, one state after another.
+
+    ``update`` returns the fraction of the lap at the centerline point
+    nearest to the state. The first call of a trial gets the raw fraction;
+    each later one moves it by whole laps to within half a lap of the value
+    before, so the fraction stays continuous across the finish line and a
+    completed lap reads >= 1.0.
+    """
 
     def __init__(self, track: StadiumTrack):
         self._track = track
         self._value: float | None = None
 
     def update(self, state) -> float:
-        self._value = track_progress(self._track, state, self._value)
-        return self._value
-
-    @property
-    def value(self) -> float | None:
-        return self._value
+        track = self._track
+        frac = track.nearest_arclength(np.asarray(state, dtype=float)[:2]) / track.total_length
+        if self._value is not None:
+            delta = (frac - self._value) % 1.0
+            if delta >= 0.5:
+                delta -= 1.0
+            frac = self._value + delta
+        self._value = frac
+        return frac
 
 
 class CenterlineReference:
@@ -190,11 +173,16 @@ class CenterlineReference:
         self.track = track
 
     def horizon_states(self, x0: np.ndarray, steps: int, dt: float) -> np.ndarray:
+        """(steps + 1, 5) reference states [x, y, heading, speed, yaw rate]."""
         x0 = np.asarray(x0, dtype=float)
-        s0 = self.track.nearest_arclength(x0[:2])
+        track = self.track
+        s0 = track.nearest_arclength(x0[:2])
         refs = np.empty((steps + 1, 5))
         for t in range(steps + 1):
-            refs[t] = track_reference(self.track, s0 + self.track.reference_speed * t * dt)
+            s = s0 + track.reference_speed * t * dt
+            pos = track.point(s)
+            refs[t] = (pos[0], pos[1], track.heading(s), track.reference_speed,
+                       track.yaw_rate_reference(s))
         base = refs[0, 2]
         turns = round((x0[2] - base) / (2.0 * math.pi))
         refs[:, 2] += 2.0 * math.pi * turns

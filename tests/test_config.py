@@ -4,6 +4,7 @@ import dataclasses
 import glob
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,14 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     ("batch", "cartpole", {"batch": {"seeds": MAX_SEEDS + 1}}, "batch.seeds"),
     ("batch", "cartpole", {"batch": {"seeds": list(range(MAX_SEEDS + 1))}}, "batch.seeds"),
     ("batch", "cartpole", {"batch": {"jobs": MAX_JOBS + 1}}, "batch.jobs"),
+    # a trial's arrays fit MAX_TRIAL_BYTES, reported at the key with the largest factor
+    ("run", "cartpole", {"env": {"dt": 1.0e-300}}, "env.dt"),
+    ("run", "cartpole", {"mppi": {"samples": 10**9}}, "mppi.samples"),
+    ("run", "cartpole", {"harness": {"n_particles": 10**8}}, "harness.n_particles"),
+    ("run", "cartpole", {"harness": {"duration": 1.0e12}}, "harness.duration"),
+    ("run", "cartpole", {"harness": {"horizon_seconds": 1.0e308}}, "harness.horizon_seconds"),
+    # an integer longer than int() reads fails the whole document
+    ("run", "cartpole", {"batch": {"seeds": 10**4999}}, "<document>"),
 ], ids=["theta_box_empty", "theta_true_outside", "control_box_empty",
         "extra_weight_negative", "q_not_psd", "sign_mode_unknown", "extra_weights_short",
         "centerline_off_the_track", "nominal_theta_outside", "step_size_negative",
@@ -199,13 +208,20 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
         "temperature_beyond_float", "x0_entry_beyond_float", "theta_upper_infinite",
         "track_radius_infinite", "control_upper_infinite", "theta_true_nan",
         "duration_infinite", "seed_negative", "base_seed_negative", "seed_count_beyond_platform",
-        "seed_count_over_cap", "seed_list_over_cap", "jobs_over_cap"])
+        "seed_count_over_cap", "seed_list_over_cap", "jobs_over_cap", "dt_tiny", "samples_huge",
+        "n_particles_huge", "duration_huge", "horizon_beyond_float", "integer_of_5000_digits"])
 def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field, tmp_path,
                                                      capsys):
     doc = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
     doc = _patched(_patched(doc, {"harness": {"duration": 0.03}}), patch)
     path = tmp_path / f"{name}.yaml"
-    path.write_text(serialize_config(doc))
+    # PyYAML writes an int with str(), which refuses more than 4300 digits by default
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        path.write_text(serialize_config(doc))
+    finally:
+        sys.set_int_max_str_digits(digits)
     for flags in (["--out", str(tmp_path / "out")], ["--config-dump"]):
         assert cli.main([command, str(path), *flags]) == 2
         captured = capsys.readouterr()

@@ -25,7 +25,6 @@ from steinmpc.harness import (
     RaceSuccess,
     RocketSuccess,
     TrialConfig,
-    check_success,
     run_batch,
     run_trial,
 )
@@ -64,14 +63,14 @@ def test_cartpole_hold_window():
     upright = [0.0, UP, 0.0, 0.0]
 
     held_5 = [hanging] * 3 + [upright] * 5  # spans t=0.3..0.7
-    assert not check_success(crit, times, held_5)
+    assert not crit.reached(times, held_5)
     held_6 = [hanging] * 2 + [upright] * 6  # spans t=0.2..0.7
-    assert check_success(crit, times, held_6)
-    assert not check_success(crit, times, [hanging] * 7 + [upright])
+    assert crit.reached(times, held_6)
+    assert not crit.reached(times, [hanging] * 7 + [upright])
     # upright since the start counts from t=0
-    assert check_success(crit, times, [upright] * 8)
-    assert not check_success(crit, [0.0], [upright])
-    assert check_success(CartpoleSuccess(hold_duration=0.0), [0.0], [upright])
+    assert crit.reached(times, [upright] * 8)
+    assert not crit.reached([0.0], [upright])
+    assert CartpoleSuccess(hold_duration=0.0).reached([0.0], [upright])
 
 
 def test_rocket_success_predicate():
@@ -83,20 +82,18 @@ def test_rocket_success_predicate():
     assert not crit.satisfied([0.5, 0.0, 0.16, 0.0, 0.0, 0.0])
     assert not crit.satisfied([0.5, 0.0, 0.0, 0.15, 0.15, 0.0])  # speed 0.21
     assert crit.satisfied([0.5, 0.0, 0.0, 0.14, 0.14, 9.0])
+    # reached reads the latest state alone
+    assert crit.reached([0.0, 0.1], [[0.0] * 6, landed])
+    assert not crit.reached([0.0, 0.1], [landed, [0.0] * 6])
 
 
 def test_race_success_reads_progress():
     crit = RaceSuccess()
     states = [np.zeros(5)] * 2
-    assert check_success(crit, [0.0, 0.1], states, [0.5, 1.0])
-    assert not check_success(crit, [0.0, 0.1], states, [0.5, 0.99])
-    assert not check_success(crit, [0.0, 0.1], states, None)
-    assert check_success(RaceSuccess(laps=2.0), [0.0], [np.zeros(5)], [2.1])
-
-
-def test_unknown_success_type_raises():
-    with pytest.raises(TypeError):
-        check_success(object(), [0.0], [np.zeros(4)])
+    assert crit.reached([0.0, 0.1], states, [0.5, 1.0])
+    assert not crit.reached([0.0, 0.1], states, [0.5, 0.99])
+    assert not crit.reached([0.0, 0.1], states, None)
+    assert RaceSuccess(laps=2.0).reached([0.0], [np.zeros(5)], [2.1])
 
 
 def _cartpole_trial(**overrides):
@@ -253,6 +250,9 @@ def test_diverging_dynamics_end_in_solver_failure():
     result = run_trial(config)
     assert not result.success
     assert result.terminal_reason == "solver_failure"
+    # racing follows the track, not the criterion: with no track no lap is measured
+    assert result.progress is None
+    assert result.final_progress is None
 
 
 def _failing_svgd_step(after_calls):

@@ -90,7 +90,10 @@ def test_draw_particles_stay_inside_and_are_reproducible():
 
 def test_particle_mean():
     ps = ParticleSet([[0.0, 2.0], [1.0, 4.0]], [0.0, 0.0], [2.0, 5.0])
-    np.testing.assert_allclose(particle_mean(ps), [0.5, 3.0])
+    np.testing.assert_allclose(particle_mean(ps.particles), [0.5, 3.0])
+    # a stack of sets, as a trial logs them, gives one mean per set
+    log = np.stack([ps.particles, ps.particles + 1.0])
+    np.testing.assert_allclose(particle_mean(log), [[0.5, 3.0], [1.5, 4.0]])
 
 
 # ------------------------------------------------------------------- scoring

@@ -8,8 +8,6 @@ from steinmpc.track import (
     CenterlineReference,
     LapProgress,
     StadiumTrack,
-    track_progress,
-    track_reference,
 )
 
 TRACK = StadiumTrack()  # straights 5, radius 2, speed 2
@@ -70,35 +68,40 @@ def test_nearest_arclength_start_reads_zero_not_full_lap():
     assert TRACK.nearest_arclength([-2.5, -2.0]) == pytest.approx(0.0, abs=1e-12)
 
 
+def _on_track(fraction):
+    """A state on the centerline ``fraction`` of a lap from the start."""
+    return np.append(TRACK.point(fraction * TRACK.total_length), [0, 0, 0])
+
+
 def test_track_reference_stacks_pose_speed_yaw():
-    ref = track_reference(TRACK, 5.0 + math.pi)
-    np.testing.assert_allclose(ref, [4.5, 0.0, math.pi / 2.0, 2.0, 1.0], atol=1e-12)
+    # a car on the right arc's midpoint, heading along it, gets that point's state
+    x0 = np.array([4.5, 0.0, math.pi / 2.0, 0.0, 0.0])
+    refs = CenterlineReference(TRACK).horizon_states(x0, steps=0, dt=0.1)
+    np.testing.assert_allclose(refs, [[4.5, 0.0, math.pi / 2.0, 2.0, 1.0]], atol=1e-12)
 
 
 def test_track_progress_first_call_is_raw_fraction():
-    assert track_progress(TRACK, [0.0, -2.0, 0, 0, 0]) == pytest.approx(
+    assert LapProgress(TRACK).update([0.0, -2.0, 0, 0, 0]) == pytest.approx(
         2.5 / TRACK.total_length
     )
 
 
 def test_track_progress_unwraps_forward_across_finish():
-    prog = track_progress(TRACK, [-2.45, -2.0, 0, 0, 0], previous=0.97)
-    assert prog == pytest.approx(1.0022156863792793)
+    lp = LapProgress(TRACK)
+    lp.update(_on_track(0.97))
+    assert lp.update([-2.45, -2.0, 0, 0, 0]) == pytest.approx(1.0022156863792793)
 
 
 def test_track_progress_small_reverse_goes_negative():
-    state = np.append(TRACK.point(0.95 * TRACK.total_length), [0, 0, 0])
-    assert track_progress(TRACK, state, previous=0.02) == pytest.approx(-0.05)
+    lp = LapProgress(TRACK)
+    lp.update(_on_track(0.02))
+    assert lp.update(_on_track(0.95)) == pytest.approx(-0.05)
 
 
 def test_lap_progress_accumulates_beyond_one():
     lp = LapProgress(TRACK)
-    values = [
-        lp.update(np.append(TRACK.point(f * TRACK.total_length), [0, 0, 0]))
-        for f in (0.0, 0.3, 0.6, 0.9, 1.1)
-    ]
+    values = [lp.update(_on_track(f)) for f in (0.0, 0.3, 0.6, 0.9, 1.1)]
     np.testing.assert_allclose(values, [0.0, 0.3, 0.6, 0.9, 1.1], atol=1e-9)
-    assert lp.value == pytest.approx(1.1)
 
 
 def test_centerline_reference_marches_at_reference_speed():
