@@ -13,16 +13,18 @@ constructor enforces (say, a PSD weight) at the section it builds.
 This module is the one place that knows the document schema. As the builders
 read a document they record every key with its validated value or default,
 in the order of the section's allowed keys; ``resolve_config`` returns that
-record, which ``--config-dump`` prints and which resolves to itself. The
-default of an optional key lives in the class that takes it (read with
-``_default``), or for env keys in the ``EnvModel`` that the factory returns.
+record, which ``--config-dump`` prints and which resolves to itself.
+
+A section that builds one class takes its schema from that class: its keys
+and their order are the class's fields, and ``_read_fields`` leaves every
+key the document omits to the class's default and records it as the built
+object has it. Env keys default to the ``EnvModel`` that the factory returns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import inspect
 import json
 import math
 
@@ -110,14 +112,6 @@ def _get(section: dict, key: str, path: str, required=False, default=None):
     return section[key]
 
 
-def _default(cls, name):
-    """The default that ``cls`` gives its argument ``name``."""
-    field = getattr(cls, "__dataclass_fields__", {}).get(name)
-    if field is None:
-        return inspect.signature(cls).parameters[name].default
-    return field.default if field.default_factory is dataclasses.MISSING else field.default_factory()
-
-
 def _fields(cls):
     return tuple(f.name for f in dataclasses.fields(cls))
 
@@ -175,13 +169,17 @@ class _Section:
         return {key: v.resolved() if isinstance(v, _Section) else v for key, v in ordered.items()}
 
 
-def _read_fields(section: _Section, cls, convert):
-    """Dataclass ``cls`` built from the keys ``section`` gives, each through
-    ``convert``, the rest at their defaults; records every field."""
-    given = {key: section.read(key, convert) for key in _fields(cls)
-             if _get(section.raw, key, section.path) is not None}
-    obj = _built(section.path, cls, **given)
-    section.values.update(dataclasses.asdict(obj))
+def _read_fields(section: _Section, cls, convert, required=(), at=None, **fixed):
+    """``cls(**fixed, **given)``, where ``given`` holds each key of ``convert``
+    that ``section`` gives, read through its ``(converter, *args)``; the class
+    defaults the rest. A ``ValueError`` of the constructor is reported at
+    ``at``, by default the section. Records each key as given or as the built
+    object has it."""
+    given = {key: section.read(key, *convert[key], required=key in required)
+             for key in convert
+             if key in required or _get(section.raw, key, section.path) is not None}
+    obj = _built(at or section.path, cls, **fixed, **given)
+    section.values.update({key: getattr(obj, key) for key in convert if key not in given})
     return obj
 
 
@@ -271,7 +269,7 @@ def _as_noise(value, path, length):
         return _as_nonnegative(value, path)
     if len(value) != length:
         raise ConfigError(path, f"expected {length} entries, got {len(value)}")
-    return [_as_nonnegative(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return tuple(_as_nonnegative(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def parse_config(text: str) -> dict:
@@ -322,19 +320,17 @@ def _build_env(root, env_name):
 
 
 def _build_extra_terminal(cost, n):
-    kind, section = cost.typed("extra", "terminal term", {
-        "upright_energy": ("weight",),
-        "inverse_displacement": ("weights", "epsilon"),
-    })
-    if kind == "upright_energy":
-        return _built(section.path, UprightEnergyPenalty,
-                      section.read("weight", _as_nonnegative, required=True))
-    if kind == "inverse_displacement":
-        weights = section.read("weights", _as_float_list, n, required=True)
-        epsilon = section.read("epsilon", _as_positive,
-                               default=_default(InverseDisplacementReward, "epsilon"))
-        return _built(section.path, InverseDisplacementReward, weights, epsilon=epsilon)
-    return None
+    terms = {
+        "upright_energy": (UprightEnergyPenalty, {"weight": (_as_nonnegative,)}),
+        "inverse_displacement": (InverseDisplacementReward,
+                                 {"weights": (_as_float_list, n), "epsilon": (_as_positive,)}),
+    }
+    kind, section = cost.typed("extra", "terminal term",
+                               {name: tuple(convert) for name, (_, convert) in terms.items()})
+    if kind is None:
+        return None
+    cls, convert = terms[kind]
+    return _read_fields(section, cls, convert, required=("weight", "weights"))
 
 
 def _build_cost(root, env, track):
@@ -358,18 +354,12 @@ def _build_cost(root, env, track):
 
 
 def _build_controller(root, env):
-    section = root.section("controller", ("variant", "gamma", "risk_lambda", "risk_epsilon",
+    section = root.section("controller", ("variant", *_fields(RobustObjectiveConfig),
                                           "nominal_theta"), required=True)
     variant = section.read("variant", required=True)
-    robust = _built(
-        section.path, RobustObjectiveConfig,
-        gamma=section.read("gamma", _as_nonnegative,
-                           default=_default(RobustObjectiveConfig, "gamma")),
-        risk_lambda=section.read("risk_lambda", _as_positive,
-                                 default=_default(RobustObjectiveConfig, "risk_lambda")),
-        risk_epsilon=section.read("risk_epsilon", _as_nonnegative,
-                                  default=_default(RobustObjectiveConfig, "risk_epsilon")),
-    )
+    robust = _read_fields(section, RobustObjectiveConfig, {
+        "gamma": (_as_nonnegative,), "risk_lambda": (_as_positive,),
+        "risk_epsilon": (_as_nonnegative,)})
     nominal = section.read("nominal_theta", _as_float_list, env.param_dim)
     if nominal is not None and np.any((nominal < env.theta_lower) | (nominal > env.theta_upper)):
         raise ConfigError(f"{section.path}.nominal_theta",
@@ -379,33 +369,25 @@ def _build_controller(root, env):
 
 
 def _build_svgd(root):
-    section = root.section("svgd", ("step_size", "iterations", "kernel", "fd_epsilon",
-                                    "sign_mode"), required=True)
-    kwargs = {
-        "step_size": section.read("step_size", _as_nonnegative, required=True),
-        "iterations": section.read("iterations", _as_int, 0,
-                                   default=_default(SvgdConfig, "iterations")),
-        "fd_epsilon": section.read("fd_epsilon", _as_positive,
-                                   default=_default(SvgdConfig, "fd_epsilon")),
-        "sign_mode": section.read("sign_mode", default=_default(SvgdConfig, "sign_mode")),
-    }
-    default_kernel = type(_default(SvgdConfig, "kernel"))
+    section = root.section("svgd", _fields(SvgdConfig), required=True)
+    default_kernel = type(SvgdConfig().kernel)
     kind, kernel = section.typed(
         "kernel", "kernel", {name: _fields(cls) for name, cls in KERNELS.items()},
         default=next(name for name, cls in KERNELS.items() if cls is default_kernel))
-    kwargs["kernel"] = _read_fields(kernel, KERNELS[kind], _as_positive)
-    return _built(f"{section.path}.sign_mode", SvgdConfig, **kwargs)
+    kernel = _read_fields(kernel, KERNELS[kind],
+                          dict.fromkeys(_fields(KERNELS[kind]), (_as_positive,)))
+    return _read_fields(section, SvgdConfig, {
+        "step_size": (_as_nonnegative,), "iterations": (_as_int, 0),
+        "fd_epsilon": (_as_positive,), "sign_mode": (None,),
+    }, required=("step_size",), at=f"{section.path}.sign_mode", kernel=kernel)
 
 
 def _build_mppi(root, env):
-    section = root.section("mppi", ("samples", "temperature", "noise_fraction"), required=True)
-    noise = section.read("noise_fraction", _as_noise, env.control_dim, required=True)
-    return _built(
-        section.path, MppiConfig,
-        samples=section.read("samples", _as_int, 1, required=True),
-        temperature=section.read("temperature", _as_positive, required=True),
-        noise_fraction=tuple(noise) if isinstance(noise, list) else noise,
-    )
+    section = root.section("mppi", _fields(MppiConfig), required=True)
+    return _read_fields(section, MppiConfig, {
+        "samples": (_as_int, 1), "temperature": (_as_positive,),
+        "noise_fraction": (_as_noise, env.control_dim),
+    }, required=_fields(MppiConfig))
 
 
 def _build_harness(root, env):
@@ -416,20 +398,20 @@ def _build_harness(root, env):
         "duration": section.read("duration", _as_positive, required=True),
         "horizon_seconds": section.read("horizon_seconds", _as_horizon, env.dt,
                                         required=True),
-        "n_particles": section.read("n_particles", _as_int, 1,
-                                    default=_default(TrialConfig, "n_particles")),
+        "n_particles": section.read("n_particles", _as_int, 1, default=TrialConfig.n_particles),
         "x0": np.asarray(section.read("x0", _as_float_list, env.state_dim, required=True)),
-        "log_ksd": section.read("log_ksd", _as_bool, default=_default(TrialConfig, "log_ksd")),
+        "log_ksd": section.read("log_ksd", _as_bool, default=TrialConfig.log_ksd),
         "track": None,
     }
     if env.name == "racecar":
-        fields["track"] = _read_fields(section.section("track", _fields(StadiumTrack)),
-                                       StadiumTrack, _as_positive)
+        track = section.section("track", _fields(StadiumTrack))
+        fields["track"] = _read_fields(track, StadiumTrack,
+                                       dict.fromkeys(track.keys, (_as_positive,)))
     elif _get(section.raw, "track", section.path) is not None:
         raise ConfigError(f"{section.path}.track", "only meaningful for the racecar environment")
-    success = _SUCCESS[env.name]
-    fields["success"] = _read_fields(section.section("success", _fields(success)),
-                                     success, _as_float)
+    success = section.section("success", _fields(_SUCCESS[env.name]))
+    fields["success"] = _read_fields(success, _SUCCESS[env.name],
+                                     dict.fromkeys(success.keys, (_as_float,)))
     return fields
 
 
@@ -446,9 +428,11 @@ def _build_batch(root, seed, seed_count, jobs):
     if jobs is not None:
         section.raw = {**section.raw, "jobs": jobs}
     seeds = _get(section.raw, "seeds", section.path, default=1)
-    base = _as_int(_get(section.raw, "base_seed", section.path, default=0),
-                   f"{section.path}.base_seed", 0)
+    base_path = f"{section.path}.base_seed"
+    base = _as_int(_get(section.raw, "base_seed", section.path, default=0), base_path, 0)
     if isinstance(seeds, list):
+        if _get(section.raw, "base_seed", section.path) is not None:
+            raise ConfigError(base_path, "only meaningful with a seed count")
         seeds = tuple(_as_int(s, f"{seeds_path}[{i}]", 0) for i, s in enumerate(seeds))
         if not 1 <= len(seeds) <= MAX_SEEDS:
             raise ConfigError(seeds_path, f"expected 1..{MAX_SEEDS} seeds, got {len(seeds)}")
@@ -461,7 +445,7 @@ def _build_batch(root, seed, seed_count, jobs):
     if seed_count is not None:
         seeds = _seed_range(seeds[0], seed_count, seeds_path)
     section.values["seeds"] = list(seeds)
-    jobs = section.read("jobs", _as_int, 1, default=_default(BatchSettings, "jobs"))
+    jobs = section.read("jobs", _as_int, 1, default=BatchSettings.jobs)
     if jobs > MAX_JOBS:
         raise ConfigError(f"{section.path}.jobs", f"must be <= {MAX_JOBS}, got {jobs}")
     return _built(section.path, BatchSettings, seeds=seeds, jobs=jobs)

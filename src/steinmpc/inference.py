@@ -201,9 +201,10 @@ def svgd_step(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> P
     input set is never mutated; score failures propagate before any new set
     is built.
 
-    The constant kernel is special: with no interaction structure the flow
-    reduces to independent gradient ascent per particle, and that reduction
-    is implemented literally so the ablation is exact.
+    The constant kernel is special. The update above with k = 1 would move
+    every particle by the mean score; the ablation means independent
+    gradient ascent instead, so each particle moves by its own score, and
+    its kernel methods are never called.
     """
     x = particles.particles
     n = particles.count

@@ -103,12 +103,15 @@ class ImqKernel:
 
 @dataclass(frozen=True)
 class ConstantKernel:
-    """k(a, b) = 1 everywhere.
+    """k(a, b) = 1 everywhere, the no-interaction ablation.
 
-    Removes all particle interaction: the variational update degenerates to
-    independent gradient ascent per particle, which is exactly the ablation
-    this kernel exists for. The Stein operator is degenerate, so discrepancy
-    estimation is unsupported.
+    Plugged into the SVGD update, k = 1 would move every particle by the same
+    drift, the mean of all particle scores, since the repulsion term is zero.
+    The ablation means independent gradient ascent instead, each particle
+    along its own score, and ``inference.svgd_step`` special-cases this
+    kernel to do exactly that. So no trial calls ``matrix`` or
+    ``grad_first_tensor``; only ``bench/`` wraps them. The Stein operator is
+    degenerate, so discrepancy estimation is unsupported.
     """
 
     stein_compatible = False

@@ -25,12 +25,13 @@ from steinmpc.configfile import (
     resolve_config,
     serialize_config,
 )
-from steinmpc.controllers import VARIANTS
+from steinmpc.controllers import VARIANTS, MppiConfig
 from steinmpc.costs import InverseDisplacementReward, UprightEnergyPenalty
 from steinmpc.dynamics import make_cartpole, make_racecar, make_rocket
 from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess
+from steinmpc.inference import SvgdConfig
 from steinmpc.kernels import ConstantKernel, ImqKernel, RbfKernel
-from steinmpc.track import CenterlineReference
+from steinmpc.track import CenterlineReference, StadiumTrack
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 DUMP_DIR = os.path.join(os.path.dirname(__file__), "config_dumps")
@@ -188,6 +189,8 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     # seeds are nonnegative, and a batch has at most MAX_SEEDS seeds and MAX_JOBS workers
     ("batch", "cartpole", {"batch": {"seeds": [-3]}}, "batch.seeds[0]"),
     ("batch", "cartpole", {"batch": {"seeds": 2, "base_seed": -3}}, "batch.base_seed"),
+    # a first seed beside a seed list used to be dropped without a word
+    ("batch", "cartpole", {"batch": {"seeds": [3, 4], "base_seed": 7}}, "batch.base_seed"),
     ("run", "cartpole", {"batch": {"seeds": 10**400}}, "batch.seeds"),
     ("batch", "cartpole", {"batch": {"seeds": MAX_SEEDS + 1}}, "batch.seeds"),
     ("batch", "cartpole", {"batch": {"seeds": list(range(MAX_SEEDS + 1))}}, "batch.seeds"),
@@ -207,7 +210,8 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
         "env_name_a_list", "kernel_type_a_list", "extra_type_a_mapping",
         "temperature_beyond_float", "x0_entry_beyond_float", "theta_upper_infinite",
         "track_radius_infinite", "control_upper_infinite", "theta_true_nan",
-        "duration_infinite", "seed_negative", "base_seed_negative", "seed_count_beyond_platform",
+        "duration_infinite", "seed_negative", "base_seed_negative", "base_seed_beside_list",
+        "seed_count_beyond_platform",
         "seed_count_over_cap", "seed_list_over_cap", "jobs_over_cap", "dt_tiny", "samples_huge",
         "n_particles_huge", "duration_huge", "horizon_beyond_float", "integer_of_5000_digits"])
 def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field, tmp_path,
@@ -633,10 +637,14 @@ def documents(draw):
             key: draw(NUMBER) for key in ("straight_length", "radius", "reference_speed")})})
     doc = {"env": env_doc, "cost": cost, "controller": controller, "svgd": svgd,
            "mppi": mppi, "harness": harness}
-    return optional(doc, {"batch": optional({}, {
+    batch = optional({}, {
         "seeds": draw(st.integers(1, 5) | st.lists(st.integers(0, 99), min_size=1, max_size=5, unique=True)),
-        "base_seed": draw(st.integers(0, 99)), "jobs": draw(st.integers(1, 3)),
-    })})
+        "jobs": draw(st.integers(1, 3)),
+    })
+    if not isinstance(batch.get("seeds"), list):
+        # a first seed is only meaningful with a seed count
+        optional(batch, {"base_seed": draw(st.integers(0, 99))})
+    return optional(doc, {"batch": batch})
 
 
 @given(doc=documents())
@@ -644,6 +652,15 @@ def test_resolving_a_document_is_a_fixed_point(doc):
     assert config_hash(parse_config(serialize_config(doc))) == config_hash(doc)
     trial, batch, resolved = resolve_config(doc)
     assert list(resolved) == ["env", "cost", "controller", "svgd", "mppi", "harness", "batch"]
+    # a section built from one class has that class's fields as its keys, in order
+    kernel = dict(resolved["svgd"]["kernel"])
+    sections = [(resolved["svgd"], SvgdConfig), (resolved["mppi"], MppiConfig),
+                (kernel, KERNELS[kernel.pop("type")]),
+                (resolved["harness"]["success"], type(trial.success))]
+    if trial.track is not None:
+        sections.append((resolved["harness"]["track"], StadiumTrack))
+    for section, cls in sections:
+        assert list(section) == [f.name for f in dataclasses.fields(cls)]
     again = parse_config(serialize_config(resolved))
     assert config_hash(again) == config_hash(resolved)
     trial_again, batch_again, resolved_again = resolve_config(again)
