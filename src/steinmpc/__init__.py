@@ -18,9 +18,7 @@ from .costs import (
     CostSpec,
     InverseDisplacementReward,
     UprightEnergyPenalty,
-    RobustObjectiveConfig,
     rollout_cost_batch,
-    trajectory_cost,
 )
 from .dynamics import (
     EnvModel,

@@ -8,8 +8,10 @@ Subcommands:
 
 Exit codes: 0 run completed (success or timeout both count), 2 invalid
 configuration, cross-field rules included, before any trial starts (the
-message names the key or section at fault), 3 solver failure, 4 inference
-failure (the gap turned non-finite during the particle update).
+message names the key or section at fault; ``<path>`` for a config file that
+cannot be read as UTF-8 text, ``--out`` for an output path that cannot be a
+directory), 3 solver failure, 4 inference failure (the gap turned non-finite
+during the particle update).
 Codes 3 and 4 come from ``run``; batch commands record each trial's
 terminal reason in its result files.
 
@@ -194,15 +196,16 @@ def main(argv=None) -> int:
         if args.config_dump:
             sys.stdout.write(serialize_config(resolved))
             return 0
-        os.makedirs(args.out, exist_ok=True)
-        return args.func(args, trial, batch, config_hash(doc))
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot make directory {args.out} "
+                                       f"({exc.strerror})") from None
     except ConfigError as exc:
         print(f"config error at {exc.field}: {exc.args[0].split(': ', 1)[-1]}",
               file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"config error at <path>: cannot read {exc.filename}", file=sys.stderr)
-        return 2
+    return args.func(args, trial, batch, config_hash(doc))
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from .controllers import ControllerSpec, MppiConfig
-from .costs import CostSpec, InverseDisplacementReward, RobustObjectiveConfig, UprightEnergyPenalty
+from .costs import CostSpec, InverseDisplacementReward, UprightEnergyPenalty
 from .dynamics import horizon_steps, make_cartpole, make_racecar, make_rocket
 from .harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig
 from .inference import SvgdConfig
@@ -292,8 +292,14 @@ def serialize_config(doc: dict) -> str:
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Read and parse a document file; one that cannot be read as UTF-8 text,
+    a missing file or a directory say, is a ``ConfigError`` at ``<path>``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        raise ConfigError("<path>", f"cannot read {path}") from None
+    return parse_config(text)
 
 
 def config_hash(doc: dict) -> str:
@@ -354,18 +360,16 @@ def _build_cost(root, env, track):
 
 
 def _build_controller(root, env):
-    section = root.section("controller", ("variant", *_fields(RobustObjectiveConfig),
-                                          "nominal_theta"), required=True)
-    variant = section.read("variant", required=True)
-    robust = _read_fields(section, RobustObjectiveConfig, {
-        "gamma": (_as_nonnegative,), "risk_lambda": (_as_positive,),
-        "risk_epsilon": (_as_nonnegative,)})
-    nominal = section.read("nominal_theta", _as_float_list, env.param_dim)
+    section = root.section("controller", _fields(ControllerSpec), required=True)
+    controller = _read_fields(section, ControllerSpec, {
+        "variant": (None,), "gamma": (_as_nonnegative,), "risk_lambda": (_as_positive,),
+        "risk_epsilon": (_as_nonnegative,), "nominal_theta": (_as_float_list, env.param_dim),
+    }, required=("variant",), at=f"{section.path}.variant")
+    nominal = controller.nominal_theta
     if nominal is not None and np.any((nominal < env.theta_lower) | (nominal > env.theta_upper)):
         raise ConfigError(f"{section.path}.nominal_theta",
                           "must lie inside the parameter box, as env.theta_true must")
-    return _built(f"{section.path}.variant", ControllerSpec,
-                  variant=variant, robust=robust, nominal_theta=nominal)
+    return controller
 
 
 def _build_svgd(root):

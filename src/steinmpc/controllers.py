@@ -16,9 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from .costs import CostSpec, RobustObjectiveConfig, rollout_cost_batch
+from .costs import CostSpec, rollout_cost_batch
 from .dynamics import EnvModel
-from .inference import ParticleSet, particle_mean
+from .inference import particle_mean
 
 __all__ = [
     "MppiConfig",
@@ -142,17 +142,32 @@ def shift_warm_start(plan: np.ndarray) -> np.ndarray:
 class ControllerSpec:
     """Which variant plans, and with what objective weights.
 
-    ``nominal_theta`` overrides the default nominal parameters (the midpoint
-    of the parameter box) for the nominal variant.
+    Attributes:
+        variant: one of ``VARIANTS``.
+        gamma: weight on the mean optimality gap in the stein_adaptive
+            objective (emppi weights it 1).
+        risk_lambda: temperature of the dro objective; None defers to the
+            harness, which calibrates it from the warm-start cost.
+        risk_epsilon: ambiguity radius the dro objective adds.
+        nominal_theta: the nominal variant's parameters; None means the
+            midpoint of the parameter box.
     """
 
     variant: str = "stein_adaptive"
-    robust: RobustObjectiveConfig = RobustObjectiveConfig()
+    gamma: float = 0.5
+    risk_lambda: float | None = None
+    risk_epsilon: float = 0.1
     nominal_theta: np.ndarray | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if self.risk_lambda is not None and not self.risk_lambda > 0:
+            raise ValueError(f"risk_lambda must be positive, got {self.risk_lambda}")
+        if not self.risk_epsilon >= 0:
+            raise ValueError(f"risk_epsilon must be nonnegative, got {self.risk_epsilon}")
         if self.nominal_theta is not None:
             object.__setattr__(
                 self, "nominal_theta", np.asarray(self.nominal_theta, dtype=float)
@@ -220,30 +235,26 @@ def _nominal(matrix: np.ndarray) -> np.ndarray:
 
 
 def build_objective(
-    controller: ControllerSpec,
-    spec: CostSpec,
-    env: EnvModel,
-    x0,
-    particles: ParticleSet | np.ndarray,
+    controller: ControllerSpec, spec: CostSpec, env: EnvModel, x0, particles: np.ndarray
 ) -> PlanObjective:
     """Construct the plan objective a variant scores candidates with.
 
-    stein_adaptive and emppi score against the particle mean
-    (``inference.particle_mean``) followed by the particles, so a plan's row
-    starts with its cost under the current point estimate. dro scores
-    against the particles and nominal against ``nominal_parameters`` alone.
+    ``particles`` is the (n, p) particle array. stein_adaptive and emppi
+    score against the particle mean (``inference.particle_mean``) followed by
+    the particles, so a plan's row starts with its cost under the current
+    point estimate. dro scores against the particles and nominal against
+    ``nominal_parameters`` alone.
     """
-    mat = particles.particles if isinstance(particles, ParticleSet) else particles
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    cfg = controller.robust
+    mat = np.atleast_2d(np.asarray(particles, dtype=float))
     if controller.variant in ("stein_adaptive", "emppi"):
-        gamma = cfg.gamma if controller.variant == "stein_adaptive" else 1.0
+        gamma = controller.gamma if controller.variant == "stein_adaptive" else 1.0
         thetas, reduce = np.vstack([particle_mean(mat)[None], mat]), partial(_robust, gamma=gamma)
     elif controller.variant == "dro":
-        if cfg.risk_lambda is None:
+        if controller.risk_lambda is None:
             raise ValueError("risk_lambda must be calibrated before building the dro objective")
         thetas = mat
-        reduce = partial(_risk_averse, lam=cfg.risk_lambda, epsilon=cfg.risk_epsilon)
+        reduce = partial(_risk_averse, lam=controller.risk_lambda,
+                         epsilon=controller.risk_epsilon)
     else:
         thetas, reduce = nominal_parameters(controller, env)[None], _nominal
     return PlanObjective(spec, env, x0, thetas, reduce)

@@ -1,16 +1,15 @@
-"""Quadratic trajectory costs, terminal terms, and the objective weights.
+"""Quadratic trajectory costs and terminal terms.
 
 The one definition of a trajectory's cost is ``rollout_cost_batch``, which
 integrates a grid of candidate plans against a stack of parameter hypotheses
-in one vectorized pass, with the same RK4 step the plant advances by.
-``trajectory_cost`` reads a single entry of that grid, so a cost computed on
-its own is the same float the planner saw inside a batch. The gap that
-inference scores is the chosen plan's cost under each probe theta less its
-cost under the particle mean. The planner's rescore rolls the first SVGD
-step's probe out with the objective's thetas (``controllers.mppi_solve``), so
-both are entries of the chosen plan's rescore row, and the harness hands the
-row's tail less its first entry to the Stein step as its gaps; a later step's
-probe is rolled out on its own by ``harness._gap_model``, to the same floats.
+in one vectorized pass, with the same RK4 step the plant advances by; one
+plan's cost under one theta is the grid's 1 x 1 entry. The gap that inference
+scores is the chosen plan's cost under each probe theta less its cost under
+the particle mean. The planner's rescore rolls the first SVGD step's probe
+out with the objective's thetas (``controllers.mppi_solve``), so both are
+entries of the chosen plan's rescore row, and the harness hands the row's
+tail less its first entry to the Stein step as its gaps; a later step's probe
+is rolled out on its own by ``harness._gap_model``, to the same floats.
 
 Every entry of the (C, P) grid depends only on its own (plan, parameter) pair,
 so a caller that has the grid never needs to roll a pair out again: the plan
@@ -61,10 +60,8 @@ from .dynamics import GRAVITY, EnvModel, _rk4
 
 __all__ = [
     "CostSpec",
-    "RobustObjectiveConfig",
     "InverseDisplacementReward",
     "UprightEnergyPenalty",
-    "trajectory_cost",
     "rollout_cost_batch",
 ]
 
@@ -283,33 +280,3 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         total += spec.extra_terminal.batch(x, theta, x0[:, None, None])
     return total
 
-
-def trajectory_cost(spec: CostSpec, env: EnvModel, x0, plan, theta) -> float:
-    """Total cost of rolling one plan out under one parameter hypothesis."""
-    plan = np.asarray(plan, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return float(rollout_cost_batch(spec, env, x0, plan[None], theta[None])[0, 0])
-
-
-@dataclass(frozen=True)
-class RobustObjectiveConfig:
-    """Weights for the ensemble and risk-averse plan objectives.
-
-    Attributes:
-        gamma: weight on the mean optimality gap in the robust objective.
-        risk_lambda: temperature of the risk-averse objective; None defers
-            to the harness, which calibrates it from the warm-start cost.
-        risk_epsilon: ambiguity radius added by the risk-averse objective.
-    """
-
-    gamma: float = 0.5
-    risk_lambda: float | None = None
-    risk_epsilon: float = 0.1
-
-    def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.risk_lambda is not None and not self.risk_lambda > 0:
-            raise ValueError(f"risk_lambda must be positive, got {self.risk_lambda}")
-        if not self.risk_epsilon >= 0:
-            raise ValueError(f"risk_epsilon must be nonnegative, got {self.risk_epsilon}")

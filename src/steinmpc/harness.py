@@ -25,7 +25,7 @@ from .controllers import (
     nominal_parameters,
     shift_warm_start,
 )
-from .costs import CostSpec, rollout_cost_batch, trajectory_cost
+from .costs import CostSpec, rollout_cost_batch
 from .dynamics import EnvModel, horizon_steps, rk4_step
 from .inference import (
     ParticleSet,
@@ -201,14 +201,15 @@ def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerS
             parameters is not finite, so there is no scale to calibrate from.
     """
     controller = config.controller
-    if controller.variant != "dro" or controller.robust.risk_lambda is not None:
+    if controller.variant != "dro" or controller.risk_lambda is not None:
         return controller
     nominal = nominal_parameters(controller, config.env)
-    scale = abs(trajectory_cost(config.cost, config.env, config.x0, warm, nominal))
+    cost = rollout_cost_batch(config.cost, config.env, config.x0, warm[None], nominal[None])
+    scale = abs(float(cost[0, 0]))
     if not math.isfinite(scale):
         raise SolverFailureError(f"warm-start cost {scale} cannot calibrate risk_lambda")
     lam = 10.0 * max(scale, 1e-6)
-    return replace(controller, robust=replace(controller.robust, risk_lambda=lam))
+    return replace(controller, risk_lambda=lam)
 
 
 def run_trial(config: TrialConfig) -> TrialResult:
@@ -284,7 +285,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
         cycle_rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(1, step_index))
         )
-        objective = build_objective(controller, config.cost, env, state, particles)
+        objective = build_objective(controller, config.cost, env, state, particles.particles)
         probe = probe_thetas(particles, config.svgd.fd_epsilon) if infer else ()
         try:
             new_plan, plan_cost, theta_costs = mppi_solve(

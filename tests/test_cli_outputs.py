@@ -128,6 +128,38 @@ def test_cli_run_exits_2_on_a_missing_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_cli_run_exits_2_on_an_unreadable_config(kind, tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"env: {name: \xff}\n")
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error at <path>: cannot read {path}\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.yaml"]
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_cli_exits_2_when_out_is_a_file(command, tmp_path, capsys, monkeypatch):
+    name, build, flags = CASES[command]
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(serialize_config(build(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))))
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    monkeypatch.setattr(cli, "run_batch", no_trial)
+    assert cli.main([command, str(path), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at --out: cannot make directory {out} (")
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_config_dump_writes_nothing(command, tmp_path, capsys):
     name, build, flags = CASES[command]

@@ -25,7 +25,7 @@ from steinmpc.configfile import (
     resolve_config,
     serialize_config,
 )
-from steinmpc.controllers import VARIANTS, MppiConfig
+from steinmpc.controllers import VARIANTS, ControllerSpec, MppiConfig
 from steinmpc.costs import InverseDisplacementReward, UprightEnergyPenalty
 from steinmpc.dynamics import make_cartpole, make_racecar, make_rocket
 from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess
@@ -390,8 +390,8 @@ def test_controller_section():
     doc["controller"] = {"variant": "dro", "risk_lambda": 2.0,
                          "risk_epsilon": 0.2}
     trial, _ = build_trial_config(doc)
-    assert trial.controller.robust.risk_lambda == 2.0
-    assert trial.controller.robust.risk_epsilon == 0.2
+    assert trial.controller.risk_lambda == 2.0
+    assert trial.controller.risk_epsilon == 0.2
 
     doc["controller"] = {"variant": "psychic"}
     assert error_field(doc) == "controller.variant"
@@ -495,7 +495,7 @@ def test_shipped_reference_configs_build():
     cartpole, cartpole_batch = built["cartpole.yaml"]
     assert cartpole.env.name == "cartpole"
     assert cartpole.controller.variant == "stein_adaptive"
-    assert cartpole.controller.robust.gamma == 0.5
+    assert cartpole.controller.gamma == 0.5
     assert cartpole.svgd.step_size == 0.001
     assert cartpole.n_particles == 5
     assert len(cartpole_batch.seeds) == 32
@@ -517,7 +517,7 @@ def test_shipped_reference_configs_build():
     assert isinstance(racing.svgd.kernel, ImqKernel)
     assert racing.svgd.sign_mode == "favoring"
     assert racing.svgd.step_size == 0.01
-    assert racing.controller.robust.risk_lambda == 0.5
+    assert racing.controller.risk_lambda == 0.5
     assert isinstance(racing.cost.extra_terminal, InverseDisplacementReward)
     assert len(racing_batch.seeds) == 16
 
@@ -654,7 +654,8 @@ def test_resolving_a_document_is_a_fixed_point(doc):
     assert list(resolved) == ["env", "cost", "controller", "svgd", "mppi", "harness", "batch"]
     # a section built from one class has that class's fields as its keys, in order
     kernel = dict(resolved["svgd"]["kernel"])
-    sections = [(resolved["svgd"], SvgdConfig), (resolved["mppi"], MppiConfig),
+    sections = [(resolved["controller"], ControllerSpec),
+                (resolved["svgd"], SvgdConfig), (resolved["mppi"], MppiConfig),
                 (kernel, KERNELS[kernel.pop("type")]),
                 (resolved["harness"]["success"], type(trial.success))]
     if trial.track is not None:
@@ -671,6 +672,13 @@ def test_resolving_a_document_is_a_fixed_point(doc):
                  "n_particles", "log_ksd"):
         assert getattr(trial_again, name) == getattr(trial, name)
     np.testing.assert_array_equal(trial_again.x0, trial.x0)
+    for name in ("variant", "gamma", "risk_lambda", "risk_epsilon"):
+        assert getattr(trial_again.controller, name) == getattr(trial.controller, name)
+    if trial.controller.nominal_theta is None:
+        assert trial_again.controller.nominal_theta is None
+    else:
+        np.testing.assert_array_equal(trial_again.controller.nominal_theta,
+                                      trial.controller.nominal_theta)
     for name in ("Q", "R", "Q_f"):
         np.testing.assert_array_equal(getattr(trial_again.cost, name), getattr(trial.cost, name))
     for name in ("dt", "control_lower", "control_upper", "theta_true", "theta_lower",

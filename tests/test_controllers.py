@@ -16,7 +16,7 @@ from steinmpc.controllers import (
     nominal_parameters,
     shift_warm_start,
 )
-from steinmpc.costs import CostSpec, RobustObjectiveConfig, rollout_cost_batch, trajectory_cost
+from steinmpc.costs import CostSpec, rollout_cost_batch
 from steinmpc.dynamics import EnvModel
 from steinmpc.inference import ParticleSet, probe_thetas
 
@@ -44,17 +44,19 @@ PARTICLES = ParticleSet([[0.7], [1.0], [1.4]], ENV.theta_lower, ENV.theta_upper)
 
 def nominal_objective():
     return build_objective(
-        ControllerSpec(variant="nominal"), SPEC, ENV, X0, PARTICLES
+        ControllerSpec(variant="nominal"), SPEC, ENV, X0, PARTICLES.particles
     )
 
 
 def per_particle_costs(plan_arr, thetas):
-    return np.array([trajectory_cost(SPEC, ENV, X0, plan_arr, th) for th in thetas])
+    return np.array([rollout_cost_batch(SPEC, ENV, X0, plan_arr[None], th[None])[0, 0]
+                     for th in thetas])
 
 
 def robust_oracle(plan_arr, gamma):
     # anchor at the particle mean, plus gamma times the mean gap to it
-    anchor = trajectory_cost(SPEC, ENV, X0, plan_arr, PARTICLES.particles.mean(axis=0))
+    mean = PARTICLES.particles.mean(axis=0)
+    anchor = rollout_cost_batch(SPEC, ENV, X0, plan_arr[None], mean[None])[0, 0]
     gaps = per_particle_costs(plan_arr, PARTICLES.particles) - anchor
     return anchor + gamma * gaps.mean()
 
@@ -79,6 +81,14 @@ def test_mppi_config_validation():
     with pytest.raises(ValueError):
         MppiConfig(noise_fraction=-0.1)
     MppiConfig(noise_fraction=(0.3, 0.04))
+
+
+@pytest.mark.parametrize(
+    "weights", [dict(gamma=-1), dict(risk_lambda=0), dict(risk_epsilon=-0.1)],
+    ids=["gamma", "risk_lambda", "risk_epsilon"])
+def test_controller_spec_validation(weights):
+    with pytest.raises(ValueError):
+        ControllerSpec(**weights)
 
 
 def test_mppi_never_loses_to_the_warm_start():
@@ -107,8 +117,7 @@ def test_mppi_solve_returns_the_chosen_plans_own_costs(
         variant, warm, thetas, samples, temperature, noise, seed):
     # The returned cost and per-theta row are what scoring the returned plan
     # again gives, bit for bit, and the cost never exceeds the warm plan's.
-    controller = ControllerSpec(variant=variant,
-                                robust=RobustObjectiveConfig(risk_lambda=5.0))
+    controller = ControllerSpec(variant=variant, risk_lambda=5.0)
     objective = build_objective(controller, SPEC, ENV, X0, thetas)
     plan, cost, theta_costs = mppi_solve(
         ENV, warm, objective,
@@ -125,7 +134,7 @@ def test_mppi_solve_rolls_the_probe_out_in_the_rescore(monkeypatch):
     # call's bytes, the row starts with the no-probe row, and its tail is the
     # chosen plan's own costs under the probe. Both branches are covered: the
     # averaged plan accepted, and the best candidate kept.
-    objective = build_objective(ControllerSpec(), SPEC, ENV, X0, PARTICLES)
+    objective = build_objective(ControllerSpec(), SPEC, ENV, X0, PARTICLES.particles)
     probe = probe_thetas(PARTICLES, 1e-2)
     n_thetas = len(objective.thetas)
     rescored = []
@@ -237,39 +246,36 @@ def test_nominal_parameters_midpoint_and_override():
 def test_objectives_match_their_scalar_cost_functions():
     rng = np.random.default_rng(4)
     plans = rng.uniform(-1, 1, size=(3, 5, 1))
-    cfg = RobustObjectiveConfig(gamma=0.5, risk_lambda=7.0, risk_epsilon=0.1)
+    weights = dict(gamma=0.5, risk_lambda=7.0, risk_epsilon=0.1)
 
-    stein = build_objective(ControllerSpec(variant="stein_adaptive", robust=cfg),
-                            SPEC, ENV, X0, PARTICLES)
-    emppi = build_objective(ControllerSpec(variant="emppi", robust=cfg),
-                            SPEC, ENV, X0, PARTICLES)
-    dro = build_objective(ControllerSpec(variant="dro", robust=cfg),
-                          SPEC, ENV, X0, PARTICLES)
-    nominal = build_objective(ControllerSpec(variant="nominal", robust=cfg),
-                              SPEC, ENV, X0, PARTICLES)
+    stein, emppi, dro, nominal = (
+        build_objective(ControllerSpec(variant=variant, **weights),
+                        SPEC, ENV, X0, PARTICLES.particles)
+        for variant in ("stein_adaptive", "emppi", "dro", "nominal"))
 
     for p in plans:
         assert stein(p) == pytest.approx(robust_oracle(p, 0.5), rel=1e-12)
         assert emppi(p) == pytest.approx(robust_oracle(p, 1.0), rel=1e-12)
         assert dro(p) == pytest.approx(risk_oracle(p, 7.0, 0.1), rel=1e-12)
         assert nominal(p) == pytest.approx(
-            trajectory_cost(SPEC, ENV, X0, p, [1.0]), rel=1e-12)
+            rollout_cost_batch(SPEC, ENV, X0, p[None], [[1.0]])[0, 0], rel=1e-12)
 
 
-def variant_formula(variant, robust, particles, plans):
+def variant_formula(controller, particles, plans):
     # Each variant's theta stack and reduction, written out against a plain
     # rollout of the stack.
+    variant = controller.variant
     if variant == "nominal":
         return rollout_cost_batch(SPEC, ENV, X0, plans, np.array([[1.0]]))[:, 0]
     if variant == "dro":
         from scipy.special import logsumexp
 
-        lam, grid = robust.risk_lambda, rollout_cost_batch(SPEC, ENV, X0, plans, particles)
+        lam, grid = controller.risk_lambda, rollout_cost_batch(SPEC, ENV, X0, plans, particles)
         lse = logsumexp(grid / lam, axis=1) - np.log(grid.shape[1])
-        return lam * robust.risk_epsilon + lam * lse
+        return lam * controller.risk_epsilon + lam * lse
     thetas = np.vstack([particles.mean(axis=0)[None], particles])
     grid = rollout_cost_batch(SPEC, ENV, X0, plans, thetas)
-    gamma = robust.gamma if variant == "stein_adaptive" else 1.0
+    gamma = controller.gamma if variant == "stein_adaptive" else 1.0
     return grid[:, 0] + gamma * (grid[:, 1:] - grid[:, :1]).mean(axis=1)
 
 
@@ -282,27 +288,23 @@ def variant_formula(variant, robust, particles, plans):
     gamma=st.floats(0.0, 5.0),
     lam=st.floats(0.01, 100.0),
     epsilon=st.floats(0.0, 1.0),
-    as_set=st.booleans(),
 )
 def test_objective_values_are_the_variant_formula_bit_for_bit(
-        variant, plans, particles, gamma, lam, epsilon, as_set):
+        variant, plans, particles, gamma, lam, epsilon):
     # reduce(cost_matrix(plans)) and the objective's own call give exactly the
     # floats of the variant's formula, P = 1 included.
-    robust = RobustObjectiveConfig(gamma=gamma, risk_lambda=lam, risk_epsilon=epsilon)
-    given_particles = (ParticleSet(particles, ENV.theta_lower, ENV.theta_upper)
-                       if as_set else particles)
-    objective = build_objective(ControllerSpec(variant=variant, robust=robust),
-                                SPEC, ENV, X0, given_particles)
-    expected = variant_formula(variant, robust, particles, plans)
+    controller = ControllerSpec(variant=variant, gamma=gamma, risk_lambda=lam,
+                                risk_epsilon=epsilon)
+    objective = build_objective(controller, SPEC, ENV, X0, particles)
+    expected = variant_formula(controller, particles, plans)
     assert np.array_equal(objective.reduce(objective.cost_matrix(plans)), expected)
     assert np.array_equal(objective(plans[0]), expected[0])
 
 
 def test_emppi_weighting_ignores_configured_gamma():
     # the ensemble variant always averages, whatever gamma says
-    cfg = RobustObjectiveConfig(gamma=0.0)
-    emppi = build_objective(ControllerSpec(variant="emppi", robust=cfg),
-                            SPEC, ENV, X0, PARTICLES)
+    emppi = build_objective(ControllerSpec(variant="emppi", gamma=0.0),
+                            SPEC, ENV, X0, PARTICLES.particles)
     p = np.full((4, 1), 0.3)
     assert emppi(p) == pytest.approx(robust_oracle(p, 1.0))
 
@@ -310,17 +312,15 @@ def test_emppi_weighting_ignores_configured_gamma():
 def test_dro_objective_requires_calibrated_lambda():
     with pytest.raises(ValueError):
         build_objective(
-            ControllerSpec(variant="dro", robust=RobustObjectiveConfig(risk_lambda=None)),
-            SPEC, ENV, X0, PARTICLES)
+            ControllerSpec(variant="dro", risk_lambda=None), SPEC, ENV, X0, PARTICLES.particles)
 
 
 def test_plan_runs_one_cycle_for_every_variant():
     warm = np.zeros((5, 1))
     for variant in VARIANTS:
-        robust = RobustObjectiveConfig(risk_lambda=5.0)
-        controller = ControllerSpec(variant=variant, robust=robust)
+        controller = ControllerSpec(variant=variant, risk_lambda=5.0)
         out = one_cycle(controller, MppiConfig(samples=32, noise_fraction=0.3),
-                        PARTICLES, warm, np.random.default_rng(11))
+                        PARTICLES.particles, warm, np.random.default_rng(11))
         assert out.shape == (5, 1)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 

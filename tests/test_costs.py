@@ -16,14 +16,11 @@ from steinmpc.costs import (
     _quad,
     _quad_terms,
     InverseDisplacementReward,
-    RobustObjectiveConfig,
     UprightEnergyPenalty,
     rollout_cost_batch,
-    trajectory_cost,
 )
 from steinmpc.dynamics import EnvModel, _rk4, rk4_step
 from steinmpc.harness import _gap_model
-from steinmpc.inference import ParticleSet
 from steinmpc.track import CenterlineReference, StadiumTrack
 
 
@@ -72,12 +69,11 @@ STILL = EnvModel(
 
 
 def particles(*rows):
-    return ParticleSet(np.array(rows, dtype=float),
-                       DRIFT.theta_lower, DRIFT.theta_upper)
+    return np.array(rows, dtype=float)
 
 
-def objective(variant, plan, ps, cfg, spec=DRIFT_SPEC):
-    controller = ControllerSpec(variant=variant, robust=cfg)
+def objective(variant, plan, ps, spec=DRIFT_SPEC, **weights):
+    controller = ControllerSpec(variant=variant, **weights)
     return build_objective(controller, spec, DRIFT, [0.0], ps)(plan)
 
 
@@ -111,7 +107,7 @@ def test_trajectory_cost_matches_independent_rk4_on_scalar_decay():
     h = DECAY.dt
     factor = 1 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
     expect = 1.0 + factor**2 + 3.0 * factor**4
-    got = trajectory_cost(spec, DECAY, [1.0], np.zeros((2, 1)), [1.0])
+    got = rollout_cost_batch(spec, DECAY, [1.0], np.zeros((1, 2, 1)), [[1.0]])[0, 0]
     assert got == pytest.approx(expect, abs=1e-14)
     assert got == pytest.approx(3.8296917681587215)
 
@@ -119,8 +115,8 @@ def test_trajectory_cost_matches_independent_rk4_on_scalar_decay():
 def test_trajectory_cost_ignores_dead_parameters():
     spec = CostSpec(Q=[[1.0]], R=[[0.1]], Q_f=[[1.0]], x_des=[0.0])
     plan = np.full((3, 1), 0.4)
-    a = trajectory_cost(spec, DECAY, [1.0], plan, [0.6])
-    b = trajectory_cost(spec, DECAY, [1.0], plan, [1.4])
+    a = rollout_cost_batch(spec, DECAY, [1.0], plan[None], [[0.6]])[0, 0]
+    b = rollout_cost_batch(spec, DECAY, [1.0], plan[None], [[1.4]])[0, 0]
     assert a == b
 
 
@@ -133,7 +129,8 @@ def test_rollout_batch_grid_matches_scalar_entry_point():
     assert grid.shape == (4, 5)
     for i in range(4):
         for j in range(5):
-            direct = trajectory_cost(DRIFT_SPEC, DRIFT, [0.0], plans[i], thetas[j])
+            direct = rollout_cost_batch(DRIFT_SPEC, DRIFT, [0.0], plans[i][None],
+                                        thetas[j][None])[0, 0]
             assert grid[i, j] == pytest.approx(direct, rel=1e-12)
     # a lone plan is promoted to a 1-row grid
     single = rollout_cost_batch(spec, DECAY, [1.0], plans[0], thetas[:2])
@@ -152,7 +149,7 @@ def test_rollout_clamps_plans_to_actuator_limits():
 def optimality_gap(theta, theta_ref):
     """The gap inference scores: ONE_STEP's cost under theta less its cost under theta_ref."""
     x0 = np.array([0.0])
-    ref_cost = trajectory_cost(DRIFT_SPEC, DRIFT, x0, ONE_STEP, theta_ref)
+    ref_cost = rollout_cost_batch(DRIFT_SPEC, DRIFT, x0, ONE_STEP[None], [theta_ref])[0, 0]
     refs = DRIFT_SPEC.references(DRIFT, x0, len(ONE_STEP))
     return _gap_model(DRIFT_SPEC, DRIFT, x0, ONE_STEP, ref_cost, refs,
                       np.array([theta], dtype=float))[0]
@@ -170,10 +167,9 @@ def test_optimality_gap_can_be_negative():
 def test_robust_cost_anchors_at_mean_and_blends_gaps():
     # costs are theta^2: particles {1, 2} have mean cost anchor 1.5^2 = 2.25
     ps = particles([1.0], [2.0])
-    cfg = lambda g: RobustObjectiveConfig(gamma=g)
-    assert objective("stein_adaptive", ONE_STEP, ps, cfg(0.0)) == pytest.approx(2.25)
-    assert objective("stein_adaptive", ONE_STEP, ps, cfg(0.5)) == pytest.approx(2.375)
-    assert objective("stein_adaptive", ONE_STEP, ps, cfg(1.0)) == pytest.approx(2.5)
+    assert objective("stein_adaptive", ONE_STEP, ps, gamma=0.0) == pytest.approx(2.25)
+    assert objective("stein_adaptive", ONE_STEP, ps, gamma=0.5) == pytest.approx(2.375)
+    assert objective("stein_adaptive", ONE_STEP, ps, gamma=1.0) == pytest.approx(2.5)
 
 
 def test_robust_cost_gamma_one_is_exact_ensemble_mean():
@@ -182,11 +178,9 @@ def test_robust_cost_gamma_one_is_exact_ensemble_mean():
     worst = 0.0
     for _ in range(50):
         pts = rng.uniform(0.0, 3.0, size=(rng.integers(1, 7), 1))
-        ps = ParticleSet(pts, DRIFT.theta_lower, DRIFT.theta_upper)
         plan = rng.uniform(-1, 1, size=(3, 1))
-        robust = build_objective(
-            ControllerSpec(variant="stein_adaptive", robust=RobustObjectiveConfig(gamma=1.0)),
-            spec, DRIFT, [0.2], ps)
+        robust = build_objective(ControllerSpec(variant="stein_adaptive", gamma=1.0),
+                                 spec, DRIFT, [0.2], pts)
         r = robust(plan)
         direct = rollout_cost_batch(spec, DRIFT, [0.2], plan[None], pts)[0].mean()
         worst = max(worst, abs(r - direct))
@@ -195,8 +189,7 @@ def test_robust_cost_gamma_one_is_exact_ensemble_mean():
 
 def test_dro_risk_cost_closed_form_small_stack():
     ps = particles([1.0], [2.0])  # costs 1 and 4
-    cfg = RobustObjectiveConfig(risk_lambda=2.0, risk_epsilon=0.1)
-    got = objective("dro", ONE_STEP, ps, cfg)
+    got = objective("dro", ONE_STEP, ps, risk_lambda=2.0, risk_epsilon=0.1)
     expect = 0.2 + 2.0 * math.log((math.exp(0.5) + math.exp(2.0)) / 2.0)
     assert got == pytest.approx(expect, abs=1e-12)
     assert got == pytest.approx(3.2165321948456143)
@@ -204,23 +197,21 @@ def test_dro_risk_cost_closed_form_small_stack():
 
 def test_dro_risk_cost_high_temperature_is_mean_plus_variance_correction():
     ps = particles([1.0], [2.0])
-    cfg = RobustObjectiveConfig(risk_lambda=1000.0, risk_epsilon=0.0)
-    got = objective("dro", ONE_STEP, ps, cfg)
+    got = objective("dro", ONE_STEP, ps, risk_lambda=1000.0, risk_epsilon=0.0)
     assert got == pytest.approx(2.5 + 2.25 / 2000.0, abs=1e-6)
 
 
 def test_dro_risk_cost_low_temperature_tracks_worst_particle():
     ps = particles([1.0], [2.0])
-    cfg = RobustObjectiveConfig(risk_lambda=0.01, risk_epsilon=0.0)
-    got = objective("dro", ONE_STEP, ps, cfg)
+    got = objective("dro", ONE_STEP, ps, risk_lambda=0.01, risk_epsilon=0.0)
     assert got == pytest.approx(4.0, abs=0.01)
 
 
 def test_dro_risk_cost_survives_huge_costs():
     # shifted log-sum-exp: 1e6-scale costs with a small temperature
     spec = CostSpec(Q=[[0.0]], R=[[0.0]], Q_f=[[1e6]], x_des=[0.0])
-    cfg = RobustObjectiveConfig(risk_lambda=0.5, risk_epsilon=0.0)
-    got = objective("dro", ONE_STEP, particles([1.0], [2.0]), cfg, spec=spec)
+    got = objective("dro", ONE_STEP, particles([1.0], [2.0]), spec=spec,
+                    risk_lambda=0.5, risk_epsilon=0.0)
     assert np.isfinite(got)
     assert got == pytest.approx(4e6, rel=1e-6)
 
@@ -328,7 +319,8 @@ def test_batched_rollout_entries_equal_single_pair_costs(name, shape, data):
     assert rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs).tobytes() == grid.tobytes()
     for i in range(n_cand):
         for j in range(n_par):
-            assert grid[i, j] == trajectory_cost(spec, env, x0, plans[i], thetas[j])
+            assert grid[i, j] == rollout_cost_batch(spec, env, x0, plans[i][None],
+                                                    thetas[j][None])[0, 0]
             alone = rollout_cost_batch(spec, env, x0, plans[i][None], thetas[j][None], refs=refs)
             assert alone[0, 0] == grid[i, j]
 

@@ -17,7 +17,7 @@ from steinmpc.controllers import (
     build_objective,
     mppi_solve,
 )
-from steinmpc.costs import CostSpec, trajectory_cost
+from steinmpc.costs import CostSpec, rollout_cost_batch
 from steinmpc.dynamics import EnvModel, make_cartpole
 from steinmpc.harness import (
     BatchResult,
@@ -331,7 +331,7 @@ def test_nonfinite_probe_costs_fail_inference_not_the_solve():
     particles = ParticleSet([[0.7], [1.0], [1.2]], env.theta_lower, env.theta_upper)
     svgd = SvgdConfig()
     probe = probe_thetas(particles, svgd.fd_epsilon)
-    objective = build_objective(ControllerSpec(), spec, env, x0, particles)
+    objective = build_objective(ControllerSpec(), spec, env, x0, particles.particles)
     cfg = MppiConfig(samples=16, noise_fraction=0.3)
     warm = np.zeros((5, 1))
     plan, cost, _ = mppi_solve(env, warm, objective, cfg, np.random.default_rng(0))
@@ -471,13 +471,11 @@ def test_dro_lambda_calibrates_from_warm_start_cost():
     warm = np.zeros((4, 1))
     calibrated = _calibrated_controller(config, warm)
     midpoint = 0.5 * (config.env.theta_lower + config.env.theta_upper)
-    expected = 10.0 * abs(
-        trajectory_cost(config.cost, config.env, config.x0, warm, midpoint))
-    assert calibrated.robust.risk_lambda == pytest.approx(expected)
+    expected = 10.0 * abs(rollout_cost_batch(
+        config.cost, config.env, config.x0, warm[None], midpoint[None])[0, 0])
+    assert calibrated.risk_lambda == pytest.approx(expected)
     # explicit values and other variants pass through untouched
-    explicit = _cartpole_trial(controller=ControllerSpec(
-        variant="dro",
-        robust=config.controller.robust.__class__(risk_lambda=2.0)))
+    explicit = _cartpole_trial(controller=ControllerSpec(variant="dro", risk_lambda=2.0))
     assert _calibrated_controller(explicit, warm) is explicit.controller
     stein = _cartpole_trial(controller=ControllerSpec(variant="stein_adaptive"))
     assert _calibrated_controller(stein, warm) is stein.controller
