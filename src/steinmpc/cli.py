@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 run completed (success or timeout both count), 2 invalid
 configuration, cross-field rules included, before any trial starts (the
 message names the key or section at fault; ``<path>`` for a config file that
-cannot be read as UTF-8 text, ``--out`` for an output path that cannot be a
-directory), 3 solver failure, 4 inference failure (the gap turned non-finite
-during the particle update).
+cannot be read as UTF-8 text, ``--out`` for an output path, or a sweep
+setting's ``--out/<label>``, that cannot be a directory), 3 solver failure,
+4 inference failure (the gap turned non-finite during the particle update).
 Codes 3 and 4 come from ``run``; batch commands record each trial's
 terminal reason in its result files.
 
@@ -98,16 +98,27 @@ def cmd_batch(args, trial, batch, doc_hash) -> int:
     return 0
 
 
+def _make_dirs(*paths):
+    """Make each directory; one that cannot be made is a ``ConfigError`` at ``--out``."""
+    for path in paths:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot make directory {path} "
+                                       f"({exc.strerror})") from None
+
+
 def _sweep(out, batch, doc_hash, settings):
     """Run ``batch`` once per ``(label, trial)`` setting, into ``out/<label>``.
 
-    Yields ``(label, BatchResult)`` as each setting finishes; after the last,
-    writes every trial's wall time to ``out/timing.json``.
+    Makes every setting's directory before the first trial. Yields ``(label,
+    BatchResult)`` as each setting finishes; after the last, writes every
+    trial's wall time to ``out/timing.json``.
     """
+    _make_dirs(*(os.path.join(out, label) for label, _ in settings))
     timing = {}
     for label, trial in settings:
         sub_dir = os.path.join(out, label)
-        os.makedirs(sub_dir, exist_ok=True)
         batch_result, t = _run_one_batch(trial, batch.seeds, batch.jobs, sub_dir, doc_hash, label)
         timing.update(t)
         yield label, batch_result
@@ -196,16 +207,12 @@ def main(argv=None) -> int:
         if args.config_dump:
             sys.stdout.write(serialize_config(resolved))
             return 0
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError("--out", f"cannot make directory {args.out} "
-                                       f"({exc.strerror})") from None
+        _make_dirs(args.out)
+        return args.func(args, trial, batch, config_hash(doc))
     except ConfigError as exc:
         print(f"config error at {exc.field}: {exc.args[0].split(': ', 1)[-1]}",
               file=sys.stderr)
         return 2
-    return args.func(args, trial, batch, config_hash(doc))
 
 
 if __name__ == "__main__":

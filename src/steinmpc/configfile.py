@@ -19,6 +19,8 @@ A section that builds one class takes its schema from that class: its keys
 and their order are the class's fields, and ``_read_fields`` leaves every
 key the document omits to the class's default and records it as the built
 object has it. Env keys default to the ``EnvModel`` that the factory returns.
+The harness section builds the trial, a ``TrialConfig``: its keys are the
+trial's fields that name no section, less the seed, which is the batch's first.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import yaml
 
 from .controllers import ControllerSpec, MppiConfig
 from .costs import CostSpec, InverseDisplacementReward, UprightEnergyPenalty
-from .dynamics import horizon_steps, make_cartpole, make_racecar, make_rocket
+from .dynamics import make_cartpole, make_racecar, make_rocket
 from .harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig
 from .inference import SvgdConfig
 from .kernels import ConstantKernel, ImqKernel, RbfKernel
@@ -256,13 +258,6 @@ def _weight_matrix(weights):
     return np.asarray(weights) if isinstance(weights[0], list) else np.diag(weights)
 
 
-def _as_horizon(value, path, dt):
-    """A positive horizon that is a whole number of ``dt`` steps."""
-    value = _as_positive(value, path)
-    _built(path, horizon_steps, value, dt)
-    return value
-
-
 def _as_noise(value, path, length):
     """One nonnegative fraction for every channel, or exactly one per channel."""
     if not isinstance(value, list):
@@ -394,29 +389,25 @@ def _build_mppi(root, env):
     }, required=_fields(MppiConfig))
 
 
-def _build_harness(root, env):
-    """The TrialConfig fields the harness section sets; its keys are their names."""
-    section = root.section("harness", ("duration", "horizon_seconds", "n_particles", "x0",
-                                       "success", "track", "log_ksd"), required=True)
-    fields = {
-        "duration": section.read("duration", _as_positive, required=True),
-        "horizon_seconds": section.read("horizon_seconds", _as_horizon, env.dt,
-                                        required=True),
-        "n_particles": section.read("n_particles", _as_int, 1, default=TrialConfig.n_particles),
-        "x0": np.asarray(section.read("x0", _as_float_list, env.state_dim, required=True)),
-        "log_ksd": section.read("log_ksd", _as_bool, default=TrialConfig.log_ksd),
-        "track": None,
-    }
+def _build_trial(root, env, batch):
+    """The trial; the harness keys are its fields that name no section, less the seed."""
+    section = root.section("harness", tuple(key for key in _fields(TrialConfig)
+                                            if key not in (*_SECTIONS, "seed")), required=True)
+    track = None
     if env.name == "racecar":
         track = section.section("track", _fields(StadiumTrack))
-        fields["track"] = _read_fields(track, StadiumTrack,
-                                       dict.fromkeys(track.keys, (_as_positive,)))
+        track = _read_fields(track, StadiumTrack, dict.fromkeys(track.keys, (_as_positive,)))
     elif _get(section.raw, "track", section.path) is not None:
         raise ConfigError(f"{section.path}.track", "only meaningful for the racecar environment")
     success = section.section("success", _fields(_SUCCESS[env.name]))
-    fields["success"] = _read_fields(success, _SUCCESS[env.name],
-                                     dict.fromkeys(success.keys, (_as_float,)))
-    return fields
+    success = _read_fields(success, _SUCCESS[env.name], dict.fromkeys(success.keys, (_as_float,)))
+    return _read_fields(section, TrialConfig, {
+        "duration": (_as_positive,), "horizon_seconds": (_as_positive,),
+        "n_particles": (_as_int, 1), "x0": (_as_float_list, env.state_dim), "log_ksd": (_as_bool,),
+    }, required=("duration", "horizon_seconds", "x0"), at=f"{section.path}.horizon_seconds",
+        env=env, cost=_build_cost(root, env, track), track=track, success=success,
+        controller=_build_controller(root, env), svgd=_build_svgd(root),
+        mppi=_build_mppi(root, env), seed=batch.seeds[0])
 
 
 def _seed_range(first, count, path):
@@ -498,13 +489,7 @@ def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = 
     root = _Section(doc, "<document>", _SECTIONS)
     env = _build_env(root, env_name)
     batch = _build_batch(root, seed, seed_count, jobs)
-    harness = _build_harness(root, env)
-    cost = _build_cost(root, env, harness["track"])
-    controller = _build_controller(root, env)
-    svgd = _build_svgd(root)
-    mppi = _build_mppi(root, env)
-    trial = _built("harness", TrialConfig, env=env, cost=cost, controller=controller,
-                   svgd=svgd, mppi=mppi, seed=batch.seeds[0], **harness)
+    trial = _build_trial(root, env, batch)
     _check_memory(trial)
     return trial, batch, root.resolved()
 

@@ -109,16 +109,18 @@ class RaceSuccess:
         return progress is not None and len(progress) > 0 and progress[-1] >= self.laps
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrialConfig:
-    """Everything one closed-loop trial needs, plus its seed.
+    """Everything one closed-loop trial needs, plus its seed; keyword-only.
 
-    ``success`` is the criterion that the trial asks, before every step,
-    ``reached(times, states, progress)`` on its histories so far, initial
-    state included. ``track`` is the racetrack: when it is set, the trial
-    logs lap progress on it for ``RaceSuccess`` to read; when it is None,
-    ``progress`` is None and a ``RaceSuccess`` trial never succeeds. A config
-    file sets it exactly for the racecar environment.
+    Attributes:
+        duration, horizon_seconds, n_particles, x0, success, track, log_ksd:
+            a config file's ``harness`` keys, in this order.
+        horizon_seconds: a whole number of ``env.dt`` steps, a rule this
+            class owns, so a partial-step horizon fails at construction.
+        success: asked ``reached(times, states, progress)`` before each step.
+        track: the racetrack whose lap progress the trial logs, set by a config
+            file exactly for the racecar; when None, ``RaceSuccess`` never holds.
     """
 
     env: EnvModel
@@ -126,14 +128,14 @@ class TrialConfig:
     controller: ControllerSpec
     svgd: SvgdConfig
     mppi: MppiConfig
-    success: object
-    x0: np.ndarray
-    seed: int = 0
-    n_particles: int = 5
     duration: float = 40.0
     horizon_seconds: float = 0.4
+    n_particles: int = 5
+    x0: np.ndarray
+    success: object
     track: StadiumTrack | None = None
     log_ksd: bool = False
+    seed: int = 0
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -145,6 +147,7 @@ class TrialConfig:
             raise ValueError(f"n_particles must be at least 1, got {self.n_particles}")
         if not self.duration >= 0:
             raise ValueError(f"duration must be nonnegative, got {self.duration}")
+        horizon_steps(self.horizon_seconds, self.env.dt)
 
 
 @dataclass

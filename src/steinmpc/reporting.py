@@ -13,7 +13,6 @@ content.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -34,13 +33,9 @@ __all__ = [
 
 
 def format_float(x) -> str:
-    """Render one number with 17 significant digits (round-trip exact)."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.17g" % x
+    """Render one number with 17 significant digits (round-trip exact); printf
+    writes ``nan`` for either sign bit, ``inf`` and ``-inf``."""
+    return "%.17g" % float(x)
 
 
 def _row(values) -> str:

@@ -160,6 +160,29 @@ def test_cli_exits_2_when_out_is_a_file(command, tmp_path, capsys, monkeypatch):
     assert out.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command, label", [("ablate-kernels", "imq"),
+                                            ("race-progress", "dro")])
+def test_cli_exits_2_when_a_setting_directory_is_a_file(command, label, tmp_path, capsys,
+                                                        monkeypatch):
+    # every setting's directory is made before the first trial starts
+    name, build, flags = CASES[command]
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(serialize_config(build(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / label).write_text("kept\n")
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(cli, "run_batch", no_trial)
+    assert cli.main([command, str(path), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at --out: cannot make directory {out / label} (")
+    assert (out / label).read_text() == "kept\n"
+    assert [f for _, _, files in os.walk(out) for f in files] == [label]
+
+
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_config_dump_writes_nothing(command, tmp_path, capsys):
     name, build, flags = CASES[command]

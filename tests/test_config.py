@@ -28,7 +28,7 @@ from steinmpc.configfile import (
 from steinmpc.controllers import VARIANTS, ControllerSpec, MppiConfig
 from steinmpc.costs import InverseDisplacementReward, UprightEnergyPenalty
 from steinmpc.dynamics import make_cartpole, make_racecar, make_rocket
-from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess
+from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig
 from steinmpc.inference import SvgdConfig
 from steinmpc.kernels import ConstantKernel, ImqKernel, RbfKernel
 from steinmpc.track import CenterlineReference, StadiumTrack
@@ -662,6 +662,10 @@ def test_resolving_a_document_is_a_fixed_point(doc):
         sections.append((resolved["harness"]["track"], StadiumTrack))
     for section, cls in sections:
         assert list(section) == [f.name for f in dataclasses.fields(cls)]
+    # the harness section's keys are TrialConfig's fields less the sections and the seed
+    assert list(resolved["harness"]) == [
+        f.name for f in dataclasses.fields(TrialConfig)
+        if f.name not in (*resolved, "seed") and (f.name != "track" or trial.track is not None)]
     again = parse_config(serialize_config(resolved))
     assert config_hash(again) == config_hash(resolved)
     trial_again, batch_again, resolved_again = resolve_config(again)

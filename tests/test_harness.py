@@ -122,6 +122,12 @@ def test_trial_config_validation():
         _cartpole_trial(n_particles=0)
     with pytest.raises(ValueError):
         _cartpole_trial(duration=-1.0)
+    # the horizon must be a whole number of env.dt steps when the trial is built
+    with pytest.raises(ValueError, match="integer multiple"):
+        _cartpole_trial(horizon_seconds=0.21)
+    trial = _cartpole_trial(horizon_seconds=0.4)
+    with pytest.raises(ValueError, match="integer multiple"):
+        dataclasses.replace(trial, env=dataclasses.replace(trial.env, dt=0.03))
 
 
 def test_timeout_trial_logs_every_step():

@@ -35,6 +35,10 @@ def test_format_float_nonfinite():
     assert format_float(float("nan")) == "nan"
     assert format_float(float("inf")) == "inf"
     assert format_float(float("-inf")) == "-inf"
+    with np.errstate(invalid="ignore"):
+        negative_nan = np.float64("inf") - np.float64("inf")
+    assert np.signbit(negative_nan)
+    assert format_float(negative_nan) == "nan"
 
 
 def test_format_float_round_trips_exactly():
