@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 
@@ -99,7 +100,18 @@ def cmd_batch(args, trial, batch, doc_hash) -> int:
 
 
 def _make_dirs(*paths):
-    """Make each directory; one that cannot be made is a ``ConfigError`` at ``--out``."""
+    """Make each directory; one that cannot be made is a ``ConfigError`` at ``--out``.
+
+    A path that is, or lies under, an existing non-directory is found before
+    any directory is made, so that failure leaves no directory behind.
+    """
+    for path in paths:
+        head = os.path.abspath(path)
+        while not os.path.isdir(head):
+            if os.path.lexists(head):
+                code = errno.EEXIST if head == os.path.abspath(path) else errno.ENOTDIR
+                raise ConfigError("--out", f"cannot make directory {path} ({os.strerror(code)})")
+            head = os.path.dirname(head)
     for path in paths:
         try:
             os.makedirs(path, exist_ok=True)

@@ -14,10 +14,13 @@ is rolled out on its own by ``harness._gap_model``, to the same floats.
 Every entry of the (C, P) grid depends only on its own (plan, parameter) pair,
 so a caller that has the grid never needs to roll a pair out again: the plan
 objectives keep it as their ``cost_matrix`` and reduce it to one value per
-plan. The reference states a cycle tracks depend only on the start state and
-the horizon; ``CostSpec.references`` resolves them, and a caller that scores
-several grids from one start state passes them as ``refs`` instead of having
-each call resolve them again.
+plan. For the same reason a rollout integrates each distinct theta row once,
+rows compared by their bytes, and gathers the (C, P) grid back through the
+inverse index: a collapsed particle set, whose rows repeat, costs the rollout
+of its distinct rows only, with the same floats. The reference states a cycle
+tracks depend only on the start state and the horizon; ``CostSpec.references``
+resolves them, and a caller that scores several grids from one start state
+passes them as ``refs`` instead of having each call resolve them again.
 
 Inside a rollout every array is component-first, as the derivatives take
 them (see ``dynamics``): the state is one (n, C, P) array, the parameters are
@@ -243,6 +246,15 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         plans = plans[None]
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n_cand, steps, m = plans.shape
+    inverse = None
+    if thetas.shape[0] > 1:
+        # Each row's bytes as one key: -0.0 and +0.0 stay apart, and NaN rows
+        # compare by their bytes. A set tells whether any row repeats for less
+        # time and memory than np.unique, which runs only when one does.
+        keys = np.ascontiguousarray(thetas).view(np.dtype((np.void, thetas[0].nbytes)))[:, 0]
+        if len(set(keys.tolist())) < keys.size:
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            thetas = thetas[first]
     grid = (n_cand, thetas.shape[0])
 
     if refs is None:
@@ -278,5 +290,5 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     total += _quad(e, spec._q_f_terms)
     if spec.extra_terminal is not None:
         total += spec.extra_terminal.batch(x, theta, x0[:, None, None])
-    return total
+    return total if inverse is None else total[:, inverse]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -400,6 +399,9 @@ def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> BatchResult:
 
     Results are keyed and ordered by position in ``seeds`` regardless of
     which worker finished first, so aggregates do not depend on ``jobs``.
+    A batch with two or more workers imports the process pool on its first
+    call, before it forks; a one-worker batch runs in this process and never
+    loads it.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -411,6 +413,8 @@ def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> BatchResult:
     if workers == 1:
         results = [_run_with_seed(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_with_seed, payloads))
     return BatchResult(seeds=seeds, results=results)

@@ -181,6 +181,8 @@ def test_cli_exits_2_when_a_setting_directory_is_a_file(command, label, tmp_path
     assert err.startswith(f"config error at --out: cannot make directory {out / label} (")
     assert (out / label).read_text() == "kept\n"
     assert [f for _, _, files in os.walk(out) for f in files] == [label]
+    # no setting's directory is made unless every one can be
+    assert os.listdir(out) == [label]
 
 
 @pytest.mark.parametrize("command", sorted(CASES))

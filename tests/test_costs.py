@@ -1,4 +1,5 @@
 """Quadratic trajectory costs and the ensemble/risk plan objectives."""
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -102,7 +103,7 @@ def test_terminal_cost_adds_extra_term():
     assert cost == pytest.approx(9.0)
 
 
-def test_trajectory_cost_matches_independent_rk4_on_scalar_decay():
+def test_one_by_one_rollout_matches_independent_rk4_on_scalar_decay():
     spec = CostSpec(Q=[[1.0]], R=[[0.0]], Q_f=[[3.0]], x_des=[0.0])
     h = DECAY.dt
     factor = 1 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
@@ -112,7 +113,7 @@ def test_trajectory_cost_matches_independent_rk4_on_scalar_decay():
     assert got == pytest.approx(3.8296917681587215)
 
 
-def test_trajectory_cost_ignores_dead_parameters():
+def test_one_by_one_rollout_ignores_dead_parameters():
     spec = CostSpec(Q=[[1.0]], R=[[0.1]], Q_f=[[1.0]], x_des=[0.0])
     plan = np.full((3, 1), 0.4)
     a = rollout_cost_batch(spec, DECAY, [1.0], plan[None], [[0.6]])[0, 0]
@@ -120,7 +121,7 @@ def test_trajectory_cost_ignores_dead_parameters():
     assert a == b
 
 
-def test_rollout_batch_grid_matches_scalar_entry_point():
+def test_rollout_grid_matches_its_one_by_one_entries():
     rng = np.random.default_rng(3)
     spec = CostSpec(Q=[[1.0]], R=[[0.2]], Q_f=[[2.0]], x_des=[0.0])
     plans = rng.uniform(-1, 1, size=(4, 3, 1))
@@ -323,6 +324,59 @@ def test_batched_rollout_entries_equal_single_pair_costs(name, shape, data):
                                                     thetas[j][None])[0, 0]
             alone = rollout_cost_batch(spec, env, x0, plans[i][None], thetas[j][None], refs=refs)
             assert alone[0, 0] == grid[i, j]
+
+
+class ParameterSign:
+    """A terminal term of +1 or -1 by the sign bit of parameter ``index``."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def batch(self, x_terminal, theta, x0):
+        return np.copysign(1.0, theta[self.index])
+
+
+@given(name=st.sampled_from(sorted(SHIPPED)), zero_at=st.integers(0, 2),
+       reads_sign=st.booleans(), shape=st.tuples(
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 4)),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="rocket", zero_at=2, reads_sign=True, shape=(2, 2, 3), seed=0)
+@example(name="cartpole", zero_at=0, reads_sign=True, shape=(2, 1, 4), seed=1)
+def test_repeated_theta_rows_give_the_one_by_one_bytes(name, zero_at, reads_sign, shape, seed):
+    # A rollout integrates each distinct theta row once and gathers the grid
+    # back. Rows are the same only when their bytes are: a -0.0/+0.0 pair
+    # stays apart, which the sign term shows in the cost, and a NaN row
+    # repeats.
+    trial = SHIPPED[name]
+    env, spec = trial.env, trial.cost
+    zero_at %= env.param_dim
+    if reads_sign:
+        spec = dataclasses.replace(spec, extra_terminal=ParameterSign(zero_at))
+    n_cand, n_distinct, steps = shape
+    rng = np.random.default_rng(seed)
+    span = env.control_upper - env.control_lower
+    plans = env.control_lower + span * rng.uniform(size=(n_cand, steps, env.control_dim))
+    pool = list(env.theta_lower + (env.theta_upper - env.theta_lower) * rng.uniform(
+        size=(n_distinct, env.param_dim)))
+    plus, minus, nan = pool[0].copy(), pool[0].copy(), pool[0].copy()
+    plus[zero_at], minus[zero_at] = 0.0, -0.0
+    nan[rng.integers(env.param_dim)] = np.nan
+    pool += [plus, minus, nan]
+    picks = list(rng.integers(n_distinct, size=rng.integers(7)))
+    picks += [n_distinct, n_distinct + 1, n_distinct + 2, n_distinct + 2]
+    thetas = np.array([pool[k] for k in rng.permutation(picks)])
+
+    with np.errstate(all="ignore"):
+        grid = rollout_cost_batch(spec, env, trial.x0, plans, thetas)
+        assert grid.shape == (n_cand, len(picks))
+        for i in range(n_cand):
+            for j in range(len(picks)):
+                alone = rollout_cost_batch(spec, env, trial.x0, plans[i][None], thetas[j][None])
+                if np.isnan(alone[0, 0]):
+                    # a NaN's sign bit depends on the numpy loop that made it
+                    assert np.isnan(grid[i, j])
+                else:
+                    assert grid[i, j].tobytes() == alone[0, 0].tobytes()
 
 
 @given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(

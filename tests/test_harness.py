@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -566,12 +568,34 @@ def test_run_batch_starts_at_most_one_worker_per_seed(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    # run_batch imports the pool where it forks, so it reads this at call time
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     config = _cartpole_trial(duration=0.0)
     assert run_batch(config, [3, 1], jobs=64).seeds == [3, 1]
     run_batch(config, [3, 1, 4], jobs=2)
     run_batch(config, [5], jobs=8)
     assert started == [2, 2]
+
+
+def test_an_in_process_trial_loads_no_process_pool():
+    # a fresh interpreter, so no other test's imports count
+    script = (
+        "import sys\n"
+        "import steinmpc, steinmpc.cli\n"
+        "from steinmpc.configfile import build_trial_config, load_config\n"
+        f"doc = load_config({os.path.join(CONFIG_DIR, 'racing.yaml')!r})\n"
+        "doc['harness']['duration'] = doc['env']['dt']\n"
+        "trial, _ = build_trial_config(doc)\n"
+        "assert steinmpc.run_trial(trial).steps == 1\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_run_batch_validation():
