@@ -117,3 +117,18 @@ def test_second_iteration_and_ksd_trace(config_name):
     assert result.steps == STEPS and len(result.ksd) == STEPS
     digest = trace_digest(result, (result.ksd, result.final_particles.particles))
     assert digest == UNSHIPPED[config_name]
+
+
+# One whole lap: the racing config with the nominal variant at seed 0, run to
+# the finish line. The 5-step cases above never leave the bottom straight, so
+# this is the trace that covers the arcs, the top straight and the lap count.
+FULL_LAP = "a84637fe1f5d25dd0f0b747a84a9aeeec034212e81aaf45e9138bae577678d51"
+
+
+def test_full_lap_racing_trace():
+    trial, _ = build_trial_config(config_document("racing", "file"), seed=0)
+    trial = dataclasses.replace(
+        trial, controller=dataclasses.replace(trial.controller, variant="nominal"))
+    result = run_trial(trial)
+    assert result.success and result.steps == 378
+    assert trace_digest(result) == FULL_LAP

@@ -1,4 +1,5 @@
 """Stadium geometry, lap progress accounting, and the moving reference."""
+import hashlib
 import math
 
 import numpy as np
@@ -119,6 +120,41 @@ def test_centerline_reference_matches_heading_branch_of_the_car():
     x0 = np.array([-2.5, -2.0, 4.0 * math.pi + 0.1, 0.0, 0.0])
     refs = CenterlineReference(TRACK).horizon_states(x0, steps=1, dt=0.1)
     np.testing.assert_allclose(refs[:, 2], 4.0 * math.pi, atol=1e-12)
+
+
+# The racing config's reference rows, pinned bit for bit: (car state, SHA-256 of
+# the little-endian float64 bytes of the (11, 5) rows at speed 4.5, 10 steps of
+# 0.015 s). The cars sit off the centerline, one on each segment, one on each
+# straight whose horizon runs into the next arc, one whose horizon crosses the
+# finish line, and one two turns up the heading branch.
+REFERENCE_ROWS = {
+    "bottom_straight": ([-1.2, -1.9, 0.05, 4.0, 0.0],
+                        "0cea2fde568bc8561659458c6d28d46880575a394dcaec6c5cc4475aa86533bc"),
+    "into_right_arc": ([2.1, -2.05, 0.0, 4.5, 0.0],
+                       "f63c2ba73e9c5d5f465ada59cf4019fae9cff199405506c0d7d3509cb98c93ac"),
+    "right_arc": ([3.9, -1.1, 0.9, 4.2, 2.0],
+                  "debcbb985da15c7ff1a458780d5591c06ae7f46c43c0d505dc6b58a4beb7c08c"),
+    "top_straight": ([0.4, 2.15, 3.1, 4.4, 0.1],
+                     "8f33e054682de5a02a82b61964429113f219eabf84afe9edffebb8edf177be4e"),
+    "into_left_arc": ([-2.2, 1.95, math.pi, 4.5, 0.0],
+                      "0856848c79cb73b0c4bee5a8dbee1e59c48202e22e3f9f54029c18827e60a7da"),
+    "left_arc": ([-4.1, 0.6, 4.2, 4.5, 2.2],
+                 "2cd5d88eeb47d1ab36009ab63a320df4585d26e1f7e6e3289272b388caba9ce9"),
+    "across_finish": ([-2.7, -1.95, 2.0 * math.pi - 0.1, 4.5, 2.0],
+                      "aabbc961c1fb063b51fd4602d60b9a28861f124284c52d33bd3fb56e5672519a"),
+    "two_turns_up": ([3.9, -1.1, 4.0 * math.pi + 0.9, 4.2, 2.0],
+                     "c3b1a75d3a9bf20e552d1faa37542fed2756de40bd0494ab52413b8520d1d250"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_ROWS))
+def test_racing_reference_rows_are_pinned(case):
+    x0, digest = REFERENCE_ROWS[case]
+    refs = CenterlineReference(StadiumTrack(reference_speed=4.5)).horizon_states(
+        np.array(x0), steps=10, dt=0.015
+    )
+    assert refs.shape == (11, 5)
+    assert hashlib.sha256(np.ascontiguousarray(refs, dtype="<f8").tobytes()).hexdigest() == digest
 
 
 def test_validation_rejects_bad_geometry():
