@@ -45,7 +45,8 @@ class MppiConfig:
     Attributes:
         samples: number of evaluated candidates, including the warm start
             injected at index 0. samples = 1 evaluates the warm plan alone.
-        temperature: softness of the exponential weighting over costs.
+        temperature: softness of the exponential weighting over costs,
+            positive and finite.
         noise_fraction: per-channel Gaussian perturbation scale expressed as
             a fraction of the control range (scalar or one value per channel).
     """
@@ -57,8 +58,8 @@ class MppiConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if np.any(np.asarray(self.noise_fraction, dtype=float) < 0):
             raise ValueError("noise_fraction must be nonnegative")
 
@@ -117,8 +118,8 @@ def mppi_solve(
     costs = np.where(finite, costs, np.inf)
     best = int(np.argmin(costs))
 
+    # A non-finite cost is inf by now, so its weight is exactly exp(-inf) = 0.
     weights = np.exp(-(costs - costs[best]) / config.temperature)
-    weights[~finite] = 0.0
     weights /= weights.sum()
     averaged = np.einsum("k,k...->...", weights, candidates)
     np.clip(averaged, lo, hi, out=averaged)

@@ -49,54 +49,38 @@ class StadiumTrack:
     def total_length(self) -> float:
         return 2.0 * self.straight_length + 2.0 * math.pi * self.radius
 
-    def point(self, s: float) -> np.ndarray:
-        """Centerline position at arc length s (wraps around the lap)."""
-        half = self.straight_length / 2.0
-        r = self.radius
-        arc = math.pi * r
-        s = float(s) % self.total_length
-        if s < self.straight_length:
-            return np.array([-half + s, -r])
-        s -= self.straight_length
-        if s < arc:
-            ang = -0.5 * math.pi + s / r
-            return np.array([half + r * math.cos(ang), r * math.sin(ang)])
-        s -= arc
-        if s < self.straight_length:
-            return np.array([half - s, r])
-        s -= self.straight_length
-        ang = 0.5 * math.pi + s / r
-        return np.array([-half + r * math.cos(ang), r * math.sin(ang)])
+    def pose(self, s: float) -> tuple[float, float, float, float]:
+        """Centerline (x, y, heading, yaw rate) at arc length s.
 
-    def heading(self, s: float) -> float:
-        """Tangent heading at arc length s, continuous and unwrapped.
-
-        Grows by 2*pi per completed lap so that costs built from it never see
-        a jump at the finish line.
+        The one place the four segments are told apart. s wraps around the
+        lap; the heading is continuous and unwrapped, growing by 2*pi per
+        completed lap so that costs built from it never see a jump at the
+        finish line. The yaw rate is v/R on the arcs and zero on the straights.
         """
         total = self.total_length
         laps = math.floor(float(s) / total)
-        s = float(s) - laps * total
-        arc = math.pi * self.radius
-        if s < self.straight_length:
-            base = 0.0
-        elif s < self.straight_length + arc:
-            base = (s - self.straight_length) / self.radius
-        elif s < 2.0 * self.straight_length + arc:
-            base = math.pi
-        else:
-            base = math.pi + (s - 2.0 * self.straight_length - arc) / self.radius
-        return base + 2.0 * math.pi * laps
-
-    def yaw_rate_reference(self, s: float) -> float:
-        """Reference yaw rate: zero on straights, v/R on the arcs."""
-        s = float(s) % self.total_length
-        arc = math.pi * self.radius
-        on_first_arc = self.straight_length <= s < self.straight_length + arc
-        on_second_arc = s >= 2.0 * self.straight_length + arc
-        if on_first_arc or on_second_arc:
-            return self.reference_speed / self.radius
-        return 0.0
+        w = float(s) - laps * total
+        turns = 2.0 * math.pi * laps
+        half = self.straight_length / 2.0
+        r = self.radius
+        arc = math.pi * r
+        rate = self.reference_speed / r
+        a = w
+        if a < self.straight_length:
+            return -half + a, -r, turns, 0.0
+        a -= self.straight_length
+        if a < arc:
+            ang = -0.5 * math.pi + a / r
+            return half + r * math.cos(ang), r * math.sin(ang), a / r + turns, rate
+        a -= arc
+        if a < self.straight_length:
+            return half - a, r, math.pi + turns, 0.0
+        a -= self.straight_length
+        ang = 0.5 * math.pi + a / r
+        # Not pi + a / r, which rounds differently: the recorded racing
+        # digests hold this form's floats.
+        heading = math.pi + (w - 2.0 * self.straight_length - arc) / r
+        return -half + r * math.cos(ang), r * math.sin(ang), heading + turns, rate
 
     def nearest_arclength(self, xy) -> float:
         """Arc length of the centerline point nearest to xy (in [0, total)).
@@ -179,10 +163,8 @@ class CenterlineReference:
         s0 = track.nearest_arclength(x0[:2])
         refs = np.empty((steps + 1, 5))
         for t in range(steps + 1):
-            s = s0 + track.reference_speed * t * dt
-            pos = track.point(s)
-            refs[t] = (pos[0], pos[1], track.heading(s), track.reference_speed,
-                       track.yaw_rate_reference(s))
+            x, y, heading, yaw_rate = track.pose(s0 + track.reference_speed * t * dt)
+            refs[t] = (x, y, heading, track.reference_speed, yaw_rate)
         base = refs[0, 2]
         turns = round((x0[2] - base) / (2.0 * math.pi))
         refs[:, 2] += 2.0 * math.pi * turns

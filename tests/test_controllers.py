@@ -79,6 +79,8 @@ def test_mppi_config_validation():
     with pytest.raises(ValueError):
         MppiConfig(temperature=0.0)
     with pytest.raises(ValueError):
+        MppiConfig(temperature=np.inf)
+    with pytest.raises(ValueError):
         MppiConfig(noise_fraction=-0.1)
     MppiConfig(noise_fraction=(0.3, 0.04))
 

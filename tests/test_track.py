@@ -19,42 +19,42 @@ def test_total_length():
 
 
 def test_point_walks_the_four_segments():
-    np.testing.assert_allclose(TRACK.point(0.0), [-2.5, -2.0])
-    np.testing.assert_allclose(TRACK.point(2.5), [0.0, -2.0])
-    np.testing.assert_allclose(TRACK.point(5.0), [2.5, -2.0])
+    np.testing.assert_allclose(TRACK.pose(0.0)[:2], [-2.5, -2.0])
+    np.testing.assert_allclose(TRACK.pose(2.5)[:2], [0.0, -2.0])
+    np.testing.assert_allclose(TRACK.pose(5.0)[:2], [2.5, -2.0])
     # halfway around the right arc is the rightmost point of the stadium
-    np.testing.assert_allclose(TRACK.point(5.0 + math.pi), [4.5, 0.0], atol=1e-12)
-    np.testing.assert_allclose(TRACK.point(5.0 + 2.0 * math.pi), [2.5, 2.0], atol=1e-12)
-    np.testing.assert_allclose(TRACK.point(7.5 + 2.0 * math.pi), [0.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(TRACK.pose(5.0 + math.pi)[:2], [4.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(TRACK.pose(5.0 + 2.0 * math.pi)[:2], [2.5, 2.0], atol=1e-12)
+    np.testing.assert_allclose(TRACK.pose(7.5 + 2.0 * math.pi)[:2], [0.0, 2.0], atol=1e-12)
 
 
 def test_point_wraps_past_one_lap():
     np.testing.assert_allclose(
-        TRACK.point(TRACK.total_length + 2.5), TRACK.point(2.5), atol=1e-12
+        TRACK.pose(TRACK.total_length + 2.5)[:2], TRACK.pose(2.5)[:2], atol=1e-12
     )
 
 
 def test_heading_piecewise_values():
-    assert TRACK.heading(2.0) == 0.0
-    assert TRACK.heading(5.0 + math.pi) == pytest.approx(math.pi / 2.0)
-    assert TRACK.heading(8.0 + 2.0 * math.pi) == pytest.approx(math.pi)
+    assert TRACK.pose(2.0)[2] == 0.0
+    assert TRACK.pose(5.0 + math.pi)[2] == pytest.approx(math.pi / 2.0)
+    assert TRACK.pose(8.0 + 2.0 * math.pi)[2] == pytest.approx(math.pi)
 
 
 def test_heading_unwraps_across_laps():
     # one full lap adds a full turn instead of snapping back to zero
-    assert TRACK.heading(TRACK.total_length + 1.0) == pytest.approx(2.0 * math.pi)
-    assert TRACK.heading(3.0 * TRACK.total_length) == pytest.approx(6.0 * math.pi)
+    assert TRACK.pose(TRACK.total_length + 1.0)[2] == pytest.approx(2.0 * math.pi)
+    assert TRACK.pose(3.0 * TRACK.total_length)[2] == pytest.approx(6.0 * math.pi)
 
 
 def test_yaw_rate_reference_zero_on_straights_vr_on_arcs():
-    assert TRACK.yaw_rate_reference(1.0) == 0.0
-    assert TRACK.yaw_rate_reference(6.0) == pytest.approx(2.0 / 2.0)
-    assert TRACK.yaw_rate_reference(7.5 + 2.0 * math.pi) == 0.0
+    assert TRACK.pose(1.0)[3] == 0.0
+    assert TRACK.pose(6.0)[3] == pytest.approx(2.0 / 2.0)
+    assert TRACK.pose(7.5 + 2.0 * math.pi)[3] == 0.0
 
 
 def test_nearest_arclength_recovers_centerline_points():
     for s in (0.0, 1.3, 5.0 + 0.4 * math.pi, 9.0, 12.0 + 2.0 * math.pi):
-        assert TRACK.nearest_arclength(TRACK.point(s)) == pytest.approx(
+        assert TRACK.nearest_arclength(TRACK.pose(s)[:2]) == pytest.approx(
             s % TRACK.total_length, abs=1e-9
         )
 
@@ -71,7 +71,7 @@ def test_nearest_arclength_start_reads_zero_not_full_lap():
 
 def _on_track(fraction):
     """A state on the centerline ``fraction`` of a lap from the start."""
-    return np.append(TRACK.point(fraction * TRACK.total_length), [0, 0, 0])
+    return np.append(TRACK.pose(fraction * TRACK.total_length)[:2], [0, 0, 0])
 
 
 def test_track_reference_stacks_pose_speed_yaw():
