@@ -48,7 +48,8 @@ class MppiConfig:
         temperature: softness of the exponential weighting over costs,
             positive and finite.
         noise_fraction: per-channel Gaussian perturbation scale expressed as
-            a fraction of the control range (scalar or one value per channel).
+            a fraction of the control range (scalar or one value per channel),
+            each nonnegative and finite.
     """
 
     samples: int = 512
@@ -60,8 +61,9 @@ class MppiConfig:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if not 0 < self.temperature < np.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
-        if np.any(np.asarray(self.noise_fraction, dtype=float) < 0):
-            raise ValueError("noise_fraction must be nonnegative")
+        noise = np.asarray(self.noise_fraction, dtype=float)
+        if not np.all((0 <= noise) & (noise < np.inf)):
+            raise ValueError(f"noise_fraction must be nonnegative and finite, got {self.noise_fraction}")
 
 
 def mppi_solve(

@@ -17,7 +17,10 @@ objectives keep it as their ``cost_matrix`` and reduce it to one value per
 plan. For the same reason a rollout integrates each distinct theta row once,
 rows compared by their bytes, and gathers the (C, P) grid back through the
 inverse index: a collapsed particle set, whose rows repeat, costs the rollout
-of its distinct rows only, with the same floats. The reference states a cycle
+of its distinct rows only, with the same floats. This holds bit for bit for
+every entry that is not NaN. A NaN entry is NaN wherever its pair sits, but
+its sign bit depends on the numpy loop that made it, so it can differ between
+the grid and the pair's 1 x 1 rollout; result files print ``nan`` for either. The reference states a cycle
 tracks depend only on the start state and the horizon; ``CostSpec.references``
 resolves them, and a caller that scores several grids from one start state
 passes them as ``refs`` instead of having each call resolve them again.
@@ -73,9 +76,17 @@ def _check_weight_matrix(m, dim: int, label: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (dim, dim):
         raise ValueError(f"{label} must have shape ({dim}, {dim}), got {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-10):
-        raise ValueError(f"{label} must be symmetric")
-    if np.min(np.linalg.eigvalsh(m)) < -1e-8:
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{label} must be finite")
+    if np.any(m[~np.eye(dim, dtype=bool)]):
+        if not np.allclose(m, m.T, atol=1e-10):
+            raise ValueError(f"{label} must be symmetric")
+        eigenvalues = np.linalg.eigvalsh(m)
+    else:
+        # A diagonal matrix is symmetric and its eigenvalues are its
+        # diagonal, so weights given as a flat list never reach LAPACK.
+        eigenvalues = np.diagonal(m)
+    if np.min(eigenvalues) < -1e-8:
         raise ValueError(f"{label} must be positive semidefinite")
     return m
 

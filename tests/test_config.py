@@ -160,6 +160,7 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
      "env"),
     ("run", "racing", {"cost": {"extra": {"weights": [-1.0, 1e-4, 0, 0, 0]}}}, "cost.extra"),
     ("run", "cartpole", {"cost": {"q": NOT_PSD}}, "cost"),
+    ("run", "racing", {"cost": {"q": [4.0, 4.0, -6.0, 1.0, 2.0]}}, "cost"),
     ("run", "cartpole", {"svgd": {"sign_mode": "sideways"}}, "svgd.sign_mode"),
     # cross-field rules that used to pass validation and fail the trial
     ("run", "racing", {"cost": {"extra": {"weights": [1e-4, 1e-4, 0]}}}, "cost.extra.weights"),
@@ -204,7 +205,7 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     # an integer longer than int() reads fails the whole document
     ("run", "cartpole", {"batch": {"seeds": 10**4999}}, "<document>"),
 ], ids=["theta_box_empty", "theta_true_outside", "control_box_empty",
-        "extra_weight_negative", "q_not_psd", "sign_mode_unknown", "extra_weights_short",
+        "extra_weight_negative", "q_not_psd", "q_diagonal_negative", "sign_mode_unknown", "extra_weights_short",
         "centerline_off_the_track", "nominal_theta_outside", "step_size_negative",
         "samples_zero", "log_ksd_not_bool", "x0_empty", "q_not_a_list", "ablate_on_cartpole",
         "env_name_a_list", "kernel_type_a_list", "extra_type_a_mapping",

@@ -82,6 +82,10 @@ def test_mppi_config_validation():
         MppiConfig(temperature=np.inf)
     with pytest.raises(ValueError):
         MppiConfig(noise_fraction=-0.1)
+    # a NaN scale makes every sampled candidate NaN, leaving the warm plan alone
+    for bad in (np.nan, np.inf, (0.3, np.nan)):
+        with pytest.raises(ValueError, match="noise_fraction"):
+            MppiConfig(noise_fraction=bad)
     MppiConfig(noise_fraction=(0.3, 0.04))
 
 

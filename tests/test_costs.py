@@ -14,6 +14,7 @@ from steinmpc.configfile import build_trial_config, load_config
 from steinmpc.controllers import ControllerSpec, build_objective
 from steinmpc.costs import (
     CostSpec,
+    _check_weight_matrix,
     _quad,
     _quad_terms,
     InverseDisplacementReward,
@@ -268,6 +269,32 @@ def test_cost_spec_validation():
         CostSpec(Q=[[-1.0]], R=[[1.0]], Q_f=[[1.0]], x_des=[0.0])
     with pytest.raises(ValueError):
         CostSpec(Q=np.eye(2), R=[[1.0]], Q_f=np.eye(2), x_des=np.zeros(3))
+    # a non-finite entry is rejected before symmetry or definiteness is read:
+    # eigvalsh of diag(1, -inf) is NaN, which no comparison rejects
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="Q must be finite"):
+            CostSpec(Q=np.diag([1.0, bad]), R=[[1.0]], Q_f=np.eye(2), x_des=np.zeros(2))
+
+
+BOUNDARY = [0.0, -0.0, 1e-8, -1e-8, -1.0000001e-8, 5e-324, -5e-324,
+            2.2250738585072014e-308, -2.2250738585072014e-308, 1e300, 1e-300, -1e-300]
+
+
+@given(diagonal=st.lists(
+    st.sampled_from(BOUNDARY) | st.floats(-2e-8, 2e-8) | st.floats(-1e300, 1e300),
+    min_size=1, max_size=6))
+@example(diagonal=[1e300, -1e-8, 1e-300])
+@example(diagonal=[1e300, -1.0000001e-8])
+@example(diagonal=[-0.0, -5e-324])
+def test_a_diagonal_weight_matrix_is_checked_from_its_diagonal(diagonal):
+    # A diagonal matrix's eigenvalues are its diagonal entries, so it passes
+    # exactly when none of them is below the -1e-8 tolerance.
+    m = np.diag(diagonal)
+    if min(diagonal) >= -1e-8:
+        np.testing.assert_array_equal(_check_weight_matrix(m, len(diagonal), "Q"), m)
+    else:
+        with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+            _check_weight_matrix(m, len(diagonal), "Q")
 
 
 def test_reference_tracking_rollout_charges_motion_against_moving_target():
@@ -293,6 +320,24 @@ SHIPPED = {
     name: build_trial_config(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))[0]
     for name in ("cartpole", "rocket", "racing")
 }
+
+
+@pytest.mark.parametrize("name,full", [("racing", 0), ("cartpole", 0), ("rocket", 2)])
+def test_only_a_full_weight_matrix_calls_lapack(name, full, monkeypatch):
+    # The shipped flat weights are diagonal and are checked from their
+    # diagonal; rocket's full Q and Q_f still go through eigvalsh.
+    calls = []
+
+    def spy(function):
+        def recorded(*args, **kwargs):
+            calls.append((function.__name__, np.shape(args[0])))
+            return function(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    monkeypatch.setattr(np, "allclose", spy(np.allclose))
+    build_trial_config(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))
+    assert sorted(calls) == [("allclose", (6, 6))] * full + [("eigvalsh", (6, 6))] * full
 
 
 @given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
