@@ -9,7 +9,9 @@ the particle mean. The planner's rescore rolls the first SVGD step's probe
 out with the objective's thetas (``controllers.mppi_solve``), so both are
 entries of the chosen plan's rescore row, and the harness hands the row's
 tail less its first entry to the Stein step as its gaps; a later step's probe
-is rolled out on its own by ``harness._gap_model``, to the same floats.
+is rolled out on its own by ``harness._gap_model``, from the start state,
+spec, env and reference states the cycle's objective holds, to the same
+floats.
 
 Every entry of the (C, P) grid depends only on its own (plan, parameter) pair,
 so a caller that has the grid never needs to roll a pair out again: the plan

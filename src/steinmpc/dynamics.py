@@ -86,7 +86,10 @@ class EnvModel:
             "theta_lower",
             "theta_upper",
         ):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.control_lower.shape != (self.control_dim,) or self.control_upper.shape != (

@@ -187,12 +187,13 @@ class TrialResult:
         return particle_mean(self.particles)
 
 
-def _gap_model(spec: CostSpec, env: EnvModel, x0, plan, ref_cost: float, refs,
-               thetas) -> np.ndarray:
+def _gap_model(objective, plan, ref_cost: float, thetas) -> np.ndarray:
     """The gap of ``plan`` at each row of the (B, p) stack ``thetas``: its
     cost under that theta less ``ref_cost``, its cost under the particle
-    mean. ``refs`` are the cycle's reference states."""
-    return rollout_cost_batch(spec, env, x0, plan[None], thetas, refs=refs)[0] - ref_cost
+    mean. The rollout starts from the cycle objective's ``x0`` and tracks
+    its reference states, under its ``spec`` and ``env``."""
+    return rollout_cost_batch(objective.spec, objective.env, objective.x0, plan[None],
+                              thetas, refs=objective.refs)[0] - ref_cost
 
 
 def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerSpec:
@@ -219,11 +220,15 @@ def run_trial(config: TrialConfig) -> TrialResult:
 
     A failure ends the trial with the rows logged so far and a labelled
     reason: "solver_failure" when no candidate plan scores finitely or the
-    plant diverges, "inference_failure" when the gap turns non-finite during
-    the particle update. A dro trial whose risk temperature cannot be
-    calibrated, because the warm start's cost under the nominal parameters
-    is not finite, ends as "solver_failure" before its first step, with no
-    logged rows and ``final_state`` equal to ``x0``.
+    plant diverges, "inference_failure" when a gap or a particle's Stein
+    drift turns non-finite during the particle update. A dro trial whose
+    risk temperature cannot be calibrated, because the warm start's cost
+    under the nominal parameters is not finite, ends as "solver_failure"
+    before its first step, with no logged rows and ``final_state`` equal to
+    ``x0``. The reason is the trial's one outcome: ``success`` holds exactly
+    when it is "success", and ``completion_time`` is then the time of the
+    first state that met the criterion, ``steps * env.dt``; otherwise it is
+    ``config.duration``.
 
     When the trial moves its particles (the adaptive variant with SVGD
     iterations and a positive step size), each cycle builds the first SVGD
@@ -233,7 +238,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
     plan's rescore row less its cost under the particle mean, so a cycle
     makes two rollouts: the planner grid and the rescore. Each further SVGD
     step, and the logged KSD, rolls out the probe of the particles it
-    scores (``_gap_model``), one rollout each.
+    scores from the cycle's objective (``_gap_model``), one rollout each.
 
     Deterministic: the particle draw and every planning cycle use random
     streams derived from the seed alone, so identical configs reproduce
@@ -255,37 +260,29 @@ def run_trial(config: TrialConfig) -> TrialResult:
         reason = "solver_failure"
     infer = (config.controller.variant == "stein_adaptive" and config.svgd.iterations > 0
              and config.svgd.step_size > 0)
-    kernel_ok = getattr(config.svgd.kernel, "stein_compatible", False)
+    log = config.log_ksd and getattr(config.svgd.kernel, "stein_compatible", False)
+    lap = LapProgress(config.track) if config.track is not None else None
 
-    racing = config.track is not None
-    lap = LapProgress(config.track) if racing else None
-
-    # Row k of the histories is step k's start; the first len(log_c) rows
-    # are the logged ones, on every exit path.
+    # Row k of the histories is step k's start, at k * dt; the first
+    # len(log_c) rows are the logged ones, on every exit path, and at the top
+    # of the loop len(log_c) is the index of the cycle about to run.
     state = config.x0.copy()
     times_hist = [0.0]
     states_hist = [state.copy()]
-    progress_hist = [lap.update(state)] if racing else None
+    progress_hist = [lap.update(state)] if lap is not None else None
     log_u, log_c, log_p, log_ksd = [], [], [], []
-
-    success = False
-    completion = config.duration
-    step_index = 0
-    t = 0.0
 
     # Every exit sets its reason and breaks, so the condition only stops a
     # trial whose calibration already failed from taking a step.
     while reason == "timeout":
         if config.success.reached(times_hist, states_hist, progress_hist):
-            success = True
-            completion = t
             reason = "success"
             break
-        if t + env.dt > config.duration + 1e-9:
+        if times_hist[-1] + env.dt > config.duration + 1e-9:
             break
 
         cycle_rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(1, step_index))
+            np.random.SeedSequence(config.seed, spawn_key=(1, len(log_c)))
         )
         objective = build_objective(controller, config.cost, env, state, particles.particles)
         probe = probe_thetas(particles, config.svgd.fd_epsilon) if infer else ()
@@ -310,14 +307,12 @@ def run_trial(config: TrialConfig) -> TrialResult:
             # The adaptive objective is robust: column 0 is the particle mean,
             # and the columns after its P thetas are the probe's.
             gaps = theta_costs[len(objective.thetas):] - theta_costs[0]
-            log = config.log_ksd and kernel_ok
             try:
                 for i in range(1, config.svgd.iterations + 1):
                     particles = svgd_step(particles, gaps, config.svgd)
                     if i < config.svgd.iterations or log:
                         # The next step or the KSD scores the moved particles.
-                        gaps = _gap_model(config.cost, env, state, new_plan, theta_costs[0],
-                                          objective.refs,
+                        gaps = _gap_model(objective, new_plan, theta_costs[0],
                                           probe_thetas(particles, config.svgd.fd_epsilon))
                 if log:
                     log_ksd.append(ksd_estimate(particles, gaps, config.svgd))
@@ -326,18 +321,17 @@ def run_trial(config: TrialConfig) -> TrialResult:
                 break
 
         state = next_state
-        step_index += 1
-        t = step_index * env.dt
-        times_hist.append(t)
+        times_hist.append(len(log_c) * env.dt)
         states_hist.append(state.copy())
-        if racing:
+        if lap is not None:
             progress_hist.append(lap.update(state))
         warm = shift_warm_start(new_plan)
 
     steps = len(log_c)
+    success = reason == "success"
     return TrialResult(
         success=success,
-        completion_time=float(completion),
+        completion_time=float(times_hist[-1] if success else config.duration),
         terminal_reason=reason,
         times=np.asarray(times_hist[:steps], dtype=float),
         states=np.asarray(states_hist[:steps], dtype=float).reshape(steps, env.state_dim),
@@ -349,8 +343,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
         final_state=state.copy(),
         final_particles=particles,
         seed=config.seed,
-        progress=np.asarray(progress_hist[:steps], dtype=float) if racing else None,
-        final_progress=float(progress_hist[-1]) if racing else None,
+        progress=np.asarray(progress_hist[:steps], dtype=float) if lap is not None else None,
+        final_progress=float(progress_hist[-1]) if lap is not None else None,
         ksd=np.asarray(log_ksd, dtype=float) if log_ksd else None,
         wall_clock_seconds=time.perf_counter() - started,
     )

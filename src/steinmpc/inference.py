@@ -35,16 +35,17 @@ __all__ = [
 
 
 class ScoreEvaluationError(RuntimeError):
-    """Raised when a probe gap is not finite.
+    """Raised when a probe gap, or a particle's Stein drift, is not finite.
 
-    Carries that probe row's parameter vector as ``theta``.
+    Carries that probe row's, or that particle's, parameter vector as
+    ``theta``. Finite gaps can still overflow the score to +-inf, and a
+    kernel's sum can turn that into a NaN drift, so ``svgd_step`` checks
+    both.
     """
 
     def __init__(self, theta):
         self.theta = np.asarray(theta, dtype=float)
-        super().__init__(
-            f"gap evaluation returned a non-finite value at theta={self.theta}"
-        )
+        super().__init__(f"non-finite gap or Stein drift at theta={self.theta}")
 
 
 @dataclass
@@ -74,6 +75,8 @@ class ParticleSet:
             raise ValueError(
                 f"bounds must have shape ({dim},), got {self.lower.shape} and {self.upper.shape}"
             )
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+            raise ValueError("bounds must be finite")
         if not np.all(self.lower < self.upper):
             raise ValueError("lower bounds must be strictly below upper bounds")
         if not np.all(np.isfinite(self.particles)):
@@ -149,8 +152,7 @@ class SvgdConfig:
 def _fd_steps(particles: ParticleSet, fd_epsilon: float) -> np.ndarray:
     # Step sizes are expressed per normalized coordinate: a unit of fd_epsilon
     # spans the same fraction of every box side regardless of raw scale.
-    span = particles.upper - particles.lower
-    return fd_epsilon * np.where(np.isfinite(span), span, 1.0)
+    return fd_epsilon * (particles.upper - particles.lower)
 
 
 def probe_thetas(particles: ParticleSet, fd_epsilon: float) -> np.ndarray:
@@ -205,6 +207,10 @@ def svgd_step(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> P
     every particle by the mean score; the ablation means independent
     gradient ascent instead, so each particle moves by its own score, and
     its kernel methods are never called.
+
+    Raises:
+        ScoreEvaluationError: at the first non-finite probe gap, or else at
+            the first particle whose drift is not finite, for every kernel.
     """
     x = particles.particles
     n = particles.count
@@ -216,6 +222,9 @@ def svgd_step(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> P
         k = config.kernel.matrix(x, x)  # k[j, i] = k(x_j, x_i)
         g = config.kernel.grad_first_tensor(x, x)  # g[j, i] = d k(x_j, x_i) / d x_j
         drift = (k.T @ scores + g.sum(axis=0)) / n
+    finite = np.isfinite(drift).all(axis=1)
+    if not finite.all():
+        raise ScoreEvaluationError(x[~finite][0])
 
     moved = np.clip(x + config.step_size * drift, particles.lower, particles.upper)
     return ParticleSet(moved, particles.lower, particles.upper)

@@ -150,11 +150,10 @@ def test_rollout_clamps_plans_to_actuator_limits():
 
 def optimality_gap(theta, theta_ref):
     """The gap inference scores: ONE_STEP's cost under theta less its cost under theta_ref."""
-    x0 = np.array([0.0])
-    ref_cost = rollout_cost_batch(DRIFT_SPEC, DRIFT, x0, ONE_STEP[None], [theta_ref])[0, 0]
-    refs = DRIFT_SPEC.references(DRIFT, x0, len(ONE_STEP))
-    return _gap_model(DRIFT_SPEC, DRIFT, x0, ONE_STEP, ref_cost, refs,
-                      np.array([theta], dtype=float))[0]
+    controller = ControllerSpec(variant="nominal", nominal_theta=theta_ref)
+    cycle = build_objective(controller, DRIFT_SPEC, DRIFT, [0.0], particles([1.5]))
+    ref_cost = cycle(ONE_STEP)
+    return _gap_model(cycle, ONE_STEP, ref_cost, particles(theta))[0]
 
 
 def test_optimality_gap_is_cost_difference_and_zero_at_reference():

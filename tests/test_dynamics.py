@@ -13,6 +13,7 @@ from steinmpc.dynamics import (
     CART_MASS,
     GRAVITY,
     LINEAR_DRAG,
+    EnvModel,
     cartpole_derivative,
     horizon_steps,
     make_cartpole,
@@ -277,6 +278,31 @@ def test_factory_dimensions_and_bounds():
     assert np.allclose(rc.theta_true, [0.1, 0.01])
     assert np.allclose(rc.theta_lower, [0.05, 1e-5])
     assert np.allclose(rc.theta_upper, [0.3, 0.5])
+
+
+def test_env_model_validation():
+    base = dict(name="env", state_dim=4, control_dim=1, param_dim=2, dt=0.02,
+                control_lower=[-1.0], control_upper=[1.0], theta_true=[0.5, 0.5],
+                theta_lower=[0.0, 0.0], theta_upper=[1.0, 1.0],
+                derivative=cartpole_derivative)
+    EnvModel(**base)
+    rules = [
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"control_upper": [1.0, 1.0]}, "control bounds must match"),
+        ({"control_lower": [1.0]}, "strictly below"),
+        ({"theta_true": [0.5]}, "theta_true must match"),
+        ({"theta_upper": [1.0, 0.0]}, "positive volume"),
+        ({"theta_true": [0.5, 2.0]}, "inside the parameter box"),
+    ]
+    # NaN passes every box comparison, so each array is checked finite first
+    for name, row in (("control_lower", [-1.0]), ("control_upper", [1.0]),
+                      ("theta_true", [0.5, 0.5]), ("theta_lower", [0.0, 0.0]),
+                      ("theta_upper", [1.0, 1.0])):
+        for bad in (np.nan, np.inf, -np.inf):
+            rules.append(({name: [bad] + row[1:]}, f"{name} must be finite"))
+    for change, message in rules:
+        with pytest.raises(ValueError, match=message):
+            EnvModel(**{**base, **change})
 
 
 def test_true_theta_inside_prior_box():

@@ -131,4 +131,5 @@ def test_full_lap_racing_trace():
         trial, controller=dataclasses.replace(trial.controller, variant="nominal"))
     result = run_trial(trial)
     assert result.success and result.steps == 378
+    assert result.completion_time == result.steps * trial.env.dt
     assert trace_digest(result) == FULL_LAP

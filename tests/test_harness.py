@@ -38,7 +38,7 @@ from steinmpc.inference import (
     probe_thetas,
     svgd_step,
 )
-from steinmpc.kernels import ConstantKernel, RbfKernel
+from steinmpc.kernels import ConstantKernel, ImqKernel, RbfKernel
 from steinmpc.reporting import step_csv_header, write_step_csv
 from steinmpc.track import CenterlineReference
 
@@ -286,6 +286,33 @@ def test_inference_failure_ends_trial_with_logged_rows(monkeypatch):
     np.testing.assert_array_equal(result.final_state, result.states[-1])
 
 
+@pytest.mark.parametrize("kernel", [RbfKernel(), ImqKernel(), ConstantKernel()],
+                         ids=["rbf", "imq", "constant"])
+def test_a_nonfinite_stein_drift_ends_the_trial_in_inference_failure(monkeypatch, kernel):
+    # Every probe gap is finite, +-1e308, but their central differences
+    # overflow: the particles' scores are +inf and -inf in turn, so the drift
+    # is NaN (rbf, imq) or infinite (constant) and no moved set is built.
+    solve = harness.mppi_solve
+
+    def overflowing(env, warm, objective, *rest):
+        plan, cost, row = solve(env, warm, objective, *rest)
+        n, dim = objective.thetas.shape[0] - 1, objective.thetas.shape[1]
+        turns = np.where(np.arange(n) % 2 == 0, 1e308, -1e308)
+        tail = turns[:, None, None] * np.array([1.0, -1.0])[None, :, None]
+        row = np.concatenate([[0.0], row[1:n + 1], np.repeat(tail, dim, axis=2).ravel()])
+        return plan, cost, row
+
+    monkeypatch.setattr(harness, "mppi_solve", overflowing)
+    config = _cartpole_trial(controller=ControllerSpec(variant="stein_adaptive"),
+                             svgd=SvgdConfig(step_size=0.001, kernel=kernel))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_trial(config)
+    assert result.terminal_reason == "inference_failure" and not result.success
+    assert result.steps == 1
+    np.testing.assert_array_equal(result.final_state, config.x0)
+    np.testing.assert_array_equal(result.final_particles.particles, result.particles[0])
+
+
 def _fragile_derivative(u, theta):
     # a double integrator whose gain is nan for every theta above 1.2
     gain = np.where(theta[0] > 1.2, np.nan, theta[0])
@@ -353,7 +380,7 @@ def test_nonfinite_probe_costs_fail_inference_not_the_solve():
     # The rescore's probe tail is a fresh rollout of the same probe, byte for
     # byte, and the Stein step fails on the same row from either.
     known = row[n:] - row[0]
-    rolled = _gap_model(spec, env, x0, plan, row[0], objective.refs, probe)
+    rolled = _gap_model(objective, plan, row[0], probe)
     assert known.tobytes() == rolled.tobytes()
     with pytest.raises(ScoreEvaluationError) as from_known:
         svgd_step(particles, known, svgd)

@@ -78,6 +78,11 @@ def test_particle_set_validation():
         ParticleSet([[0.5]], [1.0], [1.0])  # degenerate box
     with pytest.raises(ValueError):
         ParticleSet([[np.nan]], [0.0], [1.0])
+    # every bound is finite, so every finite-difference step is a box fraction
+    for lower, upper in (([np.nan], [1.0]), ([0.0], [np.nan]), ([-np.inf], [1.0]),
+                         ([0.0], [np.inf]), ([0.0, -np.inf], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            ParticleSet(np.full((1, len(lower)), 0.5), lower, upper)
 
 
 def test_draw_particles_stay_inside_and_are_reproducible():
@@ -133,6 +138,20 @@ def test_score_error_carries_the_offending_theta():
         score(lambda ths: np.full(len(ths), np.nan), ParticleSet([[0.5]], [0.0], [1.0]),
               SvgdConfig())
     assert info.value.theta.shape == (1,)
+
+
+@pytest.mark.parametrize("kernel", [RbfKernel(), ImqKernel(), ConstantKernel()],
+                         ids=["rbf", "imq", "constant"])
+def test_a_nonfinite_drift_raises_a_score_error(kernel):
+    # Finite gaps whose central differences overflow: the score is +inf at
+    # 0.2 and -inf at 0.8. A radial kernel sums the two into a NaN drift at
+    # both particles; the constant kernel's drift is the infinite score.
+    ps = ParticleSet([[0.2], [0.8]], [0.0], [1.0])
+    gaps = np.array([1e308, -1e308, -1e308, 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ScoreEvaluationError) as info:
+            svgd_step(ps, gaps, SvgdConfig(kernel=kernel, fd_epsilon=1e-4))
+    assert info.value.theta.tobytes() == ps.particles[0].tobytes()
 
 
 def test_score_needs_one_gap_per_probe_row():
