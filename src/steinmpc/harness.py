@@ -4,12 +4,19 @@ A trial couples the sampling-based planner to the true plant (simulated with
 the ground-truth parameters) and, for the adaptive variant, advances the
 particle set after every applied control using the gap posterior of the most
 recent plan. Batches fan trials over seeds and reduce them to the summary
-statistics the benchmark tables are built from.
+statistics the benchmark tables are built from. A batch on two or more
+workers forks them with ``os.fork`` inside the call (POSIX only), re-raises
+a worker's exception in the caller, and reaps every worker before it
+returns or raises.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import struct
 import time
 from dataclasses import dataclass, field, replace
 
@@ -388,14 +395,98 @@ def _run_with_seed(payload) -> TrialResult:
     return run_trial(replace(base, seed=int(seed)))
 
 
+# One trial index per task record. A record is far below PIPE_BUF, so each
+# write lands whole and each read of one record gets a whole index.
+_TASK = struct.Struct("=I")
+
+
+def _pipe():
+    """A new pipe as its (read, write) file objects."""
+    read_fd, write_fd = os.pipe()
+    return open(read_fd, "rb"), open(write_fd, "wb")
+
+
+def _work(tasks_fd: int, report, payloads):
+    """A forked worker's whole life: run ``_run_with_seed`` on the payload of
+    every task index read from ``tasks_fd``, write one pickled list of
+    ``(index, TrialResult)``, or the exception that stopped it, to ``report``
+    and leave with ``os._exit``, so the child never returns into its caller.
+    """
+    try:
+        try:
+            done = []
+            while record := os.read(tasks_fd, _TASK.size):
+                (i,) = _TASK.unpack(record)
+                done.append((i, _run_with_seed(payloads[i])))
+            data = pickle.dumps(done)
+        except BaseException as exc:
+            data = pickle.dumps(exc)
+        report.write(data)
+        report.close()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _fork_batch(payloads, workers: int) -> list[TrialResult]:
+    """Run every payload across ``workers`` forked children, in payload order."""
+    results = [None] * len(payloads)
+    files, readers, pids = [], [], []
+    try:
+        tasks, feed = _pipe()
+        files += [tasks, feed]
+        for _ in range(workers):
+            reader, report = _pipe()
+            files += [reader, report]
+            pid = os.fork()
+            if pid == 0:
+                feed.close()
+                _work(tasks.fileno(), report, payloads)
+            pids.append(pid)
+            readers.append(reader)
+            report.close()
+        tasks.close()
+        try:
+            for i in range(len(payloads)):
+                os.write(feed.fileno(), _TASK.pack(i))
+        except BrokenPipeError:
+            pass  # every worker has ended; their reports say why
+        feed.close()
+        for pid, reader in zip(list(pids), readers):
+            data = reader.read()
+            if not data:
+                pids.remove(pid)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"batch worker {pid} ended without a result (exit code {code})")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            for i, result in outcome:
+                results[i] = result
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for f in files:
+            f.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return results
+
+
 def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> BatchResult:
     """Run one trial per seed, across up to ``min(jobs, len(seeds))`` worker processes.
 
     Results are keyed and ordered by position in ``seeds`` regardless of
     which worker finished first, so aggregates do not depend on ``jobs``.
-    A batch with two or more workers imports the process pool on its first
-    call, before it forks; a one-worker batch runs in this process and never
-    loads it.
+    A one-worker batch runs in this process. Otherwise the workers are forks
+    of this process made inside the call (POSIX only): they inherit the
+    trial payloads and take trial indices from one shared pipe, and each
+    sends its results back pickled once. Every worker is reaped before the
+    call returns or raises. A trial's exception in a worker is re-raised
+    here with its type and message, after any other worker still running is
+    killed; a worker that ends without reporting raises ``RuntimeError``.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -407,8 +498,5 @@ def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> BatchResult:
     if workers == 1:
         results = [_run_with_seed(p) for p in payloads]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_with_seed, payloads))
+        results = _fork_batch(payloads, workers)
     return BatchResult(seeds=seeds, results=results)

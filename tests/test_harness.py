@@ -1,8 +1,10 @@
 """Closed-loop trial mechanics, success criteria, and batch aggregation."""
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -567,62 +569,112 @@ def test_dro_trial_runs_without_explicit_lambda():
     assert result.terminal_reason == "timeout"
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_run_batch_is_ordered_and_parallel_invariant():
-    config = _cartpole_trial()
+    config = _cartpole_trial(controller=ControllerSpec(variant="stein_adaptive"))
     serial = run_batch(config, [3, 1, 4], jobs=1)
     parallel = run_batch(config, [3, 1, 4], jobs=2)
+    _assert_no_child_left()
     assert serial.seeds == parallel.seeds == [3, 1, 4]
     for a, b in zip(serial.results, parallel.results):
-        assert a.seed == b.seed
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.controls, b.controls)
+        assert (a.seed, a.success, a.terminal_reason, a.completion_time) == (
+            b.seed, b.success, b.terminal_reason, b.completion_time)
+        for name in ("times", "states", "controls", "costs", "particles", "final_state", "ksd"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for name in ("particles", "lower", "upper"):
+            assert np.array_equal(getattr(a.final_particles, name),
+                                  getattr(b.final_particles, name)), name
 
 
 def test_run_batch_starts_at_most_one_worker_per_seed(monkeypatch):
-    # a stand-in pool that records its size and maps in this process
-    started = []
+    forks = []
+    fork = os.fork
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def counted_fork():
+        forks.append(None)
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # run_batch imports the pool where it forks, so it reads this at call time
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     config = _cartpole_trial(duration=0.0)
-    assert run_batch(config, [3, 1], jobs=64).seeds == [3, 1]
-    run_batch(config, [3, 1, 4], jobs=2)
-    run_batch(config, [5], jobs=8)
-    assert started == [2, 2]
+    started = []
+    for seeds, jobs in [([3, 1], 64), ([3, 1, 4], 2), ([5], 8)]:
+        forks.clear()
+        assert run_batch(config, seeds, jobs=jobs).seeds == seeds
+        started.append(len(forks))
+    assert started == [2, 2, 0]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in this process if the block runs ``seconds`` long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fail_seed(monkeypatch, seed, fail):
+    """Make ``harness.run_trial`` call ``fail()`` for ``seed``; forked
+    workers inherit the patch."""
+    run = harness.run_trial
+
+    def run_or_fail(config):
+        if config.seed == seed:
+            fail()
+        return run(config)
+
+    monkeypatch.setattr(harness, "run_trial", run_or_fail)
+
+
+def test_a_worker_trial_error_is_reraised_in_the_caller(monkeypatch):
+    def fail():
+        raise SolverFailureError("no finite plan for seed 1")
+
+    _fail_seed(monkeypatch, 1, fail)
+    with _deadline(60), pytest.raises(SolverFailureError, match="no finite plan for seed 1"):
+        run_batch(_cartpole_trial(duration=0.0), [0, 1, 2], jobs=2)
+    _assert_no_child_left()
+
+
+def test_a_worker_that_exits_without_reporting_raises(monkeypatch):
+    _fail_seed(monkeypatch, 1, lambda: os._exit(1))
+    with _deadline(60), pytest.raises(RuntimeError, match="without a result"):
+        run_batch(_cartpole_trial(duration=0.0), [0, 1, 2], jobs=2)
+    _assert_no_child_left()
 
 
 def test_an_in_process_trial_loads_no_process_pool():
-    # a fresh interpreter, so no other test's imports count
-    script = (
-        "import sys\n"
-        "import steinmpc, steinmpc.cli\n"
-        "from steinmpc.configfile import build_trial_config, load_config\n"
-        f"doc = load_config({os.path.join(CONFIG_DIR, 'racing.yaml')!r})\n"
-        "doc['harness']['duration'] = doc['env']['dt']\n"
-        "trial, _ = build_trial_config(doc)\n"
-        "assert steinmpc.run_trial(trial).steps == 1\n"
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
-        " if m in sys.modules])\n"
-    )
+    # fresh interpreters, so no other test's imports count; a forked batch
+    # loads no pool either
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    for run in ["assert steinmpc.run_trial(trial).steps == 1",
+                "assert [r.steps for r in steinmpc.run_batch(trial, [0, 1], jobs=2).results]"
+                " == [1, 1]"]:
+        script = (
+            "import sys\n"
+            "import steinmpc, steinmpc.cli\n"
+            "from steinmpc.configfile import build_trial_config, load_config\n"
+            f"doc = load_config({os.path.join(CONFIG_DIR, 'racing.yaml')!r})\n"
+            "doc['harness']['duration'] = doc['env']['dt']\n"
+            "trial, _ = build_trial_config(doc)\n"
+            f"{run}\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.splitlines()[-1] == "[]", run
 
 
 def test_run_batch_validation():
