@@ -75,21 +75,42 @@ __all__ = [
 
 
 def _check_weight_matrix(m, dim: int, label: str) -> np.ndarray:
+    """The weight ``m`` as a float array, once it is a finite symmetric PSD matrix.
+
+    Symmetry is ``np.allclose(m, m.T, atol=1e-10)``'s rule: every entry has
+    |w_ij - w_ji| <= 1e-10 + 1e-5 |w_ji|. Definiteness is decided on S, the
+    matrix ``_quad`` actually sums: W's diagonal as given and w_ij/2 + w_ji/2
+    off it. S passes when its smallest eigenvalue is at least -1e-8, that is
+    when S + 1e-8 I is PSD, which a pivoted LDL^T of S + 1e-8 I decides. Each
+    step takes the largest remaining diagonal entry as the pivot: a negative
+    or NaN pivot rejects, and a zero pivot passes only if the rest of its
+    column is zero. For a diagonal W this reads d_i + 1e-8 >= 0, which is
+    d_i >= -1e-8 exactly. The test runs on Python floats, so no weight check
+    calls LAPACK.
+    """
     m = np.asarray(m, dtype=float)
     if m.shape != (dim, dim):
         raise ValueError(f"{label} must have shape ({dim}, {dim}), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{label} must be finite")
-    if np.any(m[~np.eye(dim, dtype=bool)]):
-        if not np.allclose(m, m.T, atol=1e-10):
-            raise ValueError(f"{label} must be symmetric")
-        eigenvalues = np.linalg.eigvalsh(m)
-    else:
-        # A diagonal matrix is symmetric and its eigenvalues are its
-        # diagonal, so weights given as a flat list never reach LAPACK.
-        eigenvalues = np.diagonal(m)
-    if np.min(eigenvalues) < -1e-8:
-        raise ValueError(f"{label} must be positive semidefinite")
+    w = m.tolist()
+    if any(abs(w[i][j] - w[j][i]) > 1e-10 + 1e-5 * abs(w[j][i])
+           for i in range(dim) for j in range(dim)):
+        raise ValueError(f"{label} must be symmetric")
+    s = [[w[i][i] + 1e-8 if i == j else w[i][j] / 2 + w[j][i] / 2 for j in range(dim)]
+         for i in range(dim)]
+    rest = list(range(dim))
+    while rest:
+        k = max(rest, key=lambda i: s[i][i])
+        rest.remove(k)
+        pivot, column = s[k][k], [s[i][k] for i in rest]
+        if pivot > 0:
+            for a, i in enumerate(rest):
+                ratio = column[a] / pivot
+                for j, s_jk in zip(rest[a:], column[a:]):
+                    s[i][j] = s[j][i] = s[i][j] - ratio * s_jk
+        elif pivot != 0 or any(column):
+            raise ValueError(f"{label} must be positive semidefinite")
     return m
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -269,10 +269,17 @@ def test_cost_spec_validation():
     with pytest.raises(ValueError):
         CostSpec(Q=np.eye(2), R=[[1.0]], Q_f=np.eye(2), x_des=np.zeros(3))
     # a non-finite entry is rejected before symmetry or definiteness is read:
-    # eigvalsh of diag(1, -inf) is NaN, which no comparison rejects
+    # NaN meets the symmetry rule, since no comparison with NaN is true, and
+    # diag(1, inf) has only positive pivots
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="Q must be finite"):
             CostSpec(Q=np.diag([1.0, bad]), R=[[1.0]], Q_f=np.eye(2), x_des=np.zeros(2))
+    # Symmetric to allclose's tolerance either way round, but the cost sums
+    # both off-diagonal entries: e^T Q e = -1e-6 at e = (1, -1), so each
+    # orientation is rejected, not only the one whose lower triangle is off.
+    for q in ([[1.0, 1.0 + 1e-6], [1.0, 1.0]], [[1.0, 1.0], [1.0 + 1e-6, 1.0]]):
+        with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+            CostSpec(Q=q, R=[[1.0]], Q_f=np.eye(2), x_des=np.zeros(2))
 
 
 BOUNDARY = [0.0, -0.0, 1e-8, -1e-8, -1.0000001e-8, 5e-324, -5e-324,
@@ -321,22 +328,66 @@ SHIPPED = {
 }
 
 
-@pytest.mark.parametrize("name,full", [("racing", 0), ("cartpole", 0), ("rocket", 2)])
-def test_only_a_full_weight_matrix_calls_lapack(name, full, monkeypatch):
-    # The shipped flat weights are diagonal and are checked from their
-    # diagonal; rocket's full Q and Q_f still go through eigvalsh.
+@pytest.mark.parametrize("name", ["cartpole", "rocket", "racing", "kernel_ablation"])
+def test_building_a_shipped_config_calls_no_lapack(name, monkeypatch):
+    # Every weight check, flat or full, runs on Python floats.
     calls = []
 
     def spy(function):
         def recorded(*args, **kwargs):
-            calls.append((function.__name__, np.shape(args[0])))
+            calls.append(function.__name__)
             return function(*args, **kwargs)
         return recorded
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
-    monkeypatch.setattr(np, "allclose", spy(np.allclose))
+    for function in ("eigvalsh", "eigh", "eigvals", "cholesky"):
+        monkeypatch.setattr(np.linalg, function, spy(getattr(np.linalg, function)))
     build_trial_config(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))
-    assert sorted(calls) == [("allclose", (6, 6))] * full + [("eigvalsh", (6, 6))] * full
+    assert calls == []
+
+
+@st.composite
+def weight_matrices(draw):
+    n = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        # J^T J is PSD, and singular when J has fewer rows than columns; the
+        # shift moves it to either side of the tolerance.
+        j = draw(arrays(float, (draw(st.integers(1, n)), n), elements=unit))
+        shift = draw(st.sampled_from([0.0, 0.0, -1e-3, 1e-3, -0.1, 0.1]))
+        base = j.T @ j + shift * np.eye(n)
+    else:
+        a = draw(arrays(float, (n, n), elements=unit))
+        base = a + a.T
+    w = 10.0 ** draw(st.floats(-3.0, 4.0)) * base
+    # an asymmetry well inside the symmetry tolerance, so S is not W
+    w += np.triu(draw(arrays(float, (n, n), elements=st.floats(-1e-7, 1e-7))), 1) * w
+    return w
+
+
+ROCKET_COST = SHIPPED["rocket"].cost
+
+
+@given(w=weight_matrices())
+@example(w=ROCKET_COST.Q)
+@example(w=ROCKET_COST.Q_f)
+@example(w=ROCKET_COST.R)
+@example(w=np.array([[1.0, 1.0 + 1e-6], [1.0, 1.0]]))
+@example(w=np.array([[1.0, 1.0], [1.0, 1.0]]))
+@example(w=np.array([[-1e-8, 1.0], [1.0, -1e-8]]))  # a zero pivot, nonzero column
+def test_weight_check_agrees_with_the_eigenvalues_of_the_summed_matrix(w):
+    # The check passes exactly when the smallest eigenvalue of S, the matrix
+    # the cost sums, is at least -1e-8; draws too close to that line to tell
+    # apart from rounding are skipped. S keeps W's diagonal and averages each
+    # off-diagonal pair as the check does.
+    s = w / 2 + w.T / 2
+    np.fill_diagonal(s, np.diagonal(w))
+    smallest = np.linalg.eigvalsh(s)[0]
+    assume(abs(smallest + 1e-8) > 1e-9 * max(1.0, np.abs(s).max()))
+    if smallest >= -1e-8:
+        np.testing.assert_array_equal(_check_weight_matrix(w, len(w), "Q"), w)
+    else:
+        with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+            _check_weight_matrix(w, len(w), "Q")
 
 
 @given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
