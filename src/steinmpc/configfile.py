@@ -449,19 +449,21 @@ def _build_batch(root, seed, seed_count, jobs):
 def _check_memory(trial):
     """Reject a trial whose largest arrays would take more than ``MAX_TRIAL_BYTES``.
 
-    Three float64 arrays bound a trial's memory: the planner's (n, H,
-    samples, P) tracking errors, the rescore's (n, H, 2, P + B) with the
-    probe's B rows, and the histories, (duration / dt + 1) rows of the state
-    and the particles. P = n_particles + 1 and B = 2 * n_particles * p are
-    the most any variant rolls out. Each estimate is a product of factors,
-    added as logarithms so that no value overflows, and the error is raised
-    at the key with the largest factor in the largest estimate.
+    Three float64 arrays bound a trial's memory: the (n, H, samples + 2, P)
+    tracking errors of a rescore that also rolls out the next cycle's
+    samples candidates (``controllers.Lookahead``), the rescore's (n, H, 2,
+    P + B) with the probe's B rows, and the histories, (duration / dt + 1)
+    rows of the state and the particles. P = n_particles + 1 and
+    B = 2 * n_particles * p are the most any variant rolls out. Each
+    estimate is a product of factors, added as logarithms so that no value
+    overflows, and the error is raised at the key with the largest factor
+    in the largest estimate.
     """
     env, k = trial.env, trial.n_particles
     n, p, log_dt = env.state_dim, env.param_dim, math.log(env.dt)
     horizon = [(math.log(trial.horizon_seconds), "harness.horizon_seconds"), (-log_dt, "env.dt")]
     estimates = [
-        [(math.log(8 * n), None), *horizon, (math.log(trial.mppi.samples), "mppi.samples"),
+        [(math.log(8 * n), None), *horizon, (math.log(trial.mppi.samples + 2), "mppi.samples"),
          (math.log(k + 1), "harness.n_particles")],
         [(math.log(16 * n), None), *horizon, (math.log(k + 1 + 2 * k * p), "harness.n_particles")],
         [(math.log(8 * (n + k * p)), "harness.n_particles"),

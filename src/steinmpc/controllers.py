@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .inference import particle_mean
 __all__ = [
     "MppiConfig",
     "ControllerSpec",
+    "Lookahead",
     "SolverFailureError",
     "VARIANTS",
     "mppi_solve",
@@ -66,38 +68,11 @@ class MppiConfig:
             raise ValueError(f"noise_fraction must be nonnegative and finite, got {self.noise_fraction}")
 
 
-def mppi_solve(
-    env: EnvModel,
-    warm: np.ndarray,
-    objective,
-    config: MppiConfig,
-    rng: np.random.Generator,
-    probe=(),
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Improve a warm-start plan by weighted averaging of sampled candidates.
-
-    Candidates are the clamped warm plan plus samples - 1 Gaussian
-    perturbations of it, all clamped to the actuator box. Weights are
-    exp(-(cost - best cost) / temperature), with non-finite costs dropped.
-    The weighted average is only returned if it scores at least as well as
-    the best candidate; otherwise the best candidate is, which makes the
-    solver monotone against the warm plan by construction.
-
-    The rescore rolls out both plans that can be chosen, the averaged plan
-    and the best candidate, in one grid against the objective's P thetas
-    followed by the (B, p) ``probe`` thetas (B = 0 by default).
-    Only the first P columns decide which plan is chosen, so a non-finite
-    probe cost never fails the solve or changes the plan.
-
-    Returns:
-        ``(plan, cost, theta_costs)``: the chosen (H, m) plan, its objective
-        value and its (P + B,) row of costs, the objective's P thetas first
-        and then the probe's B. All come from the rollouts that chose the
-        plan, so scoring the plan again would give the same floats.
-
-    Raises:
-        SolverFailureError: if every candidate cost is non-finite.
-    """
+def _candidates(env: EnvModel, warm: np.ndarray, config: MppiConfig,
+                rng: np.random.Generator) -> np.ndarray:
+    """A cycle's (samples, H, m) candidates: the clamped warm plan, then
+    samples - 1 Gaussian perturbations of it drawn from ``rng``, all clamped
+    to the actuator box."""
     warm = np.asarray(warm, dtype=float)
     lo, hi = env.control_lower, env.control_upper
     # Scale and clip on (samples, H * m) rows with each per-channel vector
@@ -111,8 +86,79 @@ def mppi_solve(
     flat[0] = warm.reshape(-1)
     np.add(warm.reshape(-1), noise, out=flat[1:])
     np.clip(flat, np.tile(lo, horizon), np.tile(hi, horizon), out=flat)
+    return candidates
 
-    matrix = objective.cost_matrix(candidates)
+
+@dataclass
+class Lookahead:
+    """The next control cycle's planner grid, rolled out in this cycle's rescore.
+
+    While the objective's thetas stay put from cycle to cycle, the next
+    cycle's objective is known before this cycle's rescore except for which
+    plan this cycle keeps. ``mppi_solve`` calls ``predict(best)`` with the
+    best candidate; it returns the objective the next cycle scores with if
+    this cycle keeps ``best``, over the same thetas, or None to roll nothing
+    ahead. The next cycle's candidates are drawn from
+    ``shift_warm_start(best)`` with ``rng``, the next cycle's own generator,
+    exactly as that cycle would draw them.
+
+    When the solve returns a plan with ``best``'s bytes, it sets
+    ``objective`` and ``grid``, the next cycle's (candidates, cost matrix)
+    pair, which that cycle passes to ``mppi_solve`` as its ``grid``;
+    otherwise both stay None.
+    """
+
+    predict: Callable
+    rng: np.random.Generator
+    objective: PlanObjective | None = None
+    grid: tuple | None = None
+
+
+def mppi_solve(
+    env: EnvModel,
+    warm: np.ndarray,
+    objective,
+    config: MppiConfig,
+    rng: np.random.Generator,
+    probe=(),
+    grid: tuple | None = None,
+    lookahead: Lookahead | None = None,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Improve a warm-start plan by weighted averaging of sampled candidates.
+
+    Candidates are the clamped warm plan plus samples - 1 Gaussian
+    perturbations of it, all clamped to the actuator box. Weights are
+    exp(-(cost - best cost) / temperature), with non-finite costs dropped.
+    The weighted average is only returned if it scores at least as well as
+    the best candidate; otherwise the best candidate is, which makes the
+    solver monotone against the warm plan by construction. A ``grid``, the
+    (candidates, cost matrix) pair a previous cycle's ``lookahead`` rolled
+    out for this cycle, takes the place of drawing and rolling out the
+    candidates; ``warm`` and ``rng`` are then not read.
+
+    The rescore rolls out both plans that can be chosen, the averaged plan
+    and the best candidate, in one grid against the objective's P thetas
+    followed by the (B, p) ``probe`` thetas (B = 0 by default).
+    Only the first P columns decide which plan is chosen, so a non-finite
+    probe cost never fails the solve or changes the plan. With a
+    ``lookahead`` whose ``predict`` gives the next cycle's objective, the
+    same call also rolls out the next cycle's candidates from that
+    objective's start state (see ``Lookahead``).
+
+    Returns:
+        ``(plan, cost, theta_costs)``: the chosen (H, m) plan, its objective
+        value and its (P + B,) row of costs, the objective's P thetas first
+        and then the probe's B. All come from the rollouts that chose the
+        plan, so scoring the plan again would give the same floats.
+
+    Raises:
+        SolverFailureError: if every candidate cost is non-finite.
+    """
+    if grid is None:
+        candidates = _candidates(env, warm, config, rng)
+        matrix = objective.cost_matrix(candidates)
+    else:
+        candidates, matrix = grid
     costs = np.asarray(objective.reduce(matrix), dtype=float)
     finite = np.isfinite(costs)
     if not finite.any():
@@ -124,13 +170,23 @@ def mppi_solve(
     weights = np.exp(-(costs - costs[best]) / config.temperature)
     weights /= weights.sum()
     averaged = np.einsum("k,k...->...", weights, candidates)
-    np.clip(averaged, lo, hi, out=averaged)
+    np.clip(averaged, env.control_lower, env.control_upper, out=averaged)
 
-    rows = objective.cost_matrix(np.stack([averaged, candidates[best]]), probe)
+    plans = np.stack([averaged, candidates[best]])
+    following = lookahead.predict(plans[1]) if lookahead is not None else None
+    if following is None:
+        rows = objective.cost_matrix(plans, probe)
+    else:
+        ahead = _candidates(env, shift_warm_start(plans[1]), config, lookahead.rng)
+        rows = objective.cost_matrix(plans, probe, then=(following, ahead))
     averaged_cost = float(objective.reduce(rows[:1, :matrix.shape[1]])[0])
     if not np.isfinite(averaged_cost) or averaged_cost > costs[best]:
-        return candidates[best].copy(), float(costs[best]), rows[1]
-    return averaged, averaged_cost, rows[0]
+        plan, cost, row = candidates[best].copy(), float(costs[best]), rows[1]
+    else:
+        plan, cost, row = averaged, averaged_cost, rows[0]
+    if following is not None and plan.tobytes() == plans[1].tobytes():
+        lookahead.objective, lookahead.grid = following, (ahead, rows[2:, :matrix.shape[1]])
+    return plan, cost, row
 
 
 def shift_warm_start(plan: np.ndarray) -> np.ndarray:
@@ -189,10 +245,13 @@ class PlanObjective:
     ``cost_matrix`` rolls a (C, H, m) plan stack out against the objective's
     (P, p) parameter stack ``thetas``, followed by an optional (B, p)
     ``probe`` stack, and returns the (C, P + B) cost grid; ``reduce`` turns
-    a (C, P) grid into the (C,) objective values. Calling the
-    objective scores one plan. The (H + 1, n) reference states are resolved
-    on the first call and kept in ``refs`` for later calls with the same
-    horizon, so one cycle resolves them once.
+    a (C, P) grid into the (C,) objective values. With ``then``, a pair of
+    another objective and a (C', H, m) plan stack, the grid gains C' rows in
+    the same rollout: those plans from the other objective's start state
+    against its reference states. Calling the objective scores one plan. The
+    (H + 1, n) reference states are resolved on the first call that needs
+    them and kept in ``refs`` for later calls with the same horizon, so one
+    cycle resolves them once.
 
     The variants differ only in ``thetas`` and ``reduce``, and
     ``build_objective`` is the one place that chooses them.
@@ -206,14 +265,25 @@ class PlanObjective:
         self.reduce = reduce
         self.refs = None
 
-    def cost_matrix(self, plans, probe=()) -> np.ndarray:
-        plans = np.asarray(plans, dtype=float)
-        steps = plans.shape[-2]
+    def references(self, steps: int) -> np.ndarray:
         if self.refs is None or len(self.refs) != steps + 1:
             self.refs = self.spec.references(self.env, self.x0, steps)
+        return self.refs
+
+    def cost_matrix(self, plans, probe=(), then=None) -> np.ndarray:
+        plans = np.asarray(plans, dtype=float)
+        steps = plans.shape[-2]
         thetas = np.concatenate([self.thetas, np.reshape(probe, (-1, self.thetas.shape[1]))])
-        return rollout_cost_batch(self.spec, self.env, self.x0, plans, thetas,
-                                  refs=self.refs)
+        if then is None:
+            return rollout_cost_batch(self.spec, self.env, self.x0, plans, thetas,
+                                      refs=self.references(steps))
+        other, more = then
+        counts = (len(plans), len(more))
+        x0 = np.repeat(np.stack([self.x0, other.x0]), counts, axis=0)
+        refs = np.repeat(np.stack([self.references(steps), other.references(steps)]),
+                         counts, axis=0)
+        return rollout_cost_batch(self.spec, self.env, x0, np.concatenate([plans, more]),
+                                  thetas, refs=refs)
 
     def __call__(self, plan) -> float:
         return float(self.reduce(self.cost_matrix(np.asarray(plan, float)[None]))[0])

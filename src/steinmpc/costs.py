@@ -13,19 +13,24 @@ is rolled out on its own by ``harness._gap_model``, from the start state,
 spec, env and reference states the cycle's objective holds, to the same
 floats.
 
-Every entry of the (C, P) grid depends only on its own (plan, parameter) pair,
-so a caller that has the grid never needs to roll a pair out again: the plan
-objectives keep it as their ``cost_matrix`` and reduce it to one value per
-plan. For the same reason a rollout integrates each distinct theta row once,
-rows compared by their bytes, and gathers the (C, P) grid back through the
-inverse index: a collapsed particle set, whose rows repeat, costs the rollout
-of its distinct rows only, with the same floats. This holds bit for bit for
-every entry that is not NaN. A NaN entry is NaN wherever its pair sits, but
-its sign bit depends on the numpy loop that made it, so it can differ between
-the grid and the pair's 1 x 1 rollout; result files print ``nan`` for either. The reference states a cycle
-tracks depend only on the start state and the horizon; ``CostSpec.references``
-resolves them, and a caller that scores several grids from one start state
-passes them as ``refs`` instead of having each call resolve them again.
+Every entry of the (C, P) grid depends only on its own (plan, parameter) pair
+and that plan's start state and reference states, so a caller that has the
+grid never needs to roll a pair out again: the plan objectives keep it as
+their ``cost_matrix`` and reduce it to one value per plan. A call may give
+each plan its own start state and reference states, and each entry is then
+the bytes of its plan's rollout from a start state of its own; that is how a
+cycle's rescore and the next cycle's planner grid share one call
+(``controllers.mppi_solve``). For the same reason a rollout integrates each
+distinct theta row once, rows compared by their bytes, and gathers the (C, P)
+grid back through the inverse index: a collapsed particle set, whose rows
+repeat, costs the rollout of its distinct rows only, with the same floats.
+This holds bit for bit for every entry that is not NaN. A NaN entry is NaN
+wherever its pair sits, but its sign bit depends on the numpy loop that made
+it, so it can differ between the grid and the pair's 1 x 1 rollout; result
+files print ``nan`` for either. The reference states a cycle tracks depend
+only on the start state and the horizon; ``CostSpec.references`` resolves
+them, and a caller that scores several grids from one start state passes
+them as ``refs`` instead of having each call resolve them again.
 
 Inside a rollout every array is component-first, as the derivatives take
 them (see ``dynamics``): the state is one (n, C, P) array, the parameters are
@@ -179,8 +184,9 @@ class CostSpec:
         extra_terminal: optional terminal term whose
             ``batch(x_T, theta, x0)`` is added to the terminal cost. Its
             arguments are component-first: x_T (n, C, P) and theta (p, C, P)
-            over the (plan, parameter) grid, and x0 (n, 1, 1); it returns the
-            (C, P) grid of values.
+            over the (plan, parameter) grid, and x0 (n, 1, 1), or (n, C, 1)
+            when each plan has its own start state; it returns the (C, P)
+            grid of values.
     """
 
     Q: np.ndarray
@@ -255,18 +261,20 @@ def _quad(e: np.ndarray, terms) -> np.ndarray:
 
 
 def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=None) -> np.ndarray:
-    """Costs of every (plan, parameter) pair on a shared start state.
+    """Costs of every (plan, parameter) pair, from one start state or one per plan.
 
     Args:
         spec: cost specification.
         env: dynamics model; supplies the integrator step and bounds.
-        x0: (n,) start state shared by all rollouts.
+        x0: (n,) start state shared by all rollouts, or (C, n), plan i's
+            start state in row i.
         plans: (C, H, m) stack of candidate plans (a single (H, m) plan is
             promoted to C = 1).
         thetas: (P, p) stack of parameter vectors (a single vector is
             promoted to P = 1).
         refs: (H + 1, n) reference states, as ``spec.references(env, x0, H)``
-            returns them; resolved here when None.
+            returns them, or with a (C, n) ``x0`` the (C, H + 1, n) stack of
+            each plan's own; resolved here when None.
 
     Returns:
         (C, P) array of total trajectory costs: the stage costs of steps
@@ -291,9 +299,18 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
             thetas = thetas[first]
     grid = (n_cand, thetas.shape[0])
 
-    if refs is None:
-        refs = spec.references(env, x0, steps)
-    refs = np.asarray(refs)[:, :, None, None]
+    # Component-first: a shared start state and its references broadcast as
+    # (n, 1, 1) over the grid, and per-plan ones as (n, C, 1), made
+    # contiguous once so that no step reads them strided.
+    if x0.ndim == 1:
+        if refs is None:
+            refs = spec.references(env, x0, steps)
+        start, refs = x0[:, None, None], np.asarray(refs)[:, :, None, None]
+    else:
+        if refs is None:
+            refs = np.stack([spec.references(env, row, steps) for row in x0])
+        start = x0.T[:, :, None]
+        refs = np.ascontiguousarray(np.asarray(refs).transpose(1, 2, 0))[..., None]
     # Controls and their cost do not depend on the state: one pass for all
     # steps, over one contiguous component-first (m, H, C) copy of the plans,
     # clipped in place.
@@ -302,9 +319,9 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
             out=controls)
     control_cost = _quad(controls, spec._r_terms)
     theta = np.broadcast_to(thetas.T[:, None, :], thetas.shape[1:] + grid).copy()
-    x = np.broadcast_to(x0[:, None, None], x0.shape + grid).copy()
+    x = np.broadcast_to(start, start.shape[:1] + grid).copy()
     u = np.empty((m,) + grid)
-    errors = np.empty((x0.size, steps) + grid)
+    errors = np.empty((x.shape[0], steps) + grid)
     dt = env.dt
     for t in range(steps):
         # The bound derivative may hold views of u, so u is refilled only
@@ -323,6 +340,6 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     e = x - refs[steps]
     total += _quad(e, spec._q_f_terms)
     if spec.extra_terminal is not None:
-        total += spec.extra_terminal.batch(x, theta, x0[:, None, None])
+        total += spec.extra_terminal.batch(x, theta, start)
     return total if inverse is None else total[:, inverse]
 

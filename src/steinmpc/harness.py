@@ -24,6 +24,7 @@ import numpy as np
 
 from .controllers import (
     ControllerSpec,
+    Lookahead,
     MppiConfig,
     SolverFailureError,
     build_objective,
@@ -149,6 +150,8 @@ class TrialConfig:
             raise ValueError(
                 f"x0 must have shape ({self.env.state_dim},), got {self.x0.shape}"
             )
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 must be finite")
         if self.n_particles < 1:
             raise ValueError(f"n_particles must be at least 1, got {self.n_particles}")
         if not self.duration >= 0:
@@ -242,10 +245,19 @@ def run_trial(config: TrialConfig) -> TrialResult:
     step's finite-difference probe from the particles before planning, and
     the planner's rescore rolls the chosen plan out against it together with
     the objective's thetas. The first step's gaps are the tail of the chosen
-    plan's rescore row less its cost under the particle mean, so a cycle
-    makes two rollouts: the planner grid and the rescore. Each further SVGD
-    step, and the logged KSD, rolls out the probe of the particles it
+    plan's rescore row less its cost under the particle mean, so such a
+    cycle makes two rollouts: the planner grid and the rescore. Each further
+    SVGD step, and the logged KSD, rolls out the probe of the particles it
     scores from the cycle's objective (``_gap_model``), one rollout each.
+
+    When the particles stay put, every cycle scores against the same
+    thetas, and each cycle that is not the trial's last rolls the next
+    cycle's planner grid out in its rescore (``controllers.Lookahead``),
+    from the state the plant reaches under the best candidate. If the cycle
+    keeps that candidate, the next cycle starts from the predicted state and
+    plans on that grid, so it makes one rollout; otherwise it plans from
+    the state the kept plan reaches and makes two. A predicted state that is
+    not finite rolls nothing ahead, so its references are never resolved.
 
     Deterministic: the particle draw and every planning cycle use random
     streams derived from the seed alone, so identical configs reproduce
@@ -279,23 +291,47 @@ def run_trial(config: TrialConfig) -> TrialResult:
     progress_hist = [lap.update(state)] if lap is not None else None
     log_u, log_c, log_p, log_ksd = [], [], [], []
 
+    def cycle_rng(k):
+        return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, k)))
+
+    def out_of_time(t):
+        """No cycle may start at time t."""
+        return t + env.dt > config.duration + 1e-9
+
+    def predict(best):
+        """The next cycle's objective if this cycle, from ``state``, keeps ``best``."""
+        reached = rk4_step(env, state, best[0], env.theta_true)
+        if not np.all(np.isfinite(reached)):
+            return None
+        return build_objective(controller, config.cost, env, reached, particles.particles)
+
+    # The cycle's lookahead. At the top of the loop it is the cycle before's,
+    # which holds this cycle's grid when that cycle kept the plan it predicted.
+    ahead = None
     # Every exit sets its reason and breaks, so the condition only stops a
     # trial whose calibration already failed from taking a step.
     while reason == "timeout":
         if config.success.reached(times_hist, states_hist, progress_hist):
             reason = "success"
             break
-        if times_hist[-1] + env.dt > config.duration + 1e-9:
+        if out_of_time(times_hist[-1]):
             break
 
-        cycle_rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(1, len(log_c)))
-        )
-        objective = build_objective(controller, config.cost, env, state, particles.particles)
-        probe = probe_thetas(particles, config.svgd.fd_epsilon) if infer else ()
+        k = len(log_c)
+        if ahead is not None and ahead.grid is not None:
+            objective, grid, rng = ahead.objective, ahead.grid, ahead.rng
+        else:
+            objective, grid, rng = (
+                build_objective(controller, config.cost, env, state, particles.particles),
+                None, cycle_rng(k))
+        if infer:
+            probe, solve_kwargs = probe_thetas(particles, config.svgd.fd_epsilon), {}
+        else:
+            ahead = None if out_of_time((k + 1) * env.dt) else Lookahead(predict, cycle_rng(k + 1))
+            probe, solve_kwargs = (), {"grid": grid, "lookahead": ahead}
         try:
             new_plan, plan_cost, theta_costs = mppi_solve(
-                env, warm, objective, config.mppi, cycle_rng, probe)
+                env, warm, objective, config.mppi, rng, probe, **solve_kwargs)
         except SolverFailureError:
             reason = "solver_failure"
             break
@@ -305,7 +341,10 @@ def run_trial(config: TrialConfig) -> TrialResult:
         log_c.append(plan_cost)
         log_p.append(particles.particles.copy())
 
-        next_state = rk4_step(env, state, control, env.theta_true)
+        if ahead is not None and ahead.grid is not None:
+            next_state = ahead.objective.x0
+        else:
+            next_state = rk4_step(env, state, control, env.theta_true)
         if not np.all(np.isfinite(next_state)):
             reason = "solver_failure"
             break

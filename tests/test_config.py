@@ -202,6 +202,8 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     ("run", "cartpole", {"harness": {"n_particles": 10**8}}, "harness.n_particles"),
     ("run", "cartpole", {"harness": {"duration": 1.0e12}}, "harness.duration"),
     ("run", "cartpole", {"harness": {"horizon_seconds": 1.0e308}}, "harness.horizon_seconds"),
+    # 8 * 4 * 20 * (279620 + 2) * 6 bytes: the planner grid fits, the fused rescore does not
+    ("run", "cartpole", {"mppi": {"samples": 279620}}, "mppi.samples"),
     # an integer longer than int() reads fails the whole document
     ("run", "cartpole", {"batch": {"seeds": 10**4999}}, "<document>"),
 ], ids=["theta_box_empty", "theta_true_outside", "control_box_empty",
@@ -214,7 +216,8 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
         "duration_infinite", "seed_negative", "base_seed_negative", "base_seed_beside_list",
         "seed_count_beyond_platform",
         "seed_count_over_cap", "seed_list_over_cap", "jobs_over_cap", "dt_tiny", "samples_huge",
-        "n_particles_huge", "duration_huge", "horizon_beyond_float", "integer_of_5000_digits"])
+        "n_particles_huge", "duration_huge", "horizon_beyond_float",
+        "samples_past_the_fused_rescore", "integer_of_5000_digits"])
 def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field, tmp_path,
                                                      capsys):
     doc = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
@@ -233,6 +236,19 @@ def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field
         assert f"config error at {field}:" in captured.err
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_the_memory_rule_counts_the_next_cycles_grid_in_the_rescore():
+    # cartpole: n = 4, H = 0.4 / 0.02 = 20, P = 6. At 279618 samples the
+    # fused rescore's (n, H, samples + 2, P) errors take 1 073 740 800
+    # bytes, inside 2^30; two more samples take 1 073 748 480, past it.
+    doc = load_config(os.path.join(CONFIG_DIR, "cartpole.yaml"))
+    assert 8 * 4 * 20 * (279618 + 2) * 6 <= 2**30 < 8 * 4 * 20 * (279620 + 2) * 6
+    doc["mppi"]["samples"] = 279618
+    trial, _ = build_trial_config(doc)
+    assert trial.mppi.samples == 279618
+    doc["mppi"]["samples"] = 279620
+    assert error_field(doc) == "mppi.samples"
 
 
 @pytest.mark.parametrize("command,flags,field", [

@@ -421,6 +421,52 @@ def test_batched_rollout_entries_equal_single_pair_costs(name, shape, data):
             assert alone[0, 0] == grid[i, j]
 
 
+def _same_bytes(a, b):
+    """Equal bytes, except that a NaN's sign bit may differ between numpy loops."""
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(0, 6)),
+    seed=st.integers(0, 2**32 - 1))
+@example(name="racing", shape=(2, 3, 2, 10), seed=0)
+def test_each_plan_block_gets_the_bytes_of_its_own_start_state(name, shape, seed):
+    # A rescore and the next cycle's planner grid share one call: two blocks
+    # of plans, each from its own start state against its own reference
+    # states, get the bytes of their own single-start calls. Theta rows
+    # repeat, so the distinct-row path runs. On racing the starts sit apart
+    # on the track, so they track different centerline points, and the
+    # inverse-displacement terminal reads each block's own start.
+    trial = SHIPPED[name]
+    env, spec = trial.env, trial.cost
+    first, second, n_distinct, steps = shape
+    rng = np.random.default_rng(seed)
+    span = env.control_upper - env.control_lower
+    plans = env.control_lower - 0.2 * span + 1.4 * span * rng.uniform(
+        size=(first + second, steps, env.control_dim))
+    pool = env.theta_lower + (env.theta_upper - env.theta_lower) * rng.uniform(
+        size=(n_distinct, env.param_dim))
+    thetas = pool[np.concatenate([np.arange(n_distinct), rng.integers(n_distinct, size=2)])]
+    starts = trial.x0 + rng.uniform(-0.3, 0.3, size=(2, env.state_dim))
+    if name == "racing":
+        assert isinstance(spec.extra_terminal, InverseDisplacementReward)
+        starts[1, 0] += rng.uniform(0.5, 1.5)
+        assert not np.array_equal(spec.references(env, starts[0], steps),
+                                  spec.references(env, starts[1], steps))
+    x0 = np.repeat(starts, (first, second), axis=0)
+
+    with np.errstate(all="ignore"):
+        grid = rollout_cost_batch(spec, env, x0, plans, thetas)
+        assert grid.shape == (first + second, len(thetas))
+        refs = np.stack([spec.references(env, row, steps) for row in x0])
+        assert rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs).tobytes() == \
+            grid.tobytes()
+        _same_bytes(grid[:first], rollout_cost_batch(spec, env, starts[0], plans[:first], thetas))
+        _same_bytes(grid[first:], rollout_cost_batch(spec, env, starts[1], plans[first:], thetas))
+
+
 class ParameterSign:
     """A terminal term of +1 or -1 by the sign bit of parameter ``index``."""
 

@@ -1,6 +1,7 @@
 """Closed-loop trial mechanics, success criteria, and batch aggregation."""
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from steinmpc.controllers import (
     mppi_solve,
 )
 from steinmpc.costs import CostSpec, rollout_cost_batch
-from steinmpc.dynamics import EnvModel, make_cartpole
+from steinmpc.dynamics import EnvModel, make_cartpole, racecar_derivative
 from steinmpc.harness import (
     BatchResult,
     CartpoleSuccess,
@@ -122,6 +123,9 @@ def _cartpole_trial(**overrides):
 def test_trial_config_validation():
     with pytest.raises(ValueError):
         _cartpole_trial(x0=np.zeros(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            _cartpole_trial(x0=np.array([0.0, bad, 0.0, 0.0]))
     with pytest.raises(ValueError):
         _cartpole_trial(n_particles=0)
     with pytest.raises(ValueError):
@@ -501,6 +505,99 @@ def test_one_cycle_rolls_out_each_question_once(monkeypatch, variant, iterations
     result = run_trial(trial)
     assert result.steps == 1
     assert calls == {"rollout": rollouts, "reference": 1}
+
+
+@pytest.mark.parametrize("variant,iterations", [
+    ("nominal", 1), ("emppi", 1), ("dro", 1), ("stein_adaptive", 0), ("stein_adaptive", 1)],
+    ids=["nominal", "emppi", "dro", "stein_adaptive-iterations_0", "stein_adaptive-moving"])
+def test_a_cycle_after_a_kept_best_candidate_rolls_out_once(monkeypatch, variant, iterations):
+    # While the particles stay put, each cycle but the last rolls the next
+    # cycle's planner grid out in its rescore, from the state the best
+    # candidate reaches. A cycle after one that kept its best candidate plans
+    # on that grid and makes one rollout; the first cycle, and one after an
+    # accepted average, make two. A moving flow makes two in every cycle and
+    # calls the solver as it always has. The references of each logged state
+    # are resolved once, and those of each prediction that was not kept once.
+    # At the reference speed from the start, both branches come up within
+    # the trial's 40 cycles.
+    trial, _ = build_trial_config(load_config(os.path.join(CONFIG_DIR, "racing.yaml")))
+    samples = 16
+    trial = dataclasses.replace(
+        trial, controller=dataclasses.replace(trial.controller, variant=variant),
+        duration=40 * trial.env.dt, x0=np.array([-2.5, -2.0, 0.0, 4.5, 0.0]),
+        mppi=MppiConfig(samples=samples, temperature=5.0, noise_fraction=0.5),
+        svgd=dataclasses.replace(trial.svgd, iterations=iterations))
+    fixed = iterations == 0 or variant != "stein_adaptive"
+    cycles = []
+    solve = harness.mppi_solve
+
+    def marked(*args, **kwargs):
+        cycles.append({"rollouts": [], "references": [], "kwargs": kwargs})
+        plan, cost, row = solve(*args, **kwargs)
+        cycles[-1]["plan"], cycles[-1]["rescore"] = plan, cycles[-1]["rollouts"][-1]
+        return plan, cost, row
+
+    def recorded(spec, env, x0, plans, thetas, refs=None):
+        cycles[-1]["rollouts"].append(np.array(plans))
+        return rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs)
+
+    horizon_states = CenterlineReference.horizon_states
+
+    def resolved(self, x0, steps, dt):
+        cycles[-1]["references"].append(np.array(x0).tobytes())
+        return horizon_states(self, x0, steps, dt)
+
+    monkeypatch.setattr(harness, "mppi_solve", marked)
+    for module in (controllers, costs, harness):
+        monkeypatch.setattr(module, "rollout_cost_batch", recorded)
+    monkeypatch.setattr(CenterlineReference, "horizon_states", resolved)
+    result = run_trial(trial)
+    assert result.terminal_reason == "timeout" and result.steps == len(cycles) == 40
+
+    kept = [c["plan"].tobytes() == c["rescore"][1].tobytes() for c in cycles]
+    assert any(kept[:-1]) and not all(kept[:-1])
+    if fixed:
+        expected = [2] + [1 if k else 2 for k in kept[:-1]]
+        fused = [2 + samples] * 39 + [2]
+        wasted = kept[:-1].count(False)
+    else:
+        expected, fused, wasted = [2] * 40, [2] * 40, 0
+        assert all(c["kwargs"] == {} for c in cycles)
+    assert [len(c["rollouts"]) for c in cycles] == expected
+    assert [len(c["rescore"]) for c in cycles] == fused
+    keys = [key for c in cycles for key in c["references"]]
+    assert len(keys) == result.steps + wasted
+    assert all(keys.count(state.tobytes()) == 1 for state in result.states)
+
+
+def _stalling_racecar_derivative(u, theta):
+    # the racecar, except that under a mass below 0.12 a speed above 0.5
+    # turns the derivative NaN: the plant (mass 0.1) diverges, while the
+    # nominal variant's plans (mass 0.175) stay finite
+    f = racecar_derivative(u, theta)
+    light = theta[0] < 0.12
+    return lambda x: np.where(light & (x[3] > 0.5), np.nan, f(x))
+
+
+def test_a_diverging_racing_plant_ends_in_solver_failure_without_resolving_its_state():
+    # The cycle whose best candidate drives the plant to NaN rolls nothing
+    # ahead, so no reference is resolved from a NaN state; the trial ends as
+    # solver_failure with the rows and final state it had before the
+    # lookahead existed (the digest was recorded then).
+    trial, _ = build_trial_config(load_config(os.path.join(CONFIG_DIR, "racing.yaml")))
+    trial = dataclasses.replace(
+        trial, controller=dataclasses.replace(trial.controller, variant="nominal"),
+        env=dataclasses.replace(trial.env, derivative=_stalling_racecar_derivative),
+        mppi=MppiConfig(samples=16, temperature=0.5, noise_fraction=0.5), duration=1.0)
+    result = run_trial(trial)
+    assert result.terminal_reason == "solver_failure" and result.steps == 9
+    np.testing.assert_array_equal(result.final_state, result.states[-1])
+    digest = hashlib.sha256()
+    for array in (result.times, result.states, result.controls, result.costs,
+                  result.particles, result.progress, result.final_state):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == (
+        "682620801804392e5854420af6e00e4f1cfe2465b46c58f54c5e4d83f6a97903")
 
 
 def test_dro_lambda_calibrates_from_warm_start_cost():
