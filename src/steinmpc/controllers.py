@@ -5,7 +5,8 @@ objective a candidate plan is scored with:
 
 * stein_adaptive: gap-weighted robust objective around the live particle mean.
 * emppi: ensemble average over particles frozen at the initial draw.
-* dro: soft worst case over frozen particles.
+* dro: soft worst case over frozen particles, lambda * log mean exp(cost / lambda)
+  plus lambda * epsilon, the dual of a KL-ball worst case.
 * nominal: plain cost under one fixed parameter vector.
 """
 
@@ -295,10 +296,13 @@ def _robust(matrix: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _risk_averse(matrix: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
-    """lambda * epsilon + lambda * log mean exp(cost_i / lambda)."""
-    from scipy.special import logsumexp
+    """lambda * epsilon + lambda * log mean exp(cost_i / lambda).
 
-    lse = logsumexp(matrix / lam, axis=1) - np.log(matrix.shape[1])
+    The log-sum-exp is numpy's ``logaddexp`` reduction along each row, which
+    stays finite where exp(cost / lambda) overflows and whose bits do not
+    depend on the SIMD kernels numpy dispatches.
+    """
+    lse = np.logaddexp.reduce(matrix / lam, axis=1) - np.log(matrix.shape[1])
     return lam * epsilon + lam * lse
 
 

@@ -84,14 +84,6 @@ class ParticleSet:
         if np.any(self.particles < self.lower) or np.any(self.particles > self.upper):
             raise ValueError("particles must lie inside the bounding box")
 
-    @property
-    def count(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
-
 
 def draw_particles(lower, upper, count: int, rng: np.random.Generator) -> ParticleSet:
     """Draw ``count`` particles uniformly inside the box."""
@@ -213,7 +205,7 @@ def svgd_step(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> P
             the first particle whose drift is not finite, for every kernel.
     """
     x = particles.particles
-    n = particles.count
+    n = x.shape[0]
     scores = posterior_score_batch(particles, gaps, config)
 
     if isinstance(config.kernel, ConstantKernel):

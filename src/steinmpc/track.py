@@ -3,6 +3,8 @@
 The centerline is two parallel straights joined by two semicircles, traversed
 counterclockwise, parameterized by arc length starting at the left end of the
 bottom straight heading along +x. All geometry is closed form; no splines.
+One table describes the four segments in lap order, and both directions
+between arc length and the plane, ``pose`` and ``nearest_arclength``, read it.
 
 A racing trial reads the track through two objects. ``LapProgress`` is the
 trial's lap count: the plant's state after each step, projected onto the
@@ -44,6 +46,17 @@ class StadiumTrack:
             raise ValueError("straight_length and radius must be positive")
         if not self.reference_speed > 0:
             raise ValueError("reference_speed must be positive")
+        # The segments in lap order: (length, arc, anchor x, anchor y, direction,
+        # heading at the start). A straight runs from its anchor along x in direction
+        # +1 or -1; an arc turns counterclockwise about its anchor from angle direction.
+        length, r = self.straight_length, self.radius
+        half, arc = length / 2.0, math.pi * r
+        object.__setattr__(self, "_segments", (
+            (length, False, -half, -r, 1.0, 0.0),
+            (arc, True, half, 0.0, -0.5 * math.pi, 0.0),
+            (length, False, half, r, -1.0, math.pi),
+            (arc, True, -half, 0.0, 0.5 * math.pi, math.pi),
+        ))
 
     @property
     def total_length(self) -> float:
@@ -52,69 +65,54 @@ class StadiumTrack:
     def pose(self, s: float) -> tuple[float, float, float, float]:
         """Centerline (x, y, heading, yaw rate) at arc length s.
 
-        The one place the four segments are told apart. s wraps around the
-        lap; the heading is continuous and unwrapped, growing by 2*pi per
-        completed lap so that costs built from it never see a jump at the
-        finish line. The yaw rate is v/R on the arcs and zero on the straights.
+        s wraps around the lap and walks down the segment table one length
+        at a time; the distance left into its segment gives the position and
+        the heading. The heading is unwrapped, growing by 2*pi per completed
+        lap so costs built from it never see a jump at the finish line. The
+        yaw rate is v/R on the arcs and zero on the straights.
         """
-        total = self.total_length
-        laps = math.floor(float(s) / total)
-        w = float(s) - laps * total
+        laps = math.floor(float(s) / self.total_length)
+        a = float(s) - laps * self.total_length
         turns = 2.0 * math.pi * laps
-        half = self.straight_length / 2.0
+        segments, i = self._segments, 0
+        while i < len(segments) - 1 and a >= segments[i][0]:
+            a -= segments[i][0]
+            i += 1
+        _, arc, x0, y0, direction, heading = segments[i]
+        if not arc:
+            return x0 + direction * a, y0, heading + turns, 0.0
         r = self.radius
-        arc = math.pi * r
-        rate = self.reference_speed / r
-        a = w
-        if a < self.straight_length:
-            return -half + a, -r, turns, 0.0
-        a -= self.straight_length
-        if a < arc:
-            ang = -0.5 * math.pi + a / r
-            return half + r * math.cos(ang), r * math.sin(ang), a / r + turns, rate
-        a -= arc
-        if a < self.straight_length:
-            return half - a, r, math.pi + turns, 0.0
-        a -= self.straight_length
-        ang = 0.5 * math.pi + a / r
-        # Not pi + a / r, which rounds differently: the recorded racing
-        # digests hold this form's floats.
-        heading = math.pi + (w - 2.0 * self.straight_length - arc) / r
-        return -half + r * math.cos(ang), r * math.sin(ang), heading + turns, rate
+        ang = direction + a / r
+        return (x0 + r * math.cos(ang), y0 + r * math.sin(ang), heading + a / r + turns,
+                self.reference_speed / r)
 
     def nearest_arclength(self, xy) -> float:
         """Arc length of the centerline point nearest to xy (in [0, total)).
 
-        Exact projection onto each of the four segments; ties resolve to the
-        earliest segment so the start point reads 0, not one full lap.
+        Exact projection onto each segment of the table (an arc's angle is
+        taken within pi of its midpoint), plus the lengths of the segments
+        before it; ties resolve to the earliest segment so the start point
+        reads 0, not one full lap.
         """
         x, y = float(xy[0]), float(xy[1])
-        half = self.straight_length / 2.0
-        r = self.radius
-        arc = math.pi * r
-        candidates = []
-
-        cx = min(max(x, -half), half)
-        candidates.append(((cx - x) ** 2 + (-r - y) ** 2, cx + half))
-
-        ang = math.atan2(y, x - half)
-        ang = min(max(ang, -0.5 * math.pi), 0.5 * math.pi)
-        px, py = half + r * math.cos(ang), r * math.sin(ang)
-        candidates.append(((px - x) ** 2 + (py - y) ** 2, self.straight_length + (ang + 0.5 * math.pi) * r))
-
-        cx = min(max(x, -half), half)
-        candidates.append(((cx - x) ** 2 + (r - y) ** 2, self.straight_length + arc + (half - cx)))
-
-        ang = math.atan2(y, x + half) % (2.0 * math.pi)
-        ang = min(max(ang, 0.5 * math.pi), 1.5 * math.pi)
-        px, py = -half + r * math.cos(ang), r * math.sin(ang)
-        candidates.append(((px - x) ** 2 + (py - y) ** 2, 2.0 * self.straight_length + arc + (ang - 0.5 * math.pi) * r))
-
-        best_d, best_s = candidates[0]
-        for d, s in candidates[1:]:
-            if d < best_d - 1e-15:
-                best_d, best_s = d, s
-        return best_s % self.total_length
+        half, r = self.straight_length / 2.0, self.radius
+        best, start = None, 0.0
+        for length, arc, x0, y0, direction, _ in self._segments:
+            if arc:
+                ang = math.atan2(y - y0, x - x0)
+                if ang < direction - 0.5 * math.pi:
+                    ang += 2.0 * math.pi
+                ang = min(max(ang, direction), direction + math.pi)
+                px, py = x0 + r * math.cos(ang), y0 + r * math.sin(ang)
+                along = (ang - direction) * r
+            else:
+                px, py = min(max(x, -half), half), y0
+                along = direction * (px - x0)
+            d = (px - x) ** 2 + (py - y) ** 2
+            if best is None or d < best[0] - 1e-15:
+                best = d, start + along
+            start += length
+        return best[1] % self.total_length
 
 
 class LapProgress:

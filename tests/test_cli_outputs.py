@@ -110,7 +110,7 @@ EXPECTED = {
         sorted(["best_laps.json", "timing.json",
                 *(f"progress_{v}.csv" for v in VARIANT_DIRS),
                 *(f for v in VARIANT_DIRS for f in _trial_files(f"{v}/", [0, 1]))]),
-        "cee2aedddc8b3beaed208f76e60d726479bf2042aab7fc6a6313a7bdf62a61ec",
+        "43c7114900afa07931bacb1a19f976cf9706065559a8b794aa4994363b69ec0d",
     ),
 }
 

@@ -1,4 +1,10 @@
 """The path-integral solver and the four plan objectives."""
+import contextlib
+import io
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -274,10 +280,8 @@ def variant_formula(controller, particles, plans):
     if variant == "nominal":
         return rollout_cost_batch(SPEC, ENV, X0, plans, np.array([[1.0]]))[:, 0]
     if variant == "dro":
-        from scipy.special import logsumexp
-
         lam, grid = controller.risk_lambda, rollout_cost_batch(SPEC, ENV, X0, plans, particles)
-        lse = logsumexp(grid / lam, axis=1) - np.log(grid.shape[1])
+        lse = np.logaddexp.reduce(grid / lam, axis=1) - np.log(grid.shape[1])
         return lam * controller.risk_epsilon + lam * lse
     thetas = np.vstack([particles.mean(axis=0)[None], particles])
     grid = rollout_cost_batch(SPEC, ENV, X0, plans, thetas)
@@ -305,6 +309,87 @@ def test_objective_values_are_the_variant_formula_bit_for_bit(
     expected = variant_formula(controller, particles, plans)
     assert np.array_equal(objective.reduce(objective.cost_matrix(plans)), expected)
     assert np.array_equal(objective(plans[0]), expected[0])
+
+
+def run_child(code, *args, **env):
+    """Run ``code`` in a fresh interpreter that imports this package and
+    return what it prints; ``env`` adds to the environment of that child
+    alone."""
+    src = os.path.dirname(os.path.dirname(controllers.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=path, **env), check=True)
+    return child.stdout.strip()
+
+
+@given(
+    grid=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 8)),
+                elements=st.floats(-700.0, 700.0)),
+    lam=st.floats(0.01, 100.0),
+    epsilon=st.floats(0.0, 1.0),
+    special=st.lists(st.tuples(st.integers(0, 63), st.sampled_from([np.inf, -np.inf, np.nan])),
+                     max_size=3),
+)
+def test_risk_averse_matches_scipy_logsumexp(grid, lam, epsilon, special):
+    # |cost / lambda| reaches 700, where exp overflows in the naive
+    # log mean exp of ``risk_oracle``. scipy serves as an independent oracle
+    # to 1e-12 of each row's log-sum-exp, the scale before log P and the
+    # epsilon term cancel against it. A row with an inf or NaN entry that
+    # scipy reduces to inf, -inf or NaN reduces to exactly that.
+    from scipy.special import logsumexp
+
+    matrix = grid * lam
+    for index, value in special:
+        matrix.flat[index % matrix.size] = value
+    with np.errstate(invalid="ignore"):
+        lse = logsumexp(matrix / lam, axis=1)
+        ours = controllers._risk_averse(matrix, lam, epsilon)
+    expected = lam * epsilon + lam * (lse - np.log(matrix.shape[1]))
+    finite = np.isfinite(expected)
+    scale = lam * np.maximum(np.abs(lse), 1.0)
+    assert np.all(np.abs(ours[finite] - expected[finite]) <= 1e-12 * scale[finite])
+    np.testing.assert_array_equal(ours[~finite], expected[~finite])
+
+
+def test_risk_averse_bits_do_not_depend_on_numpy_simd_dispatch():
+    # A child process with numpy's AVX-512 kernels switched off (as on a CPU
+    # without them) reduces a fixed grid to the same bytes as this process.
+    # The variable acts on the child alone.
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    disabled = [name for name in ("X86_V4", "AVX512_SPR", "AVX512_ICL")
+                if __cpu_features__.get(name)]
+    if not disabled:
+        pytest.skip("this CPU dispatches none of numpy's AVX-512 kernels")
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from steinmpc.controllers import _risk_averse\n"
+        "grid = np.random.default_rng(2604).normal(scale=40.0, size=(4000, 6))\n"
+        "grid[7] = np.inf\n"
+        "print(hashlib.sha256(_risk_averse(grid, 3.0, 0.1).tobytes()).hexdigest())\n"
+    )
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(code, {})
+    assert run_child(code, NPY_DISABLE_CPU_FEATURES=" ".join(disabled)) == here.getvalue().strip()
+
+
+def test_a_dro_trial_loads_no_scipy():
+    # The package runs on numpy and PyYAML alone; scipy is only a test oracle.
+    # A fresh interpreter runs two cycles of a dro trial and lists what it loaded.
+    code = (
+        "import dataclasses, sys\n"
+        "from steinmpc.configfile import build_trial_config, load_config\n"
+        "from steinmpc.harness import run_trial\n"
+        "trial, _ = build_trial_config(load_config(sys.argv[1]), seed=0)\n"
+        "controller = dataclasses.replace(trial.controller, variant='dro')\n"
+        "trial = dataclasses.replace(trial, controller=controller, duration=2 * trial.env.dt)\n"
+        "assert run_trial(trial).steps == 2\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "racing.yaml")
+    assert run_child(code, config) == "[]"
 
 
 def test_emppi_weighting_ignores_configured_gamma():

@@ -31,7 +31,7 @@ GOLDEN = {
     ("cartpole", "emppi"):
         "08f8bb90fb77b1988172d307145f2b6562f9edac6e36aaad764ff27d15f56093",
     ("cartpole", "dro"):
-        "888229b67c0c3d70d4a0ce16769a5aed0e507895acb8294d9bca0e35528f51be",
+        "686a0f417c8aded4f856780cb4f07bcf699314ad549ecae2f7b7c3cb91b5d7aa",
     ("cartpole", "nominal"):
         "9d5d6b753e121335e606e1d0b793466eada77b8125b5467b87fb4c49c6852a60",
     ("rocket", "stein_adaptive"):
@@ -39,7 +39,7 @@ GOLDEN = {
     ("rocket", "emppi"):
         "9634bc9bf5cdf676e99acf780f698bcc6a6077844af7ab103529caa10825e5cb",
     ("rocket", "dro"):
-        "481c016c16831aa67c562459f3b68a14c9a8146b2db8d26915d9e1ce5fa3b357",
+        "c98178cbd8ed8c9dd077c7b60e007852929bd7da3df05ed1f03bd984637d6da1",
     ("rocket", "nominal"):
         "f15205f9c2ad8bb6ca294debafc1b1554052ec3e925640503b686eeb696bfa9c",
     ("racing", "stein_adaptive"):
@@ -47,7 +47,7 @@ GOLDEN = {
     ("racing", "emppi"):
         "c042357f74f22a4b3c635e8d48b838c3f61c52514413c275aeb70261abbec0eb",
     ("racing", "dro"):
-        "3e4844f5af492f76f511ab9091a18df76fa60ffaa799d42ef5bc26ac280a498e",
+        "4d4de8a93237f0846cf856e39f59328502c222144f83d90e28c36901be7cbce2",
     ("racing", "nominal"):
         "2290bc8a1c8f9ef36c863282065198415be2f0469b2adf6ace49ff466a9c225e",
 }

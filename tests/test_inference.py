@@ -57,7 +57,6 @@ def ksd(gap, ps, cfg):
 def test_particle_set_promotes_single_vector():
     ps = ParticleSet(np.array([1.0, 2.0]), [0.0, 0.0], [3.0, 3.0])
     assert ps.particles.shape == (1, 2)
-    assert ps.count == 1 and ps.dim == 2
 
 
 def test_particle_set_copies_its_input():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from steinmpc.track import (
     CenterlineReference,
@@ -67,6 +69,67 @@ def test_nearest_arclength_projects_interior_and_exterior_points():
 
 def test_nearest_arclength_start_reads_zero_not_full_lap():
     assert TRACK.nearest_arclength([-2.5, -2.0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def _joins(track, laps=range(-2, 4)):
+    """Arc lengths where a segment starts, over the given laps."""
+    L, arc = track.straight_length, math.pi * track.radius
+    return np.array([lap * track.total_length + start for lap in laps
+                     for start in (0.0, L, L + arc, 2.0 * L + arc)])
+
+
+# The shipped (5, 2, 4.5) track, pinned bit for bit before its four segments
+# became one table: ``pose`` over 5001 arc lengths from -2 to +3 laps plus every
+# segment join of those laps and the floats either side of it, and
+# ``nearest_arclength`` over a 0.1 grid of points on [-7, 7] x [-5, 5]. The
+# table walks the left arc's arc length as ((w - L) - arc) - L for the heading
+# as well as the position, where the heading once read (w - 2L) - arc. On this
+# track both are exact, so they agree: the left arc's w lies in [16.28, 22.57),
+# where floats are multiples of 2^-48, and 2*pi's significand ends at 2^-47, so
+# each partial difference is a multiple of 2^-48 below 32. For the same reason
+# the left arc's running start (L + arc) + L equals 2L + arc.
+SHIPPED = StadiumTrack(5.0, 2.0, 4.5)
+
+
+def test_shipped_track_pose_is_pinned():
+    joins = _joins(SHIPPED)
+    s = np.concatenate([np.arange(-2000, 3001) / 1000 * SHIPPED.total_length, joins,
+                        np.nextafter(joins, -np.inf), np.nextafter(joins, np.inf)])
+    assert _digest([SHIPPED.pose(float(v)) for v in s]) == (
+        "b7003f8a9bd70d8e2f1a50fa5af4be940edcab40e51479b3507a0da6c10ec5d3")
+
+
+def test_shipped_track_nearest_arclength_is_pinned():
+    x, y = np.meshgrid(np.arange(-70, 71) / 10, np.arange(-50, 51) / 10)
+    points = np.stack([x.ravel(), y.ravel()], axis=1)
+    assert _digest([SHIPPED.nearest_arclength(p) for p in points]) == (
+        "6721187f66672a0d6db90f455407c531932ebe9f7fdc335df7071caf9ad041f9")
+
+
+@given(straight=st.floats(0.1, 10.0), radius=st.floats(0.1, 10.0),
+       fraction=st.floats(-2.0, 3.0))
+def test_pose_and_nearest_arclength_invert_each_other_on_any_track(straight, radius, fraction):
+    track = StadiumTrack(straight, radius)
+    total = track.total_length
+    s = fraction * total
+    # projecting the centerline point recovers s modulo the lap
+    gap = (track.nearest_arclength(track.pose(s)[:2]) - s % total) % total
+    assert min(gap, total - gap) <= 1e-9 * total
+    # one lap later: the same point, the heading a full turn up
+    here, lap = np.array(track.pose(s)), np.array(track.pose(s + total))
+    np.testing.assert_allclose(lap[:2], here[:2], rtol=0, atol=1e-9 * total)
+    assert lap[2] - here[2] == pytest.approx(2.0 * math.pi, abs=1e-9 * total / radius)
+    # x, y and heading are continuous across each join: a step of 2 eps
+    # moves them by at most 2 eps, and the heading by at most 2 eps / radius
+    eps = 1e-9 * total
+    for join in _joins(track, laps=[math.floor(fraction)]):
+        before, after = np.array(track.pose(join - eps)), np.array(track.pose(join + eps))
+        assert np.hypot(*(after[:2] - before[:2])) <= 2.5 * eps
+        assert abs(after[2] - before[2]) <= 2.5 * eps / radius
 
 
 def _on_track(fraction):
