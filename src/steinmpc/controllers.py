@@ -222,12 +222,12 @@ class ControllerSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.risk_lambda is not None and not self.risk_lambda > 0:
-            raise ValueError(f"risk_lambda must be positive, got {self.risk_lambda}")
-        if not self.risk_epsilon >= 0:
-            raise ValueError(f"risk_epsilon must be nonnegative, got {self.risk_epsilon}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        if self.risk_lambda is not None and not 0 < self.risk_lambda < np.inf:
+            raise ValueError(f"risk_lambda must be positive and finite, got {self.risk_lambda}")
+        if not 0 <= self.risk_epsilon < np.inf:
+            raise ValueError(f"risk_epsilon must be nonnegative and finite, got {self.risk_epsilon}")
         if self.nominal_theta is not None:
             object.__setattr__(
                 self, "nominal_theta", np.asarray(self.nominal_theta, dtype=float)

@@ -45,7 +45,10 @@ slot t of one (n, H, C, P) ``errors`` array. No stage cost feeds back into
 the dynamics, so after the loop one quadratic form scores every step at once,
 the controls' costs are added in one op, and the H stage costs are added to
 the total one step at a time, in step order, as a per-step sum would. The
-terminal terms read the final (n, C, P) state.
+terminal terms read the final (n, C, P) state. The rollout's one dtype is the
+result type of x0 and thetas (float64 for integers), picked at the top of the
+rollout: the states, parameters, reference states, errors and costs take it,
+the controls stay float64, and every caller in this package passes float64.
 
 A quadratic form e^T W e is a sum over W's nonzero entries only, listed once
 per ``CostSpec`` in row-major order (``_quad_terms``); rocket's 6 x 6 ``Q``
@@ -130,10 +133,10 @@ class InverseDisplacementReward:
 
     def __init__(self, weights, epsilon: float = 1e-3):
         self.weights = np.asarray(weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not np.all((0 <= self.weights) & (self.weights < np.inf)):
+            raise ValueError("weights must be nonnegative and finite")
+        if not 0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self.epsilon = epsilon
 
     def batch(self, x_terminal, theta, x0) -> np.ndarray:
@@ -155,8 +158,8 @@ class UprightEnergyPenalty:
     """
 
     def __init__(self, weight: float):
-        if not weight >= 0:
-            raise ValueError(f"weight must be nonnegative, got {weight}")
+        if not 0 <= weight < np.inf:
+            raise ValueError(f"weight must be nonnegative and finite, got {weight}")
         self.weight = float(weight)
 
     def batch(self, x_terminal, theta, x0) -> np.ndarray:
@@ -250,7 +253,7 @@ def _quad(e: np.ndarray, terms) -> np.ndarray:
     docstring for why not with a reduction). Returns the (...) batch.
     """
     (i, j, w), rest = terms[0], terms[1:]
-    acc = np.multiply(e[i], w, out=np.empty(e.shape[1:]))
+    acc = e[i] * w
     acc *= e[j]
     term = np.empty_like(acc)
     for i, j, w in rest:
@@ -277,16 +280,16 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
             each plan's own; resolved here when None.
 
     Returns:
-        (C, P) array of total trajectory costs: the stage costs of steps
-        0..H-1, each its state's ``Q`` form plus its control's ``R`` form,
-        added in step order, then the terminal ``Q_f`` form and the extra
-        terminal term.
+        (C, P) array of total trajectory costs, in the rollout's dtype: the
+        stage costs of steps 0..H-1, each its state's ``Q`` form plus its
+        control's ``R`` form, added in step order, then the terminal ``Q_f``
+        form and the extra terminal term.
     """
-    x0 = np.asarray(x0, dtype=float)
     plans = np.asarray(plans, dtype=float)
     if plans.ndim == 2:
         plans = plans[None]
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    dtype = np.result_type(np.asarray(x0), np.asarray(thetas), 1.0)  # float64 for integers
+    x0, thetas = np.asarray(x0, dtype), np.atleast_2d(np.asarray(thetas, dtype))
     n_cand, steps, m = plans.shape
     inverse = None
     if thetas.shape[0] > 1:
@@ -305,12 +308,12 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     if x0.ndim == 1:
         if refs is None:
             refs = spec.references(env, x0, steps)
-        start, refs = x0[:, None, None], np.asarray(refs)[:, :, None, None]
+        start, refs = x0[:, None, None], np.asarray(refs, dtype)[:, :, None, None]
     else:
         if refs is None:
             refs = np.stack([spec.references(env, row, steps) for row in x0])
         start = x0.T[:, :, None]
-        refs = np.ascontiguousarray(np.asarray(refs).transpose(1, 2, 0))[..., None]
+        refs = np.ascontiguousarray(np.asarray(refs, dtype).transpose(1, 2, 0))[..., None]
     # Controls and their cost do not depend on the state: one pass for all
     # steps, over one contiguous component-first (m, H, C) copy of the plans,
     # clipped in place.
@@ -321,7 +324,7 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     theta = np.broadcast_to(thetas.T[:, None, :], thetas.shape[1:] + grid).copy()
     x = np.broadcast_to(start, start.shape[:1] + grid).copy()
     u = np.empty((m,) + grid)
-    errors = np.empty((x.shape[0], steps) + grid)
+    errors = np.empty((x.shape[0], steps) + grid, dtype)
     dt = env.dt
     for t in range(steps):
         # The bound derivative may hold views of u, so u is refilled only
@@ -334,7 +337,7 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     stage += control_cost[:, :, None]
     # Summed one step at a time: a reduction over a lone (plan, parameter)
     # pair adds 8 or more steps pairwise, not in step order.
-    total = np.zeros(grid)
+    total = np.zeros(grid, dtype)
     for cost in stage:
         total += cost
     e = x - refs[steps]

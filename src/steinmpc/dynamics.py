@@ -1,10 +1,11 @@
 """Simulated benchmark environments and the fixed-step integrator.
 
 A derivative is bound to a control and parameters before it sees a state:
-``f = derivative(u, theta)`` takes control (m, ...) and parameters (p, ...),
-computes every term that depends on them alone, and returns ``f(x)``, the
-time-derivative of a state (n, ...) with the same batch shape ``...``. RK4
-holds u and theta fixed over a step, so one binding serves its four stages.
+``f = derivative(u, theta)`` takes control (m, ...) and parameters (p, ...)
+arrays as given, computes every term that depends on them alone, and returns
+``f(x)``, the time-derivative of a state (n, ...) with the same batch shape
+``...`` and x's dtype (``costs.rollout_cost_batch`` alone picks a rollout's
+dtype). RK4 holds u and theta fixed over a step: one binding, four stages.
 All arrays are component-first: each coordinate ``x[k]`` is one contiguous
 row over the batch, so every elementwise operation runs as a single
 contiguous loop. That single convention is what lets the planner evaluate
@@ -56,14 +57,14 @@ class EnvModel:
         control_lower / control_upper: per-channel actuator limits.
         theta_true: ground-truth latent parameters driving the plant.
         theta_lower / theta_upper: admissible parameter box (the prior).
-        derivative: ``derivative(u, theta) -> f`` binds a control u
-            (m, ...) and parameters theta (p, ...) and returns the
-            component-first time-derivative ``f(x)`` of a state x (n, ...)
-            with the same batch shape. It reads u and theta without changing
-            them, but ``f`` may hold views of them, so they must not be
-            overwritten while ``f`` is in use. ``f`` returns a new writable
-            (n, ...) array on every call, never one of its inputs or a view
-            of them, because the integrator writes into it in place.
+        derivative: ``derivative(u, theta) -> f`` binds a control array u
+            (m, ...) and a parameter array theta (p, ...), used as given, and
+            returns the component-first time-derivative ``f(x)`` of a state
+            x (n, ...) with the same batch shape. It reads u and theta without
+            changing them, but ``f`` may hold views of them, so they must not
+            be overwritten while ``f`` is in use. ``f`` returns a new writable
+            (n, ...) array of x's dtype on every call, never one of its inputs
+            or a view of them, because the integrator writes into it in place.
     """
 
     name: str
@@ -90,8 +91,8 @@ class EnvModel:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.control_lower.shape != (self.control_dim,) or self.control_upper.shape != (
             self.control_dim,
         ):
@@ -121,8 +122,6 @@ def cartpole_derivative(u, theta):
     Parameters are [pole mass, pole length]. No term depends on u and theta
     alone, so binding only reads their rows.
     """
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     force = u[0]
     m_p = theta[0]
     length = theta[1]
@@ -132,7 +131,7 @@ def cartpole_derivative(u, theta):
         rate = x[3]
         sin = np.sin(angle)
         cos = np.cos(angle)
-        out = np.empty(x.shape)
+        out = np.empty(x.shape, x.dtype)
         out[0:2] = x[2:4]
         # acc = (force + m_p sin (length rate^2 + g cos)) / (M + m_p sin^2)
         acc = out[2, ...]
@@ -166,15 +165,13 @@ def rocket_derivative(u, theta):
     line misses the center of mass whenever the gimbal is deflected, producing
     the torque thrust * sin(gimbal) * com_offset, which binding computes once.
     """
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     thrust = u[0]
     gimbal = u[1]
     mass = theta[0]
     torque = thrust * np.sin(gimbal) * theta[2] / theta[1]
 
     def f(x):
-        out = np.empty(x.shape)
+        out = np.empty(x.shape, x.dtype)
         out[0:3] = x[3:6]
         # Thrust in body frame is (sin g, cos g); rotate by the tilt to world
         # frame. The thrust angle is held in the torque row until last.
@@ -204,8 +201,6 @@ def racecar_derivative(u, theta):
     two accelerations the controls impart, throttle / mass and
     steer / inertia.
     """
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     # [throttle / mass, steer / inertia] as one (2, ...) array
     accel = u[0:2] / theta[0:2]
 
@@ -213,7 +208,7 @@ def racecar_derivative(u, theta):
         heading = x[2]
         speed = x[3]
         yaw = x[4]
-        out = np.empty(x.shape)
+        out = np.empty(x.shape, x.dtype)
         vx = out[0, ...]
         np.cos(heading, out=vx)
         vx *= speed

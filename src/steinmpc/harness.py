@@ -154,8 +154,8 @@ class TrialConfig:
             raise ValueError("x0 must be finite")
         if self.n_particles < 1:
             raise ValueError(f"n_particles must be at least 1, got {self.n_particles}")
-        if not self.duration >= 0:
-            raise ValueError(f"duration must be nonnegative, got {self.duration}")
+        if not 0 <= self.duration < np.inf:
+            raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
         horizon_steps(self.horizon_seconds, self.env.dt)
 
 

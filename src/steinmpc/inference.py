@@ -125,12 +125,12 @@ class SvgdConfig:
     sign_mode: str = "adversarial"
 
     def __post_init__(self):
-        if not self.step_size >= 0:
-            raise ValueError(f"step_size must be nonnegative, got {self.step_size}")
+        if not 0 <= self.step_size < np.inf:
+            raise ValueError(f"step_size must be nonnegative and finite, got {self.step_size}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
-        if not self.fd_epsilon > 0:
-            raise ValueError(f"fd_epsilon must be positive, got {self.fd_epsilon}")
+        if not 0 < self.fd_epsilon < np.inf:
+            raise ValueError(f"fd_epsilon must be positive and finite, got {self.fd_epsilon}")
         if self.sign_mode not in ("adversarial", "favoring"):
             raise ValueError(
                 f"sign_mode must be 'adversarial' or 'favoring', got {self.sign_mode!r}"

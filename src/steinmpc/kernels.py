@@ -41,8 +41,8 @@ class RbfKernel:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
     # Differentiable, so the Stein operator is well defined.
     stein_compatible = True
@@ -77,10 +77,10 @@ class ImqKernel:
     decay: float = 0.5
 
     def __post_init__(self):
-        if not self.offset > 0:
-            raise ValueError(f"offset must be positive, got {self.offset}")
-        if not self.decay > 0:
-            raise ValueError(f"decay must be positive, got {self.decay}")
+        if not 0 < self.offset < np.inf:
+            raise ValueError(f"offset must be positive and finite, got {self.offset}")
+        if not 0 < self.decay < np.inf:
+            raise ValueError(f"decay must be positive and finite, got {self.decay}")
 
     stein_compatible = True
 

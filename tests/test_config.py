@@ -1,6 +1,7 @@
 """Strict experiment-document parsing and the shipped reference configs."""
 import copy
 import dataclasses
+import functools
 import glob
 import math
 import os
@@ -236,6 +237,39 @@ def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field
         assert f"config error at {field}:" in captured.err
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+CARTPOLE_TRIAL = build_trial_config(load_config(os.path.join(CONFIG_DIR, "cartpole.yaml")))[0]
+# (constructor, field, value): every constructor argument that a config
+# document's numbers reach, each set to infinity alone. The loader rejects
+# a non-finite number at its key first; the constructors hold the same rule
+# for callers that build them directly, as MppiConfig already did.
+INFINITE_FIELDS = [
+    (ControllerSpec, "gamma", math.inf),
+    (ControllerSpec, "risk_lambda", math.inf),
+    (ControllerSpec, "risk_epsilon", math.inf),
+    (SvgdConfig, "step_size", math.inf),
+    (SvgdConfig, "fd_epsilon", math.inf),
+    (RbfKernel, "bandwidth", math.inf),
+    (ImqKernel, "offset", math.inf),
+    (ImqKernel, "decay", math.inf),
+    (StadiumTrack, "straight_length", math.inf),
+    (StadiumTrack, "radius", math.inf),
+    (StadiumTrack, "reference_speed", math.inf),
+    (InverseDisplacementReward, "weights", [1.0, math.inf]),
+    (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", math.inf),
+    (UprightEnergyPenalty, "weight", math.inf),
+    (functools.partial(dataclasses.replace, make_cartpole()), "dt", math.inf),
+    # a trial of infinite duration runs until it succeeds or fails
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", math.inf),
+]
+
+
+@pytest.mark.parametrize("build,field,value", INFINITE_FIELDS,
+                         ids=[field for _, field, _ in INFINITE_FIELDS])
+def test_every_constructor_rejects_an_infinite_number(build, field, value):
+    with pytest.raises(ValueError, match=f"{field}.* must be .*and finite"):
+        build(**{field: value})
 
 
 def test_the_memory_rule_counts_the_next_cycles_grid_in_the_rescore():

@@ -375,21 +375,34 @@ def test_risk_averse_bits_do_not_depend_on_numpy_simd_dispatch():
     assert run_child(code, NPY_DISABLE_CPU_FEATURES=" ".join(disabled)) == here.getvalue().strip()
 
 
-def test_a_dro_trial_loads_no_scipy():
+def test_every_shipped_trial_loads_only_numpy_yaml_and_the_standard_library():
     # The package runs on numpy and PyYAML alone; scipy is only a test oracle.
-    # A fresh interpreter runs two cycles of a dro trial and lists what it loaded.
+    # One fresh interpreter runs two cycles of every variant on every shipped
+    # config and lists what it loaded beyond ``import numpy, yaml`` (which
+    # may load more, as a site hook may) that is neither this package nor
+    # the standard library. numpy.random, which numpy imports lazily, is
+    # built with Cython and registers Cython's shared ``_cython_<version>``
+    # module, which holds no code of its own.
     code = (
         "import dataclasses, sys\n"
+        "import numpy, yaml\n"
+        "before = set(sys.modules)\n"
         "from steinmpc.configfile import build_trial_config, load_config\n"
+        "from steinmpc.controllers import VARIANTS\n"
         "from steinmpc.harness import run_trial\n"
-        "trial, _ = build_trial_config(load_config(sys.argv[1]), seed=0)\n"
-        "controller = dataclasses.replace(trial.controller, variant='dro')\n"
-        "trial = dataclasses.replace(trial, controller=controller, duration=2 * trial.env.dt)\n"
-        "assert run_trial(trial).steps == 2\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "for path in sys.argv[1:]:\n"
+        "    trial, _ = build_trial_config(load_config(path), seed=0)\n"
+        "    for variant in VARIANTS:\n"
+        "        controller = dataclasses.replace(trial.controller, variant=variant)\n"
+        "        two = dataclasses.replace(trial, controller=controller, duration=2 * trial.env.dt)\n"
+        "        assert run_trial(two).steps == 2, (path, variant)\n"
+        "allowed = {'numpy', 'yaml', 'steinmpc'} | sys.stdlib_module_names\n"
+        "print(sorted(name for name in set(sys.modules) - before\n"
+        "             if name.split('.')[0] not in allowed and not name.startswith('_cython_')))\n"
     )
-    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "racing.yaml")
-    assert run_child(code, config) == "[]"
+    configs = [os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.yaml")
+               for name in ("cartpole", "rocket", "racing")]
+    assert run_child(code, *configs) == "[]"
 
 
 def test_emppi_weighting_ignores_configured_gamma():

@@ -1,5 +1,6 @@
 """Quadratic trajectory costs and the ensemble/risk plan objectives."""
 import dataclasses
+import hashlib
 import math
 import os
 import tracemalloc
@@ -21,7 +22,7 @@ from steinmpc.costs import (
     UprightEnergyPenalty,
     rollout_cost_batch,
 )
-from steinmpc.dynamics import EnvModel, _rk4, rk4_step
+from steinmpc.dynamics import EnvModel, _rk4, horizon_steps, rk4_step
 from steinmpc.harness import _gap_model
 from steinmpc.track import CenterlineReference, StadiumTrack
 
@@ -758,3 +759,77 @@ def test_rk4_step_in_place_leaves_inputs_and_matches_the_expression(name, shape,
         assert a.tobytes() == b.tobytes()
     assert not np.shares_memory(out, x)
     assert out.tobytes() == rk4_expression(f, env.dt, x).tobytes()
+
+
+@given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
+    st.integers(1, 8), st.integers(1, 6)), per_plan=st.booleans(), data=st.data())
+def test_the_rollout_takes_the_dtype_of_its_start_state_and_thetas(name, shape, per_plan, data):
+    # rollout_cost_batch chooses the rollout's one dtype from x0 and thetas;
+    # the controls stay float64. On the same float32-representable inputs at
+    # the shipped horizon, a float32 grid is within 1e-6 relative (about 8
+    # float32 epsilons) of the float64 grid, entry by entry, and every bound
+    # derivative returns x's dtype whatever theta's.
+    trial = SHIPPED[name]
+    env, spec = trial.env, trial.cost
+    steps = horizon_steps(trial.horizon_seconds, env.dt)
+    n_cand, n_par = shape
+    span = env.control_upper - env.control_lower
+    plans = env.control_lower - 0.2 * span + 1.4 * span * data.draw(
+        arrays(float, (n_cand, steps, env.control_dim), elements=st.floats(0.0, 1.0)))
+    w = data.draw(arrays(float, (n_par, env.param_dim), elements=st.floats(0.0, 1.0)))
+    thetas = (env.theta_lower + (env.theta_upper - env.theta_lower) * w).astype(np.float32)
+    starts = (n_cand,) + trial.x0.shape if per_plan else trial.x0.shape
+    x0 = (trial.x0 + data.draw(arrays(float, starts, elements=st.floats(-0.3, 0.3)))
+          ).astype(np.float32)
+
+    single = rollout_cost_batch(spec, env, x0, plans, thetas)
+    double = rollout_cost_batch(spec, env, x0.astype(float), plans, thetas.astype(float))
+    assert single.dtype == np.float32 and double.dtype == np.float64
+    assert np.isfinite(double).all()
+    np.testing.assert_allclose(single, double, rtol=1e-6, atol=0.0)
+
+    u = np.broadcast_to(plans[:, 0].T[:, :, None], (env.control_dim, n_cand, n_par)).copy()
+    x = np.broadcast_to(np.atleast_2d(x0).T[:, :, None], (env.state_dim, n_cand, n_par))
+    theta = np.broadcast_to(thetas.T[:, None, :], (env.param_dim, n_cand, n_par))
+    for x_dtype in (np.float32, np.float64):
+        for theta_dtype in (np.float32, np.float64):
+            f = env.derivative(u, theta.astype(theta_dtype))
+            assert f(x.astype(x_dtype)).dtype == x_dtype
+
+
+# SHA-256 of the float64 grids ``_float64_grids`` yields, recorded while
+# every derivative and the rollout still cast their inputs to float64: the
+# rollout's dtype decision moves no float64 byte.
+FLOAT64_GRID_DIGESTS = {
+    "cartpole": "78aa1581763be3797029e6ef28fd8a1b4f2bd1712c41f8a457cef0824e03510b",
+    "rocket": "e4788467c87aab3d5b686aa8dd34e406846e2cd78a38d823287d5aecc4feaf80",
+    "racing": "cd18c284e8ce1037d044852ea31dc785a37294229349aa4fb84ce59f74a0d146",
+}
+
+
+def _float64_grids(trial):
+    """Grids at planner, rescore, 1 x 1 and per-plan-start shapes, each from a
+    float start state and from its integer rounding; a theta row repeats."""
+    env, spec = trial.env, trial.cost
+    steps = horizon_steps(trial.horizon_seconds, env.dt)
+    rng = np.random.default_rng(31)
+    span = env.control_upper - env.control_lower
+    for n_cand, n_par, per_plan in ((64, 6, False), (2, 20, False), (1, 1, False), (8, 3, True)):
+        plans = env.control_lower - 0.2 * span + 1.4 * span * rng.uniform(
+            size=(n_cand, steps, env.control_dim))
+        thetas = env.theta_lower + (env.theta_upper - env.theta_lower) * rng.uniform(
+            size=(n_par, env.param_dim))
+        thetas[-1] = thetas[0]
+        shape = (n_cand, env.state_dim) if per_plan else (env.state_dim,)
+        x0 = trial.x0 + rng.uniform(-0.3, 0.3, size=shape)
+        yield rollout_cost_batch(spec, env, x0, plans, thetas)
+        yield rollout_cost_batch(spec, env, np.round(x0).astype(int), plans, thetas)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT64_GRID_DIGESTS))
+def test_float64_and_integer_input_keep_the_recorded_float64_bytes(name):
+    digest = hashlib.sha256()
+    for grid in _float64_grids(SHIPPED[name]):
+        assert grid.dtype == np.float64 and np.isfinite(grid).all()
+        digest.update(grid.tobytes())
+    assert digest.hexdigest() == FLOAT64_GRID_DIGESTS[name]
