@@ -400,7 +400,9 @@ def _build_trial(root, env, batch):
     elif _get(section.raw, "track", section.path) is not None:
         raise ConfigError(f"{section.path}.track", "only meaningful for the racecar environment")
     success = section.section("success", _fields(_SUCCESS[env.name]))
-    success = _read_fields(success, _SUCCESS[env.name], dict.fromkeys(success.keys, (_as_float,)))
+    success = _read_fields(success, _SUCCESS[env.name], {
+        key: (_as_float,) if key.endswith("_target") else
+        (_as_nonnegative,) if key == "hold_duration" else (_as_positive,) for key in success.keys})
     return _read_fields(section, TrialConfig, {
         "duration": (_as_positive,), "horizon_seconds": (_as_positive,),
         "n_particles": (_as_int, 1), "x0": (_as_float_list, env.state_dim), "log_ksd": (_as_bool,),
@@ -450,14 +452,15 @@ def _check_memory(trial):
     """Reject a trial whose largest arrays would take more than ``MAX_TRIAL_BYTES``.
 
     Three float64 arrays bound a trial's memory: the (n, H, samples + 2, P)
-    tracking errors of a rescore that also rolls out the next cycle's
-    samples candidates (``controllers.Lookahead``), the rescore's (n, H, 2,
-    P + B) with the probe's B rows, and the histories, (duration / dt + 1)
-    rows of the state and the particles. P = n_particles + 1 and
-    B = 2 * n_particles * p are the most any variant rolls out. Each
-    estimate is a product of factors, added as logarithms so that no value
-    overflows, and the error is raised at the key with the largest factor
-    in the largest estimate.
+    tracking errors of a rescore whose ``controllers.rollout_blocks`` call
+    also rolls out the next cycle's samples candidates (``Lookahead``), the
+    rescore's (n, H, 2, P + B) with the probe's B rows (a later SVGD step's
+    one-row ``_gap_model`` call takes half), and the histories,
+    (duration / dt + 1) rows of the state and the particles.
+    P = n_particles + 1 and B = 2 * n_particles * p are the most any variant
+    rolls out. Each estimate is a product of factors, added as logarithms
+    so that no value overflows, and the error is raised at the key with the
+    largest factor in the largest estimate.
     """
     env, k = trial.env, trial.n_particles
     n, p, log_dt = env.state_dim, env.param_dim, math.log(env.dt)

@@ -29,6 +29,7 @@ __all__ = [
     "SolverFailureError",
     "VARIANTS",
     "mppi_solve",
+    "rollout_blocks",
     "shift_warm_start",
     "build_objective",
     "nominal_parameters",
@@ -105,8 +106,8 @@ class Lookahead:
 
     When the solve returns a plan with ``best``'s bytes, it sets
     ``objective`` and ``grid``, the next cycle's (candidates, cost matrix)
-    pair, which that cycle passes to ``mppi_solve`` as its ``grid``;
-    otherwise both stay None.
+    pair from the rescore's second ``rollout_blocks`` block, which that cycle
+    passes to ``mppi_solve`` as its ``grid``; otherwise both stay None.
     """
 
     predict: Callable
@@ -141,10 +142,9 @@ def mppi_solve(
     and the best candidate, in one grid against the objective's P thetas
     followed by the (B, p) ``probe`` thetas (B = 0 by default).
     Only the first P columns decide which plan is chosen, so a non-finite
-    probe cost never fails the solve or changes the plan. With a
-    ``lookahead`` whose ``predict`` gives the next cycle's objective, the
-    same call also rolls out the next cycle's candidates from that
-    objective's start state (see ``Lookahead``).
+    probe cost never fails the solve or changes the plan. The rescore is
+    ``objective.cost_matrix``, or with a ``lookahead`` the first of two
+    ``rollout_blocks`` blocks, the next cycle's candidates (see ``Lookahead``).
 
     Returns:
         ``(plan, cost, theta_costs)``: the chosen (H, m) plan, its objective
@@ -179,14 +179,14 @@ def mppi_solve(
         rows = objective.cost_matrix(plans, probe)
     else:
         ahead = _candidates(env, shift_warm_start(plans[1]), config, lookahead.rng)
-        rows = objective.cost_matrix(plans, probe, then=(following, ahead))
+        rows, next_rows = rollout_blocks([(objective, plans, probe), (following, ahead, probe)])
     averaged_cost = float(objective.reduce(rows[:1, :matrix.shape[1]])[0])
     if not np.isfinite(averaged_cost) or averaged_cost > costs[best]:
         plan, cost, row = candidates[best].copy(), float(costs[best]), rows[1]
     else:
         plan, cost, row = averaged, averaged_cost, rows[0]
     if following is not None and plan.tobytes() == plans[1].tobytes():
-        lookahead.objective, lookahead.grid = following, (ahead, rows[2:, :matrix.shape[1]])
+        lookahead.objective, lookahead.grid = following, (ahead, next_rows[:, :matrix.shape[1]])
     return plan, cost, row
 
 
@@ -232,6 +232,8 @@ class ControllerSpec:
             object.__setattr__(
                 self, "nominal_theta", np.asarray(self.nominal_theta, dtype=float)
             )
+            if not np.all(np.isfinite(self.nominal_theta)):
+                raise ValueError(f"nominal_theta must be real and finite, got {self.nominal_theta}")
 
 
 def nominal_parameters(controller: ControllerSpec, env: EnvModel) -> np.ndarray:
@@ -245,14 +247,11 @@ class PlanObjective:
 
     ``cost_matrix`` rolls a (C, H, m) plan stack out against the objective's
     (P, p) parameter stack ``thetas``, followed by an optional (B, p)
-    ``probe`` stack, and returns the (C, P + B) cost grid; ``reduce`` turns
-    a (C, P) grid into the (C,) objective values. With ``then``, a pair of
-    another objective and a (C', H, m) plan stack, the grid gains C' rows in
-    the same rollout: those plans from the other objective's start state
-    against its reference states. Calling the objective scores one plan. The
-    (H + 1, n) reference states are resolved on the first call that needs
-    them and kept in ``refs`` for later calls with the same horizon, so one
-    cycle resolves them once.
+    ``probe`` stack, and returns the (C, P + B) cost grid, the one-block case
+    of ``rollout_blocks``; ``reduce`` turns a (C, P) grid into the (C,)
+    objective values. Calling the objective scores one plan. The (H + 1, n)
+    reference states are resolved once, on the first call that needs them,
+    and kept in ``refs`` for later calls with the same horizon.
 
     The variants differ only in ``thetas`` and ``reduce``, and
     ``build_objective`` is the one place that chooses them.
@@ -271,23 +270,33 @@ class PlanObjective:
             self.refs = self.spec.references(self.env, self.x0, steps)
         return self.refs
 
-    def cost_matrix(self, plans, probe=(), then=None) -> np.ndarray:
-        plans = np.asarray(plans, dtype=float)
-        steps = plans.shape[-2]
-        thetas = np.concatenate([self.thetas, np.reshape(probe, (-1, self.thetas.shape[1]))])
-        if then is None:
-            return rollout_cost_batch(self.spec, self.env, self.x0, plans, thetas,
-                                      refs=self.references(steps))
-        other, more = then
-        counts = (len(plans), len(more))
-        x0 = np.repeat(np.stack([self.x0, other.x0]), counts, axis=0)
-        refs = np.repeat(np.stack([self.references(steps), other.references(steps)]),
-                         counts, axis=0)
-        return rollout_cost_batch(self.spec, self.env, x0, np.concatenate([plans, more]),
-                                  thetas, refs=refs)
+    def cost_matrix(self, plans, probe=()) -> np.ndarray:
+        return rollout_blocks([(self, plans, probe)])[0]
 
     def __call__(self, plan) -> float:
         return float(self.reduce(self.cost_matrix(np.asarray(plan, float)[None]))[0])
+
+
+def rollout_blocks(blocks) -> list:
+    """Each ``(objective, plans, probe)`` block's ``cost_matrix``, from one
+    ``rollout_cost_batch`` call: one block keeps its shared start state and
+    references, several stack them per plan and must share a spec, env,
+    horizon and theta bytes (thetas, then probe), else ``ValueError``."""
+    objectives, plans, probes = zip(*blocks)
+    first, steps = objectives[0], np.shape(plans[0])[-2]
+    thetas = np.concatenate([first.thetas, np.reshape(probes[0], (-1, first.thetas.shape[1]))])
+    if len(blocks) == 1:
+        return [rollout_cost_batch(first.spec, first.env, first.x0, plans[0], thetas,
+                                   refs=first.references(steps))]
+    if any(o.spec is not first.spec or o.env is not first.env
+           or o.thetas.tobytes() + np.asarray(b, float).tobytes() != thetas.tobytes()
+           for o, b in zip(objectives, probes)):
+        raise ValueError("blocks must share a spec, env, horizon and theta bytes")
+    counts = [len(p) for p in plans]
+    x0 = np.repeat(np.stack([o.x0 for o in objectives]), counts, axis=0)
+    refs = np.repeat(np.stack([o.references(steps) for o in objectives]), counts, axis=0)
+    grid = rollout_cost_batch(first.spec, first.env, x0, np.concatenate(plans), thetas, refs=refs)
+    return [grid[sum(counts[:i]):sum(counts[:i + 1])] for i in range(len(counts))]
 
 
 def _robust(matrix: np.ndarray, gamma: float) -> np.ndarray:

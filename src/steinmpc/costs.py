@@ -9,9 +9,8 @@ the particle mean. The planner's rescore rolls the first SVGD step's probe
 out with the objective's thetas (``controllers.mppi_solve``), so both are
 entries of the chosen plan's rescore row, and the harness hands the row's
 tail less its first entry to the Stein step as its gaps; a later step's probe
-is rolled out on its own by ``harness._gap_model``, from the start state,
-spec, env and reference states the cycle's objective holds, to the same
-floats.
+is rolled out by ``harness._gap_model`` as one row of the cycle's objective,
+to the same floats.
 
 Every entry of the (C, P) grid depends only on its own (plan, parameter) pair
 and that plan's start state and reference states, so a caller that has the
@@ -19,8 +18,8 @@ grid never needs to roll a pair out again: the plan objectives keep it as
 their ``cost_matrix`` and reduce it to one value per plan. A call may give
 each plan its own start state and reference states, and each entry is then
 the bytes of its plan's rollout from a start state of its own; that is how a
-cycle's rescore and the next cycle's planner grid share one call
-(``controllers.mppi_solve``). For the same reason a rollout integrates each
+cycle's rescore and the next cycle's planner grid share one call, two blocks
+of ``controllers.rollout_blocks``. For the same reason a rollout integrates each
 distinct theta row once, rows compared by their bytes, and gathers the (C, P)
 grid back through the inverse index: a collapsed particle set, whose rows
 repeat, costs the rollout of its distinct rows only, with the same floats.
@@ -141,7 +140,8 @@ class InverseDisplacementReward:
 
     def batch(self, x_terminal, theta, x0) -> np.ndarray:
         disp = np.abs(x_terminal - x0)
-        weights = self.weights.reshape(self.weights.shape + (1,) * (disp.ndim - 1))
+        weights = self.weights.astype(disp.dtype, copy=False).reshape(
+            self.weights.shape + (1,) * (disp.ndim - 1))
         return np.sum(weights / (disp + self.epsilon), axis=0)
 
 

@@ -18,7 +18,7 @@ import pickle
 import signal
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,6 +58,21 @@ __all__ = [
 ]
 
 
+def _check_criterion(criterion, targets=()):
+    """Every field of a success criterion is finite: ``targets`` of any sign,
+    ``hold_duration`` nonnegative and the rest, tolerances and laps, positive."""
+    for f in fields(criterion):
+        name, value = f.name, getattr(criterion, f.name)
+        if name in targets:
+            rule, ok = "real", math.isfinite(value)
+        elif name == "hold_duration":
+            rule, ok = "nonnegative", 0 <= value < math.inf
+        else:
+            rule, ok = "positive", 0 < value < math.inf
+        if not ok:
+            raise ValueError(f"{name} must be {rule} and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CartpoleSuccess:
     """Upright within angle_tol and slower than rate_tol, held continuously."""
@@ -65,6 +80,9 @@ class CartpoleSuccess:
     angle_tol: float = 0.2
     rate_tol: float = 1.0
     hold_duration: float = 0.5
+
+    def __post_init__(self):
+        _check_criterion(self)
 
     def satisfied(self, state) -> bool:
         err = (state[1] - math.pi + math.pi) % (2.0 * math.pi) - math.pi
@@ -92,6 +110,9 @@ class RocketSuccess:
     angle_tol: float = 0.15
     speed_tol: float = 0.2
 
+    def __post_init__(self):
+        _check_criterion(self, targets=("x_target", "y_target"))
+
     def satisfied(self, state) -> bool:
         speed = math.hypot(state[3], state[4])
         return (
@@ -110,6 +131,9 @@ class RaceSuccess:
     """Unwrapped lap fraction reaches the target number of laps."""
 
     laps: float = 1.0
+
+    def __post_init__(self):
+        _check_criterion(self)
 
     def reached(self, times, states, progress=None) -> bool:
         """False without progress: a trial off a track completes no lap."""
@@ -197,13 +221,12 @@ class TrialResult:
         return particle_mean(self.particles)
 
 
-def _gap_model(objective, plan, ref_cost: float, thetas) -> np.ndarray:
-    """The gap of ``plan`` at each row of the (B, p) stack ``thetas``: its
-    cost under that theta less ``ref_cost``, its cost under the particle
-    mean. The rollout starts from the cycle objective's ``x0`` and tracks
-    its reference states, under its ``spec`` and ``env``."""
-    return rollout_cost_batch(objective.spec, objective.env, objective.x0, plan[None],
-                              thetas, refs=objective.refs)[0] - ref_cost
+def _gap_model(objective, plan, probe) -> np.ndarray:
+    """The gap of ``plan`` at each row of the (B, p) ``probe``: its cost there
+    less its cost under the particle mean, the adaptive objective's first theta,
+    from one ``objective.cost_matrix`` row, as the rescore row gives them."""
+    row = objective.cost_matrix(plan[None], probe)[0]
+    return row[len(objective.thetas):] - row[0]
 
 
 def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerSpec:
@@ -247,8 +270,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
     the objective's thetas. The first step's gaps are the tail of the chosen
     plan's rescore row less its cost under the particle mean, so such a
     cycle makes two rollouts: the planner grid and the rescore. Each further
-    SVGD step, and the logged KSD, rolls out the probe of the particles it
-    scores from the cycle's objective (``_gap_model``), one rollout each.
+    SVGD step, and the logged KSD, rolls out one row of the cycle's objective
+    and the probe of the particles it scores (``_gap_model``).
 
     When the particles stay put, every cycle scores against the same
     thetas, and each cycle that is not the trial's last rolls the next
@@ -358,7 +381,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
                     particles = svgd_step(particles, gaps, config.svgd)
                     if i < config.svgd.iterations or log:
                         # The next step or the KSD scores the moved particles.
-                        gaps = _gap_model(objective, new_plan, theta_costs[0],
+                        gaps = _gap_model(objective, new_plan,
                                           probe_thetas(particles, config.svgd.fd_epsilon))
                 if log:
                     log_ksd.append(ksd_estimate(particles, gaps, config.svgd))

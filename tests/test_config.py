@@ -188,6 +188,15 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     ("run", "cartpole", {"env": {"control_upper": [math.inf]}}, "env.control_upper[0]"),
     ("run", "racing", {"env": {"theta_true": [math.nan, 0.5]}}, "env.theta_true[0]"),
     ("run", "cartpole", {"harness": {"duration": math.inf}}, "harness.duration"),
+    # a success criterion's tolerances and laps are positive, its hold nonnegative
+    ("run", "racing", {"harness": {"success": {"laps": -1}}}, "harness.success.laps"),
+    ("run", "cartpole", {"harness": {"success": {"angle_tol": -1.0}}},
+     "harness.success.angle_tol"),
+    ("run", "cartpole", {"harness": {"success": {"hold_duration": -0.5}}},
+     "harness.success.hold_duration"),
+    ("run", "rocket", {"harness": {"success": {"speed_tol": 0.0}}}, "harness.success.speed_tol"),
+    ("run", "rocket", {"harness": {"success": {"x_target": math.inf}}},
+     "harness.success.x_target"),
     # seeds are nonnegative, and a batch has at most MAX_SEEDS seeds and MAX_JOBS workers
     ("batch", "cartpole", {"batch": {"seeds": [-3]}}, "batch.seeds[0]"),
     ("batch", "cartpole", {"batch": {"seeds": 2, "base_seed": -3}}, "batch.base_seed"),
@@ -214,7 +223,8 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
         "env_name_a_list", "kernel_type_a_list", "extra_type_a_mapping",
         "temperature_beyond_float", "x0_entry_beyond_float", "theta_upper_infinite",
         "track_radius_infinite", "control_upper_infinite", "theta_true_nan",
-        "duration_infinite", "seed_negative", "base_seed_negative", "base_seed_beside_list",
+        "duration_infinite", "laps_negative", "angle_tol_negative", "hold_negative",
+        "speed_tol_zero", "x_target_infinite", "seed_negative", "base_seed_negative", "base_seed_beside_list",
         "seed_count_beyond_platform",
         "seed_count_over_cap", "seed_list_over_cap", "jobs_over_cap", "dt_tiny", "samples_huge",
         "n_particles_huge", "duration_huge", "horizon_beyond_float",
@@ -248,6 +258,7 @@ INFINITE_FIELDS = [
     (ControllerSpec, "gamma", math.inf),
     (ControllerSpec, "risk_lambda", math.inf),
     (ControllerSpec, "risk_epsilon", math.inf),
+    (functools.partial(ControllerSpec, variant="nominal"), "nominal_theta", [math.inf, 1.0]),
     (SvgdConfig, "step_size", math.inf),
     (SvgdConfig, "fd_epsilon", math.inf),
     (RbfKernel, "bandwidth", math.inf),
@@ -259,6 +270,16 @@ INFINITE_FIELDS = [
     (InverseDisplacementReward, "weights", [1.0, math.inf]),
     (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", math.inf),
     (UprightEnergyPenalty, "weight", math.inf),
+    (CartpoleSuccess, "angle_tol", math.inf),
+    (CartpoleSuccess, "rate_tol", math.inf),
+    (CartpoleSuccess, "hold_duration", math.inf),
+    (RocketSuccess, "x_target", math.inf),
+    (RocketSuccess, "y_target", math.inf),
+    (RocketSuccess, "x_tol", math.inf),
+    (RocketSuccess, "y_tol", math.inf),
+    (RocketSuccess, "angle_tol", math.inf),
+    (RocketSuccess, "speed_tol", math.inf),
+    (RaceSuccess, "laps", math.inf),
     (functools.partial(dataclasses.replace, make_cartpole()), "dt", math.inf),
     # a trial of infinite duration runs until it succeeds or fails
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", math.inf),

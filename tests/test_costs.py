@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from steinmpc.configfile import build_trial_config, load_config
-from steinmpc.controllers import ControllerSpec, build_objective
+from steinmpc.controllers import ControllerSpec, PlanObjective, build_objective, rollout_blocks
 from steinmpc.costs import (
     CostSpec,
     _check_weight_matrix,
@@ -153,8 +153,7 @@ def optimality_gap(theta, theta_ref):
     """The gap inference scores: ONE_STEP's cost under theta less its cost under theta_ref."""
     controller = ControllerSpec(variant="nominal", nominal_theta=theta_ref)
     cycle = build_objective(controller, DRIFT_SPEC, DRIFT, [0.0], particles([1.5]))
-    ref_cost = cycle(ONE_STEP)
-    return _gap_model(cycle, ONE_STEP, ref_cost, particles(theta))[0]
+    return _gap_model(cycle, ONE_STEP, particles(theta))[0]
 
 
 def test_optimality_gap_is_cost_difference_and_zero_at_reference():
@@ -430,42 +429,66 @@ def _same_bytes(a, b):
 
 
 @given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
-    st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(0, 6)),
-    seed=st.integers(0, 2**32 - 1))
-@example(name="racing", shape=(2, 3, 2, 10), seed=0)
-def test_each_plan_block_gets_the_bytes_of_its_own_start_state(name, shape, seed):
-    # A rescore and the next cycle's planner grid share one call: two blocks
-    # of plans, each from its own start state against its own reference
-    # states, get the bytes of their own single-start calls. Theta rows
-    # repeat, so the distinct-row path runs. On racing the starts sit apart
-    # on the track, so they track different centerline points, and the
-    # inverse-displacement terminal reads each block's own start.
+    st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.integers(0, 6)),
+    probe=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(name="racing", shape=(2, 3, 2, 10), probe=0, seed=0)
+@example(name="rocket", shape=(4, 2, 3, 5), probe=3, seed=1)
+def test_each_plan_block_gets_the_bytes_of_its_own_start_state(name, shape, probe, seed):
+    # A rescore and the next cycle's planner grid share one call: blocks of
+    # plans, each from its own start state against its own reference states,
+    # get the bytes of their own single-start calls, and ``rollout_blocks``
+    # hands each block what its objective's ``cost_matrix`` gives alone.
+    # Theta rows repeat, in the objective and in the shared probe, so the
+    # distinct-row path runs. On racing the starts sit apart on the track,
+    # so they track different centerline points, and the inverse-displacement
+    # terminal reads each block's own start. Blocks whose thetas differ, by
+    # one bit or by a probe row, do not share a call.
     trial = SHIPPED[name]
     env, spec = trial.env, trial.cost
-    first, second, n_distinct, steps = shape
+    n_blocks, most, n_distinct, steps = shape
     rng = np.random.default_rng(seed)
+    counts = rng.integers(1, most + 1, size=n_blocks)
     span = env.control_upper - env.control_lower
     plans = env.control_lower - 0.2 * span + 1.4 * span * rng.uniform(
-        size=(first + second, steps, env.control_dim))
+        size=(counts.sum(), steps, env.control_dim))
     pool = env.theta_lower + (env.theta_upper - env.theta_lower) * rng.uniform(
         size=(n_distinct, env.param_dim))
     thetas = pool[np.concatenate([np.arange(n_distinct), rng.integers(n_distinct, size=2)])]
-    starts = trial.x0 + rng.uniform(-0.3, 0.3, size=(2, env.state_dim))
+    shared = pool[rng.integers(n_distinct, size=probe)] if probe else ()
+    columns = np.concatenate([thetas, np.reshape(shared, (-1, env.param_dim))])
+    starts = trial.x0 + rng.uniform(-0.3, 0.3, size=(n_blocks, env.state_dim))
     if name == "racing":
         assert isinstance(spec.extra_terminal, InverseDisplacementReward)
-        starts[1, 0] += rng.uniform(0.5, 1.5)
-        assert not np.array_equal(spec.references(env, starts[0], steps),
-                                  spec.references(env, starts[1], steps))
-    x0 = np.repeat(starts, (first, second), axis=0)
+        starts[:, 0] += np.arange(n_blocks) * rng.uniform(0.5, 1.0)
+        for a, b in zip(starts, starts[1:]):
+            assert not np.array_equal(spec.references(env, a, steps),
+                                      spec.references(env, b, steps))
+    x0 = np.repeat(starts, counts, axis=0)
+    objectives = [PlanObjective(spec, env, start, thetas, None) for start in starts]
+    blocks = list(zip(objectives, np.split(plans, np.cumsum(counts)[:-1]), [shared] * n_blocks))
 
     with np.errstate(all="ignore"):
-        grid = rollout_cost_batch(spec, env, x0, plans, thetas)
-        assert grid.shape == (first + second, len(thetas))
+        grid = rollout_cost_batch(spec, env, x0, plans, columns)
+        assert grid.shape == (len(plans), len(columns))
         refs = np.stack([spec.references(env, row, steps) for row in x0])
-        assert rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs).tobytes() == \
+        assert rollout_cost_batch(spec, env, x0, plans, columns, refs=refs).tobytes() == \
             grid.tobytes()
-        _same_bytes(grid[:first], rollout_cost_batch(spec, env, starts[0], plans[:first], thetas))
-        _same_bytes(grid[first:], rollout_cost_batch(spec, env, starts[1], plans[first:], thetas))
+        matrices = rollout_blocks(blocks)
+        assert len(matrices) == n_blocks
+        for (objective, block, _), start, matrix, rows in zip(
+                blocks, starts, matrices, np.split(grid, np.cumsum(counts)[:-1])):
+            _same_bytes(rows, rollout_cost_batch(spec, env, start, block, columns))
+            _same_bytes(matrix, rows)
+            _same_bytes(matrix, objective.cost_matrix(block, shared))
+
+        nudged = thetas.copy()
+        nudged[-1, -1] = np.nextafter(nudged[-1, -1], np.inf)
+        first = blocks[0]
+        for other in ((PlanObjective(spec, env, starts[-1], nudged, None), first[1], shared),
+                      (objectives[-1], first[1], np.concatenate([columns[len(thetas):],
+                                                                 pool[:1]]))):
+            with pytest.raises(ValueError, match="theta bytes"):
+                rollout_blocks([first, other])
 
 
 class ParameterSign:
@@ -795,6 +818,12 @@ def test_the_rollout_takes_the_dtype_of_its_start_state_and_thetas(name, shape, 
         for theta_dtype in (np.float32, np.float64):
             f = env.derivative(u, theta.astype(theta_dtype))
             assert f(x.astype(x_dtype)).dtype == x_dtype
+    # so does the terminal term, whatever the dtype of its own weights
+    if spec.extra_terminal is not None:
+        for dtype in (np.float32, np.float64):
+            term = spec.extra_terminal.batch(x.astype(dtype), theta.astype(dtype),
+                                             x[:, :, :1].astype(dtype))
+            assert term.dtype == dtype and term.shape == (n_cand, n_par)
 
 
 # SHA-256 of the float64 grids ``_float64_grids`` yields, recorded while

@@ -101,6 +101,25 @@ def test_race_success_reads_progress():
     assert RaceSuccess(laps=2.0).reached([0.0], [np.zeros(5)], [2.1])
 
 
+@pytest.mark.parametrize("build,field,value,rule", [
+    # a lap count of -1 would succeed before the first step
+    (RaceSuccess, "laps", -1.0, "positive"),
+    (RaceSuccess, "laps", 0.0, "positive"),
+    # a negative tolerance would make success impossible
+    (CartpoleSuccess, "angle_tol", -1.0, "positive"),
+    (CartpoleSuccess, "rate_tol", 0.0, "positive"),
+    (CartpoleSuccess, "hold_duration", -1e-9, "nonnegative"),
+    (RocketSuccess, "x_tol", -0.1, "positive"),
+    (RocketSuccess, "speed_tol", math.nan, "positive"),
+    (RocketSuccess, "y_target", -math.inf, "real"),
+])
+def test_success_criteria_reject_fields_outside_their_range(build, field, value, rule):
+    with pytest.raises(ValueError, match=f"{field} must be {rule} and finite"):
+        build(**{field: value})
+    # a target may take either sign
+    assert RocketSuccess(x_target=-0.5, y_target=-1.0).x_target == -0.5
+
+
 def _cartpole_trial(**overrides):
     kwargs = dict(
         env=make_cartpole(),
@@ -386,7 +405,7 @@ def test_nonfinite_probe_costs_fail_inference_not_the_solve():
     # The rescore's probe tail is a fresh rollout of the same probe, byte for
     # byte, and the Stein step fails on the same row from either.
     known = row[n:] - row[0]
-    rolled = _gap_model(objective, plan, row[0], probe)
+    rolled = _gap_model(objective, plan, probe)
     assert known.tobytes() == rolled.tobytes()
     with pytest.raises(ScoreEvaluationError) as from_known:
         svgd_step(particles, known, svgd)
@@ -532,13 +551,14 @@ def test_a_cycle_after_a_kept_best_candidate_rolls_out_once(monkeypatch, variant
     solve = harness.mppi_solve
 
     def marked(*args, **kwargs):
-        cycles.append({"rollouts": [], "references": [], "kwargs": kwargs})
+        cycles.append({"rollouts": [], "thetas": [], "references": [], "kwargs": kwargs})
         plan, cost, row = solve(*args, **kwargs)
         cycles[-1]["plan"], cycles[-1]["rescore"] = plan, cycles[-1]["rollouts"][-1]
         return plan, cost, row
 
     def recorded(spec, env, x0, plans, thetas, refs=None):
         cycles[-1]["rollouts"].append(np.array(plans))
+        cycles[-1]["thetas"].append(np.shape(thetas))
         return rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs)
 
     horizon_states = CenterlineReference.horizon_states
@@ -565,6 +585,17 @@ def test_a_cycle_after_a_kept_best_candidate_rolls_out_once(monkeypatch, variant
         assert all(c["kwargs"] == {} for c in cycles)
     assert [len(c["rollouts"]) for c in cycles] == expected
     assert [len(c["rescore"]) for c in cycles] == fused
+    # bench/tracing.py reads P as the thetas' first axis and bench/run.py
+    # times a cycle per solver call: every call gets one 2-D (P, p) stack,
+    # and each cycle's (C, P) calls are the planner grid, when it runs, and
+    # the rescore, with the probe's 2 n p rows when the particles move
+    n, p = trial.n_particles, trial.env.param_dim
+    objective_p = {"nominal": 1, "dro": n}.get(variant, n + 1)
+    probe_p = 0 if fixed else 2 * n * p
+    assert all(len(shape) == 2 and shape[1] == p for c in cycles for shape in c["thetas"])
+    assert [[(len(plans), shape[0]) for plans, shape in zip(c["rollouts"], c["thetas"])]
+            for c in cycles] == [[(samples, objective_p)] * (r - 1) + [(f, objective_p + probe_p)]
+                                 for r, f in zip(expected, fused)]
     keys = [key for c in cycles for key in c["references"]]
     assert len(keys) == result.steps + wasted
     assert all(keys.count(state.tobytes()) == 1 for state in result.states)
