@@ -6,9 +6,13 @@ are rejected with the offending dotted path, so typos fail loudly instead of
 silently falling back to defaults.
 
 Every invalid document ends in a ``ConfigError`` at the key or section at
-fault: the ``_as_*`` converters check one value, the builders the rules across
-keys, and every object is built through ``_built``, which reports a rule its
-constructor enforces (say, a PSD weight) at the section it builds.
+fault. The loader checks what a document is made of: the ``_as_*`` converters
+check a value's type, that a number is finite and a list's length, and the
+builders the rules across sections. A class checks what a value may be: every
+object is built through ``_built``, which reports a rule its constructor
+enforces at the key its message names first, or else (say, a PSD weight) at
+the section it builds. Only the batch's seed and worker rules, which no class
+holds, and the ``MAX_*`` caps compare numbers here.
 
 This module is the one place that knows the document schema. As the builders
 read a document they record every key with its validated value or default,
@@ -171,27 +175,31 @@ class _Section:
         return {key: v.resolved() if isinstance(v, _Section) else v for key, v in ordered.items()}
 
 
-def _read_fields(section: _Section, cls, convert, required=(), at=None, **fixed):
+def _read_fields(section: _Section, cls, convert, required=(), **fixed):
     """``cls(**fixed, **given)``, where ``given`` holds each key of ``convert``
     that ``section`` gives, read through its ``(converter, *args)``; the class
-    defaults the rest. A ``ValueError`` of the constructor is reported at
-    ``at``, by default the section. Records each key as given or as the built
+    defaults the rest and checks every value. A ``ValueError`` of the
+    constructor is reported at the key of ``convert`` its message starts
+    with, else at the section. Records each key as given or as the built
     object has it."""
     given = {key: section.read(key, *convert[key], required=key in required)
              for key in convert
              if key in required or _get(section.raw, key, section.path) is not None}
-    obj = _built(at or section.path, cls, **fixed, **given)
+    obj = _built(section.path, cls, **fixed, **given, keys=convert)
     section.values.update({key: getattr(obj, key) for key in convert if key not in given})
     return obj
 
 
-def _built(path, make, *args, **kwargs):
+def _built(path, make, *args, keys=(), **kwargs):
     """``make(*args, **kwargs)``, with a ``ValueError`` it raises reported as
-    a ``ConfigError`` at ``path``: the one way a document object is built."""
+    a ``ConfigError``: at ``path.key`` when the message's first word is a
+    ``key`` of ``keys``, else at ``path``. The one way a document object is
+    built."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+        key = str(exc).partition(" ")[0]
+        raise ConfigError(f"{path}.{key}" if key in keys else path, str(exc)) from None
 
 
 def _as_float(value, path):
@@ -203,20 +211,6 @@ def _as_float(value, path):
         raise ConfigError(path, "integer too large for a float") from None
     if not math.isfinite(v):
         raise ConfigError(path, f"must be finite, got {v}")
-    return v
-
-
-def _as_positive(value, path):
-    v = _as_float(value, path)
-    if not v > 0:
-        raise ConfigError(path, f"must be positive, got {v}")
-    return v
-
-
-def _as_nonnegative(value, path):
-    v = _as_float(value, path)
-    if not v >= 0:
-        raise ConfigError(path, f"must be nonnegative, got {v}")
     return v
 
 
@@ -259,12 +253,12 @@ def _weight_matrix(weights):
 
 
 def _as_noise(value, path, length):
-    """One nonnegative fraction for every channel, or exactly one per channel."""
+    """One fraction for every channel, or exactly one per channel."""
     if not isinstance(value, list):
-        return _as_nonnegative(value, path)
+        return _as_float(value, path)
     if len(value) != length:
         raise ConfigError(path, f"expected {length} entries, got {len(value)}")
-    return tuple(_as_nonnegative(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def parse_config(text: str) -> dict:
@@ -313,18 +307,19 @@ def _build_env(root, env_name):
     if env_name is not None and name != env_name:
         raise ConfigError(name_path, f"this command runs on the {env_name} environment")
     env = _ENV_FACTORIES[name]()
-    fields = {"dt": section.read("dt", _as_positive, default=env.dt)}
+    fields = {"dt": section.read("dt", _as_float, default=env.dt)}
     for key in _ENV_ARRAYS:
         dim = env.param_dim if key.startswith("theta") else env.control_dim
         fields[key] = section.read(key, _as_float_list, dim, default=getattr(env, key).tolist())
-    return _built(section.path, dataclasses.replace, env, **fields)
+    # the array rules span fields, so only dt's is reported at its key
+    return _built(section.path, dataclasses.replace, env, **fields, keys=("dt",))
 
 
 def _build_extra_terminal(cost, n):
     terms = {
-        "upright_energy": (UprightEnergyPenalty, {"weight": (_as_nonnegative,)}),
+        "upright_energy": (UprightEnergyPenalty, {"weight": (_as_float,)}),
         "inverse_displacement": (InverseDisplacementReward,
-                                 {"weights": (_as_float_list, n), "epsilon": (_as_positive,)}),
+                                 {"weights": (_as_float_list, n), "epsilon": (_as_float,)}),
     }
     kind, section = cost.typed("extra", "terminal term",
                                {name: tuple(convert) for name, (_, convert) in terms.items()})
@@ -357,9 +352,9 @@ def _build_cost(root, env, track):
 def _build_controller(root, env):
     section = root.section("controller", _fields(ControllerSpec), required=True)
     controller = _read_fields(section, ControllerSpec, {
-        "variant": (None,), "gamma": (_as_nonnegative,), "risk_lambda": (_as_positive,),
-        "risk_epsilon": (_as_nonnegative,), "nominal_theta": (_as_float_list, env.param_dim),
-    }, required=("variant",), at=f"{section.path}.variant")
+        "variant": (None,), "gamma": (_as_float,), "risk_lambda": (_as_float,),
+        "risk_epsilon": (_as_float,), "nominal_theta": (_as_float_list, env.param_dim),
+    }, required=("variant",))
     nominal = controller.nominal_theta
     if nominal is not None and np.any((nominal < env.theta_lower) | (nominal > env.theta_upper)):
         raise ConfigError(f"{section.path}.nominal_theta",
@@ -374,17 +369,17 @@ def _build_svgd(root):
         "kernel", "kernel", {name: _fields(cls) for name, cls in KERNELS.items()},
         default=next(name for name, cls in KERNELS.items() if cls is default_kernel))
     kernel = _read_fields(kernel, KERNELS[kind],
-                          dict.fromkeys(_fields(KERNELS[kind]), (_as_positive,)))
+                          dict.fromkeys(_fields(KERNELS[kind]), (_as_float,)))
     return _read_fields(section, SvgdConfig, {
-        "step_size": (_as_nonnegative,), "iterations": (_as_int, 0),
-        "fd_epsilon": (_as_positive,), "sign_mode": (None,),
-    }, required=("step_size",), at=f"{section.path}.sign_mode", kernel=kernel)
+        "step_size": (_as_float,), "iterations": (_as_int,),
+        "fd_epsilon": (_as_float,), "sign_mode": (None,),
+    }, required=("step_size",), kernel=kernel)
 
 
 def _build_mppi(root, env):
     section = root.section("mppi", _fields(MppiConfig), required=True)
     return _read_fields(section, MppiConfig, {
-        "samples": (_as_int, 1), "temperature": (_as_positive,),
+        "samples": (_as_int,), "temperature": (_as_float,),
         "noise_fraction": (_as_noise, env.control_dim),
     }, required=_fields(MppiConfig))
 
@@ -396,17 +391,15 @@ def _build_trial(root, env, batch):
     track = None
     if env.name == "racecar":
         track = section.section("track", _fields(StadiumTrack))
-        track = _read_fields(track, StadiumTrack, dict.fromkeys(track.keys, (_as_positive,)))
+        track = _read_fields(track, StadiumTrack, dict.fromkeys(track.keys, (_as_float,)))
     elif _get(section.raw, "track", section.path) is not None:
         raise ConfigError(f"{section.path}.track", "only meaningful for the racecar environment")
     success = section.section("success", _fields(_SUCCESS[env.name]))
-    success = _read_fields(success, _SUCCESS[env.name], {
-        key: (_as_float,) if key.endswith("_target") else
-        (_as_nonnegative,) if key == "hold_duration" else (_as_positive,) for key in success.keys})
+    success = _read_fields(success, _SUCCESS[env.name], dict.fromkeys(success.keys, (_as_float,)))
     return _read_fields(section, TrialConfig, {
-        "duration": (_as_positive,), "horizon_seconds": (_as_positive,),
-        "n_particles": (_as_int, 1), "x0": (_as_float_list, env.state_dim), "log_ksd": (_as_bool,),
-    }, required=("duration", "horizon_seconds", "x0"), at=f"{section.path}.horizon_seconds",
+        "duration": (_as_float,), "horizon_seconds": (_as_float,),
+        "n_particles": (_as_int,), "x0": (_as_float_list, env.state_dim), "log_ksd": (_as_bool,),
+    }, required=("duration", "horizon_seconds", "x0"),
         env=env, cost=_build_cost(root, env, track), track=track, success=success,
         controller=_build_controller(root, env), svgd=_build_svgd(root),
         mppi=_build_mppi(root, env), seed=batch.seeds[0])

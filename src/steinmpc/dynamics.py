@@ -279,17 +279,20 @@ def _rk4(f, dt: float, x) -> np.ndarray:
 def horizon_steps(horizon_seconds: float, dt: float) -> int:
     """Number of integrator steps spanned by a planning horizon.
 
-    The horizon must be an exact multiple of the control period; anything
-    else silently changes the optimization problem, so it is rejected.
+    The horizon must be a whole number of control periods, at least one;
+    anything else silently changes the optimization problem, so it is rejected.
     """
     steps = horizon_seconds / dt
     if not np.isfinite(steps):
-        raise ValueError(f"horizon {horizon_seconds} s is too many steps of dt={dt} s to count")
+        raise ValueError(f"horizon_seconds {horizon_seconds} is too many steps of dt={dt} s "
+                         "to count")
+    if steps < 1 - 1e-9:
+        raise ValueError(f"horizon_seconds must span at least one step of dt={dt} s, "
+                         f"got {horizon_seconds}")
     rounded = round(steps)
-    if rounded < 1 or abs(steps - rounded) > 1e-9:
-        raise ValueError(
-            f"horizon {horizon_seconds} s is not an integer multiple of dt={dt} s"
-        )
+    if abs(steps - rounded) > 1e-9:
+        raise ValueError(f"horizon_seconds {horizon_seconds} is not an integer multiple "
+                         f"of dt={dt} s")
     return int(rounded)
 
 

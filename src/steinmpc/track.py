@@ -42,10 +42,9 @@ class StadiumTrack:
     reference_speed: float = 2.0
 
     def __post_init__(self):
-        if not (0 < self.straight_length < math.inf and 0 < self.radius < math.inf):
-            raise ValueError("straight_length and radius must be positive and finite")
-        if not 0 < self.reference_speed < math.inf:
-            raise ValueError("reference_speed must be positive and finite")
+        for name in ("straight_length", "radius", "reference_speed"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # The segments in lap order: (length, arc, anchor x, anchor y, direction,
         # heading at the start). A straight runs from its anchor along x in direction
         # +1 or -1; an arc turns counterclockwise about its anchor from angle direction.

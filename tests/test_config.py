@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import functools
 import glob
+import json
 import math
 import os
 import sys
@@ -159,7 +160,8 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     ("run", "racing", {"env": {"theta_true": [10.0, 0.01]}}, "env"),
     ("run", "racing", {"env": {"control_lower": [0.5, 0.05], "control_upper": [-0.2, -0.05]}},
      "env"),
-    ("run", "racing", {"cost": {"extra": {"weights": [-1.0, 1e-4, 0, 0, 0]}}}, "cost.extra"),
+    ("run", "racing", {"cost": {"extra": {"weights": [-1.0, 1e-4, 0, 0, 0]}}},
+     "cost.extra.weights"),
     ("run", "cartpole", {"cost": {"q": NOT_PSD}}, "cost"),
     ("run", "racing", {"cost": {"q": [4.0, 4.0, -6.0, 1.0, 2.0]}}, "cost"),
     ("run", "cartpole", {"svgd": {"sign_mode": "sideways"}}, "svgd.sign_mode"),
@@ -216,6 +218,16 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
     ("run", "cartpole", {"mppi": {"samples": 279620}}, "mppi.samples"),
     # an integer longer than int() reads fails the whole document
     ("run", "cartpole", {"batch": {"seeds": 10**4999}}, "<document>"),
+    # a value outside a range rule that only its class holds, at the key it names
+    ("run", "cartpole", {"svgd": {"kernel": {"bandwidth": 0}}}, "svgd.kernel.bandwidth"),
+    ("run", "cartpole", {"controller": {"gamma": -1}}, "controller.gamma"),
+    ("run", "cartpole", {"svgd": {"iterations": -1}}, "svgd.iterations"),
+    ("run", "cartpole", {"harness": {"n_particles": 0}}, "harness.n_particles"),
+    ("run", "cartpole", {"harness": {"horizon_seconds": 0}}, "harness.horizon_seconds"),
+    ("run", "racing", {"harness": {"track": {"radius": -1}}}, "harness.track.radius"),
+    ("run", "racing", {"cost": {"extra": {"epsilon": 0}}}, "cost.extra.epsilon"),
+    ("run", "cartpole", {"env": {"dt": 0}}, "env.dt"),
+    ("run", "cartpole", {"mppi": {"noise_fraction": -0.1}}, "mppi.noise_fraction"),
 ], ids=["theta_box_empty", "theta_true_outside", "control_box_empty",
         "extra_weight_negative", "q_not_psd", "q_diagonal_negative", "sign_mode_unknown", "extra_weights_short",
         "centerline_off_the_track", "nominal_theta_outside", "step_size_negative",
@@ -228,7 +240,9 @@ NOT_PSD = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.
         "seed_count_beyond_platform",
         "seed_count_over_cap", "seed_list_over_cap", "jobs_over_cap", "dt_tiny", "samples_huge",
         "n_particles_huge", "duration_huge", "horizon_beyond_float",
-        "samples_past_the_fused_rescore", "integer_of_5000_digits"])
+        "samples_past_the_fused_rescore", "integer_of_5000_digits", "bandwidth_zero",
+        "gamma_negative", "iterations_negative", "n_particles_zero", "horizon_zero",
+        "track_radius_negative", "extra_epsilon_zero", "dt_zero", "noise_fraction_negative"])
 def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field, tmp_path,
                                                      capsys):
     doc = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
@@ -284,12 +298,55 @@ INFINITE_FIELDS = [
     # a trial of infinite duration runs until it succeeds or fails
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", math.inf),
 ]
+# (constructor, field, value, id): one zero or negative value for each range
+# rule of a constructor argument; the loader leaves these rules to the class.
+OUT_OF_RANGE_FIELDS = [
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", 0, "samples_zero"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "temperature", 0,
+     "temperature_zero"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "noise_fraction", -0.1,
+     "noise_fraction_negative"),
+    (ControllerSpec, "gamma", -1.0, "gamma_negative"),
+    (ControllerSpec, "risk_lambda", 0.0, "risk_lambda_zero"),
+    (ControllerSpec, "risk_epsilon", -1.0, "risk_epsilon_negative"),
+    (SvgdConfig, "step_size", -1.0, "step_size_negative"),
+    (SvgdConfig, "iterations", -1, "iterations_negative"),
+    (SvgdConfig, "fd_epsilon", 0.0, "fd_epsilon_zero"),
+    (RbfKernel, "bandwidth", 0.0, "bandwidth_zero"),
+    (ImqKernel, "offset", 0.0, "offset_zero"),
+    (ImqKernel, "decay", -1.0, "decay_negative"),
+    (StadiumTrack, "straight_length", 0.0, "straight_length_zero"),
+    (StadiumTrack, "radius", -1.0, "radius_negative"),
+    (StadiumTrack, "reference_speed", 0.0, "reference_speed_zero"),
+    (InverseDisplacementReward, "weights", [1.0, -1.0], "weights_negative"),
+    (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", 0.0, "epsilon_zero"),
+    (UprightEnergyPenalty, "weight", -1.0, "weight_negative"),
+    (CartpoleSuccess, "angle_tol", 0.0, "cartpole_angle_tol_zero"),
+    (CartpoleSuccess, "rate_tol", -1.0, "rate_tol_negative"),
+    (CartpoleSuccess, "hold_duration", -1.0, "hold_duration_negative"),
+    (RocketSuccess, "x_tol", 0.0, "x_tol_zero"),
+    (RocketSuccess, "y_tol", -1.0, "y_tol_negative"),
+    (RocketSuccess, "angle_tol", 0.0, "rocket_angle_tol_zero"),
+    (RocketSuccess, "speed_tol", 0.0, "speed_tol_zero"),
+    (RaceSuccess, "laps", 0.0, "laps_zero"),
+    (functools.partial(dataclasses.replace, make_cartpole()), "dt", 0.0, "dt_zero"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", -1.0,
+     "duration_negative"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "n_particles", 0,
+     "n_particles_zero"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "horizon_seconds", 0.0,
+     "horizon_seconds_zero"),
+]
 
 
-@pytest.mark.parametrize("build,field,value", INFINITE_FIELDS,
-                         ids=[field for _, field, _ in INFINITE_FIELDS])
+@pytest.mark.parametrize(
+    "build,field,value",
+    INFINITE_FIELDS + [row[:3] for row in OUT_OF_RANGE_FIELDS],
+    ids=[field for _, field, _ in INFINITE_FIELDS] + [row[3] for row in OUT_OF_RANGE_FIELDS])
 def test_every_constructor_rejects_an_infinite_number(build, field, value):
-    with pytest.raises(ValueError, match=f"{field}.* must be .*and finite"):
+    # the message names the field first: a config file reports it at that key
+    rule = "be .*and finite" if np.any(np.isinf(value)) else ""
+    with pytest.raises(ValueError, match=f"^{field} must {rule}"):
         build(**{field: value})
 
 
@@ -556,6 +613,20 @@ def test_cli_run_exits_2_on_a_horizon_of_partial_steps(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_of_zero_duration_logs_no_step(tmp_path, capsys):
+    # a zero duration is a valid trial, as TrialConfig says: it times out before its first step
+    doc = load_config(os.path.join(CONFIG_DIR, "cartpole.yaml"))
+    doc["harness"]["duration"] = 0
+    path = tmp_path / "cartpole.yaml"
+    path.write_text(serialize_config(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("seed 0: timeout ")
+    log = (tmp_path / "out" / "trial_0.csv").read_text().splitlines()
+    assert len(log) == 1 and log[0].startswith("t,")
+    summary = json.loads((tmp_path / "out" / "trial_0.json").read_text())
+    assert (summary["steps"], summary["terminal_reason"]) == (0, "timeout")
+
+
 def test_shipped_reference_configs_build():
     paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
     assert len(paths) == 4
@@ -760,3 +831,69 @@ def test_resolving_a_document_is_a_fixed_point(doc):
     for name in ("dt", "control_lower", "control_upper", "theta_true", "theta_lower",
                  "theta_upper"):
         np.testing.assert_array_equal(getattr(trial_again.env, name), getattr(trial.env, name))
+
+
+# (shipped config, key): every number a shipped config gives or defaults that
+# a class checks; the integer keys are the three that take whole numbers.
+NUMERIC_KEYS = [
+    ("cartpole", key) for key in (
+        "env.dt", "cost.extra.weight", "controller.gamma", "controller.risk_lambda",
+        "controller.risk_epsilon", "svgd.step_size", "svgd.iterations", "svgd.fd_epsilon",
+        "svgd.kernel.bandwidth", "mppi.samples", "mppi.temperature", "mppi.noise_fraction",
+        "harness.duration", "harness.horizon_seconds", "harness.n_particles",
+        "harness.success.angle_tol", "harness.success.rate_tol", "harness.success.hold_duration")
+] + [
+    ("rocket", key) for key in (
+        "harness.success.x_target", "harness.success.x_tol", "harness.success.angle_tol",
+        "harness.success.speed_tol")
+] + [
+    ("racing", key) for key in (
+        "cost.extra.epsilon", "svgd.kernel.offset", "svgd.kernel.decay",
+        "harness.track.straight_length", "harness.track.radius",
+        "harness.track.reference_speed", "harness.success.laps")
+]
+INTEGER_KEYS = ("svgd.iterations", "mppi.samples", "harness.n_particles")
+# zero, negatives, and small and large magnitudes; none so small or large that
+# a trial's arrays would pass MAX_TRIAL_BYTES, a rule no class holds
+INTEGER = st.integers(-100, 100)
+REAL = st.just(0.0) | INTEGER | st.floats(-100.0, 100.0).filter(lambda v: abs(v) >= 0.01)
+
+
+@functools.cache
+def _shipped(name):
+    doc = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
+    return doc, build_trial_config(doc)[0]
+
+
+def _rebuilt(trial, key, value):
+    """The object of ``trial`` that holds ``key``, built again with ``value``."""
+    section, _, field = key.rpartition(".")
+    if section == "cost.extra":
+        if field == "weight":
+            return UprightEnergyPenalty(value)
+        return InverseDisplacementReward(trial.cost.extra_terminal.weights, epsilon=value)
+    holder = {"env": trial.env, "controller": trial.controller, "svgd": trial.svgd,
+              "svgd.kernel": trial.svgd.kernel, "mppi": trial.mppi, "harness": trial,
+              "harness.track": trial.track, "harness.success": trial.success}[section]
+    return dataclasses.replace(holder, **{field: value})
+
+
+@pytest.mark.parametrize("name,key", NUMERIC_KEYS, ids=[f"{n}:{k}" for n, k in NUMERIC_KEYS])
+@given(data=st.data())
+def test_the_loader_accepts_exactly_what_the_classes_accept(name, key, data):
+    value = data.draw(INTEGER if key in INTEGER_KEYS else REAL)
+    doc, trial = _shipped(name)
+    doc = copy.deepcopy(doc)
+    *sections, field = key.split(".")
+    functools.reduce(lambda d, k: d.setdefault(k, {}), sections, doc)[field] = value
+    try:
+        _rebuilt(trial, key, value)
+        class_rejects = False
+    except ValueError:
+        class_rejects = True
+    try:
+        resolve_config(doc)
+        at = None
+    except ConfigError as err:
+        at = err.field
+    assert (at == key) == class_rejects, (key, value, at)
