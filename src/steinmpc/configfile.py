@@ -446,9 +446,9 @@ def _check_memory(trial):
 
     Three float64 arrays bound a trial's memory: the (n, H, samples + 2, P)
     tracking errors of a rescore whose ``controllers.rollout_blocks`` call
-    also rolls out the next cycle's samples candidates (``Lookahead``), the
-    rescore's (n, H, 2, P + B) with the probe's B rows (a later SVGD step's
-    one-row ``_gap_model`` call takes half), and the histories,
+    also rolls out the next cycle's samples candidates (the ``lookahead`` of
+    ``mppi_solve``), the rescore's (n, H, 2, P + B) with the probe's B rows
+    (a later SVGD step's one-row ``_gap_model`` call takes half), and the histories,
     (duration / dt + 1) rows of the state and the particles.
     P = n_particles + 1 and B = 2 * n_particles * p are the most any variant
     rolls out. Each estimate is a product of factors, added as logarithms

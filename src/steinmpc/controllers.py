@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .inference import particle_mean
 __all__ = [
     "MppiConfig",
     "ControllerSpec",
-    "Lookahead",
     "SolverFailureError",
     "VARIANTS",
     "mppi_solve",
@@ -91,31 +89,6 @@ def _candidates(env: EnvModel, warm: np.ndarray, config: MppiConfig,
     return candidates
 
 
-@dataclass
-class Lookahead:
-    """The next control cycle's planner grid, rolled out in this cycle's rescore.
-
-    While the objective's thetas stay put from cycle to cycle, the next
-    cycle's objective is known before this cycle's rescore except for which
-    plan this cycle keeps. ``mppi_solve`` calls ``predict(best)`` with the
-    best candidate; it returns the objective the next cycle scores with if
-    this cycle keeps ``best``, over the same thetas, or None to roll nothing
-    ahead. The next cycle's candidates are drawn from
-    ``shift_warm_start(best)`` with ``rng``, the next cycle's own generator,
-    exactly as that cycle would draw them.
-
-    When the solve returns a plan with ``best``'s bytes, it sets
-    ``objective`` and ``grid``, the next cycle's (candidates, cost matrix)
-    pair from the rescore's second ``rollout_blocks`` block, which that cycle
-    passes to ``mppi_solve`` as its ``grid``; otherwise both stay None.
-    """
-
-    predict: Callable
-    rng: np.random.Generator
-    objective: PlanObjective | None = None
-    grid: tuple | None = None
-
-
 def mppi_solve(
     env: EnvModel,
     warm: np.ndarray,
@@ -124,8 +97,8 @@ def mppi_solve(
     rng: np.random.Generator,
     probe=(),
     grid: tuple | None = None,
-    lookahead: Lookahead | None = None,
-) -> tuple[np.ndarray, float, np.ndarray]:
+    lookahead: tuple | None = None,
+) -> tuple[np.ndarray, float, np.ndarray, tuple | None]:
     """Improve a warm-start plan by weighted averaging of sampled candidates.
 
     Candidates are the clamped warm plan plus samples - 1 Gaussian
@@ -134,23 +107,34 @@ def mppi_solve(
     The weighted average is only returned if it scores at least as well as
     the best candidate; otherwise the best candidate is, which makes the
     solver monotone against the warm plan by construction. A ``grid``, the
-    (candidates, cost matrix) pair a previous cycle's ``lookahead`` rolled
-    out for this cycle, takes the place of drawing and rolling out the
-    candidates; ``warm`` and ``rng`` are then not read.
+    (candidates, cost matrix) pair a previous call returned as ``ahead``,
+    takes the place of drawing and rolling out the candidates; ``warm`` and
+    ``rng`` are then not read.
 
     The rescore rolls out both plans that can be chosen, the averaged plan
     and the best candidate, in one grid against the objective's P thetas
     followed by the (B, p) ``probe`` thetas (B = 0 by default).
     Only the first P columns decide which plan is chosen, so a non-finite
-    probe cost never fails the solve or changes the plan. The rescore is
-    ``objective.cost_matrix``, or with a ``lookahead`` the first of two
-    ``rollout_blocks`` blocks, the next cycle's candidates (see ``Lookahead``).
+    probe cost never fails the solve or changes the plan.
+
+    A ``lookahead`` ``(reach, next_rng)`` also rolls out the next cycle's
+    planner grid in the rescore, for objectives whose thetas stay put from
+    cycle to cycle. ``reach(best)`` is the state the plant reaches under the
+    best candidate; the next cycle's objective is ``objective.at`` that
+    state, and its candidates are drawn from ``shift_warm_start(best)`` with
+    ``next_rng``, the next cycle's own generator, exactly as that cycle
+    would draw them. The rescore is then the first of two ``rollout_blocks``
+    blocks and the next cycle's grid the second. A reached state that is not
+    finite rolls nothing ahead.
 
     Returns:
-        ``(plan, cost, theta_costs)``: the chosen (H, m) plan, its objective
-        value and its (P + B,) row of costs, the objective's P thetas first
-        and then the probe's B. All come from the rollouts that chose the
-        plan, so scoring the plan again would give the same floats.
+        ``(plan, cost, theta_costs, ahead)``: the chosen (H, m) plan, its
+        objective value and its (P + B,) row of costs, the objective's P
+        thetas first and then the probe's B. All come from the rollouts that
+        chose the plan, so scoring the plan again would give the same floats.
+        ``ahead`` is the next cycle's ``(objective, (candidates, matrix))``
+        when the chosen plan has the best candidate's bytes and a lookahead
+        rolled it out, else None.
 
     Raises:
         SolverFailureError: if every candidate cost is non-finite.
@@ -174,20 +158,26 @@ def mppi_solve(
     np.clip(averaged, env.control_lower, env.control_upper, out=averaged)
 
     plans = np.stack([averaged, candidates[best]])
-    following = lookahead.predict(plans[1]) if lookahead is not None else None
+    following = None
+    if lookahead is not None:
+        reach, next_rng = lookahead
+        reached = reach(plans[1])
+        if np.all(np.isfinite(reached)):
+            following = objective.at(reached)
     if following is None:
         rows = objective.cost_matrix(plans, probe)
     else:
-        ahead = _candidates(env, shift_warm_start(plans[1]), config, lookahead.rng)
-        rows, next_rows = rollout_blocks([(objective, plans, probe), (following, ahead, probe)])
+        drawn = _candidates(env, shift_warm_start(plans[1]), config, next_rng)
+        rows, next_rows = rollout_blocks([(objective, plans, probe), (following, drawn, probe)])
     averaged_cost = float(objective.reduce(rows[:1, :matrix.shape[1]])[0])
     if not np.isfinite(averaged_cost) or averaged_cost > costs[best]:
         plan, cost, row = candidates[best].copy(), float(costs[best]), rows[1]
     else:
         plan, cost, row = averaged, averaged_cost, rows[0]
+    ahead = None
     if following is not None and plan.tobytes() == plans[1].tobytes():
-        lookahead.objective, lookahead.grid = following, (ahead, next_rows[:, :matrix.shape[1]])
-    return plan, cost, row
+        ahead = following, (drawn, next_rows[:, :matrix.shape[1]])
+    return plan, cost, row, ahead
 
 
 def shift_warm_start(plan: np.ndarray) -> np.ndarray:
@@ -251,7 +241,9 @@ class PlanObjective:
     of ``rollout_blocks``; ``reduce`` turns a (C, P) grid into the (C,)
     objective values. Calling the objective scores one plan. The (H + 1, n)
     reference states are resolved once, on the first call that needs them,
-    and kept in ``refs`` for later calls with the same horizon.
+    and kept in ``refs`` for later calls with the same horizon; ``at``
+    gives the same objective from another start state, whose references are
+    resolved again.
 
     The variants differ only in ``thetas`` and ``reduce``, and
     ``build_objective`` is the one place that chooses them.
@@ -264,6 +256,9 @@ class PlanObjective:
         self.thetas = thetas
         self.reduce = reduce
         self.refs = None
+
+    def at(self, x0) -> PlanObjective:
+        return PlanObjective(self.spec, self.env, x0, self.thetas, self.reduce)
 
     def references(self, steps: int) -> np.ndarray:
         if self.refs is None or len(self.refs) != steps + 1:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .controllers import (
     ControllerSpec,
-    Lookahead,
     MppiConfig,
     SolverFailureError,
     build_objective,
@@ -193,10 +192,10 @@ class TrialResult:
     planned it, and ``particle_means`` is computed from ``particles``.
     ``final_state`` is the state after the last step, which the log rows do
     not contain. When the plant diverges or inference fails, the failing step
-    is the last row and ``final_state`` repeats its state.
+    is the last row and ``final_state`` repeats its state. ``success`` holds
+    exactly when ``terminal_reason`` is "success".
     """
 
-    success: bool
     completion_time: float
     terminal_reason: str
     times: np.ndarray
@@ -211,6 +210,10 @@ class TrialResult:
     final_progress: float | None = None
     ksd: np.ndarray | None = None
     wall_clock_seconds: float = 0.0
+
+    @property
+    def success(self) -> bool:
+        return self.terminal_reason == "success"
 
     @property
     def steps(self) -> int:
@@ -274,13 +277,14 @@ def run_trial(config: TrialConfig) -> TrialResult:
     and the probe of the particles it scores (``_gap_model``).
 
     When the particles stay put, every cycle scores against the same
-    thetas, and each cycle that is not the trial's last rolls the next
-    cycle's planner grid out in its rescore (``controllers.Lookahead``),
-    from the state the plant reaches under the best candidate. If the cycle
-    keeps that candidate, the next cycle starts from the predicted state and
-    plans on that grid, so it makes one rollout; otherwise it plans from
-    the state the kept plan reaches and makes two. A predicted state that is
-    not finite rolls nothing ahead, so its references are never resolved.
+    thetas, and each cycle that is not the trial's last passes
+    ``mppi_solve`` a lookahead, which rolls the next cycle's planner grid
+    out in the rescore from the state the plant reaches under the best
+    candidate. If the cycle keeps that candidate, the solve returns the next
+    cycle's objective and grid, and that cycle starts from the objective's
+    state and plans on the grid, so it makes one rollout; otherwise it plans
+    from the state the kept plan reaches and makes two. A reached state that
+    is not finite rolls nothing ahead, so its references are never resolved.
 
     Deterministic: the particle draw and every planning cycle use random
     streams derived from the seed alone, so identical configs reproduce
@@ -321,15 +325,11 @@ def run_trial(config: TrialConfig) -> TrialResult:
         """No cycle may start at time t."""
         return t + env.dt > config.duration + 1e-9
 
-    def predict(best):
-        """The next cycle's objective if this cycle, from ``state``, keeps ``best``."""
-        reached = rk4_step(env, state, best[0], env.theta_true)
-        if not np.all(np.isfinite(reached)):
-            return None
-        return build_objective(controller, config.cost, env, reached, particles.particles)
+    def reach(plan):
+        """The state the plant reaches from ``state`` under ``plan``'s first control."""
+        return rk4_step(env, state, plan[0], env.theta_true)
 
-    # The cycle's lookahead. At the top of the loop it is the cycle before's,
-    # which holds this cycle's grid when that cycle kept the plan it predicted.
+    # The (objective, grid) the last solve rolled out for the cycle after it, or None.
     ahead = None
     # Every exit sets its reason and breaks, so the condition only stops a
     # trial whose calibration already failed from taking a step.
@@ -341,20 +341,20 @@ def run_trial(config: TrialConfig) -> TrialResult:
             break
 
         k = len(log_c)
-        if ahead is not None and ahead.grid is not None:
-            objective, grid, rng = ahead.objective, ahead.grid, ahead.rng
+        if ahead is not None:
+            (objective, grid), rng = ahead, None
         else:
             objective, grid, rng = (
                 build_objective(controller, config.cost, env, state, particles.particles),
                 None, cycle_rng(k))
         if infer:
-            probe, solve_kwargs = probe_thetas(particles, config.svgd.fd_epsilon), {}
+            probe, lookahead = probe_thetas(particles, config.svgd.fd_epsilon), None
         else:
-            ahead = None if out_of_time((k + 1) * env.dt) else Lookahead(predict, cycle_rng(k + 1))
-            probe, solve_kwargs = (), {"grid": grid, "lookahead": ahead}
+            probe = ()
+            lookahead = None if out_of_time((k + 1) * env.dt) else (reach, cycle_rng(k + 1))
         try:
-            new_plan, plan_cost, theta_costs = mppi_solve(
-                env, warm, objective, config.mppi, rng, probe, **solve_kwargs)
+            new_plan, plan_cost, theta_costs, ahead = mppi_solve(
+                env, warm, objective, config.mppi, rng, probe, grid=grid, lookahead=lookahead)
         except SolverFailureError:
             reason = "solver_failure"
             break
@@ -364,8 +364,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
         log_c.append(plan_cost)
         log_p.append(particles.particles.copy())
 
-        if ahead is not None and ahead.grid is not None:
-            next_state = ahead.objective.x0
+        if ahead is not None:
+            next_state = ahead[0].x0
         else:
             next_state = rk4_step(env, state, control, env.theta_true)
         if not np.all(np.isfinite(next_state)):
@@ -397,10 +397,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
         warm = shift_warm_start(new_plan)
 
     steps = len(log_c)
-    success = reason == "success"
     return TrialResult(
-        success=success,
-        completion_time=float(times_hist[-1] if success else config.duration),
+        completion_time=float(times_hist[-1] if reason == "success" else config.duration),
         terminal_reason=reason,
         times=np.asarray(times_hist[:steps], dtype=float),
         states=np.asarray(states_hist[:steps], dtype=float).reshape(steps, env.state_dim),

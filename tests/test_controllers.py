@@ -1,5 +1,6 @@
 """The path-integral solver and the four plan objectives."""
 import contextlib
+import functools
 import io
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from steinmpc import controllers
+from steinmpc.configfile import build_trial_config, load_config
 from steinmpc.controllers import (
     ControllerSpec,
     MppiConfig,
@@ -23,8 +25,10 @@ from steinmpc.controllers import (
     shift_warm_start,
 )
 from steinmpc.costs import CostSpec, rollout_cost_batch
-from steinmpc.dynamics import EnvModel
-from steinmpc.inference import ParticleSet, probe_thetas
+from steinmpc.dynamics import EnvModel, horizon_steps, rk4_step
+from steinmpc.inference import ParticleSet, draw_particles, probe_thetas
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def integrator_derivative(u, theta):
@@ -75,7 +79,7 @@ def risk_oracle(plan_arr, lam, epsilon):
 
 def one_cycle(controller, mppi, particles, warm, rng):
     objective = build_objective(controller, SPEC, ENV, X0, particles)
-    plan, _, _ = mppi_solve(ENV, warm, objective, mppi, rng)
+    plan, _, _, _ = mppi_solve(ENV, warm, objective, mppi, rng)
     return plan
 
 
@@ -108,7 +112,7 @@ def test_mppi_never_loses_to_the_warm_start():
     warm = np.zeros((8, 1))
     warm_cost = objective(warm)
     for seed in range(5):
-        improved, _, _ = mppi_solve(ENV, warm, objective,
+        improved, _, _, _ = mppi_solve(ENV, warm, objective,
                               MppiConfig(samples=64, temperature=1.0, noise_fraction=0.3),
                               np.random.default_rng(seed))
         assert objective(improved) <= warm_cost + 1e-12
@@ -131,7 +135,7 @@ def test_mppi_solve_returns_the_chosen_plans_own_costs(
     # again gives, bit for bit, and the cost never exceeds the warm plan's.
     controller = ControllerSpec(variant=variant, risk_lambda=5.0)
     objective = build_objective(controller, SPEC, ENV, X0, thetas)
-    plan, cost, theta_costs = mppi_solve(
+    plan, cost, theta_costs, _ = mppi_solve(
         ENV, warm, objective,
         MppiConfig(samples=samples, temperature=temperature, noise_fraction=noise),
         np.random.default_rng(seed))
@@ -161,10 +165,10 @@ def test_mppi_solve_rolls_the_probe_out_in_the_rescore(monkeypatch):
         cfg = MppiConfig(samples=32, temperature=temperature, noise_fraction=noise)
         for seed in range(4):
             warm = np.random.default_rng(seed).uniform(-1, 1, size=(6, 1))
-            plan, cost, row = mppi_solve(ENV, warm, objective, cfg,
-                                         np.random.default_rng(seed))
-            p_plan, p_cost, p_row = mppi_solve(ENV, warm, objective, cfg,
-                                               np.random.default_rng(seed), probe)
+            plan, cost, row, _ = mppi_solve(ENV, warm, objective, cfg,
+                                            np.random.default_rng(seed))
+            p_plan, p_cost, p_row, _ = mppi_solve(ENV, warm, objective, cfg,
+                                                  np.random.default_rng(seed), probe)
             averaged, best = rescored[-1]
             assert p_plan.tobytes() == plan.tobytes()
             assert np.float64(p_cost).tobytes() == np.float64(cost).tobytes()
@@ -178,10 +182,130 @@ def test_mppi_solve_rolls_the_probe_out_in_the_rescore(monkeypatch):
     assert branches == {"averaged", "best"}
 
 
+@functools.cache
+def shipped_trial(name):
+    trial, _ = build_trial_config(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))
+    return trial
+
+
+def shipped_objective(name, variant, seed, x0=None):
+    """A ``variant`` objective on a shipped config's env and cost, over three
+    particles drawn from ``seed``, from ``x0`` (the config's by default)."""
+    trial = shipped_trial(name)
+    env = trial.env
+    particles = draw_particles(env.theta_lower, env.theta_upper, 3, np.random.default_rng(seed))
+    controller = ControllerSpec(variant=variant, risk_lambda=50.0)
+    x0 = trial.x0 if x0 is None else x0
+    return build_objective(controller, trial.cost, env, x0, particles.particles)
+
+
+def check_lookahead(name, variant, seed, temperature):
+    """Solve one cycle of a fixed-theta objective with and without a
+    lookahead, assert what the lookahead may and must change, and return
+    whether the kept plan was the best candidate."""
+    trial = shipped_trial(name)
+    env, x0 = trial.env, trial.x0
+    objective = shipped_objective(name, variant, seed)
+    cfg = MppiConfig(samples=16, temperature=temperature, noise_fraction=0.3)
+    steps = horizon_steps(trial.horizon_seconds, env.dt)
+    warm = np.random.default_rng(seed).uniform(env.control_lower, env.control_upper,
+                                               size=(steps, env.control_dim))
+
+    def reach(plan):
+        return rk4_step(env, x0, plan[0], env.theta_true)
+
+    *alone, none = mppi_solve(env, warm, objective, cfg, np.random.default_rng(seed))
+    *ahead_of, ahead = mppi_solve(env, warm, objective, cfg, np.random.default_rng(seed),
+                                  lookahead=(reach, np.random.default_rng(seed + 1)))
+    assert none is None
+    assert [np.float64(v).tobytes() for v in ahead_of] == [np.float64(v).tobytes() for v in alone]
+
+    candidates = controllers._candidates(env, warm, cfg, np.random.default_rng(seed))
+    costs = objective.reduce(objective.cost_matrix(candidates))
+    best = candidates[np.argmin(np.where(np.isfinite(costs), costs, np.inf))]
+    plan = alone[0]
+    if plan.tobytes() != best.tobytes():
+        assert ahead is None
+        return False
+    following, (drawn, matrix) = ahead
+    assert following.x0.tobytes() == reach(plan).tobytes()
+    expected = controllers._candidates(env, shift_warm_start(plan), cfg,
+                                       np.random.default_rng(seed + 1))
+    assert drawn.tobytes() == expected.tobytes()
+    assert matrix.tobytes() == following.cost_matrix(drawn).tobytes()
+    return True
+
+
+FIXED_THETAS = ("nominal", "emppi", "dro")
+
+
+@pytest.mark.parametrize("variant", FIXED_THETAS)
+@pytest.mark.parametrize("name", ["racing", "rocket"])
+@given(seed=st.integers(0, 2**32 - 2), temperature=st.floats(0.01, 100.0))
+def test_the_lookahead_changes_no_float_and_carries_the_next_cycles_own_grid(
+        name, variant, seed, temperature):
+    # A lookahead adds the next cycle's grid to the rescore and changes none
+    # of the cycle's own floats. The grid it returns is the one that cycle
+    # would draw and roll out itself, from the state the best candidate
+    # reaches; after an accepted average it returns none.
+    check_lookahead(name, variant, seed, temperature)
+
+
+@pytest.mark.parametrize("variant", FIXED_THETAS)
+@pytest.mark.parametrize("name", ["racing", "rocket"])
+def test_the_lookahead_check_sees_both_plans_kept(name, variant):
+    # The property above checks each branch only where it comes up; on 20
+    # seeds at three temperatures, both do.
+    kept = {check_lookahead(name, variant, seed, temperature)
+            for seed in range(20) for temperature in (0.01, 0.1, 5.0)}
+    assert kept == {True, False}
+
+
+def test_a_lookahead_to_a_nonfinite_state_rolls_nothing_ahead(monkeypatch):
+    trial = shipped_trial("racing")
+    env = trial.env
+    objective = shipped_objective("racing", "nominal", 0)
+    steps = horizon_steps(trial.horizon_seconds, env.dt)
+    rescored = []
+
+    def recording(spec, env, x0, plans, thetas, refs=None):
+        rescored.append(len(plans))
+        return rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs)
+
+    monkeypatch.setattr(controllers, "rollout_cost_batch", recording)
+    for temperature in (0.01, 100.0):
+        _, _, _, ahead = mppi_solve(
+            env, np.zeros((steps, env.control_dim)), objective,
+            MppiConfig(samples=16, temperature=temperature, noise_fraction=0.3),
+            np.random.default_rng(0),
+            lookahead=(lambda plan: np.full(env.state_dim, np.nan), np.random.default_rng(1)))
+        assert ahead is None
+        assert rescored[-2:] == [16, 2]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["racing", "rocket"])
+def test_an_objective_at_another_state_resolves_its_references_again(name, variant):
+    # .at(x1) scores as the objective built at x1 does, bit for bit, though
+    # the objective at x0 has already resolved and kept its references.
+    trial = shipped_trial(name)
+    env = trial.env
+    steps = horizon_steps(trial.horizon_seconds, env.dt)
+    plans = np.random.default_rng(5).uniform(env.control_lower, env.control_upper,
+                                             size=(8, steps, env.control_dim))
+    objective = shipped_objective(name, variant, 3)
+    objective.cost_matrix(plans)
+    x1 = rk4_step(env, trial.x0, plans[0, 0], env.theta_true)
+    moved = objective.at(x1)
+    assert moved.x0.tobytes() == x1.tobytes()
+    built = shipped_objective(name, variant, 3, x0=x1)
+    assert moved.cost_matrix(plans).tobytes() == built.cost_matrix(plans).tobytes()
+
+
 def test_mppi_single_sample_returns_clamped_warm_plan():
     objective = nominal_objective()
     warm = np.full((4, 1), 3.0)
-    out, _, _ = mppi_solve(ENV, warm, objective, MppiConfig(samples=1),
+    out, _, _, _ = mppi_solve(ENV, warm, objective, MppiConfig(samples=1),
                      np.random.default_rng(0))
     np.testing.assert_array_equal(out, np.full((4, 1), 1.0))
 
@@ -190,17 +314,17 @@ def test_mppi_is_deterministic_given_the_generator_state():
     objective = nominal_objective()
     warm = np.zeros((6, 1))
     cfg = MppiConfig(samples=32, temperature=0.5, noise_fraction=0.2)
-    a, _, _ = mppi_solve(ENV, warm, objective, cfg, np.random.default_rng(123))
-    b, _, _ = mppi_solve(ENV, warm, objective, cfg, np.random.default_rng(123))
+    a, _, _, _ = mppi_solve(ENV, warm, objective, cfg, np.random.default_rng(123))
+    b, _, _, _ = mppi_solve(ENV, warm, objective, cfg, np.random.default_rng(123))
     np.testing.assert_array_equal(a, b)
 
 
 def test_mppi_output_respects_actuator_bounds():
     objective = nominal_objective()
     warm = np.full((5, 1), 0.9)
-    out, _, _ = mppi_solve(ENV, warm, objective,
-                           MppiConfig(samples=128, temperature=1.0, noise_fraction=2.0),
-                           np.random.default_rng(7))
+    out, _, _, _ = mppi_solve(ENV, warm, objective,
+                              MppiConfig(samples=128, temperature=1.0, noise_fraction=2.0),
+                              np.random.default_rng(7))
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
@@ -215,9 +339,9 @@ def test_mppi_ignores_nonfinite_candidates():
             return matrix[:, 0]
 
     warm = np.zeros((3, 1))
-    out, _, _ = mppi_solve(ENV, warm, SpikyObjective(),
-                           MppiConfig(samples=256, temperature=1.0, noise_fraction=0.5),
-                           np.random.default_rng(2))
+    out, _, _, _ = mppi_solve(ENV, warm, SpikyObjective(),
+                              MppiConfig(samples=256, temperature=1.0, noise_fraction=0.5),
+                              np.random.default_rng(2))
     assert np.isfinite(np.abs(out).sum())
 
 

@@ -319,13 +319,13 @@ def test_a_nonfinite_stein_drift_ends_the_trial_in_inference_failure(monkeypatch
     # is NaN (rbf, imq) or infinite (constant) and no moved set is built.
     solve = harness.mppi_solve
 
-    def overflowing(env, warm, objective, *rest):
-        plan, cost, row = solve(env, warm, objective, *rest)
+    def overflowing(env, warm, objective, *rest, **kwargs):
+        plan, cost, row, ahead = solve(env, warm, objective, *rest, **kwargs)
         n, dim = objective.thetas.shape[0] - 1, objective.thetas.shape[1]
         turns = np.where(np.arange(n) % 2 == 0, 1e308, -1e308)
         tail = turns[:, None, None] * np.array([1.0, -1.0])[None, :, None]
         row = np.concatenate([[0.0], row[1:n + 1], np.repeat(tail, dim, axis=2).ravel()])
-        return plan, cost, row
+        return plan, cost, row, ahead
 
     monkeypatch.setattr(harness, "mppi_solve", overflowing)
     config = _cartpole_trial(controller=ControllerSpec(variant="stein_adaptive"),
@@ -394,9 +394,9 @@ def test_nonfinite_probe_costs_fail_inference_not_the_solve():
     objective = build_objective(ControllerSpec(), spec, env, x0, particles.particles)
     cfg = MppiConfig(samples=16, noise_fraction=0.3)
     warm = np.zeros((5, 1))
-    plan, cost, _ = mppi_solve(env, warm, objective, cfg, np.random.default_rng(0))
-    p_plan, p_cost, row = mppi_solve(env, warm, objective, cfg,
-                                     np.random.default_rng(0), probe)
+    plan, cost, _, _ = mppi_solve(env, warm, objective, cfg, np.random.default_rng(0))
+    p_plan, p_cost, row, _ = mppi_solve(env, warm, objective, cfg,
+                                        np.random.default_rng(0), probe)
     assert p_plan.tobytes() == plan.tobytes() and p_cost == cost
     n = len(objective.thetas)
     assert np.all(np.isfinite(row[:n]))
@@ -535,8 +535,10 @@ def test_a_cycle_after_a_kept_best_candidate_rolls_out_once(monkeypatch, variant
     # candidate reaches. A cycle after one that kept its best candidate plans
     # on that grid and makes one rollout; the first cycle, and one after an
     # accepted average, make two. A moving flow makes two in every cycle and
-    # calls the solver as it always has. The references of each logged state
-    # are resolved once, and those of each prediction that was not kept once.
+    # passes no grid and no lookahead. Every cycle, one after a kept best
+    # candidate included, plans on an objective whose start state has the
+    # bytes of its logged state. The references of each logged state are
+    # resolved once, and those of each prediction that was not kept once.
     # At the reference speed from the start, both branches come up within
     # the trial's 40 cycles.
     trial, _ = build_trial_config(load_config(os.path.join(CONFIG_DIR, "racing.yaml")))
@@ -551,10 +553,11 @@ def test_a_cycle_after_a_kept_best_candidate_rolls_out_once(monkeypatch, variant
     solve = harness.mppi_solve
 
     def marked(*args, **kwargs):
-        cycles.append({"rollouts": [], "thetas": [], "references": [], "kwargs": kwargs})
-        plan, cost, row = solve(*args, **kwargs)
+        cycles.append({"rollouts": [], "thetas": [], "references": [], "kwargs": kwargs,
+                       "x0": args[2].x0.tobytes()})
+        plan, cost, row, ahead = solve(*args, **kwargs)
         cycles[-1]["plan"], cycles[-1]["rescore"] = plan, cycles[-1]["rollouts"][-1]
-        return plan, cost, row
+        return plan, cost, row, ahead
 
     def recorded(spec, env, x0, plans, thetas, refs=None):
         cycles[-1]["rollouts"].append(np.array(plans))
@@ -582,7 +585,8 @@ def test_a_cycle_after_a_kept_best_candidate_rolls_out_once(monkeypatch, variant
         wasted = kept[:-1].count(False)
     else:
         expected, fused, wasted = [2] * 40, [2] * 40, 0
-        assert all(c["kwargs"] == {} for c in cycles)
+        assert all(c["kwargs"] == {"grid": None, "lookahead": None} for c in cycles)
+    assert all(c["x0"] == state.tobytes() for c, state in zip(cycles, result.states))
     assert [len(c["rollouts"]) for c in cycles] == expected
     assert [len(c["rescore"]) for c in cycles] == fused
     # bench/tracing.py reads P as the thetas' first axis and bench/run.py
@@ -815,7 +819,7 @@ def test_run_batch_validation():
 
 def _fake_result(seed, success, completion_time):
     result = run_trial(_cartpole_trial(duration=0.0, seed=seed))
-    result.success = success
+    result.terminal_reason = "success" if success else "timeout"
     result.completion_time = completion_time
     return result
 

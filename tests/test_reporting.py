@@ -50,7 +50,6 @@ def test_format_float_round_trips_exactly():
 
 def _tiny_result():
     return TrialResult(
-        success=True,
         completion_time=0.2,
         terminal_reason="success",
         times=np.array([0.0, 0.1]),
@@ -166,7 +165,7 @@ def test_write_aggregate_csv(tmp_path):
 def _result_with(seed, success, completion_time):
     res = _tiny_result()
     res.seed = seed
-    res.success = success
+    res.terminal_reason = "success" if success else "timeout"
     res.completion_time = completion_time
     return res
 
