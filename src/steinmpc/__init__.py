@@ -28,7 +28,6 @@ from .dynamics import (
     rk4_step,
 )
 from .harness import (
-    BatchResult,
     CartpoleSuccess,
     RaceSuccess,
     RocketSuccess,

@@ -45,6 +45,7 @@ from .controllers import VARIANTS
 from .harness import run_batch, run_trial
 from .reporting import (
     aggregate_row,
+    batch_summary,
     format_float,
     summary_record,
     write_aggregate_csv,
@@ -80,22 +81,23 @@ def cmd_run(args, trial, batch, doc_hash) -> int:
 
 
 def _run_one_batch(trial, seeds, jobs, out_dir, doc_hash, label):
-    batch_result = run_batch(trial, seeds, jobs=jobs)
+    results = run_batch(trial, seeds, jobs=jobs)
     timing = {}
-    for result in batch_result.results:
+    for result in results:
         _write_trial_outputs(out_dir, result, doc_hash)
         timing[f"{label}_trial_{result.seed}"] = result.wall_clock_seconds
-    return batch_result, timing
+    return results, timing
 
 
 def cmd_batch(args, trial, batch, doc_hash) -> int:
-    batch_result, timing = _run_one_batch(
+    results, timing = _run_one_batch(
         trial, batch.seeds, batch.jobs, args.out, doc_hash, trial.controller.variant)
-    row = aggregate_row(trial.controller.variant, trial.env.name, batch_result)
+    row = aggregate_row(trial.controller.variant, trial.env.name, results)
     write_aggregate_csv(os.path.join(args.out, "aggregate.csv"), [row])
     write_timing_json(os.path.join(args.out, "timing.json"), timing)
+    success_pct, _, _ = batch_summary(results)
     print(f"{trial.controller.variant} on {trial.env.name}: "
-          f"{format_float(batch_result.success_pct)}% success over {len(batch.seeds)} seeds")
+          f"{format_float(success_pct)}% success over {len(batch.seeds)} seeds")
     return 0
 
 
@@ -124,16 +126,17 @@ def _sweep(out, batch, doc_hash, settings):
     """Run ``batch`` once per ``(label, trial)`` setting, into ``out/<label>``.
 
     Makes every setting's directory before the first trial. Yields ``(label,
-    BatchResult)`` as each setting finishes; after the last, writes every
-    trial's wall time to ``out/timing.json``.
+    results)``, the setting's trial results in seed order, as each setting
+    finishes; after the last, writes every trial's wall time to
+    ``out/timing.json``.
     """
     _make_dirs(*(os.path.join(out, label) for label, _ in settings))
     timing = {}
     for label, trial in settings:
         sub_dir = os.path.join(out, label)
-        batch_result, t = _run_one_batch(trial, batch.seeds, batch.jobs, sub_dir, doc_hash, label)
+        results, t = _run_one_batch(trial, batch.seeds, batch.jobs, sub_dir, doc_hash, label)
         timing.update(t)
-        yield label, batch_result
+        yield label, results
     write_timing_json(os.path.join(out, "timing.json"), timing)
 
 
@@ -141,10 +144,11 @@ def cmd_ablate_kernels(args, trial, batch, doc_hash) -> int:
     settings = [(name, dataclasses.replace(trial, svgd=dataclasses.replace(
         trial.svgd, kernel=kernel()))) for name, kernel in KERNELS.items()]
     rows = []
-    for name, batch_result in _sweep(args.out, batch, doc_hash, settings):
-        rows.append(aggregate_row(name, trial.env.name, batch_result))
-        print(f"kernel {name}: {format_float(batch_result.success_pct)}% success, "
-              f"mean time {format_float(batch_result.mean_time)}")
+    for name, results in _sweep(args.out, batch, doc_hash, settings):
+        rows.append(aggregate_row(name, trial.env.name, results))
+        success_pct, mean_time, _ = batch_summary(results)
+        print(f"kernel {name}: {format_float(success_pct)}% success, "
+              f"mean time {format_float(mean_time)}")
     write_aggregate_csv(os.path.join(args.out, "ablation.csv"), rows)
     return 0
 
@@ -154,8 +158,7 @@ def cmd_race_progress(args, trial, batch, doc_hash) -> int:
         trial, controller=dataclasses.replace(trial.controller, variant=variant)))
         for variant in VARIANTS]
     best_laps = {}
-    for variant, batch_result in _sweep(args.out, batch, doc_hash, settings):
-        results = batch_result.results
+    for variant, results in _sweep(args.out, batch, doc_hash, settings):
         series = [np.append(r.progress, r.final_progress) for r in results]
         times = [np.append(r.times, r.steps * trial.env.dt) for r in results]
         laps = [t[p >= 1.0] for t, p in zip(times, series)]

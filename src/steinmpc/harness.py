@@ -3,11 +3,11 @@
 A trial couples the sampling-based planner to the true plant (simulated with
 the ground-truth parameters) and, for the adaptive variant, advances the
 particle set after every applied control using the gap posterior of the most
-recent plan. Batches fan trials over seeds and reduce them to the summary
-statistics the benchmark tables are built from. A batch on two or more
-workers forks them with ``os.fork`` inside the call (POSIX only), re-raises
-a worker's exception in the caller, and reaps every worker before it
-returns or raises.
+recent plan. A batch runs one trial per seed and returns their results in
+seed order; ``reporting.batch_summary`` reduces them to the statistics the
+benchmark tables are built from. A batch on two or more workers forks them
+with ``os.fork`` inside the call (POSIX only), re-raises a worker's exception
+in the caller, and reaps every worker before it returns or raises.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pickle
 import signal
 import struct
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "RaceSuccess",
     "TrialConfig",
     "TrialResult",
-    "BatchResult",
     "run_trial",
     "run_batch",
 ]
@@ -224,12 +223,17 @@ class TrialResult:
         return particle_mean(self.particles)
 
 
-def _gap_model(objective, plan, probe) -> np.ndarray:
-    """The gap of ``plan`` at each row of the (B, p) ``probe``: its cost there
-    less its cost under the particle mean, the adaptive objective's first theta,
-    from one ``objective.cost_matrix`` row, as the rescore row gives them."""
-    row = objective.cost_matrix(plan[None], probe)[0]
+def _gaps(objective, row) -> np.ndarray:
+    """The gaps in one plan's cost ``row`` over the objective's thetas and then
+    a probe: each probe cost less the cost under the particle mean, which is
+    the adaptive objective's first theta."""
     return row[len(objective.thetas):] - row[0]
+
+
+def _gap_model(objective, plan, probe) -> np.ndarray:
+    """The gap of ``plan`` at each row of the (B, p) ``probe``, from one
+    ``objective.cost_matrix`` row, as the rescore row gives them."""
+    return _gaps(objective, objective.cost_matrix(plan[None], probe)[0])
 
 
 def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerSpec:
@@ -359,23 +363,17 @@ def run_trial(config: TrialConfig) -> TrialResult:
             reason = "solver_failure"
             break
 
-        control = new_plan[0]
-        log_u.append(control.copy())
+        log_u.append(new_plan[0].copy())
         log_c.append(plan_cost)
         log_p.append(particles.particles.copy())
 
-        if ahead is not None:
-            next_state = ahead[0].x0
-        else:
-            next_state = rk4_step(env, state, control, env.theta_true)
+        next_state = ahead[0].x0 if ahead is not None else reach(new_plan)
         if not np.all(np.isfinite(next_state)):
             reason = "solver_failure"
             break
 
         if infer:
-            # The adaptive objective is robust: column 0 is the particle mean,
-            # and the columns after its P thetas are the probe's.
-            gaps = theta_costs[len(objective.thetas):] - theta_costs[0]
+            gaps = _gaps(objective, theta_costs)
             try:
                 for i in range(1, config.svgd.iterations + 1):
                     particles = svgd_step(particles, gaps, config.svgd)
@@ -417,44 +415,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
     )
 
 
-@dataclass
-class BatchResult:
-    """Per-seed outcomes of a batch plus order-independent aggregates."""
-
-    seeds: list[int]
-    results: list[TrialResult] = field(repr=False)
-
-    @property
-    def successes(self) -> list[bool]:
-        return [r.success for r in self.results]
-
-    @property
-    def success_pct(self) -> float:
-        return 100.0 * sum(self.successes) / len(self.results)
-
-    def _success_times_sorted(self) -> list[float]:
-        return sorted(r.completion_time for r in self.results if r.success)
-
-    @property
-    def mean_time(self) -> float:
-        ts = self._success_times_sorted()
-        return float(np.mean(ts)) if ts else float("nan")
-
-    @property
-    def std_time(self) -> float:
-        ts = self._success_times_sorted()
-        if not ts:
-            return float("nan")
-        if len(ts) == 1:
-            return 0.0
-        return float(np.std(ts, ddof=1))
-
-
-def _run_with_seed(payload) -> TrialResult:
-    base, seed = payload
-    return run_trial(replace(base, seed=int(seed)))
-
-
 # One trial index per task record. A record is far below PIPE_BUF, so each
 # write lands whole and each read of one record gets a whole index.
 _TASK = struct.Struct("=I")
@@ -466,10 +426,10 @@ def _pipe():
     return open(read_fd, "rb"), open(write_fd, "wb")
 
 
-def _work(tasks_fd: int, report, payloads):
-    """A forked worker's whole life: run ``_run_with_seed`` on the payload of
-    every task index read from ``tasks_fd``, write one pickled list of
-    ``(index, TrialResult)``, or the exception that stopped it, to ``report``
+def _work(tasks_fd: int, report, base: TrialConfig, seeds: list[int]):
+    """A forked worker's whole life: run the trial of ``base`` at ``seeds[i]``
+    for every task index ``i`` read from ``tasks_fd``, write one pickled list
+    of ``(i, TrialResult)``, or the exception that stopped it, to ``report``
     and leave with ``os._exit``, so the child never returns into its caller.
     """
     try:
@@ -477,7 +437,7 @@ def _work(tasks_fd: int, report, payloads):
             done = []
             while record := os.read(tasks_fd, _TASK.size):
                 (i,) = _TASK.unpack(record)
-                done.append((i, _run_with_seed(payloads[i])))
+                done.append((i, run_trial(replace(base, seed=seeds[i]))))
             data = pickle.dumps(done)
         except BaseException as exc:
             data = pickle.dumps(exc)
@@ -488,9 +448,10 @@ def _work(tasks_fd: int, report, payloads):
         os._exit(1)
 
 
-def _fork_batch(payloads, workers: int) -> list[TrialResult]:
-    """Run every payload across ``workers`` forked children, in payload order."""
-    results = [None] * len(payloads)
+def _fork_batch(base: TrialConfig, seeds: list[int], workers: int) -> list[TrialResult]:
+    """Run the trial of ``base`` at each of ``seeds`` across ``workers``
+    forked children; the results are in the order of ``seeds``."""
+    results = [None] * len(seeds)
     files, readers, pids = [], [], []
     try:
         tasks, feed = _pipe()
@@ -501,13 +462,13 @@ def _fork_batch(payloads, workers: int) -> list[TrialResult]:
             pid = os.fork()
             if pid == 0:
                 feed.close()
-                _work(tasks.fileno(), report, payloads)
+                _work(tasks.fileno(), report, base, seeds)
             pids.append(pid)
             readers.append(reader)
             report.close()
         tasks.close()
         try:
-            for i in range(len(payloads)):
+            for i in range(len(seeds)):
                 os.write(feed.fileno(), _TASK.pack(i))
         except BrokenPipeError:
             pass  # every worker has ended; their reports say why
@@ -535,14 +496,14 @@ def _fork_batch(payloads, workers: int) -> list[TrialResult]:
     return results
 
 
-def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> BatchResult:
+def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> list[TrialResult]:
     """Run one trial per seed, across up to ``min(jobs, len(seeds))`` worker processes.
 
-    Results are keyed and ordered by position in ``seeds`` regardless of
-    which worker finished first, so aggregates do not depend on ``jobs``.
+    Returns the trials' results in the order of ``seeds``, regardless of
+    which worker finished first, so a batch does not depend on ``jobs``.
     A one-worker batch runs in this process. Otherwise the workers are forks
-    of this process made inside the call (POSIX only): they inherit the
-    trial payloads and take trial indices from one shared pipe, and each
+    of this process made inside the call (POSIX only): they inherit ``base``
+    and ``seeds`` and take trial indices from one shared pipe, and each
     sends its results back pickled once. Every worker is reaped before the
     call returns or raises. A trial's exception in a worker is re-raised
     here with its type and message, after any other worker still running is
@@ -553,10 +514,7 @@ def run_batch(base: TrialConfig, seeds, jobs: int = 1) -> BatchResult:
         raise ValueError("seed list must not be empty")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    payloads = [(base, s) for s in seeds]
     workers = min(jobs, len(seeds))
     if workers == 1:
-        results = [_run_with_seed(p) for p in payloads]
-    else:
-        results = _fork_batch(payloads, workers)
-    return BatchResult(seeds=seeds, results=results)
+        return [run_trial(replace(base, seed=s)) for s in seeds]
+    return _fork_batch(base, seeds, workers)

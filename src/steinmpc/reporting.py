@@ -1,4 +1,8 @@
-"""Result persistence with byte-stable formatting.
+"""Result persistence with byte-stable formatting, and the batch statistics.
+
+A batch is its list of trial results; ``batch_summary`` reduces it to the
+success %, mean success time and its standard deviation that an aggregate
+row and the batch commands' printed lines report.
 
 Every float written by this module goes through a fixed 17-significant-digit
 formatter, so a rerun of the same experiment produces byte-identical files.
@@ -24,6 +28,7 @@ __all__ = [
     "write_step_csv",
     "summary_record",
     "write_summary_json",
+    "batch_summary",
     "aggregate_row",
     "write_aggregate_csv",
     "write_progress_csv",
@@ -120,14 +125,21 @@ def write_summary_json(path, record: dict) -> None:
 AGGREGATE_HEADER = "method,env,success_pct,mean_time,std_time"
 
 
-def aggregate_row(method: str, env_name: str, batch) -> str:
-    return ",".join([
-        method,
-        env_name,
-        format_float(batch.success_pct),
-        format_float(batch.mean_time),
-        format_float(batch.std_time),
-    ])
+def batch_summary(results) -> tuple[float, float, float]:
+    """A batch's success %, mean success time and that time's sample standard
+    deviation: nan for both times when no trial succeeds, and a deviation of
+    0.0 for one success. The times are sorted first, so every number is the
+    same bits in any order of ``results``."""
+    ts = sorted(r.completion_time for r in results if r.success)
+    success_pct = 100.0 * len(ts) / len(results)
+    if not ts:
+        return success_pct, float("nan"), float("nan")
+    std_time = float(np.std(ts, ddof=1)) if len(ts) > 1 else 0.0
+    return success_pct, float(np.mean(ts)), std_time
+
+
+def aggregate_row(method: str, env_name: str, results) -> str:
+    return ",".join([method, env_name, *map(format_float, batch_summary(results))])
 
 
 def write_aggregate_csv(path, rows) -> None:

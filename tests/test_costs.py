@@ -282,6 +282,17 @@ def test_cost_spec_validation():
             CostSpec(Q=q, R=[[1.0]], Q_f=np.eye(2), x_des=np.zeros(2))
 
 
+@pytest.mark.parametrize("label,weights", [
+    ("Q_f", dict(Q=np.eye(4), R=np.eye(1), Q_f=np.eye(3))),
+    ("Q", dict(Q=np.ones((4, 3)), R=np.eye(1), Q_f=np.eye(4))),
+    ("R", dict(Q=np.eye(4), R=np.ones((1, 2)), Q_f=np.eye(4))),
+], ids=["Q_f-3x3-against-4x4-Q", "Q-4x3", "R-1x2"])
+def test_cost_spec_rejects_a_weight_of_the_wrong_shape(label, weights):
+    # Q's rows set the state dimension and R's rows the control dimension.
+    with pytest.raises(ValueError, match=f"^{label} must have shape"):
+        CostSpec(**weights, x_des=np.zeros(4))
+
+
 BOUNDARY = [0.0, -0.0, 1e-8, -1e-8, -1.0000001e-8, 5e-324, -5e-324,
             2.2250738585072014e-308, -2.2250738585072014e-308, 1e300, 1e-300, -1e-300]
 

@@ -25,7 +25,6 @@ from steinmpc.controllers import (
 from steinmpc.costs import CostSpec, rollout_cost_batch
 from steinmpc.dynamics import EnvModel, make_cartpole, racecar_derivative
 from steinmpc.harness import (
-    BatchResult,
     CartpoleSuccess,
     RaceSuccess,
     RocketSuccess,
@@ -42,7 +41,7 @@ from steinmpc.inference import (
     svgd_step,
 )
 from steinmpc.kernels import ConstantKernel, ImqKernel, RbfKernel
-from steinmpc.reporting import step_csv_header, write_step_csv
+from steinmpc.reporting import batch_summary, step_csv_header, write_step_csv
 from steinmpc.track import CenterlineReference
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -711,8 +710,8 @@ def test_run_batch_is_ordered_and_parallel_invariant():
     serial = run_batch(config, [3, 1, 4], jobs=1)
     parallel = run_batch(config, [3, 1, 4], jobs=2)
     _assert_no_child_left()
-    assert serial.seeds == parallel.seeds == [3, 1, 4]
-    for a, b in zip(serial.results, parallel.results):
+    assert [r.seed for r in serial] == [r.seed for r in parallel] == [3, 1, 4]
+    for a, b in zip(serial, parallel):
         assert (a.seed, a.success, a.terminal_reason, a.completion_time) == (
             b.seed, b.success, b.terminal_reason, b.completion_time)
         for name in ("times", "states", "controls", "costs", "particles", "final_state", "ksd"):
@@ -735,7 +734,7 @@ def test_run_batch_starts_at_most_one_worker_per_seed(monkeypatch):
     started = []
     for seeds, jobs in [([3, 1], 64), ([3, 1, 4], 2), ([5], 8)]:
         forks.clear()
-        assert run_batch(config, seeds, jobs=jobs).seeds == seeds
+        assert [r.seed for r in run_batch(config, seeds, jobs=jobs)] == seeds
         started.append(len(forks))
     assert started == [2, 2, 0]
 
@@ -792,7 +791,7 @@ def test_an_in_process_trial_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     for run in ["assert steinmpc.run_trial(trial).steps == 1",
-                "assert [r.steps for r in steinmpc.run_batch(trial, [0, 1], jobs=2).results]"
+                "assert [r.steps for r in steinmpc.run_batch(trial, [0, 1], jobs=2)]"
                 " == [1, 1]"]:
         script = (
             "import sys\n"
@@ -825,22 +824,21 @@ def _fake_result(seed, success, completion_time):
 
 
 def test_batch_aggregates():
-    batch = BatchResult(seeds=[0, 1, 2], results=[
+    results = [
         _fake_result(0, True, 4.0),
         _fake_result(1, False, 30.0),
         _fake_result(2, True, 6.0),
-    ])
-    assert batch.successes == [True, False, True]
-    assert batch.success_pct == pytest.approx(200.0 / 3.0)
-    assert batch.mean_time == 5.0
-    assert batch.std_time == pytest.approx(math.sqrt(2.0))
+    ]
+    success_pct, mean_time, std_time = batch_summary(results)
+    assert success_pct == pytest.approx(200.0 / 3.0)
+    assert mean_time == 5.0
+    assert std_time == pytest.approx(math.sqrt(2.0))
 
-    none = BatchResult(seeds=[0], results=[_fake_result(0, False, 30.0)])
-    assert none.success_pct == 0.0
-    assert math.isnan(none.mean_time) and math.isnan(none.std_time)
+    success_pct, mean_time, std_time = batch_summary([_fake_result(0, False, 30.0)])
+    assert success_pct == 0.0
+    assert math.isnan(mean_time) and math.isnan(std_time)
 
-    one = BatchResult(seeds=[0], results=[_fake_result(0, True, 4.0)])
-    assert one.std_time == 0.0
+    assert batch_summary([_fake_result(0, True, 4.0)])[2] == 0.0
 
 
 def test_posterior_contraction_on_cartpole():
@@ -856,7 +854,7 @@ def test_posterior_contraction_on_cartpole():
     batch = run_batch(trial, range(16), jobs=4)
     theta_true = trial.env.theta_true
     contracted = 0
-    for result in batch.results:
+    for result in batch:
         if not result.success:
             continue
         d_start = np.linalg.norm(result.particle_means[0] - theta_true)

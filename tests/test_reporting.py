@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from steinmpc.harness import BatchResult, TrialResult
+from steinmpc.harness import TrialResult
 from steinmpc.inference import ParticleSet
 from steinmpc.reporting import (
     AGGREGATE_HEADER,
     aggregate_row,
+    batch_summary,
     dumps_sorted,
     format_float,
     step_csv_header,
@@ -145,13 +146,17 @@ def test_write_summary_json_sorted_and_loadable(tmp_path):
     assert keys == sorted(keys)
 
 
-def test_aggregate_row_golden():
-    class Batch:
-        success_pct = 50.0
-        mean_time = 1 / 3
-        std_time = 0.0
+def _result_with(seed, success, completion_time):
+    res = _tiny_result()
+    res.seed = seed
+    res.terminal_reason = "success" if success else "timeout"
+    res.completion_time = completion_time
+    return res
 
-    assert aggregate_row("stein_adaptive", "cartpole", Batch()) == (
+
+def test_aggregate_row_golden():
+    results = [_result_with(0, True, 1 / 3), _result_with(1, False, 30.0)]
+    assert aggregate_row("stein_adaptive", "cartpole", results) == (
         "stein_adaptive,cartpole,50,0.33333333333333331,0"
     )
 
@@ -162,14 +167,6 @@ def test_write_aggregate_csv(tmp_path):
     assert path.read_text() == AGGREGATE_HEADER + "\na,b,1,2,3\n"
 
 
-def _result_with(seed, success, completion_time):
-    res = _tiny_result()
-    res.seed = seed
-    res.terminal_reason = "success" if success else "timeout"
-    res.completion_time = completion_time
-    return res
-
-
 def test_batch_aggregates_are_order_independent():
     results = [
         _result_with(0, True, 1.0),
@@ -177,10 +174,7 @@ def test_batch_aggregates_are_order_independent():
         _result_with(2, True, 0.1),
         _result_with(3, False, 30.0),
     ]
-    forward = BatchResult(seeds=[0, 1, 2, 3], results=results)
-    backward = BatchResult(seeds=[3, 2, 1, 0], results=results[::-1])
-    for name in ("success_pct", "mean_time", "std_time"):
-        assert getattr(forward, name) == getattr(backward, name)
+    assert batch_summary(results) == batch_summary(results[::-1])
 
 
 def test_write_progress_csv_golden(tmp_path):
