@@ -3,8 +3,8 @@
 Subcommands:
     run            one trial from a config file
     batch          a seed batch with optional process parallelism
-    ablate-kernels the rocket batch repeated across the three kernels
-    race-progress  per-method lap-progress series on the racing task
+    ablate-kernels the rocket batch once per kernel at its defaults, ``svgd.kernel: {type: name}``
+    race-progress  the racing batch once per ``controller.variant``, as lap-progress series
 
 Exit codes: 0 run completed (success or timeout both count), 2 invalid
 configuration, cross-field rules included, before any trial starts (the
@@ -19,13 +19,14 @@ terminal reason in its result files.
 default and every command-line override (``--seed``, ``--seeds``, ``--jobs``)
 filled in, and exits; it makes no ``--out`` directory and writes no file.
 The printed document is a config file: the same subcommand run on it without
-those flags runs the same trials.
+those flags runs the same trials, and each sweep setting is built from it with
+its one key replaced. Every setting's files carry the config file's ``config_hash``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import errno
 import os
 import sys
@@ -64,7 +65,7 @@ def _write_trial_outputs(out_dir, result, doc_hash):
                        summary_record(result, doc_hash, __version__))
 
 
-def cmd_run(args, trial, batch, doc_hash) -> int:
+def cmd_run(args, trial, batch, resolved, doc_hash) -> int:
     result = run_trial(trial)
     _write_trial_outputs(args.out, result, doc_hash)
     write_timing_json(os.path.join(args.out, "timing.json"),
@@ -89,7 +90,7 @@ def _run_one_batch(trial, seeds, jobs, out_dir, doc_hash, label):
     return results, timing
 
 
-def cmd_batch(args, trial, batch, doc_hash) -> int:
+def cmd_batch(args, trial, batch, resolved, doc_hash) -> int:
     results, timing = _run_one_batch(
         trial, batch.seeds, batch.jobs, args.out, doc_hash, trial.controller.variant)
     row = aggregate_row(trial.controller.variant, trial.env.name, results)
@@ -105,46 +106,54 @@ def _make_dirs(*paths):
     """Make each directory; one that cannot be made is a ``ConfigError`` at ``--out``.
 
     A path that is, or lies under, an existing non-directory is found before
-    any directory is made, so that failure leaves no directory behind.
+    any directory is made. When ``os.makedirs`` itself refuses a path (a name
+    too long, say), the directories this call made are removed, deepest
+    first. So neither failure leaves a directory behind.
     """
+    missing = set()
     for path in paths:
         head = os.path.abspath(path)
         while not os.path.isdir(head):
             if os.path.lexists(head):
                 code = errno.EEXIST if head == os.path.abspath(path) else errno.ENOTDIR
                 raise ConfigError("--out", f"cannot make directory {path} ({os.strerror(code)})")
+            missing.add(head)
             head = os.path.dirname(head)
     for path in paths:
         try:
             os.makedirs(path, exist_ok=True)
         except OSError as exc:
+            for made in sorted(missing, key=len, reverse=True):
+                with contextlib.suppress(OSError):
+                    os.rmdir(made)
             raise ConfigError("--out", f"cannot make directory {path} "
                                        f"({exc.strerror})") from None
 
 
-def _sweep(out, batch, doc_hash, settings):
-    """Run ``batch`` once per ``(label, trial)`` setting, into ``out/<label>``.
+def _sweep(args, resolved, doc_hash, key, settings):
+    """Run the batch of each ``(label, value)`` setting into ``args.out/<label>``.
 
-    Makes every setting's directory before the first trial. Yields ``(label,
-    results)``, the setting's trial results in seed order, as each setting
-    finishes; after the last, writes every trial's wall time to
-    ``out/timing.json``.
+    A setting is ``resolved`` with its dotted ``section.key`` set to ``value``.
+    Builds every setting and makes its directory before the first trial, then
+    yields ``(label, trial, results)`` per setting; writes ``timing.json`` last.
     """
-    _make_dirs(*(os.path.join(out, label) for label, _ in settings))
+    section, field = key.split(".")
+    built = [(label, *resolve_config({**resolved, section: {**resolved[section], field: value}},
+                                     env_name=args.env_name)[:2]) for label, value in settings]
+    _make_dirs(*(os.path.join(args.out, label) for label, _ in settings))
     timing = {}
-    for label, trial in settings:
-        sub_dir = os.path.join(out, label)
+    for label, trial, batch in built:
+        sub_dir = os.path.join(args.out, label)
         results, t = _run_one_batch(trial, batch.seeds, batch.jobs, sub_dir, doc_hash, label)
         timing.update(t)
-        yield label, results
-    write_timing_json(os.path.join(out, "timing.json"), timing)
+        yield label, trial, results
+    write_timing_json(os.path.join(args.out, "timing.json"), timing)
 
 
-def cmd_ablate_kernels(args, trial, batch, doc_hash) -> int:
-    settings = [(name, dataclasses.replace(trial, svgd=dataclasses.replace(
-        trial.svgd, kernel=kernel()))) for name, kernel in KERNELS.items()]
+def cmd_ablate_kernels(args, trial, batch, resolved, doc_hash) -> int:
     rows = []
-    for name, results in _sweep(args.out, batch, doc_hash, settings):
+    for name, trial, results in _sweep(args, resolved, doc_hash, "svgd.kernel",
+                                       [(name, {"type": name}) for name in KERNELS]):
         rows.append(aggregate_row(name, trial.env.name, results))
         success_pct, mean_time, _ = batch_summary(results)
         print(f"kernel {name}: {format_float(success_pct)}% success, "
@@ -153,12 +162,10 @@ def cmd_ablate_kernels(args, trial, batch, doc_hash) -> int:
     return 0
 
 
-def cmd_race_progress(args, trial, batch, doc_hash) -> int:
-    settings = [(variant, dataclasses.replace(
-        trial, controller=dataclasses.replace(trial.controller, variant=variant)))
-        for variant in VARIANTS]
+def cmd_race_progress(args, trial, batch, resolved, doc_hash) -> int:
     best_laps = {}
-    for variant, results in _sweep(args.out, batch, doc_hash, settings):
+    for variant, trial, results in _sweep(args, resolved, doc_hash, "controller.variant",
+                                          [(variant, variant) for variant in VARIANTS]):
         series = [np.append(r.progress, r.final_progress) for r in results]
         times = [np.append(r.times, r.steps * trial.env.dt) for r in results]
         laps = [t[p >= 1.0] for t, p in zip(times, series)]
@@ -223,7 +230,7 @@ def main(argv=None) -> int:
             sys.stdout.write(serialize_config(resolved))
             return 0
         _make_dirs(args.out)
-        return args.func(args, trial, batch, config_hash(doc))
+        return args.func(args, trial, batch, resolved, config_hash(doc))
     except ConfigError as exc:
         print(f"config error at {exc.field}: {exc.args[0].split(': ', 1)[-1]}",
               file=sys.stderr)

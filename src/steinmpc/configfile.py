@@ -253,12 +253,10 @@ def _weight_matrix(weights):
 
 
 def _as_noise(value, path, length):
-    """One fraction for every channel, or exactly one per channel."""
+    """One fraction for every channel, or a list of exactly one per channel."""
     if not isinstance(value, list):
         return _as_float(value, path)
-    if len(value) != length:
-        raise ConfigError(path, f"expected {length} entries, got {len(value)}")
-    return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _as_float_list(value, path, length)
 
 
 def parse_config(text: str) -> dict:

@@ -50,8 +50,8 @@ class MppiConfig:
         temperature: softness of the exponential weighting over costs,
             positive and finite.
         noise_fraction: per-channel Gaussian perturbation scale expressed as
-            a fraction of the control range (scalar or one value per channel),
-            each nonnegative and finite.
+            a fraction of the control range (scalar or one value per channel,
+            a list kept as a tuple), each nonnegative and finite.
     """
 
     samples: int = 512
@@ -63,6 +63,8 @@ class MppiConfig:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if not 0 < self.temperature < np.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if isinstance(self.noise_fraction, list):
+            object.__setattr__(self, "noise_fraction", tuple(self.noise_fraction))
         noise = np.asarray(self.noise_fraction, dtype=float)
         if not np.all((0 <= noise) & (noise < np.inf)):
             raise ValueError(f"noise_fraction must be nonnegative and finite, got {self.noise_fraction}")
@@ -198,7 +200,8 @@ class ControllerSpec:
             objective (emppi weights it 1).
         risk_lambda: temperature of the dro objective; None defers to the
             harness, which calibrates it from the warm-start cost.
-        risk_epsilon: ambiguity radius the dro objective adds.
+        risk_epsilon: ambiguity radius the dro objective adds; with λ fixed it
+            adds λε to every row alike: the logged cost moves, the plan only by rounding.
         nominal_theta: the nominal variant's parameters; None means the
             midpoint of the parameter box.
     """

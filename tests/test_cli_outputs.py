@@ -162,11 +162,12 @@ def test_cli_exits_2_when_out_is_a_file(command, tmp_path, capsys, monkeypatch):
 
 def test_cli_exits_2_when_out_cannot_be_made(tmp_path, capsys, monkeypatch):
     # no file stands in the way, so os.makedirs itself refuses: a 300-character
-    # name is longer than any common file system allows (ENAMETOOLONG)
+    # name is longer than any common file system allows (ENAMETOOLONG), after
+    # it made the two parents
     name, build, flags = CASES["run"]
     path = tmp_path / f"{name}.yaml"
     path.write_text(serialize_config(build(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))))
-    out = tmp_path / "out" / ("x" * 300)
+    out = tmp_path / "out" / "sub" / ("x" * 300)
 
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial started")
@@ -175,6 +176,8 @@ def test_cli_exits_2_when_out_cannot_be_made(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(path), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error at --out: cannot make directory {out} (")
+    # the parents os.makedirs made before it refused the leaf are removed again
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, label", [("ablate-kernels", "imq"),

@@ -1,4 +1,5 @@
 """Strict experiment-document parsing and the shipped reference configs."""
+import argparse
 import copy
 import dataclasses
 import functools
@@ -7,6 +8,8 @@ import json
 import math
 import os
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -647,6 +650,8 @@ def test_shipped_reference_configs_build():
     assert rocket.env.name == "rocket2d"
     assert np.array_equal(rocket.env.theta_true, [0.1, 0.01, 0.7])
     assert rocket.horizon_seconds == 0.15
+    # a per-channel noise list is held as a tuple; the resolved document keeps the list
+    assert rocket.mppi.noise_fraction == (0.3, 0.04)
     assert len(rocket_batch.seeds) == 32
 
     ablation, ablation_batch = built["kernel_ablation.yaml"]
@@ -809,28 +814,70 @@ def test_resolving_a_document_is_a_fixed_point(doc):
     assert list(resolved["harness"]) == [
         f.name for f in dataclasses.fields(TrialConfig)
         if f.name not in (*resolved, "seed") and (f.name != "track" or trial.track is not None)]
+    # the record is plain data: it reads back as itself, and builds in memory
     again = parse_config(serialize_config(resolved))
+    assert again == resolved
     assert config_hash(again) == config_hash(resolved)
+    assert serialize_config(resolve_config(resolved)[2]) == serialize_config(resolved)
     trial_again, batch_again, resolved_again = resolve_config(again)
     assert serialize_config(resolved_again) == serialize_config(resolved)
     # and the resolved document builds the trial the original one built
     assert batch_again == batch
+    _assert_same_trial(trial_again, trial)
+
+
+def _assert_same_trial(got, expected):
     for name in ("seed", "svgd", "mppi", "success", "track", "duration", "horizon_seconds",
                  "n_particles", "log_ksd"):
-        assert getattr(trial_again, name) == getattr(trial, name)
-    np.testing.assert_array_equal(trial_again.x0, trial.x0)
+        assert getattr(got, name) == getattr(expected, name)
+    np.testing.assert_array_equal(got.x0, expected.x0)
     for name in ("variant", "gamma", "risk_lambda", "risk_epsilon"):
-        assert getattr(trial_again.controller, name) == getattr(trial.controller, name)
-    if trial.controller.nominal_theta is None:
-        assert trial_again.controller.nominal_theta is None
+        assert getattr(got.controller, name) == getattr(expected.controller, name)
+    if expected.controller.nominal_theta is None:
+        assert got.controller.nominal_theta is None
     else:
-        np.testing.assert_array_equal(trial_again.controller.nominal_theta,
-                                      trial.controller.nominal_theta)
+        np.testing.assert_array_equal(got.controller.nominal_theta,
+                                      expected.controller.nominal_theta)
     for name in ("Q", "R", "Q_f"):
-        np.testing.assert_array_equal(getattr(trial_again.cost, name), getattr(trial.cost, name))
+        np.testing.assert_array_equal(getattr(got.cost, name), getattr(expected.cost, name))
     for name in ("dt", "control_lower", "control_upper", "theta_true", "theta_lower",
                  "theta_upper"):
-        np.testing.assert_array_equal(getattr(trial_again.env, name), getattr(trial.env, name))
+        np.testing.assert_array_equal(getattr(got.env, name), getattr(expected.env, name))
+
+
+# The two sweeps: the key each overrides, its (label, value) settings, and the
+# trial each setting ran before the sweep built settings from the document,
+# the built trial with one object replaced.
+SWEEPS = [
+    ("svgd.kernel", [(name, {"type": name}) for name in KERNELS],
+     lambda trial, name: dataclasses.replace(
+         trial, svgd=dataclasses.replace(trial.svgd, kernel=KERNELS[name]()))),
+    ("controller.variant", [(variant, variant) for variant in VARIANTS],
+     lambda trial, variant: dataclasses.replace(
+         trial, controller=dataclasses.replace(trial.controller, variant=variant))),
+]
+
+
+@given(doc=documents())
+def test_a_sweep_builds_the_trials_the_replaced_objects_built(doc):
+    trial, batch, resolved = resolve_config(doc)
+    runs = {}
+
+    def record(trial, seeds, jobs, out_dir, doc_hash, label):
+        runs[label] = (trial, seeds, jobs, os.path.basename(out_dir))
+        return [], {}
+
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "_run_one_batch", record):
+        args = argparse.Namespace(out=out, env_name=doc["env"]["name"])
+        for key, settings, replaced in SWEEPS:
+            runs.clear()
+            swept = [(label, got)
+                     for label, got, _ in cli._sweep(args, resolved, "", key, settings)]
+            assert [label for label, _ in swept] == [label for label, _ in settings]
+            for label, got in swept:
+                assert runs[label][1:] == (batch.seeds, batch.jobs, label)
+                assert runs[label][0] is got
+                _assert_same_trial(got, replaced(trial, label))
 
 
 # (shipped config, key): every number a shipped config gives or defaults that
