@@ -8,6 +8,9 @@ objective a candidate plan is scored with:
 * dro: soft worst case over frozen particles, lambda * log mean exp(cost / lambda)
   plus lambda * epsilon, the dual of a KL-ball worst case.
 * nominal: plain cost under one fixed parameter vector.
+
+Each cycle's planner grid only ranks and weights candidates; the rescore of
+the two plans that can be chosen decides, reports the cost and carries the probe.
 """
 
 from __future__ import annotations
@@ -104,20 +107,20 @@ def mppi_solve(
     """Improve a warm-start plan by weighted averaging of sampled candidates.
 
     Candidates are the clamped warm plan plus samples - 1 Gaussian
-    perturbations of it, all clamped to the actuator box. Weights are
-    exp(-(cost - best cost) / temperature), with non-finite costs dropped.
-    The weighted average is only returned if it scores at least as well as
-    the best candidate; otherwise the best candidate is, which makes the
-    solver monotone against the warm plan by construction. A ``grid``, the
-    (candidates, cost matrix) pair a previous call returned as ``ahead``,
-    takes the place of drawing and rolling out the candidates; ``warm`` and
-    ``rng`` are then not read.
+    perturbations of it, all clamped to the actuator box. Their planner grid
+    only ranks and weights them: it names the best candidate, and weights are
+    exp(-(cost - best cost) / temperature), non-finite costs dropped. A
+    ``grid``, the (candidates, cost matrix) pair a previous call returned as
+    ``ahead``, takes the place of drawing and rolling out the candidates;
+    ``warm`` and ``rng`` are then not read.
 
-    The rescore rolls out both plans that can be chosen, the averaged plan
-    and the best candidate, in one grid against the objective's P thetas
-    followed by the (B, p) ``probe`` thetas (B = 0 by default).
-    Only the first P columns decide which plan is chosen, so a non-finite
-    probe cost never fails the solve or changes the plan.
+    The rescore decides: it rolls out the averaged plan and the best
+    candidate in one grid against the objective's P thetas, then the (B, p)
+    ``probe`` thetas (B = 0 by default), and reduces both rows' first P
+    columns. The average is only returned if it scores at least as well as
+    the best candidate's rescore; otherwise the best candidate is, which
+    makes the solver monotone against the warm plan by construction. A
+    non-finite probe cost never fails the solve or changes the plan.
 
     A ``lookahead`` ``(reach, next_rng)`` also rolls out the next cycle's
     planner grid in the rescore, for objectives whose thetas stay put from
@@ -132,8 +135,8 @@ def mppi_solve(
     Returns:
         ``(plan, cost, theta_costs, ahead)``: the chosen (H, m) plan, its
         objective value and its (P + B,) row of costs, the objective's P
-        thetas first and then the probe's B. All come from the rollouts that
-        chose the plan, so scoring the plan again would give the same floats.
+        thetas first and then the probe's B. All come from the rescored row
+        that chose the plan, so scoring the plan again gives the same floats.
         ``ahead`` is the next cycle's ``(objective, (candidates, matrix))``
         when the chosen plan has the best candidate's bytes and a lookahead
         rolled it out, else None.
@@ -171,15 +174,12 @@ def mppi_solve(
     else:
         drawn = _candidates(env, shift_warm_start(plans[1]), config, next_rng)
         rows, next_rows = rollout_blocks([(objective, plans, probe), (following, drawn, probe)])
-    averaged_cost = float(objective.reduce(rows[:1, :matrix.shape[1]])[0])
-    if not np.isfinite(averaged_cost) or averaged_cost > costs[best]:
-        plan, cost, row = candidates[best].copy(), float(costs[best]), rows[1]
-    else:
-        plan, cost, row = averaged, averaged_cost, rows[0]
+    rescored = objective.reduce(rows[:, :matrix.shape[1]])
+    i = 0 if np.isfinite(rescored[0]) and rescored[0] <= rescored[1] else 1
     ahead = None
-    if following is not None and plan.tobytes() == plans[1].tobytes():
+    if following is not None and plans[i].tobytes() == plans[1].tobytes():
         ahead = following, (drawn, next_rows[:, :matrix.shape[1]])
-    return plan, cost, row, ahead
+    return plans[i], float(rescored[i]), rows[i], ahead
 
 
 def shift_warm_start(plan: np.ndarray) -> np.ndarray:

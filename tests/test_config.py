@@ -33,7 +33,7 @@ from steinmpc.configfile import (
 from steinmpc.controllers import VARIANTS, ControllerSpec, MppiConfig
 from steinmpc.costs import InverseDisplacementReward, UprightEnergyPenalty
 from steinmpc.dynamics import make_cartpole, make_racecar, make_rocket
-from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig
+from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig, run_trial
 from steinmpc.inference import SvgdConfig
 from steinmpc.kernels import ConstantKernel, ImqKernel, RbfKernel
 from steinmpc.track import CenterlineReference, StadiumTrack
@@ -878,6 +878,37 @@ def test_a_sweep_builds_the_trials_the_replaced_objects_built(doc):
                 assert runs[label][1:] == (batch.seeds, batch.jobs, label)
                 assert runs[label][0] is got
                 _assert_same_trial(got, replaced(trial, label))
+
+
+@given(doc=documents())
+def test_every_generated_document_runs_a_short_closed_loop(doc):
+    # Three steps at <= 16 samples and a horizon of <= 20 steps: the trial
+    # ends in a documented reason, every history has one row per step, every
+    # logged particle lies in the box, and a rerun gives the same bytes.
+    dt = doc["env"].get("dt", ENVS[doc["env"]["name"]].dt)
+    harness = doc["harness"]
+    harness["duration"] = 3 * dt
+    harness["horizon_seconds"] = min(round(harness["horizon_seconds"] / dt), 20) * dt
+    doc["mppi"]["samples"] = min(doc["mppi"]["samples"], 16)
+    trial, _, _ = resolve_config(doc)
+    result, again = run_trial(trial), run_trial(trial)
+
+    assert result.terminal_reason in ("success", "timeout", "solver_failure", "inference_failure")
+    steps = result.steps
+    assert steps <= 3 and (steps == 3 or result.terminal_reason != "timeout")
+    histories = [result.times, result.states, result.controls, result.costs, result.particles]
+    if trial.track is not None:
+        histories.append(result.progress)
+    assert [len(h) for h in histories] == [steps] * len(histories)
+    if result.ksd is not None:
+        # a failing step logs no KSD
+        assert len(result.ksd) == steps or (len(result.ksd) == steps - 1
+                                            and result.terminal_reason != "success")
+    lo, hi = trial.env.theta_lower, trial.env.theta_upper
+    for particles in (result.particles, result.final_particles.particles):
+        assert np.all((lo <= particles) & (particles <= hi))
+    for name in ("states", "controls", "costs", "particles"):
+        assert getattr(again, name).tobytes() == getattr(result, name).tobytes()
 
 
 # (shipped config, key): every number a shipped config gives or defaults that

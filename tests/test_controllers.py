@@ -2,6 +2,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -300,6 +301,109 @@ def test_an_objective_at_another_state_resolves_its_references_again(name, varia
     assert moved.x0.tobytes() == x1.tobytes()
     built = shipped_objective(name, variant, 3, x0=x1)
     assert moved.cost_matrix(plans).tobytes() == built.cost_matrix(plans).tobytes()
+
+
+def recorded_blocks(monkeypatch, raise_best=0.0):
+    """Wrap ``rollout_blocks``: record each call's (blocks, grids) and, when
+    ``raise_best`` is set, return the two-row rescore block with its second
+    row, the best candidate's, that much higher in every column."""
+    calls = []
+    rollout_blocks = controllers.rollout_blocks
+
+    def recording(blocks):
+        grids = rollout_blocks(blocks)
+        calls.append((blocks, [g.copy() for g in grids]))
+        if raise_best and len(blocks[0][1]) == 2:
+            grids[0] = grids[0] + [[0.0], [raise_best]]
+        return grids
+
+    monkeypatch.setattr(controllers, "rollout_blocks", recording)
+    return calls
+
+
+@pytest.mark.parametrize("lookahead", [False, True])
+def test_the_rescore_decides_between_the_two_plans(monkeypatch, lookahead):
+    # Find a cycle whose averaged plan rescores worse than the best
+    # candidate, then raise the best candidate's rescored row past it: the
+    # solve returns the averaged plan with its own rescored cost and row.
+    # The averaged cost still exceeds the planner grid's cost of the best
+    # candidate, so a solve that decided on that grid cost keeps the best
+    # candidate. With a lookahead the rescore is the fused call's first block.
+    objective = nominal_objective()
+    cfg = MppiConfig(samples=16, temperature=100.0, noise_fraction=2.0)
+
+    def solve(seed):
+        ahead = ((lambda plan: rk4_step(ENV, X0, plan[0], ENV.theta_true),
+                  np.random.default_rng(seed + 1)) if lookahead else None)
+        return mppi_solve(ENV, np.zeros((6, 1)), objective, cfg, np.random.default_rng(seed),
+                          lookahead=ahead)
+
+    calls = recorded_blocks(monkeypatch)
+    for seed in range(20):
+        plan, _, _, _ = solve(seed)
+        blocks, grids = calls[-1]
+        (_, (averaged, best), _), rows = blocks[0], grids[0]
+        rescored = objective.reduce(rows)
+        if rescored[0] > rescored[1]:
+            break
+    else:
+        pytest.fail("no cycle kept the best candidate")
+    assert len(blocks) == (2 if lookahead else 1)
+    assert plan.tobytes() == best.tobytes()
+
+    recorded_blocks(monkeypatch, raise_best=2.0 * (rescored[0] - rescored[1]))
+    plan, cost, row, ahead = solve(seed)
+    assert plan.tobytes() == averaged.tobytes()
+    assert np.float64(cost).tobytes() == rescored[0].tobytes()
+    assert row.tobytes() == rows[0].tobytes()
+    assert ahead is None
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["cartpole", "racing", "rocket"])
+def test_the_rescored_best_row_is_the_planner_grids_row(monkeypatch, name, variant):
+    # Deciding on the two rescored rows decides as the planner grid's
+    # costs[best] would: the best candidate's rescored row starts with the
+    # grid's row best, bit for bit, and reduces to costs[best]. A cheaper
+    # planner grid (float32, or another integrator) gives this up on purpose.
+    # Fixed-theta variants run two cycles with and without a lookahead, so
+    # a second cycle may plan on the grid the fused call rolled ahead;
+    # stein_adaptive runs with the probe of its particles.
+    trial = shipped_trial(name)
+    env = trial.env
+    steps = horizon_steps(trial.horizon_seconds, env.dt)
+    calls = recorded_blocks(monkeypatch)
+    adaptive = variant == "stein_adaptive"
+    carried = 0
+    for seed in range(3):
+        particles = draw_particles(env.theta_lower, env.theta_upper, 3,
+                                   np.random.default_rng(seed))
+        probe = probe_thetas(particles, trial.svgd.fd_epsilon) if adaptive else ()
+        for lookahead, temperature in itertools.product((False,) if adaptive else (False, True),
+                                                        (0.01, 5.0)):
+            objective, grid = shipped_objective(name, variant, seed), None
+            warm = np.random.default_rng(seed).uniform(
+                env.control_lower, env.control_upper, size=(steps, env.control_dim))
+            cfg = MppiConfig(samples=16, temperature=temperature, noise_fraction=0.3)
+            for k in range(2):
+                def reach(plan, x0=objective.x0):
+                    return rk4_step(env, x0, plan[0], env.theta_true)
+
+                first = len(calls)
+                plan, _, _, ahead = mppi_solve(
+                    env, warm, objective, cfg, np.random.default_rng(seed + k), probe,
+                    grid=grid, lookahead=(reach, np.random.default_rng(seed + k + 1))
+                    if lookahead else None)
+                matrix = calls[first][1][0] if grid is None else grid[1]
+                rows = calls[-1][1][0][:, :matrix.shape[1]]
+                costs = objective.reduce(matrix)
+                best = int(np.argmin(np.where(np.isfinite(costs), costs, np.inf)))
+                assert rows[1].tobytes() == matrix[best].tobytes()
+                assert objective.reduce(rows)[1].tobytes() == costs[best].tobytes()
+                carried += grid is not None
+                objective, grid = ahead if ahead is not None else (objective.at(reach(plan)), None)
+                warm = shift_warm_start(plan)
+    assert carried > 0 or adaptive
 
 
 def test_mppi_single_sample_returns_clamped_warm_plan():
