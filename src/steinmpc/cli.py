@@ -20,7 +20,9 @@ default and every command-line override (``--seed``, ``--seeds``, ``--jobs``)
 filled in, and exits; it makes no ``--out`` directory and writes no file.
 The printed document is a config file: the same subcommand run on it without
 those flags runs the same trials, and each sweep setting is built from it with
-its one key replaced. Every setting's files carry the config file's ``config_hash``.
+its one key replaced. Every command reads a batch's seeds and workers from the
+``batch`` section of its resolved document. Every setting's files carry the
+config file's ``config_hash``.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _write_trial_outputs(out_dir, result, doc_hash):
                        summary_record(result, doc_hash, __version__))
 
 
-def cmd_run(args, trial, batch, resolved, doc_hash) -> int:
+def cmd_run(args, trial, resolved, doc_hash) -> int:
     result = run_trial(trial)
     _write_trial_outputs(args.out, result, doc_hash)
     write_timing_json(os.path.join(args.out, "timing.json"),
@@ -90,15 +92,16 @@ def _run_one_batch(trial, seeds, jobs, out_dir, doc_hash, label):
     return results, timing
 
 
-def cmd_batch(args, trial, batch, resolved, doc_hash) -> int:
+def cmd_batch(args, trial, resolved, doc_hash) -> int:
+    batch = resolved["batch"]
     results, timing = _run_one_batch(
-        trial, batch.seeds, batch.jobs, args.out, doc_hash, trial.controller.variant)
+        trial, batch["seeds"], batch["jobs"], args.out, doc_hash, trial.controller.variant)
     row = aggregate_row(trial.controller.variant, trial.env.name, results)
     write_aggregate_csv(os.path.join(args.out, "aggregate.csv"), [row])
     write_timing_json(os.path.join(args.out, "timing.json"), timing)
     success_pct, _, _ = batch_summary(results)
     print(f"{trial.controller.variant} on {trial.env.name}: "
-          f"{format_float(success_pct)}% success over {len(batch.seeds)} seeds")
+          f"{format_float(success_pct)}% success over {len(batch['seeds'])} seeds")
     return 0
 
 
@@ -133,24 +136,26 @@ def _make_dirs(*paths):
 def _sweep(args, resolved, doc_hash, key, settings):
     """Run the batch of each ``(label, value)`` setting into ``args.out/<label>``.
 
-    A setting is ``resolved`` with its dotted ``section.key`` set to ``value``.
-    Builds every setting and makes its directory before the first trial, then
-    yields ``(label, trial, results)`` per setting; writes ``timing.json`` last.
+    A setting is ``resolved`` with its dotted ``section.key`` set to ``value``,
+    and runs the seeds and jobs of its own resolved ``batch``. Builds every
+    setting and makes its directory before the first trial, then yields
+    ``(label, trial, results)`` per setting; writes ``timing.json`` last.
     """
     section, field = key.split(".")
     built = [(label, *resolve_config({**resolved, section: {**resolved[section], field: value}},
-                                     env_name=args.env_name)[:2]) for label, value in settings]
+                                     env_name=args.env_name)) for label, value in settings]
     _make_dirs(*(os.path.join(args.out, label) for label, _ in settings))
     timing = {}
-    for label, trial, batch in built:
-        sub_dir = os.path.join(args.out, label)
-        results, t = _run_one_batch(trial, batch.seeds, batch.jobs, sub_dir, doc_hash, label)
+    for label, trial, setting in built:
+        batch = setting["batch"]
+        results, t = _run_one_batch(trial, batch["seeds"], batch["jobs"],
+                                    os.path.join(args.out, label), doc_hash, label)
         timing.update(t)
         yield label, trial, results
     write_timing_json(os.path.join(args.out, "timing.json"), timing)
 
 
-def cmd_ablate_kernels(args, trial, batch, resolved, doc_hash) -> int:
+def cmd_ablate_kernels(args, trial, resolved, doc_hash) -> int:
     rows = []
     for name, trial, results in _sweep(args, resolved, doc_hash, "svgd.kernel",
                                        [(name, {"type": name}) for name in KERNELS]):
@@ -162,7 +167,7 @@ def cmd_ablate_kernels(args, trial, batch, resolved, doc_hash) -> int:
     return 0
 
 
-def cmd_race_progress(args, trial, batch, resolved, doc_hash) -> int:
+def cmd_race_progress(args, trial, resolved, doc_hash) -> int:
     best_laps = {}
     for variant, trial, results in _sweep(args, resolved, doc_hash, "controller.variant",
                                           [(variant, variant) for variant in VARIANTS]):
@@ -223,14 +228,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = load_config(args.config)
-        trial, batch, resolved = resolve_config(
+        trial, resolved = resolve_config(
             doc, seed=getattr(args, "seed", None), seed_count=getattr(args, "seeds", None),
             jobs=getattr(args, "jobs", None), env_name=args.env_name)
         if args.config_dump:
             sys.stdout.write(serialize_config(resolved))
             return 0
         _make_dirs(args.out)
-        return args.func(args, trial, batch, resolved, config_hash(doc))
+        return args.func(args, trial, resolved, config_hash(doc))
     except ConfigError as exc:
         print(f"config error at {exc.field}: {exc.args[0].split(': ', 1)[-1]}",
               file=sys.stderr)

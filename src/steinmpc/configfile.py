@@ -25,6 +25,8 @@ key the document omits to the class's default and records it as the built
 object has it. Env keys default to the ``EnvModel`` that the factory returns.
 The harness section builds the trial, a ``TrialConfig``: its keys are the
 trial's fields that name no section, less the seed, which is the batch's first.
+The batch section builds no object: its ``seeds`` and ``jobs`` live only in the
+resolved document's ``batch`` section, which the commands read.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .track import CenterlineReference, StadiumTrack
 
 __all__ = [
     "ConfigError",
-    "BatchSettings",
     "KERNELS",
     "parse_config",
     "serialize_config",
@@ -88,14 +89,6 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchSettings:
-    """Seed schedule and parallelism for a batch run."""
-
-    seeds: tuple
-    jobs: int = 1
 
 
 def _require_mapping(value, path):
@@ -382,7 +375,7 @@ def _build_mppi(root, env):
     }, required=_fields(MppiConfig))
 
 
-def _build_trial(root, env, batch):
+def _build_trial(root, env, seed):
     """The trial; the harness keys are its fields that name no section, less the seed."""
     section = root.section("harness", tuple(key for key in _fields(TrialConfig)
                                             if key not in (*_SECTIONS, "seed")), required=True)
@@ -400,7 +393,7 @@ def _build_trial(root, env, batch):
     }, required=("duration", "horizon_seconds", "x0"),
         env=env, cost=_build_cost(root, env, track), track=track, success=success,
         controller=_build_controller(root, env), svgd=_build_svgd(root),
-        mppi=_build_mppi(root, env), seed=batch.seeds[0])
+        mppi=_build_mppi(root, env), seed=seed)
 
 
 def _seed_range(first, count, path):
@@ -411,6 +404,7 @@ def _seed_range(first, count, path):
 
 
 def _build_batch(root, seed, seed_count, jobs):
+    """Record the batch's ``seeds`` (a list) and ``jobs``; returns its first seed."""
     section = root.section("batch", ("seeds", "base_seed", "jobs"))
     seeds_path = f"{section.path}.seeds"
     if jobs is not None:
@@ -433,10 +427,10 @@ def _build_batch(root, seed, seed_count, jobs):
     if seed_count is not None:
         seeds = _seed_range(seeds[0], seed_count, seeds_path)
     section.values["seeds"] = list(seeds)
-    jobs = section.read("jobs", _as_int, 1, default=BatchSettings.jobs)
+    jobs = section.read("jobs", _as_int, 1, default=1)
     if jobs > MAX_JOBS:
         raise ConfigError(f"{section.path}.jobs", f"must be <= {MAX_JOBS}, got {jobs}")
-    return _built(section.path, BatchSettings, seeds=seeds, jobs=jobs)
+    return seeds[0]
 
 
 def _check_memory(trial):
@@ -473,29 +467,25 @@ def _check_memory(trial):
 
 def resolve_config(doc: dict, seed: int | None = None, seed_count: int | None = None,
                    jobs: int | None = None, env_name: str | None = None):
-    """Build a document; returns (TrialConfig, BatchSettings, resolved document).
+    """Build a document; returns (TrialConfig, resolved document).
 
     The keywords are the command line's overrides: ``seed`` makes the batch
     that one seed, ``seed_count`` makes it that many seeds from its first,
     ``jobs`` replaces batch.jobs, and ``env_name`` rejects other environments.
     The resolved document carries them, so it builds the same trial and batch.
+    Its ``batch`` section is the one record of the batch: ``seeds``, a list
+    whose first is the trial's seed, and ``jobs``.
     A trial whose arrays would exceed ``MAX_TRIAL_BYTES`` is rejected here,
     before anything is allocated.
     """
     root = _Section(doc, "<document>", _SECTIONS)
     env = _build_env(root, env_name)
-    batch = _build_batch(root, seed, seed_count, jobs)
-    trial = _build_trial(root, env, batch)
+    first_seed = _build_batch(root, seed, seed_count, jobs)
+    trial = _build_trial(root, env, first_seed)
     _check_memory(trial)
-    return trial, batch, root.resolved()
+    return trial, root.resolved()
 
 
-def build_trial_config(doc: dict, seed: int | None = None):
-    """Materialize a document into a TrialConfig plus batch settings.
-
-    Returns (TrialConfig, BatchSettings); ``seed``, when given, is the
-    trial's seed and the batch's only seed.
-    """
-    trial, batch, _ = resolve_config(doc, seed=seed)
-    return trial, batch
+# the older name of ``resolve_config``, which ``bench/workloads.py`` calls
+build_trial_config = resolve_config
 

@@ -21,7 +21,6 @@ from steinmpc.configfile import (
     KERNELS,
     MAX_JOBS,
     MAX_SEEDS,
-    BatchSettings,
     ConfigError,
     build_trial_config,
     config_hash,
@@ -69,12 +68,12 @@ def error_field(doc):
 
 
 def test_minimal_document_builds():
-    trial, batch = build_trial_config(minimal_doc())
+    trial, resolved = build_trial_config(minimal_doc())
     assert trial.env.name == "cartpole"
     assert trial.controller.variant == "nominal"
     assert trial.n_particles == 5
     assert trial.seed == 0
-    assert batch == BatchSettings(seeds=(0,), jobs=1)
+    assert resolved["batch"] == {"seeds": [0], "jobs": 1}
     assert isinstance(trial.svgd.kernel, RbfKernel)
     assert isinstance(trial.success, CartpoleSuccess)
 
@@ -386,11 +385,11 @@ def test_every_invalid_override_exits_2_at_its_field(command, flags, field, tmp_
 def test_batch_caps_are_inclusive():
     doc = minimal_doc()
     doc["batch"] = {"seeds": MAX_SEEDS, "base_seed": 5, "jobs": MAX_JOBS}
-    _, batch, _ = resolve_config(doc)
-    assert batch.seeds == tuple(range(5, 5 + MAX_SEEDS))
-    assert batch.jobs == MAX_JOBS
-    _, batch, _ = resolve_config(minimal_doc(), seed_count=MAX_SEEDS, jobs=MAX_JOBS)
-    assert (len(batch.seeds), batch.jobs) == (MAX_SEEDS, MAX_JOBS)
+    batch = resolve_config(doc)[1]["batch"]
+    assert batch["seeds"] == list(range(5, 5 + MAX_SEEDS))
+    assert batch["jobs"] == MAX_JOBS
+    batch = resolve_config(minimal_doc(), seed_count=MAX_SEEDS, jobs=MAX_JOBS)[1]["batch"]
+    assert (len(batch["seeds"]), batch["jobs"]) == (MAX_SEEDS, MAX_JOBS)
 
 
 def test_weight_vector_becomes_diagonal():
@@ -536,16 +535,16 @@ def test_controller_section():
 def test_batch_seed_forms():
     doc = minimal_doc()
     doc["batch"] = {"seeds": 4}
-    _, batch = build_trial_config(doc)
-    assert batch.seeds == (0, 1, 2, 3)
+    _, resolved = build_trial_config(doc)
+    assert resolved["batch"]["seeds"] == [0, 1, 2, 3]
 
     doc["batch"] = {"seeds": 3, "base_seed": 10}
-    _, batch = build_trial_config(doc)
-    assert batch.seeds == (10, 11, 12)
+    _, resolved = build_trial_config(doc)
+    assert resolved["batch"]["seeds"] == [10, 11, 12]
 
     doc["batch"] = {"seeds": [5, 9, 2]}
-    _, batch = build_trial_config(doc)
-    assert batch.seeds == (5, 9, 2)
+    _, resolved = build_trial_config(doc)
+    assert resolved["batch"]["seeds"] == [5, 9, 2]
 
     doc["batch"] = {"seeds": [], "jobs": 2}
     assert error_field(doc) == "batch.seeds"
@@ -575,9 +574,9 @@ def test_resolve_seeds():
     # a seed count rebases the batch's seeds on its first
     doc = minimal_doc()
     doc["batch"] = {"seeds": [3, 4, 5]}
-    assert resolve_config(doc, seed_count=None)[1].seeds == (3, 4, 5)
-    assert resolve_config(doc, seed_count=2)[1].seeds == (3, 4)
-    assert resolve_config(doc, seed_count=5)[1].seeds == (3, 4, 5, 6, 7)
+    assert resolve_config(doc, seed_count=None)[1]["batch"]["seeds"] == [3, 4, 5]
+    assert resolve_config(doc, seed_count=2)[1]["batch"]["seeds"] == [3, 4]
+    assert resolve_config(doc, seed_count=5)[1]["batch"]["seeds"] == [3, 4, 5, 6, 7]
     with pytest.raises(ConfigError):
         resolve_config(doc, seed_count=0)
 
@@ -635,8 +634,8 @@ def test_shipped_reference_configs_build():
     assert len(paths) == 4
     built = {}
     for path in paths:
-        trial, batch = build_trial_config(load_config(path))
-        built[os.path.basename(path)] = (trial, batch)
+        trial, resolved = build_trial_config(load_config(path))
+        built[os.path.basename(path)] = (trial, resolved["batch"])
 
     cartpole, cartpole_batch = built["cartpole.yaml"]
     assert cartpole.env.name == "cartpole"
@@ -644,7 +643,7 @@ def test_shipped_reference_configs_build():
     assert cartpole.controller.gamma == 0.5
     assert cartpole.svgd.step_size == 0.001
     assert cartpole.n_particles == 5
-    assert len(cartpole_batch.seeds) == 32
+    assert len(cartpole_batch["seeds"]) == 32
 
     rocket, rocket_batch = built["rocket.yaml"]
     assert rocket.env.name == "rocket2d"
@@ -652,11 +651,11 @@ def test_shipped_reference_configs_build():
     assert rocket.horizon_seconds == 0.15
     # a per-channel noise list is held as a tuple; the resolved document keeps the list
     assert rocket.mppi.noise_fraction == (0.3, 0.04)
-    assert len(rocket_batch.seeds) == 32
+    assert len(rocket_batch["seeds"]) == 32
 
     ablation, ablation_batch = built["kernel_ablation.yaml"]
     assert ablation.env.name == "rocket2d"
-    assert len(ablation_batch.seeds) == 20
+    assert len(ablation_batch["seeds"]) == 20
 
     racing, racing_batch = built["racing.yaml"]
     assert racing.env.name == "racecar"
@@ -667,7 +666,7 @@ def test_shipped_reference_configs_build():
     assert racing.svgd.step_size == 0.01
     assert racing.controller.risk_lambda == 0.5
     assert isinstance(racing.cost.extra_terminal, InverseDisplacementReward)
-    assert len(racing_batch.seeds) == 16
+    assert len(racing_batch["seeds"]) == 16
 
 
 @pytest.mark.parametrize("name", ["cartpole", "kernel_ablation", "racing", "rocket"])
@@ -798,7 +797,7 @@ def documents(draw):
 @given(doc=documents())
 def test_resolving_a_document_is_a_fixed_point(doc):
     assert config_hash(parse_config(serialize_config(doc))) == config_hash(doc)
-    trial, batch, resolved = resolve_config(doc)
+    trial, resolved = resolve_config(doc)
     assert list(resolved) == ["env", "cost", "controller", "svgd", "mppi", "harness", "batch"]
     # a section built from one class has that class's fields as its keys, in order
     kernel = dict(resolved["svgd"]["kernel"])
@@ -818,12 +817,30 @@ def test_resolving_a_document_is_a_fixed_point(doc):
     again = parse_config(serialize_config(resolved))
     assert again == resolved
     assert config_hash(again) == config_hash(resolved)
-    assert serialize_config(resolve_config(resolved)[2]) == serialize_config(resolved)
-    trial_again, batch_again, resolved_again = resolve_config(again)
+    assert serialize_config(resolve_config(resolved)[1]) == serialize_config(resolved)
+    trial_again, resolved_again = resolve_config(again)
     assert serialize_config(resolved_again) == serialize_config(resolved)
     # and the resolved document builds the trial the original one built
-    assert batch_again == batch
+    assert resolved_again["batch"] == resolved["batch"]
     _assert_same_trial(trial_again, trial)
+
+
+@given(doc=documents(), seed=st.none() | st.integers(0, 10**6),
+       seed_count=st.none() | st.integers(1, MAX_SEEDS), jobs=st.none() | st.integers(1, MAX_JOBS))
+def test_the_batch_overrides_are_a_fixed_point(doc, seed, seed_count, jobs):
+    # the resolved batch carries the command line's overrides, so it needs none to rebuild
+    trial, resolved = resolve_config(doc, seed=seed, seed_count=seed_count, jobs=jobs)
+    batch = resolved["batch"]
+    assert trial.seed == batch["seeds"][0]
+    if seed is not None:
+        assert batch["seeds"][0] == seed
+    if seed_count is not None:
+        assert len(batch["seeds"]) == seed_count
+    if jobs is not None:
+        assert batch["jobs"] == jobs
+    trial_again, resolved_again = resolve_config(resolved)
+    assert resolved_again["batch"] == batch
+    assert trial_again.seed == trial.seed
 
 
 def _assert_same_trial(got, expected):
@@ -860,7 +877,8 @@ SWEEPS = [
 
 @given(doc=documents())
 def test_a_sweep_builds_the_trials_the_replaced_objects_built(doc):
-    trial, batch, resolved = resolve_config(doc)
+    trial, resolved = resolve_config(doc)
+    batch = resolved["batch"]
     runs = {}
 
     def record(trial, seeds, jobs, out_dir, doc_hash, label):
@@ -875,7 +893,7 @@ def test_a_sweep_builds_the_trials_the_replaced_objects_built(doc):
                      for label, got, _ in cli._sweep(args, resolved, "", key, settings)]
             assert [label for label, _ in swept] == [label for label, _ in settings]
             for label, got in swept:
-                assert runs[label][1:] == (batch.seeds, batch.jobs, label)
+                assert runs[label][1:] == (batch["seeds"], batch["jobs"], label)
                 assert runs[label][0] is got
                 _assert_same_trial(got, replaced(trial, label))
 
@@ -890,7 +908,7 @@ def test_every_generated_document_runs_a_short_closed_loop(doc):
     harness["duration"] = 3 * dt
     harness["horizon_seconds"] = min(round(harness["horizon_seconds"] / dt), 20) * dt
     doc["mppi"]["samples"] = min(doc["mppi"]["samples"], 16)
-    trial, _, _ = resolve_config(doc)
+    trial, _ = resolve_config(doc)
     result, again = run_trial(trial), run_trial(trial)
 
     assert result.terminal_reason in ("success", "timeout", "solver_failure", "inference_failure")
