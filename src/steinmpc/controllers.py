@@ -277,22 +277,22 @@ class PlanObjective:
 
 def rollout_blocks(blocks) -> list:
     """Each ``(objective, plans, probe)`` block's ``cost_matrix``, from one
-    ``rollout_cost_batch`` call: one block keeps its shared start state and
-    references, several stack them per plan and must share a spec, env,
-    horizon and theta bytes (thetas, then probe), else ``ValueError``."""
+    ``rollout_cost_batch`` call: each block's start state and references are
+    one row, repeated per plan when there are two or more blocks, and the
+    blocks must share a spec, env, horizon and theta bytes (thetas, then
+    probe), else ``ValueError``."""
     objectives, plans, probes = zip(*blocks)
     first, steps = objectives[0], np.shape(plans[0])[-2]
     thetas = np.concatenate([first.thetas, np.reshape(probes[0], (-1, first.thetas.shape[1]))])
-    if len(blocks) == 1:
-        return [rollout_cost_batch(first.spec, first.env, first.x0, plans[0], thetas,
-                                   refs=first.references(steps))]
-    if any(o.spec is not first.spec or o.env is not first.env
+    if any(o.spec is not first.spec or o.env is not first.env or np.shape(p)[-2] != steps
            or o.thetas.tobytes() + np.asarray(b, float).tobytes() != thetas.tobytes()
-           for o, b in zip(objectives, probes)):
+           for o, p, b in zip(objectives, plans, probes)):
         raise ValueError("blocks must share a spec, env, horizon and theta bytes")
     counts = [len(p) for p in plans]
-    x0 = np.repeat(np.stack([o.x0 for o in objectives]), counts, axis=0)
-    refs = np.repeat(np.stack([o.references(steps) for o in objectives]), counts, axis=0)
+    x0 = np.array([o.x0 for o in objectives])
+    refs = np.array([o.references(steps) for o in objectives])
+    if len(blocks) > 1:
+        x0, refs = np.repeat(x0, counts, axis=0), np.repeat(refs, counts, axis=0)
     grid = rollout_cost_batch(first.spec, first.env, x0, np.concatenate(plans), thetas, refs=refs)
     return [grid[sum(counts[:i]):sum(counts[:i + 1])] for i in range(len(counts))]
 

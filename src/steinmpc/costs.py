@@ -15,11 +15,12 @@ to the same floats.
 Every entry of the (C, P) grid depends only on its own (plan, parameter) pair
 and that plan's start state and reference states, so a caller that has the
 grid never needs to roll a pair out again: the plan objectives keep it as
-their ``cost_matrix`` and reduce it to one value per plan. A call may give
-each plan its own start state and reference states, and each entry is then
-the bytes of its plan's rollout from a start state of its own; that is how a
-cycle's rescore and the next cycle's planner grid share one call, two blocks
-of ``controllers.rollout_blocks``. For the same reason a rollout integrates each
+their ``cost_matrix`` and reduce it to one value per plan. A call's start
+states are rows, each with its reference states: one row that every plan
+shares, or one row per plan. Each entry is the bytes of its pair's rollout
+from its plan's row in a call of that row alone; that is how a cycle's
+rescore and the next cycle's planner grid share one call, two blocks of
+``controllers.rollout_blocks``. For the same reason a rollout integrates each
 distinct theta row once, rows compared by their bytes, and gathers the (C, P)
 grid back through the inverse index: a collapsed particle set, whose rows
 repeat, costs the rollout of its distinct rows only, with the same floats.
@@ -32,7 +33,9 @@ them, and a caller that scores several grids from one start state passes
 them as ``refs`` instead of having each call resolve them again.
 
 Inside a rollout every array is component-first, as the derivatives take
-them (see ``dynamics``): the state is one (n, C, P) array, the parameters are
+them (see ``dynamics``): the R start rows are one (n, R, 1) array and their
+references one contiguous (H + 1, n, R, 1) array, R = 1 broadcasting over
+the C plans, the state is one (n, C, P) array, the parameters are
 broadcast once per call to (p, C, P), and each step's controls are copied
 into one reused (m, C, P) buffer, so every elementwise operation runs as one
 contiguous loop with no broadcasting. Each step binds the derivative to that
@@ -187,9 +190,9 @@ class CostSpec:
         extra_terminal: optional terminal term whose
             ``batch(x_T, theta, x0)`` is added to the terminal cost. Its
             arguments are component-first: x_T (n, C, P) and theta (p, C, P)
-            over the (plan, parameter) grid, and x0 (n, 1, 1), or (n, C, 1)
-            when each plan has its own start state; it returns the (C, P)
-            grid of values.
+            over the (plan, parameter) grid, and x0 the (n, R, 1) start rows,
+            R = 1 for a start state every plan shares and R = C for one per
+            plan; it returns the (C, P) grid of values.
     """
 
     Q: np.ndarray
@@ -264,20 +267,20 @@ def _quad(e: np.ndarray, terms) -> np.ndarray:
 
 
 def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=None) -> np.ndarray:
-    """Costs of every (plan, parameter) pair, from one start state or one per plan.
+    """Costs of every (plan, parameter) pair, from start rows: one shared or one per plan.
 
     Args:
         spec: cost specification.
         env: dynamics model; supplies the integrator step and bounds.
-        x0: (n,) start state shared by all rollouts, or (C, n), plan i's
-            start state in row i.
-        plans: (C, H, m) stack of candidate plans (a single (H, m) plan is
-            promoted to C = 1).
+        x0: (R, n) start rows, R = 1 for a start state every plan shares
+            (an (n,) state is that one row) or R = C for plan i's in row i.
+        plans: (C, H, m) stack of candidate plans.
         thetas: (P, p) stack of parameter vectors (a single vector is
             promoted to P = 1).
-        refs: (H + 1, n) reference states, as ``spec.references(env, x0, H)``
-            returns them, or with a (C, n) ``x0`` the (C, H + 1, n) stack of
-            each plan's own; resolved here when None.
+        refs: each start row's (H + 1, n) reference states, as
+            ``spec.references(env, row, H)`` returns them, stacked to
+            (R, H + 1, n) (one row's may be given unstacked); resolved here
+            when None.
 
     Returns:
         (C, P) array of total trajectory costs, in the rollout's dtype: the
@@ -286,10 +289,8 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         form and the extra terminal term.
     """
     plans = np.asarray(plans, dtype=float)
-    if plans.ndim == 2:
-        plans = plans[None]
     dtype = np.result_type(np.asarray(x0), np.asarray(thetas), 1.0)  # float64 for integers
-    x0, thetas = np.asarray(x0, dtype), np.atleast_2d(np.asarray(thetas, dtype))
+    x0, thetas = np.atleast_2d(np.asarray(x0, dtype)), np.atleast_2d(np.asarray(thetas, dtype))
     n_cand, steps, m = plans.shape
     inverse = None
     if thetas.shape[0] > 1:
@@ -302,18 +303,14 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
             thetas = thetas[first]
     grid = (n_cand, thetas.shape[0])
 
-    # Component-first: a shared start state and its references broadcast as
-    # (n, 1, 1) over the grid, and per-plan ones as (n, C, 1), made
-    # contiguous once so that no step reads them strided.
-    if x0.ndim == 1:
-        if refs is None:
-            refs = spec.references(env, x0, steps)
-        start, refs = x0[:, None, None], np.asarray(refs, dtype)[:, :, None, None]
-    else:
-        if refs is None:
-            refs = np.stack([spec.references(env, row, steps) for row in x0])
-        start = x0.T[:, :, None]
-        refs = np.ascontiguousarray(np.asarray(refs, dtype).transpose(1, 2, 0))[..., None]
+    # Component-first: the R start rows and their references as (n, R, 1) and
+    # (H + 1, n, R, 1), R = 1 broadcasting over the grid's plans, the
+    # references made contiguous once so that no step reads them strided.
+    if refs is None:
+        refs = [spec.references(env, row, steps) for row in x0]
+    start = x0.T[:, :, None]
+    refs = np.asarray(refs, dtype).reshape(len(x0), steps + 1, x0.shape[1])
+    refs = np.ascontiguousarray(refs.transpose(1, 2, 0))[..., None]
     # Controls and their cost do not depend on the state: one pass for all
     # steps, over one contiguous component-first (m, H, C) copy of the plans,
     # clipped in place.

@@ -83,13 +83,13 @@ def objective(variant, plan, ps, spec=DRIFT_SPEC, **weights):
 def test_stage_cost_quadratic_form():
     # Q_f = 0 leaves the one stage term of a one-step rollout
     spec = CostSpec(Q=np.diag([2.0, 3.0]), R=[[4.0]], Q_f=np.zeros((2, 2)), x_des=np.zeros(2))
-    cost = rollout_cost_batch(spec, STILL, [1.0, 2.0], [[0.5]], [1.0])[0, 0]
+    cost = rollout_cost_batch(spec, STILL, [1.0, 2.0], [[[0.5]]], [1.0])[0, 0]
     assert cost == pytest.approx(15.0)
 
 
 def test_stage_cost_zero_at_goal_with_zero_control():
     spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_f=np.eye(2), x_des=[1.0, -1.0])
-    assert rollout_cost_batch(spec, STILL, [1.0, -1.0], [[0.0]], [1.0])[0, 0] == 0.0
+    assert rollout_cost_batch(spec, STILL, [1.0, -1.0], [[[0.0]]], [1.0])[0, 0] == 0.0
 
 
 class SevenBonus:
@@ -101,7 +101,7 @@ def test_terminal_cost_adds_extra_term():
     # a zero-step plan leaves the terminal cost at x0 alone
     spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_f=2.0 * np.eye(2), x_des=np.zeros(2),
                     extra_terminal=SevenBonus())
-    cost = rollout_cost_batch(spec, STILL, [1.0, 0.0], np.zeros((0, 1)), [1.0])[0, 0]
+    cost = rollout_cost_batch(spec, STILL, [1.0, 0.0], np.zeros((1, 0, 1)), [1.0])[0, 0]
     assert cost == pytest.approx(9.0)
 
 
@@ -125,7 +125,6 @@ def test_one_by_one_rollout_ignores_dead_parameters():
 
 def test_rollout_grid_matches_its_one_by_one_entries():
     rng = np.random.default_rng(3)
-    spec = CostSpec(Q=[[1.0]], R=[[0.2]], Q_f=[[2.0]], x_des=[0.0])
     plans = rng.uniform(-1, 1, size=(4, 3, 1))
     thetas = rng.uniform(0.0, 3.0, size=(5, 1))
     grid = rollout_cost_batch(DRIFT_SPEC, DRIFT, [0.0], plans, thetas)
@@ -135,9 +134,6 @@ def test_rollout_grid_matches_its_one_by_one_entries():
             direct = rollout_cost_batch(DRIFT_SPEC, DRIFT, [0.0], plans[i][None],
                                         thetas[j][None])[0, 0]
             assert grid[i, j] == pytest.approx(direct, rel=1e-12)
-    # a lone plan is promoted to a 1-row grid
-    single = rollout_cost_batch(spec, DECAY, [1.0], plans[0], thetas[:2])
-    assert single.shape == (1, 2)
 
 
 def test_rollout_clamps_plans_to_actuator_limits():
@@ -424,6 +420,15 @@ def test_batched_rollout_entries_equal_single_pair_costs(name, shape, data):
     refs = spec.references(env, x0, steps)
     assert refs.shape == (steps + 1, env.state_dim)
     assert rollout_cost_batch(spec, env, x0, plans, thetas, refs=refs).tobytes() == grid.tobytes()
+    # A shared start state is one start row: the (n,) state, its (1, n) row
+    # and the row repeated for every plan give the same bytes, with their
+    # references resolved in the call or given.
+    rows = np.repeat(x0[None], n_cand, axis=0)
+    for starts, given in ((x0[None], refs[None]), (x0[None], refs),
+                          (rows, np.repeat(refs[None], n_cand, axis=0))):
+        for stack in (None, given):
+            again = rollout_cost_batch(spec, env, starts, plans, thetas, refs=stack)
+            assert again.tobytes() == grid.tobytes()
     for i in range(n_cand):
         for j in range(n_par):
             assert grid[i, j] == rollout_cost_batch(spec, env, x0, plans[i][None],
@@ -453,7 +458,8 @@ def test_each_plan_block_gets_the_bytes_of_its_own_start_state(name, shape, prob
     # distinct-row path runs. On racing the starts sit apart on the track,
     # so they track different centerline points, and the inverse-displacement
     # terminal reads each block's own start. Blocks whose thetas differ, by
-    # one bit or by a probe row, do not share a call.
+    # one bit or by a probe row, or whose plans have another horizon, do not
+    # share a call.
     trial = SHIPPED[name]
     env, spec = trial.env, trial.cost
     n_blocks, most, n_distinct, steps = shape
@@ -497,7 +503,8 @@ def test_each_plan_block_gets_the_bytes_of_its_own_start_state(name, shape, prob
         first = blocks[0]
         for other in ((PlanObjective(spec, env, starts[-1], nudged, None), first[1], shared),
                       (objectives[-1], first[1], np.concatenate([columns[len(thetas):],
-                                                                 pool[:1]]))):
+                                                                 pool[:1]])),
+                      (objectives[-1], np.zeros((1, steps + 1, env.control_dim)), shared)):
             with pytest.raises(ValueError, match="theta bytes"):
                 rollout_blocks([first, other])
 
