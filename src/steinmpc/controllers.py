@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .costs import CostSpec, rollout_cost_batch
-from .dynamics import EnvModel
+from .dynamics import EnvModel, _check_ranges
 from .inference import particle_mean
 
 __all__ = [
@@ -64,8 +64,7 @@ class MppiConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        _check_ranges(self, temperature="positive")
         if isinstance(self.noise_fraction, list):
             object.__setattr__(self, "noise_fraction", tuple(self.noise_fraction))
         noise = np.asarray(self.noise_fraction, dtype=float)
@@ -215,12 +214,9 @@ class ControllerSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not 0 <= self.gamma < np.inf:
-            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        if self.risk_lambda is not None and not 0 < self.risk_lambda < np.inf:
-            raise ValueError(f"risk_lambda must be positive and finite, got {self.risk_lambda}")
-        if not 0 <= self.risk_epsilon < np.inf:
-            raise ValueError(f"risk_epsilon must be nonnegative and finite, got {self.risk_epsilon}")
+        # an unset risk_lambda is the harness's to calibrate
+        lam = {} if self.risk_lambda is None else {"risk_lambda": "positive"}
+        _check_ranges(self, gamma="nonnegative", **lam, risk_epsilon="nonnegative")
         if self.nominal_theta is not None:
             object.__setattr__(
                 self, "nominal_theta", np.asarray(self.nominal_theta, dtype=float)
@@ -242,11 +238,10 @@ class PlanObjective:
     (P, p) parameter stack ``thetas``, followed by an optional (B, p)
     ``probe`` stack, and returns the (C, P + B) cost grid, the one-block case
     of ``rollout_blocks``; ``reduce`` turns a (C, P) grid into the (C,)
-    objective values. Calling the objective scores one plan. The (H + 1, n)
-    reference states are resolved once, on the first call that needs them,
-    and kept in ``refs`` for later calls with the same horizon; ``at``
-    gives the same objective from another start state, whose references are
-    resolved again.
+    objective values. The (H + 1, n) reference states are resolved once, on
+    the first call that needs them, and kept in ``refs`` for later calls with
+    the same horizon; ``at`` gives the same objective from another start
+    state, whose references are resolved again.
 
     The variants differ only in ``thetas`` and ``reduce``, and
     ``build_objective`` is the one place that chooses them.
@@ -270,9 +265,6 @@ class PlanObjective:
 
     def cost_matrix(self, plans, probe=()) -> np.ndarray:
         return rollout_blocks([(self, plans, probe)])[0]
-
-    def __call__(self, plan) -> float:
-        return float(self.reduce(self.cost_matrix(np.asarray(plan, float)[None]))[0])
 
 
 def rollout_blocks(blocks) -> list:

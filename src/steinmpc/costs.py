@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GRAVITY, EnvModel, _rk4
+from .dynamics import GRAVITY, EnvModel, _check_ranges, _rk4
 
 __all__ = [
     "CostSpec",
@@ -137,9 +137,8 @@ class InverseDisplacementReward:
         self.weights = np.asarray(weights, dtype=float)
         if not np.all((0 <= self.weights) & (self.weights < np.inf)):
             raise ValueError("weights must be nonnegative and finite")
-        if not 0 < epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self.epsilon = epsilon
+        _check_ranges(self, epsilon="positive")
 
     def batch(self, x_terminal, theta, x0) -> np.ndarray:
         disp = np.abs(x_terminal - x0)
@@ -161,8 +160,8 @@ class UprightEnergyPenalty:
     """
 
     def __init__(self, weight: float):
-        if not 0 <= weight < np.inf:
-            raise ValueError(f"weight must be nonnegative and finite, got {weight}")
+        self.weight = weight
+        _check_ranges(self, weight="nonnegative")
         self.weight = float(weight)
 
     def batch(self, x_terminal, theta, x0) -> np.ndarray:

@@ -22,6 +22,7 @@ bounds with ``dataclasses.replace``, which runs ``EnvModel``'s checks again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -91,8 +92,7 @@ class EnvModel:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _check_ranges(self, dt="positive")
         if self.control_lower.shape != (self.control_dim,) or self.control_upper.shape != (
             self.control_dim,
         ):
@@ -274,6 +274,24 @@ def _rk4(f, dt: float, x) -> np.ndarray:
     k2 *= dt / 6.0
     k2 += x
     return k2
+
+
+_RANGES = {
+    "real": math.isfinite,
+    "nonnegative": lambda value: 0 <= value < math.inf,
+    "positive": lambda value: 0 < value < math.inf,
+}
+
+
+def _check_ranges(obj, **rules):
+    """The range rule of every settings class: each named attribute of ``obj``
+    is finite and, by its rule, "real" (any sign), "nonnegative" or
+    "positive". The first that is not, in argument order, raises a
+    ValueError whose message starts with its name."""
+    for name, rule in rules.items():
+        value = getattr(obj, name)
+        if not _RANGES[rule](value):
+            raise ValueError(f"{name} must be {rule} and finite, got {value}")
 
 
 def horizon_steps(horizon_seconds: float, dt: float) -> int:

@@ -18,7 +18,7 @@ import pickle
 import signal
 import struct
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .controllers import (
     shift_warm_start,
 )
 from .costs import CostSpec, rollout_cost_batch
-from .dynamics import EnvModel, horizon_steps, rk4_step
+from .dynamics import EnvModel, _check_ranges, horizon_steps, rk4_step
 from .inference import (
     ParticleSet,
     ScoreEvaluationError,
@@ -56,21 +56,6 @@ __all__ = [
 ]
 
 
-def _check_criterion(criterion, targets=()):
-    """Every field of a success criterion is finite: ``targets`` of any sign,
-    ``hold_duration`` nonnegative and the rest, tolerances and laps, positive."""
-    for f in fields(criterion):
-        name, value = f.name, getattr(criterion, f.name)
-        if name in targets:
-            rule, ok = "real", math.isfinite(value)
-        elif name == "hold_duration":
-            rule, ok = "nonnegative", 0 <= value < math.inf
-        else:
-            rule, ok = "positive", 0 < value < math.inf
-        if not ok:
-            raise ValueError(f"{name} must be {rule} and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class CartpoleSuccess:
     """Upright within angle_tol and slower than rate_tol, held continuously."""
@@ -80,7 +65,8 @@ class CartpoleSuccess:
     hold_duration: float = 0.5
 
     def __post_init__(self):
-        _check_criterion(self)
+        _check_ranges(self, angle_tol="positive", rate_tol="positive",
+                      hold_duration="nonnegative")
 
     def satisfied(self, state) -> bool:
         err = (state[1] - math.pi + math.pi) % (2.0 * math.pi) - math.pi
@@ -109,7 +95,8 @@ class RocketSuccess:
     speed_tol: float = 0.2
 
     def __post_init__(self):
-        _check_criterion(self, targets=("x_target", "y_target"))
+        _check_ranges(self, x_target="real", y_target="real", x_tol="positive",
+                      y_tol="positive", angle_tol="positive", speed_tol="positive")
 
     def satisfied(self, state) -> bool:
         speed = math.hypot(state[3], state[4])
@@ -131,7 +118,7 @@ class RaceSuccess:
     laps: float = 1.0
 
     def __post_init__(self):
-        _check_criterion(self)
+        _check_ranges(self, laps="positive")
 
     def reached(self, times, states, progress=None) -> bool:
         """False without progress: a trial off a track completes no lap."""
@@ -176,8 +163,7 @@ class TrialConfig:
             raise ValueError("x0 must be finite")
         if self.n_particles < 1:
             raise ValueError(f"n_particles must be at least 1, got {self.n_particles}")
-        if not 0 <= self.duration < np.inf:
-            raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
+        _check_ranges(self, duration="nonnegative")
         horizon_steps(self.horizon_seconds, self.env.dt)
 
 
@@ -241,7 +227,8 @@ def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerS
 
     Raises:
         SolverFailureError: if the warm start's cost under the nominal
-            parameters is not finite, so there is no scale to calibrate from.
+            parameters, or its tenfold, the temperature, is not finite, so
+            there is no scale to calibrate from.
     """
     controller = config.controller
     if controller.variant != "dro" or controller.risk_lambda is not None:
@@ -249,9 +236,9 @@ def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerS
     nominal = nominal_parameters(controller, config.env)
     cost = rollout_cost_batch(config.cost, config.env, config.x0, warm[None], nominal[None])
     scale = abs(float(cost[0, 0]))
-    if not math.isfinite(scale):
-        raise SolverFailureError(f"warm-start cost {scale} cannot calibrate risk_lambda")
     lam = 10.0 * max(scale, 1e-6)
+    if not math.isfinite(lam):
+        raise SolverFailureError(f"warm-start cost {scale} cannot calibrate risk_lambda")
     return replace(controller, risk_lambda=lam)
 
 
@@ -263,12 +250,12 @@ def run_trial(config: TrialConfig) -> TrialResult:
     plant diverges, "inference_failure" when a gap or a particle's Stein
     drift turns non-finite during the particle update. A dro trial whose
     risk temperature cannot be calibrated, because the warm start's cost
-    under the nominal parameters is not finite, ends as "solver_failure"
-    before its first step, with no logged rows and ``final_state`` equal to
-    ``x0``. The reason is the trial's one outcome: ``success`` holds exactly
-    when it is "success", and ``completion_time`` is then the time of the
-    first state that met the criterion, ``steps * env.dt``; otherwise it is
-    ``config.duration``.
+    under the nominal parameters is not finite or its tenfold overflows,
+    ends as "solver_failure" before its first step, with no logged rows and
+    ``final_state`` equal to ``x0``. The reason is the trial's one outcome:
+    ``success`` holds exactly when it is "success", and ``completion_time``
+    is then the time of the first state that met the criterion,
+    ``steps * env.dt``; otherwise it is ``config.duration``.
 
     When the trial moves its particles (the adaptive variant with SVGD
     iterations and a positive step size), each cycle builds the first SVGD

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _check_ranges
 from .kernels import ConstantKernel, RbfKernel
 
 __all__ = [
@@ -125,12 +126,10 @@ class SvgdConfig:
     sign_mode: str = "adversarial"
 
     def __post_init__(self):
-        if not 0 <= self.step_size < np.inf:
-            raise ValueError(f"step_size must be nonnegative and finite, got {self.step_size}")
+        _check_ranges(self, step_size="nonnegative")
         if self.iterations < 0:
             raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
-        if not 0 < self.fd_epsilon < np.inf:
-            raise ValueError(f"fd_epsilon must be positive and finite, got {self.fd_epsilon}")
+        _check_ranges(self, fd_epsilon="positive")
         if self.sign_mode not in ("adversarial", "favoring"):
             raise ValueError(
                 f"sign_mode must be 'adversarial' or 'favoring', got {self.sign_mode!r}"

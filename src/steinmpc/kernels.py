@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _check_ranges
+
 __all__ = [
     "RbfKernel",
     "ImqKernel",
@@ -41,8 +43,7 @@ class RbfKernel:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.bandwidth < np.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        _check_ranges(self, bandwidth="positive")
 
     # Differentiable, so the Stein operator is well defined.
     stein_compatible = True
@@ -77,10 +78,7 @@ class ImqKernel:
     decay: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.offset < np.inf:
-            raise ValueError(f"offset must be positive and finite, got {self.offset}")
-        if not 0 < self.decay < np.inf:
-            raise ValueError(f"decay must be positive and finite, got {self.decay}")
+        _check_ranges(self, offset="positive", decay="positive")
 
     stein_compatible = True
 

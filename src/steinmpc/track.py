@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _check_ranges
+
 __all__ = [
     "StadiumTrack",
     "LapProgress",
@@ -42,9 +44,8 @@ class StadiumTrack:
     reference_speed: float = 2.0
 
     def __post_init__(self):
-        for name in ("straight_length", "radius", "reference_speed"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        _check_ranges(self, straight_length="positive", radius="positive",
+                      reference_speed="positive")
         # The segments in lap order: (length, arc, anchor x, anchor y, direction,
         # heading at the start). A straight runs from its anchor along x in direction
         # +1 or -1; an arc turns counterclockwise about its anchor from angle direction.

@@ -7,6 +7,7 @@ import glob
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from unittest import mock
@@ -266,90 +267,125 @@ def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field
 
 
 CARTPOLE_TRIAL = build_trial_config(load_config(os.path.join(CONFIG_DIR, "cartpole.yaml")))[0]
-# (constructor, field, value): every constructor argument that a config
+# (constructor, field, value, rule): every constructor argument that a config
 # document's numbers reach, each set to infinity alone. The loader rejects
 # a non-finite number at its key first; the constructors hold the same rule
-# for callers that build them directly, as MppiConfig already did.
+# for callers that build them directly, as MppiConfig already did. ``rule``
+# is the range rule the message names, or None where the message has its own
+# shape.
 INFINITE_FIELDS = [
-    (ControllerSpec, "gamma", math.inf),
-    (ControllerSpec, "risk_lambda", math.inf),
-    (ControllerSpec, "risk_epsilon", math.inf),
-    (functools.partial(ControllerSpec, variant="nominal"), "nominal_theta", [math.inf, 1.0]),
-    (SvgdConfig, "step_size", math.inf),
-    (SvgdConfig, "fd_epsilon", math.inf),
-    (RbfKernel, "bandwidth", math.inf),
-    (ImqKernel, "offset", math.inf),
-    (ImqKernel, "decay", math.inf),
-    (StadiumTrack, "straight_length", math.inf),
-    (StadiumTrack, "radius", math.inf),
-    (StadiumTrack, "reference_speed", math.inf),
-    (InverseDisplacementReward, "weights", [1.0, math.inf]),
-    (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", math.inf),
-    (UprightEnergyPenalty, "weight", math.inf),
-    (CartpoleSuccess, "angle_tol", math.inf),
-    (CartpoleSuccess, "rate_tol", math.inf),
-    (CartpoleSuccess, "hold_duration", math.inf),
-    (RocketSuccess, "x_target", math.inf),
-    (RocketSuccess, "y_target", math.inf),
-    (RocketSuccess, "x_tol", math.inf),
-    (RocketSuccess, "y_tol", math.inf),
-    (RocketSuccess, "angle_tol", math.inf),
-    (RocketSuccess, "speed_tol", math.inf),
-    (RaceSuccess, "laps", math.inf),
-    (functools.partial(dataclasses.replace, make_cartpole()), "dt", math.inf),
+    (ControllerSpec, "gamma", math.inf, "nonnegative"),
+    (ControllerSpec, "risk_lambda", math.inf, "positive"),
+    (ControllerSpec, "risk_epsilon", math.inf, "nonnegative"),
+    (functools.partial(ControllerSpec, variant="nominal"), "nominal_theta", [math.inf, 1.0],
+     None),
+    (SvgdConfig, "step_size", math.inf, "nonnegative"),
+    (SvgdConfig, "fd_epsilon", math.inf, "positive"),
+    (RbfKernel, "bandwidth", math.inf, "positive"),
+    (ImqKernel, "offset", math.inf, "positive"),
+    (ImqKernel, "decay", math.inf, "positive"),
+    (StadiumTrack, "straight_length", math.inf, "positive"),
+    (StadiumTrack, "radius", math.inf, "positive"),
+    (StadiumTrack, "reference_speed", math.inf, "positive"),
+    (InverseDisplacementReward, "weights", [1.0, math.inf], None),
+    (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", math.inf, "positive"),
+    (UprightEnergyPenalty, "weight", math.inf, "nonnegative"),
+    (CartpoleSuccess, "angle_tol", math.inf, "positive"),
+    (CartpoleSuccess, "rate_tol", math.inf, "positive"),
+    (CartpoleSuccess, "hold_duration", math.inf, "nonnegative"),
+    (RocketSuccess, "x_target", math.inf, "real"),
+    (RocketSuccess, "y_target", math.inf, "real"),
+    (RocketSuccess, "x_tol", math.inf, "positive"),
+    (RocketSuccess, "y_tol", math.inf, "positive"),
+    (RocketSuccess, "angle_tol", math.inf, "positive"),
+    (RocketSuccess, "speed_tol", math.inf, "positive"),
+    (RaceSuccess, "laps", math.inf, "positive"),
+    (functools.partial(dataclasses.replace, make_cartpole()), "dt", math.inf, "positive"),
     # a trial of infinite duration runs until it succeeds or fails
-    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", math.inf),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", math.inf,
+     "nonnegative"),
 ]
-# (constructor, field, value, id): one zero or negative value for each range
-# rule of a constructor argument; the loader leaves these rules to the class.
+# (constructor, field, value, rule, id): one zero or negative value for each
+# range rule of a constructor argument; the loader leaves these rules to the
+# class. ``rule`` is as in INFINITE_FIELDS.
 OUT_OF_RANGE_FIELDS = [
-    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", 0, "samples_zero"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", 0, None,
+     "samples_zero"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "temperature", 0,
-     "temperature_zero"),
+     "positive", "temperature_zero"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "noise_fraction", -0.1,
-     "noise_fraction_negative"),
-    (ControllerSpec, "gamma", -1.0, "gamma_negative"),
-    (ControllerSpec, "risk_lambda", 0.0, "risk_lambda_zero"),
-    (ControllerSpec, "risk_epsilon", -1.0, "risk_epsilon_negative"),
-    (SvgdConfig, "step_size", -1.0, "step_size_negative"),
-    (SvgdConfig, "iterations", -1, "iterations_negative"),
-    (SvgdConfig, "fd_epsilon", 0.0, "fd_epsilon_zero"),
-    (RbfKernel, "bandwidth", 0.0, "bandwidth_zero"),
-    (ImqKernel, "offset", 0.0, "offset_zero"),
-    (ImqKernel, "decay", -1.0, "decay_negative"),
-    (StadiumTrack, "straight_length", 0.0, "straight_length_zero"),
-    (StadiumTrack, "radius", -1.0, "radius_negative"),
-    (StadiumTrack, "reference_speed", 0.0, "reference_speed_zero"),
-    (InverseDisplacementReward, "weights", [1.0, -1.0], "weights_negative"),
-    (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", 0.0, "epsilon_zero"),
-    (UprightEnergyPenalty, "weight", -1.0, "weight_negative"),
-    (CartpoleSuccess, "angle_tol", 0.0, "cartpole_angle_tol_zero"),
-    (CartpoleSuccess, "rate_tol", -1.0, "rate_tol_negative"),
-    (CartpoleSuccess, "hold_duration", -1.0, "hold_duration_negative"),
-    (RocketSuccess, "x_tol", 0.0, "x_tol_zero"),
-    (RocketSuccess, "y_tol", -1.0, "y_tol_negative"),
-    (RocketSuccess, "angle_tol", 0.0, "rocket_angle_tol_zero"),
-    (RocketSuccess, "speed_tol", 0.0, "speed_tol_zero"),
-    (RaceSuccess, "laps", 0.0, "laps_zero"),
-    (functools.partial(dataclasses.replace, make_cartpole()), "dt", 0.0, "dt_zero"),
-    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", -1.0,
+     "nonnegative", "noise_fraction_negative"),
+    (ControllerSpec, "gamma", -1.0, "nonnegative", "gamma_negative"),
+    (ControllerSpec, "risk_lambda", 0.0, "positive", "risk_lambda_zero"),
+    (ControllerSpec, "risk_epsilon", -1.0, "nonnegative", "risk_epsilon_negative"),
+    (SvgdConfig, "step_size", -1.0, "nonnegative", "step_size_negative"),
+    (SvgdConfig, "iterations", -1, None, "iterations_negative"),
+    (SvgdConfig, "fd_epsilon", 0.0, "positive", "fd_epsilon_zero"),
+    (RbfKernel, "bandwidth", 0.0, "positive", "bandwidth_zero"),
+    (ImqKernel, "offset", 0.0, "positive", "offset_zero"),
+    (ImqKernel, "decay", -1.0, "positive", "decay_negative"),
+    (StadiumTrack, "straight_length", 0.0, "positive", "straight_length_zero"),
+    (StadiumTrack, "radius", -1.0, "positive", "radius_negative"),
+    (StadiumTrack, "reference_speed", 0.0, "positive", "reference_speed_zero"),
+    (InverseDisplacementReward, "weights", [1.0, -1.0], None, "weights_negative"),
+    (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", 0.0, "positive",
+     "epsilon_zero"),
+    (UprightEnergyPenalty, "weight", -1.0, "nonnegative", "weight_negative"),
+    (CartpoleSuccess, "angle_tol", 0.0, "positive", "cartpole_angle_tol_zero"),
+    (CartpoleSuccess, "rate_tol", -1.0, "positive", "rate_tol_negative"),
+    (CartpoleSuccess, "hold_duration", -1.0, "nonnegative", "hold_duration_negative"),
+    (RocketSuccess, "x_tol", 0.0, "positive", "x_tol_zero"),
+    (RocketSuccess, "y_tol", -1.0, "positive", "y_tol_negative"),
+    (RocketSuccess, "angle_tol", 0.0, "positive", "rocket_angle_tol_zero"),
+    (RocketSuccess, "speed_tol", 0.0, "positive", "speed_tol_zero"),
+    (RaceSuccess, "laps", 0.0, "positive", "laps_zero"),
+    (functools.partial(dataclasses.replace, make_cartpole()), "dt", 0.0, "positive", "dt_zero"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", -1.0, "nonnegative",
      "duration_negative"),
-    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "n_particles", 0,
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "n_particles", 0, None,
      "n_particles_zero"),
-    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "horizon_seconds", 0.0,
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "horizon_seconds", 0.0, None,
      "horizon_seconds_zero"),
 ]
 
 
 @pytest.mark.parametrize(
-    "build,field,value",
-    INFINITE_FIELDS + [row[:3] for row in OUT_OF_RANGE_FIELDS],
-    ids=[field for _, field, _ in INFINITE_FIELDS] + [row[3] for row in OUT_OF_RANGE_FIELDS])
-def test_every_constructor_rejects_an_infinite_number(build, field, value):
+    "build,field,value,rule",
+    INFINITE_FIELDS + [row[:4] for row in OUT_OF_RANGE_FIELDS],
+    ids=[row[1] for row in INFINITE_FIELDS] + [row[4] for row in OUT_OF_RANGE_FIELDS])
+def test_every_constructor_rejects_an_infinite_number(build, field, value, rule):
     # the message names the field first: a config file reports it at that key
-    rule = "be .*and finite" if np.any(np.isinf(value)) else ""
-    with pytest.raises(ValueError, match=f"^{field} must {rule}"):
+    if rule is not None:
+        message = f"^{field} must be {rule} and finite, got {re.escape(str(value))}$"
+    else:
+        message = f"^{field} must " + ("be .*and finite" if np.any(np.isinf(value)) else "")
+    with pytest.raises(ValueError, match=message):
         build(**{field: value})
+
+
+# (constructor, two bad fields, the one reported): a constructor checks its
+# fields in its own order, whatever order the arguments come in.
+TWO_BAD_FIELDS = [
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi),
+     {"noise_fraction": -1.0, "temperature": 0.0}, "temperature"),
+    (ControllerSpec, {"risk_epsilon": -1.0, "gamma": -1.0}, "gamma"),
+    (SvgdConfig, {"fd_epsilon": 0.0, "iterations": -1}, "iterations"),
+    (ImqKernel, {"decay": 0.0, "offset": 0.0}, "offset"),
+    (StadiumTrack, {"reference_speed": 0.0, "radius": 0.0}, "radius"),
+    (CartpoleSuccess, {"hold_duration": -1.0, "rate_tol": 0.0}, "rate_tol"),
+    (RocketSuccess, {"x_tol": 0.0, "y_target": math.inf}, "y_target"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL),
+     {"duration": -1.0, "n_particles": 0}, "n_particles"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL),
+     {"horizon_seconds": 0.0, "duration": -1.0}, "duration"),
+]
+
+
+@pytest.mark.parametrize("build,bad,first", TWO_BAD_FIELDS,
+                         ids=["-".join(bad) for _, bad, _ in TWO_BAD_FIELDS])
+def test_a_constructor_reports_the_first_of_two_bad_fields(build, bad, first):
+    with pytest.raises(ValueError, match=f"^{first} must "):
+        build(**bad)
 
 
 def test_the_memory_rule_counts_the_next_cycles_grid_in_the_rescore():

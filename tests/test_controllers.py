@@ -59,6 +59,11 @@ def nominal_objective():
     )
 
 
+def scored(objective, plan):
+    """One plan's objective value: its one-row cost grid, reduced."""
+    return objective.reduce(objective.cost_matrix(plan[None]))[0]
+
+
 def per_particle_costs(plan_arr, thetas):
     return np.array([rollout_cost_batch(SPEC, ENV, X0, plan_arr[None], th[None])[0, 0]
                      for th in thetas])
@@ -111,12 +116,12 @@ def test_controller_spec_validation(weights):
 def test_mppi_never_loses_to_the_warm_start():
     objective = nominal_objective()
     warm = np.zeros((8, 1))
-    warm_cost = objective(warm)
+    warm_cost = scored(objective, warm)
     for seed in range(5):
         improved, _, _, _ = mppi_solve(ENV, warm, objective,
                               MppiConfig(samples=64, temperature=1.0, noise_fraction=0.3),
                               np.random.default_rng(seed))
-        assert objective(improved) <= warm_cost + 1e-12
+        assert scored(objective, improved) <= warm_cost + 1e-12
 
 
 @given(
@@ -141,7 +146,7 @@ def test_mppi_solve_returns_the_chosen_plans_own_costs(
         MppiConfig(samples=samples, temperature=temperature, noise_fraction=noise),
         np.random.default_rng(seed))
     row = objective.cost_matrix(plan[None])
-    assert cost <= objective(warm)
+    assert cost <= scored(objective, warm)
     assert cost == objective.reduce(row)[0]
     assert theta_costs.tobytes() == row[0].tobytes()
 
@@ -494,10 +499,10 @@ def test_objectives_match_their_scalar_cost_functions():
         for variant in ("stein_adaptive", "emppi", "dro", "nominal"))
 
     for p in plans:
-        assert stein(p) == pytest.approx(robust_oracle(p, 0.5), rel=1e-12)
-        assert emppi(p) == pytest.approx(robust_oracle(p, 1.0), rel=1e-12)
-        assert dro(p) == pytest.approx(risk_oracle(p, 7.0, 0.1), rel=1e-12)
-        assert nominal(p) == pytest.approx(
+        assert scored(stein, p) == pytest.approx(robust_oracle(p, 0.5), rel=1e-12)
+        assert scored(emppi, p) == pytest.approx(robust_oracle(p, 1.0), rel=1e-12)
+        assert scored(dro, p) == pytest.approx(risk_oracle(p, 7.0, 0.1), rel=1e-12)
+        assert scored(nominal, p) == pytest.approx(
             rollout_cost_batch(SPEC, ENV, X0, p[None], [[1.0]])[0, 0], rel=1e-12)
 
 
@@ -529,14 +534,14 @@ def variant_formula(controller, particles, plans):
 )
 def test_objective_values_are_the_variant_formula_bit_for_bit(
         variant, plans, particles, gamma, lam, epsilon):
-    # reduce(cost_matrix(plans)) and the objective's own call give exactly the
-    # floats of the variant's formula, P = 1 included.
+    # reduce(cost_matrix(plans)), and the same on a one-plan grid, give
+    # exactly the floats of the variant's formula, P = 1 included.
     controller = ControllerSpec(variant=variant, gamma=gamma, risk_lambda=lam,
                                 risk_epsilon=epsilon)
     objective = build_objective(controller, SPEC, ENV, X0, particles)
     expected = variant_formula(controller, particles, plans)
     assert np.array_equal(objective.reduce(objective.cost_matrix(plans)), expected)
-    assert np.array_equal(objective(plans[0]), expected[0])
+    assert np.array_equal(objective.reduce(objective.cost_matrix(plans[:1]))[0], expected[0])
 
 
 def run_child(code, *args, **env):
@@ -638,7 +643,7 @@ def test_emppi_weighting_ignores_configured_gamma():
     emppi = build_objective(ControllerSpec(variant="emppi", gamma=0.0),
                             SPEC, ENV, X0, PARTICLES.particles)
     p = np.full((4, 1), 0.3)
-    assert emppi(p) == pytest.approx(robust_oracle(p, 1.0))
+    assert scored(emppi, p) == pytest.approx(robust_oracle(p, 1.0))
 
 
 def test_dro_objective_requires_calibrated_lambda():

@@ -77,7 +77,8 @@ def particles(*rows):
 
 def objective(variant, plan, ps, spec=DRIFT_SPEC, **weights):
     controller = ControllerSpec(variant=variant, **weights)
-    return build_objective(controller, spec, DRIFT, [0.0], ps)(plan)
+    built = build_objective(controller, spec, DRIFT, [0.0], ps)
+    return built.reduce(built.cost_matrix(plan[None]))[0]
 
 
 def test_stage_cost_quadratic_form():
@@ -178,7 +179,7 @@ def test_robust_cost_gamma_one_is_exact_ensemble_mean():
         plan = rng.uniform(-1, 1, size=(3, 1))
         robust = build_objective(ControllerSpec(variant="stein_adaptive", gamma=1.0),
                                  spec, DRIFT, [0.2], pts)
-        r = robust(plan)
+        r = robust.reduce(robust.cost_matrix(plan[None]))[0]
         direct = rollout_cost_batch(spec, DRIFT, [0.2], plan[None], pts)[0].mean()
         worst = max(worst, abs(r - direct))
     assert worst <= 1e-12

@@ -5,7 +5,11 @@ The benchmark reaches past ``__all__``: ``bench/tracing.py::traced_layers``,
 ``bench/run.py::stamp_cycles`` and ``time_sub_batches`` replace module
 attributes by name, and ``bench/workloads.py`` calls the CLI and the config
 loader. A rename in ``src/`` breaks the benchmark; these tests make it fail here.
+
+The repository has no linter, so one check here stands in for its unused-import
+rule.
 """
+import ast
 import importlib
 import inspect
 import json
@@ -34,6 +38,21 @@ def test_all_names_resolve(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"steinmpc.{name}.__all__ lists undefined names {missing}"
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    # a name an import binds is read in its module or re-exported by __all__
+    path = os.path.join(os.path.dirname(steinmpc.__file__), f"{name}.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names} - {"annotations"}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(imported - read - set(importlib.import_module(f"steinmpc.{name}").__all__))
+    assert not unused, f"steinmpc.{name} imports names it never reads: {unused}"
 
 
 BENCH_NAMES = [

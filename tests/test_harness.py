@@ -670,6 +670,28 @@ def test_dro_calibration_on_a_nonfinite_warm_cost_ends_in_solver_failure():
     assert result.terminal_reason == "solver_failure"
     assert result.steps == 0
     np.testing.assert_array_equal(result.final_state, config.x0)
+    # A finite warm cost of about 4.9e307 whose tenfold, the risk
+    # temperature, overflows gives no scale either.
+    config = build_trial_config(_overflowing_dro_doc())[0]
+    warm = np.zeros((20, 1))
+    midpoint = 0.5 * (config.env.theta_lower + config.env.theta_upper)
+    scale = rollout_cost_batch(config.cost, config.env, config.x0, warm[None], midpoint[None])
+    assert np.isfinite(scale[0, 0]) and not np.isfinite(10.0 * scale[0, 0])
+    with pytest.raises(SolverFailureError):
+        _calibrated_controller(config, warm)
+    result = run_trial(dataclasses.replace(config, duration=0.03))
+    assert result.terminal_reason == "solver_failure"
+    assert result.steps == 0
+    np.testing.assert_array_equal(result.final_state, config.x0)
+
+
+def _overflowing_dro_doc():
+    """The shipped cartpole document on the dro variant with a pole-angle
+    weight whose warm-start cost is finite but whose tenfold is not."""
+    doc = load_config(os.path.join(CONFIG_DIR, "cartpole.yaml"))
+    doc["controller"] = {"variant": "dro"}
+    doc["cost"]["q"] = [8.0, 2.5e305, 4.0, 0.5]
+    return doc
 
 
 def test_cli_dro_with_a_nonfinite_warm_cost_exits_3_and_batches_write_records(
@@ -677,22 +699,24 @@ def test_cli_dro_with_a_nonfinite_warm_cost_exits_3_and_batches_write_records(
     # A goal 1e200 m to the side at a tilt of 1e200 rad: the squared errors
     # overflow to inf and q's x-tilt coupling to -inf, so the warm start's
     # cost under the nominal parameters is nan.
-    doc = load_config(os.path.join(CONFIG_DIR, "rocket.yaml"))
-    doc["controller"] = {"variant": "dro"}
-    doc["cost"]["x_des"] = [1e200, 0.5, 1e200, 0.0, 0.0, 0.0]
-    doc["harness"]["duration"] = 0.03
-    doc["batch"] = {"seeds": [0, 1]}
-    path = tmp_path / "rocket.yaml"
-    path.write_text(yaml.safe_dump(doc))
-    code = cli.main(["run", str(path), "--out", str(tmp_path / "run"), "--seed", "0"])
-    assert code == 3
-    assert "solver failure in trial seed=0" in capsys.readouterr().err
-    assert cli.main(["batch", str(path), "--out", str(tmp_path / "batch")]) == 0
-    for out, seed in [("run", 0), ("batch", 0), ("batch", 1)]:
-        record = json.loads((tmp_path / out / f"trial_{seed}.json").read_text())
-        assert record["terminal_reason"] == "solver_failure"
-        assert record["steps"] == 0
-        assert record["final_state"] == doc["harness"]["x0"]
+    rocket = load_config(os.path.join(CONFIG_DIR, "rocket.yaml"))
+    rocket["controller"] = {"variant": "dro"}
+    rocket["cost"]["x_des"] = [1e200, 0.5, 1e200, 0.0, 0.0, 0.0]
+    for name, doc in [("rocket", rocket), ("cartpole", _overflowing_dro_doc())]:
+        doc["harness"]["duration"] = 0.03
+        doc["batch"] = {"seeds": [0, 1]}
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code = cli.main(["run", str(path), "--out", str(tmp_path / name / "run"),
+                         "--seed", "0"])
+        assert code == 3
+        assert "solver failure in trial seed=0" in capsys.readouterr().err
+        assert cli.main(["batch", str(path), "--out", str(tmp_path / name / "batch")]) == 0
+        for out, seed in [("run", 0), ("batch", 0), ("batch", 1)]:
+            record = json.loads((tmp_path / name / out / f"trial_{seed}.json").read_text())
+            assert record["terminal_reason"] == "solver_failure"
+            assert record["steps"] == 0
+            assert record["final_state"] == doc["harness"]["x0"]
 
 
 def test_dro_trial_runs_without_explicit_lambda():
