@@ -66,6 +66,17 @@ reduction: over a single entry it adds 8 or more terms pairwise, not in
 order, and moves the last bit. Where a coordinate diverges, einsum's 0 * inf
 terms made the cost nan; the sum keeps one zero-weight term for each all-zero
 row of W, so such a cost is still non-finite, though it may read inf.
+
+The package's one floating-point policy: an overflowing cost is data, not an
+error. Some parameter hypotheses make a rollout blow up, so
+``rollout_cost_batch``, ``inference.svgd_step`` and ``harness.run_trial``
+(the whole of a trial: plant steps, planner weights and objective reductions
+included) each run under ``np.errstate(all="ignore")``. Numpy's overflow,
+invalid and divide events then reach a caller only as the inf and NaN values
+they make, and each has one reader: ``controllers.mppi_solve`` drops a
+candidate whose cost is not finite, ``inference.ScoreEvaluationError`` names a
+non-finite gap or drift, and the harness ends the trial as "solver_failure"
+or "inference_failure". The policy changes what numpy reports, never a float.
 """
 
 from __future__ import annotations
@@ -265,6 +276,7 @@ def _quad(e: np.ndarray, terms) -> np.ndarray:
     return acc
 
 
+@np.errstate(all="ignore")
 def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=None) -> np.ndarray:
     """Costs of every (plan, parameter) pair, from start rows: one shared or one per plan.
 
@@ -285,7 +297,8 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
         (C, P) array of total trajectory costs, in the rollout's dtype: the
         stage costs of steps 0..H-1, each its state's ``Q`` form plus its
         control's ``R`` form, added in step order, then the terminal ``Q_f``
-        form and the extra terminal term.
+        form and the extra terminal term. An entry that overflows reads inf
+        or NaN, with no numpy warning (the floating-point policy above).
     """
     plans = np.asarray(plans, dtype=float)
     dtype = np.result_type(np.asarray(x0), np.asarray(thetas), 1.0)  # float64 for integers

@@ -242,6 +242,7 @@ def _calibrated_controller(config: TrialConfig, warm: np.ndarray) -> ControllerS
     return replace(controller, risk_lambda=lam)
 
 
+@np.errstate(all="ignore")
 def run_trial(config: TrialConfig) -> TrialResult:
     """Run one seeded closed-loop trial to success, timeout, or failure.
 
@@ -255,7 +256,10 @@ def run_trial(config: TrialConfig) -> TrialResult:
     ``final_state`` equal to ``x0``. The reason is the trial's one outcome:
     ``success`` holds exactly when it is "success", and ``completion_time``
     is then the time of the first state that met the criterion,
-    ``steps * env.dt``; otherwise it is ``config.duration``.
+    ``steps * env.dt``; otherwise it is ``config.duration``. The trial runs
+    under the floating-point policy in ``costs``: an overflow anywhere in it
+    shows only as the non-finite value behind one of these reasons, never as
+    a numpy warning.
 
     When the trial moves its particles (the adaptive variant with SVGD
     iterations and a positive step size), each cycle builds the first SVGD

@@ -185,6 +185,7 @@ def posterior_score_batch(
     return config.sign * grad
 
 
+@np.errstate(all="ignore")
 def svgd_step(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> ParticleSet:
     """One kernelized transport step of the whole particle set.
 
@@ -198,6 +199,10 @@ def svgd_step(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> P
     every particle by the mean score; the ablation means independent
     gradient ascent instead, so each particle moves by its own score, and
     its kernel methods are never called.
+
+    Overflow in the score or the drift is data: it reads as a non-finite
+    value and raises below, with no numpy warning (the floating-point policy
+    in ``costs``).
 
     Raises:
         ScoreEvaluationError: at the first non-finite probe gap, or else at

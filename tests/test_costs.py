@@ -485,29 +485,28 @@ def test_each_plan_block_gets_the_bytes_of_its_own_start_state(name, shape, prob
     objectives = [PlanObjective(spec, env, start, thetas, None) for start in starts]
     blocks = list(zip(objectives, np.split(plans, np.cumsum(counts)[:-1]), [shared] * n_blocks))
 
-    with np.errstate(all="ignore"):
-        grid = rollout_cost_batch(spec, env, x0, plans, columns)
-        assert grid.shape == (len(plans), len(columns))
-        refs = np.stack([spec.references(env, row, steps) for row in x0])
-        assert rollout_cost_batch(spec, env, x0, plans, columns, refs=refs).tobytes() == \
-            grid.tobytes()
-        matrices = rollout_blocks(blocks)
-        assert len(matrices) == n_blocks
-        for (objective, block, _), start, matrix, rows in zip(
-                blocks, starts, matrices, np.split(grid, np.cumsum(counts)[:-1])):
-            _same_bytes(rows, rollout_cost_batch(spec, env, start, block, columns))
-            _same_bytes(matrix, rows)
-            _same_bytes(matrix, objective.cost_matrix(block, shared))
+    grid = rollout_cost_batch(spec, env, x0, plans, columns)
+    assert grid.shape == (len(plans), len(columns))
+    refs = np.stack([spec.references(env, row, steps) for row in x0])
+    assert rollout_cost_batch(spec, env, x0, plans, columns, refs=refs).tobytes() == \
+        grid.tobytes()
+    matrices = rollout_blocks(blocks)
+    assert len(matrices) == n_blocks
+    for (objective, block, _), start, matrix, rows in zip(
+            blocks, starts, matrices, np.split(grid, np.cumsum(counts)[:-1])):
+        _same_bytes(rows, rollout_cost_batch(spec, env, start, block, columns))
+        _same_bytes(matrix, rows)
+        _same_bytes(matrix, objective.cost_matrix(block, shared))
 
-        nudged = thetas.copy()
-        nudged[-1, -1] = np.nextafter(nudged[-1, -1], np.inf)
-        first = blocks[0]
-        for other in ((PlanObjective(spec, env, starts[-1], nudged, None), first[1], shared),
-                      (objectives[-1], first[1], np.concatenate([columns[len(thetas):],
-                                                                 pool[:1]])),
-                      (objectives[-1], np.zeros((1, steps + 1, env.control_dim)), shared)):
-            with pytest.raises(ValueError, match="theta bytes"):
-                rollout_blocks([first, other])
+    nudged = thetas.copy()
+    nudged[-1, -1] = np.nextafter(nudged[-1, -1], np.inf)
+    first = blocks[0]
+    for other in ((PlanObjective(spec, env, starts[-1], nudged, None), first[1], shared),
+                  (objectives[-1], first[1], np.concatenate([columns[len(thetas):],
+                                                             pool[:1]])),
+                  (objectives[-1], np.zeros((1, steps + 1, env.control_dim)), shared)):
+        with pytest.raises(ValueError, match="theta bytes"):
+            rollout_blocks([first, other])
 
 
 class ParameterSign:
@@ -550,17 +549,16 @@ def test_repeated_theta_rows_give_the_one_by_one_bytes(name, zero_at, reads_sign
     picks += [n_distinct, n_distinct + 1, n_distinct + 2, n_distinct + 2]
     thetas = np.array([pool[k] for k in rng.permutation(picks)])
 
-    with np.errstate(all="ignore"):
-        grid = rollout_cost_batch(spec, env, trial.x0, plans, thetas)
-        assert grid.shape == (n_cand, len(picks))
-        for i in range(n_cand):
-            for j in range(len(picks)):
-                alone = rollout_cost_batch(spec, env, trial.x0, plans[i][None], thetas[j][None])
-                if np.isnan(alone[0, 0]):
-                    # a NaN's sign bit depends on the numpy loop that made it
-                    assert np.isnan(grid[i, j])
-                else:
-                    assert grid[i, j].tobytes() == alone[0, 0].tobytes()
+    grid = rollout_cost_batch(spec, env, trial.x0, plans, thetas)
+    assert grid.shape == (n_cand, len(picks))
+    for i in range(n_cand):
+        for j in range(len(picks)):
+            alone = rollout_cost_batch(spec, env, trial.x0, plans[i][None], thetas[j][None])
+            if np.isnan(alone[0, 0]):
+                # a NaN's sign bit depends on the numpy loop that made it
+                assert np.isnan(grid[i, j])
+            else:
+                assert grid[i, j].tobytes() == alone[0, 0].tobytes()
 
 
 @given(name=st.sampled_from(sorted(SHIPPED)), shape=st.tuples(
@@ -765,8 +763,7 @@ def test_unweighted_diverged_coordinate_gives_nonfinite_cost():
     )
     spec = CostSpec(Q=np.diag([0.0, 1.0]), R=[[0.1]], Q_f=np.diag([0.0, 1.0]),
                     x_des=[0.0, 0.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = rollout_cost_batch(spec, env, [0.0, 0.0], np.zeros((3, 4, 1)), [[1.0], [1.2]])
+    grid = rollout_cost_batch(spec, env, [0.0, 0.0], np.zeros((3, 4, 1)), [[1.0], [1.2]])
     assert grid.shape == (3, 2)
     assert not np.isfinite(grid).any()
 

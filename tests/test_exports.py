@@ -5,22 +5,29 @@ The benchmark reaches past ``__all__``: ``bench/tracing.py::traced_layers``,
 ``bench/run.py::stamp_cycles`` and ``time_sub_batches`` replace module
 attributes by name, and ``bench/workloads.py`` calls the CLI and the config
 loader. A rename in ``src/`` breaks the benchmark; these tests make it fail here.
+``stamp_cycles`` also relies on when those names are entered: once per step for
+``harness.mppi_solve``, and once per trial, inside the forked workers of a batch,
+for ``harness.run_trial``. A change to either is a change to the benchmark.
 
 The repository has no linter, so one check here stands in for its unused-import
 rule.
 """
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
 import os
 import pkgutil
 
+import numpy as np
 import pytest
 
 import steinmpc
-from steinmpc import cli
-from steinmpc.configfile import load_config, serialize_config
+from steinmpc import cli, harness
+from steinmpc.configfile import build_trial_config, load_config, serialize_config
+from steinmpc.controllers import ControllerSpec
+from steinmpc.harness import CartpoleSuccess
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -78,6 +85,57 @@ def test_every_name_the_benchmark_patches_exists(module, name):
     for part in name.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _short_cartpole(**overrides):
+    trial, _ = build_trial_config(load_config(os.path.join(CONFIG_DIR, "cartpole.yaml")))
+    return dataclasses.replace(trial, duration=0.1, **overrides)
+
+
+@pytest.mark.parametrize("variant,upright", [
+    ("stein_adaptive", False), ("nominal", False), ("nominal", True)],
+    ids=["adaptive-timeout", "nominal-timeout", "nominal-success"])
+def test_a_trial_enters_mppi_solve_once_per_step(monkeypatch, variant, upright):
+    # bench/run.py::stamp_cycles times a cycle as the gap between two
+    # consecutive entries of harness.mppi_solve within one run_trial call
+    entries = []
+    solve = harness.mppi_solve
+
+    def counted(*args, **kwargs):
+        entries.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "mppi_solve", counted)
+    config = _short_cartpole(controller=ControllerSpec(variant=variant))
+    if upright:
+        # held from the start, so the trial succeeds at 0.06 s, after 3 steps
+        config = dataclasses.replace(
+            config, x0=np.array([0.0, np.pi, 0.0, 0.0]),
+            success=CartpoleSuccess(angle_tol=3.0, rate_tol=100.0, hold_duration=0.06))
+    result = harness.run_trial(config)
+    assert result.terminal_reason == ("success" if upright else "timeout")
+    assert result.steps > 1
+    assert len(entries) == result.steps
+
+
+def test_a_forked_batch_runs_each_seed_through_run_trial_in_a_worker(tmp_path, monkeypatch):
+    # stamp_cycles patches harness.run_trial before a batch forks its pool:
+    # each worker must reach the patched name once per trial it runs
+    log = tmp_path / "trials.txt"
+    run_trial = harness.run_trial
+
+    def logged(config):
+        with open(log, "a") as fh:
+            fh.write(f"{config.seed} {os.getpid()}\n")
+        return run_trial(config)
+
+    monkeypatch.setattr(harness, "run_trial", logged)
+    seeds = [3, 1, 4]
+    results = harness.run_batch(_short_cartpole(), seeds, jobs=2)
+    assert [r.seed for r in results] == seeds
+    entries = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(seed) for seed, _ in entries) == sorted(seeds)
+    assert all(int(pid) != os.getpid() for _, pid in entries)
 
 
 def test_run_one_batch_takes_the_arguments_the_benchmark_passes():

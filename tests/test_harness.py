@@ -329,8 +329,7 @@ def test_a_nonfinite_stein_drift_ends_the_trial_in_inference_failure(monkeypatch
     monkeypatch.setattr(harness, "mppi_solve", overflowing)
     config = _cartpole_trial(controller=ControllerSpec(variant="stein_adaptive"),
                              svgd=SvgdConfig(step_size=0.001, kernel=kernel))
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_trial(config)
+    result = run_trial(config)
     assert result.terminal_reason == "inference_failure" and not result.success
     assert result.steps == 1
     np.testing.assert_array_equal(result.final_state, config.x0)
@@ -676,7 +675,7 @@ def test_dro_calibration_on_a_nonfinite_warm_cost_ends_in_solver_failure():
     warm = np.zeros((20, 1))
     midpoint = 0.5 * (config.env.theta_lower + config.env.theta_upper)
     scale = rollout_cost_batch(config.cost, config.env, config.x0, warm[None], midpoint[None])
-    assert np.isfinite(scale[0, 0]) and not np.isfinite(10.0 * scale[0, 0])
+    assert np.isfinite(scale[0, 0]) and not np.isfinite(10.0 * float(scale[0, 0]))
     with pytest.raises(SolverFailureError):
         _calibrated_controller(config, warm)
     result = run_trial(dataclasses.replace(config, duration=0.03))
@@ -702,7 +701,11 @@ def test_cli_dro_with_a_nonfinite_warm_cost_exits_3_and_batches_write_records(
     rocket = load_config(os.path.join(CONFIG_DIR, "rocket.yaml"))
     rocket["controller"] = {"variant": "dro"}
     rocket["cost"]["x_des"] = [1e200, 0.5, 1e200, 0.0, 0.0, 0.0]
-    for name, doc in [("rocket", rocket), ("cartpole", _overflowing_dro_doc())]:
+    # A pole-angle weight of 1e306 overflows the warm start's cost itself.
+    overflow = _overflowing_dro_doc()
+    overflow["cost"]["q"] = [8.0, 1e306, 4.0, 0.5]
+    docs = [("rocket", rocket), ("cartpole", _overflowing_dro_doc()), ("overflow", overflow)]
+    for name, doc in docs:
         doc["harness"]["duration"] = 0.03
         doc["batch"] = {"seeds": [0, 1]}
         path = tmp_path / f"{name}.yaml"
@@ -710,8 +713,10 @@ def test_cli_dro_with_a_nonfinite_warm_cost_exits_3_and_batches_write_records(
         code = cli.main(["run", str(path), "--out", str(tmp_path / name / "run"),
                          "--seed", "0"])
         assert code == 3
-        assert "solver failure in trial seed=0" in capsys.readouterr().err
+        # The labelled failure is the whole report: no numpy warning precedes it.
+        assert capsys.readouterr().err == "solver failure in trial seed=0\n"
         assert cli.main(["batch", str(path), "--out", str(tmp_path / name / "batch")]) == 0
+        assert capsys.readouterr().err == ""
         for out, seed in [("run", 0), ("batch", 0), ("batch", 1)]:
             record = json.loads((tmp_path / name / out / f"trial_{seed}.json").read_text())
             assert record["terminal_reason"] == "solver_failure"
