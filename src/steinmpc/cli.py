@@ -8,9 +8,11 @@ Subcommands:
 
 Exit codes: 0 run completed (success or timeout both count), 2 invalid
 configuration, cross-field rules included, before any trial starts (the
-message names the key or section at fault; ``<path>`` for a config file that
-cannot be read as UTF-8 text, ``--out`` for an output path, or a sweep
-setting's ``--out/<label>``, that cannot be a directory), 3 solver failure,
+message names the key or section at fault by its dotted path, ``cost`` or
+``env.dt``; ``<document>`` for text that is not a YAML mapping or that repeats
+a key, ``<path>`` for a config file that cannot be read as UTF-8 text,
+``--out`` for an output path, or a sweep setting's ``--out/<label>``, that
+cannot be a directory), 3 solver failure,
 4 inference failure (the gap turned non-finite during the particle update).
 Codes 3 and 4 come from ``run``; batch commands record each trial's
 terminal reason in its result files.

@@ -2,17 +2,23 @@
 
 An experiment document is a YAML mapping with sections env, cost, controller,
 svgd, mppi, harness, and batch. Validation is strict: unknown keys anywhere
-are rejected with the offending dotted path, so typos fail loudly instead of
-silently falling back to defaults.
+are rejected with the offending dotted path, and a mapping that repeats one of
+its keys is rejected at ``<document>``, naming the key and its line, so typos
+and pasted sections fail loudly instead of silently falling back to defaults
+or to the last copy.
 
 Every invalid document ends in a ``ConfigError`` at the key or section at
-fault. The loader checks what a document is made of: the ``_as_*`` converters
-check a value's type, that a number is finite and a list's length, and the
-builders the rules across sections. A class checks what a value may be: every
-object is built through ``_built``, which reports a rule its constructor
-enforces at the key its message names first, or else (say, a PSD weight) at
-the section it builds. Only the batch's seed and worker rules, which no class
-holds, and the ``MAX_*`` caps compare numbers here.
+fault. One reader, ``_Section``, reads every raw mapping: it checks that each
+is a mapping without unknown keys, gives each key's value, and names each key
+by one rule, its dotted path from the root, bare at the root (``cost``,
+``env.dt``, ``svgd.kernel.type``). The loader checks what a document is made
+of: the ``_as_*`` converters check a value's type, that a number is finite
+and a list's length, and the builders the rules across sections. A class
+checks what a value may be: every object is built through ``_built``, which
+reports a rule its constructor enforces at the key its message names first,
+or else (say, a PSD weight) at the section it builds. Only the batch's seed
+and worker rules, which no class holds, and the ``MAX_*`` caps compare
+numbers here.
 
 This module is the one place that knows the document schema. As the builders
 read a document they record every key with its validated value or default,
@@ -79,8 +85,35 @@ KERNELS = {"rbf": RbfKernel, "imq": ImqKernel, "constant": ConstantKernel}
 # Allowed keys are listed in the order the resolved document gives them.
 _SECTIONS = ("env", "cost", "controller", "svgd", "mppi", "harness", "batch")
 _ENV_ARRAYS = ("control_lower", "control_upper", "theta_true", "theta_lower", "theta_upper")
+
+
 # libyaml's loader builds the same documents as the pure-Python one, faster.
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """The safe loader, except that a mapping that repeats one of its own keys
+    is an error: PyYAML would keep the last value without a word."""
+
+    # the tags of the merge (``<<``) and value (``=``) indicators, which name no key
+    INDICATORS = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.checked = set()
+
+    def flatten_mapping(self, node):
+        # A node's first flattening sees its own keys alone; a mapping that
+        # merges it flattens it again, with the keys merged into it first.
+        if node not in self.checked:
+            self.checked.add(node)
+            seen = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag not in self.INDICATORS:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}", key_node.start_mark)
+                    seen.add(key)
+        super().flatten_mapping(node)
 
 
 class ConfigError(ValueError):
@@ -97,71 +130,68 @@ def _require_mapping(value, path):
     return value
 
 
-def _check_keys(section: dict, allowed, path):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-
-
-def _get(section: dict, key: str, path: str, required=False, default=None):
-    if key not in section or section[key] is None:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required value")
-        return default
-    return section[key]
-
-
 def _fields(cls):
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
 class _Section:
-    """One mapping of a document, as the builders read it.
+    """One mapping of a document, and the only reader of its raw mapping.
 
-    ``read`` validates one key and records what it resolved to, the given
-    value or the default; ``section`` and ``typed`` open nested mappings.
+    It must be a mapping of the allowed ``keys``, or of the keys that
+    ``keys(section)`` returns. ``path_of`` names a key, bare at the root;
+    ``get`` gives a key's value; ``read`` validates one key, given or else
+    its default, and records the result; ``name`` reads a name a table
+    holds; ``section`` and ``typed`` open nested mappings.
     ``resolved()`` returns the record, keys in the order of ``keys``.
     """
 
     def __init__(self, raw, path, keys):
-        self.raw = _require_mapping(raw, path)
-        _check_keys(self.raw, keys, path)
-        self.path, self.keys, self.values = path, keys, {}
+        self.raw, self.path, self.values = _require_mapping(raw, path), path, {}
+        self.keys = keys(self) if callable(keys) else keys
+        for key in self.raw:
+            if key not in self.keys:
+                raise ConfigError(self.path_of(key), "unknown key")
 
-    def _child(self, key):
-        return key if self.path == "<document>" else f"{self.path}.{key}"
+    def path_of(self, key):
+        return str(key) if self.path == "<document>" else f"{self.path}.{key}"
+
+    def get(self, key, required=False, default=None):
+        """The value given at ``key``; ``default`` if it is omitted or null,
+        which a required key may not be."""
+        value = self.raw.get(key)
+        if value is None:
+            if required:
+                raise ConfigError(self.path_of(key), "missing required value")
+            return default
+        return value
 
     def read(self, key, convert=None, *args, default=None, required=False):
-        value = _get(self.raw, key, self.path, required=required)
-        if value is None:
-            value = default
-        elif convert is not None:
-            value = convert(value, self._child(key), *args)
+        value = self.get(key, required, default)
+        if value is not None and convert is not None:
+            value = convert(value, self.path_of(key), *args)
         self.values[key] = value
         return value
 
+    def name(self, key, what, table):
+        """The required name at ``key``, which must be a key of ``table``."""
+        name = self.read(key, required=True)
+        if not isinstance(name, str) or name not in table:
+            raise ConfigError(self.path_of(key),
+                              f"unknown {what} {name!r}; expected one of {sorted(table)}")
+        return name
+
     def section(self, key, keys, required=False):
         """The mapping at ``key``; an absent optional one reads as empty."""
-        raw = _get(self.raw, key, self.path, required=required, default={})
-        child = self.values[key] = _Section(raw, self._child(key), keys)
-        return child
+        return self.read(key, _Section, keys, default={}, required=required)
 
     def typed(self, key, what, choices, default=None):
         """(type, section) of the mapping at ``key``, whose ``type`` picks its
         keys from ``choices``; (None, None) if absent without a default type."""
-        raw = _get(self.raw, key, self.path)
-        if raw is None:
-            if default is None:
-                return None, None
-            raw = {"type": default}
-        path = self._child(key)
-        kind = _get(_require_mapping(raw, path), "type", path, required=True)
-        if not isinstance(kind, str) or kind not in choices:
-            raise ConfigError(f"{path}.type",
-                              f"unknown {what} {kind!r}; expected one of {sorted(choices)}")
-        child = self.values[key] = _Section(raw, path, ("type", *choices[kind]))
-        child.values["type"] = kind
-        return kind, child
+        if default is None and self.get(key) is None:
+            return None, None
+        child = self.read(key, _Section, lambda child: (
+            "type", *choices[child.name("type", what, choices)]), default={"type": default})
+        return child.values["type"], child
 
     def resolved(self) -> dict:
         ordered = {key: self.values[key] for key in self.keys if key in self.values}
@@ -175,24 +205,24 @@ def _read_fields(section: _Section, cls, convert, required=(), **fixed):
     constructor is reported at the key of ``convert`` its message starts
     with, else at the section. Records each key as given or as the built
     object has it."""
-    given = {key: section.read(key, *convert[key], required=key in required)
-             for key in convert
-             if key in required or _get(section.raw, key, section.path) is not None}
-    obj = _built(section.path, cls, **fixed, **given, keys=convert)
+    given = {key: section.read(key, *convert[key]) for key in convert
+             if section.get(key, required=key in required) is not None}
+    obj = _built(section, cls, **fixed, **given, keys=convert)
     section.values.update({key: getattr(obj, key) for key in convert if key not in given})
     return obj
 
 
-def _built(path, make, *args, keys=(), **kwargs):
+def _built(section, make, *args, keys=(), **kwargs):
     """``make(*args, **kwargs)``, with a ``ValueError`` it raises reported as
-    a ``ConfigError``: at ``path.key`` when the message's first word is a
-    ``key`` of ``keys``, else at ``path``. The one way a document object is
-    built."""
+    a ``ConfigError``: at the key of ``section`` that is the message's first
+    word, if it is one of ``keys``, else at ``section``. The one way a
+    document object is built."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
         key = str(exc).partition(" ")[0]
-        raise ConfigError(f"{path}.{key}" if key in keys else path, str(exc)) from None
+        raise ConfigError(section.path_of(key) if key in keys else section.path,
+                          str(exc)) from None
 
 
 def _as_float(value, path):
@@ -255,7 +285,7 @@ def _as_noise(value, path, length):
 def parse_config(text: str) -> dict:
     """Parse YAML text into a plain document without building objects."""
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError("<document>", f"not valid YAML ({exc})") from None
     except ValueError as exc:
@@ -290,20 +320,17 @@ def config_hash(doc: dict) -> str:
 
 def _build_env(root, env_name):
     section = root.section("env", ("name", "dt", *_ENV_ARRAYS), required=True)
-    name = section.read("name", required=True)
-    name_path = f"{section.path}.name"
-    if not isinstance(name, str) or name not in _ENV_FACTORIES:
-        raise ConfigError(name_path, f"unknown environment {name!r}; "
-                                     f"expected one of {sorted(_ENV_FACTORIES)}")
+    name = section.name("name", "environment", _ENV_FACTORIES)
     if env_name is not None and name != env_name:
-        raise ConfigError(name_path, f"this command runs on the {env_name} environment")
+        raise ConfigError(section.path_of("name"),
+                          f"this command runs on the {env_name} environment")
     env = _ENV_FACTORIES[name]()
     fields = {"dt": section.read("dt", _as_float, default=env.dt)}
     for key in _ENV_ARRAYS:
         dim = env.param_dim if key.startswith("theta") else env.control_dim
         fields[key] = section.read(key, _as_float_list, dim, default=getattr(env, key).tolist())
     # the array rules span fields, so only dt's is reported at its key
-    return _built(section.path, dataclasses.replace, env, **fields, keys=("dt",))
+    return _built(section, dataclasses.replace, env, **fields, keys=("dt",))
 
 
 def _build_extra_terminal(cost, n):
@@ -331,13 +358,13 @@ def _build_cost(root, env, track):
     if reference is not None:
         if track is None:
             raise ConfigError(reference.path, "only meaningful for the racecar environment")
-        if _get(section.raw, "x_des", section.path) is not None:
-            raise ConfigError(f"{section.path}.x_des", "give either x_des or reference, not both")
-        x_des = _built(reference.path, CenterlineReference, track)
+        if section.get("x_des") is not None:
+            raise ConfigError(section.path_of("x_des"), "give either x_des or reference, not both")
+        x_des = _built(reference, CenterlineReference, track)
     else:
         x_des = np.asarray(section.read("x_des", _as_float_list, n, required=True))
     extra = _build_extra_terminal(section, n)
-    return _built(section.path, CostSpec, Q=q, R=r, Q_f=q_f, x_des=x_des, extra_terminal=extra)
+    return _built(section, CostSpec, Q=q, R=r, Q_f=q_f, x_des=x_des, extra_terminal=extra)
 
 
 def _build_controller(root, env):
@@ -348,7 +375,7 @@ def _build_controller(root, env):
     }, required=("variant",))
     nominal = controller.nominal_theta
     if nominal is not None and np.any((nominal < env.theta_lower) | (nominal > env.theta_upper)):
-        raise ConfigError(f"{section.path}.nominal_theta",
+        raise ConfigError(section.path_of("nominal_theta"),
                           "must lie inside the parameter box, as env.theta_true must")
     return controller
 
@@ -383,8 +410,8 @@ def _build_trial(root, env, seed):
     if env.name == "racecar":
         track = section.section("track", _fields(StadiumTrack))
         track = _read_fields(track, StadiumTrack, dict.fromkeys(track.keys, (_as_float,)))
-    elif _get(section.raw, "track", section.path) is not None:
-        raise ConfigError(f"{section.path}.track", "only meaningful for the racecar environment")
+    elif section.get("track") is not None:
+        raise ConfigError(section.path_of("track"), "only meaningful for the racecar environment")
     success = section.section("success", _fields(_SUCCESS[env.name]))
     success = _read_fields(success, _SUCCESS[env.name], dict.fromkeys(success.keys, (_as_float,)))
     return _read_fields(section, TrialConfig, {
@@ -406,14 +433,11 @@ def _seed_range(first, count, path):
 def _build_batch(root, seed, seed_count, jobs):
     """Record the batch's ``seeds`` (a list) and ``jobs``; returns its first seed."""
     section = root.section("batch", ("seeds", "base_seed", "jobs"))
-    seeds_path = f"{section.path}.seeds"
-    if jobs is not None:
-        section.raw = {**section.raw, "jobs": jobs}
-    seeds = _get(section.raw, "seeds", section.path, default=1)
-    base_path = f"{section.path}.base_seed"
-    base = _as_int(_get(section.raw, "base_seed", section.path, default=0), base_path, 0)
+    seeds_path, base_path = section.path_of("seeds"), section.path_of("base_seed")
+    seeds = section.get("seeds", default=1)
+    base = _as_int(section.get("base_seed", default=0), base_path, 0)
     if isinstance(seeds, list):
-        if _get(section.raw, "base_seed", section.path) is not None:
+        if section.get("base_seed") is not None:
             raise ConfigError(base_path, "only meaningful with a seed count")
         seeds = tuple(_as_int(s, f"{seeds_path}[{i}]", 0) for i, s in enumerate(seeds))
         if not 1 <= len(seeds) <= MAX_SEEDS:
@@ -427,9 +451,10 @@ def _build_batch(root, seed, seed_count, jobs):
     if seed_count is not None:
         seeds = _seed_range(seeds[0], seed_count, seeds_path)
     section.values["seeds"] = list(seeds)
-    jobs = section.read("jobs", _as_int, 1, default=1)
+    given = section.get("jobs", default=1) if jobs is None else jobs
+    jobs = section.values["jobs"] = _as_int(given, section.path_of("jobs"), 1)
     if jobs > MAX_JOBS:
-        raise ConfigError(f"{section.path}.jobs", f"must be <= {MAX_JOBS}, got {jobs}")
+        raise ConfigError(section.path_of("jobs"), f"must be <= {MAX_JOBS}, got {jobs}")
     return seeds[0]
 
 

@@ -201,8 +201,10 @@ class ControllerSpec:
             harness, which calibrates it from the warm-start cost.
         risk_epsilon: ambiguity radius the dro objective adds; with λ fixed it
             adds λε to every row alike: the logged cost moves, the plan only by rounding.
-        nominal_theta: the nominal variant's parameters; None means the
-            midpoint of the parameter box.
+        nominal_theta: the parameters the nominal variant plans under, and
+            under which the harness rolls out the dro variant's warm start
+            to calibrate an unset risk_lambda (``nominal_parameters``); None
+            means the midpoint of the parameter box.
     """
 
     variant: str = "stein_adaptive"

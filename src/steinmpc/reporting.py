@@ -4,8 +4,10 @@ A batch is its list of trial results; ``batch_summary`` reduces it to the
 success %, mean success time and its standard deviation that an aggregate
 row and the batch commands' printed lines report.
 
-Every float written by this module goes through a fixed 17-significant-digit
-formatter, so a rerun of the same experiment produces byte-identical files.
+Every finite float written by this module goes through a fixed
+17-significant-digit formatter, so a rerun of the same experiment produces
+byte-identical files. A JSON file writes a non-finite one as the token
+``json.loads`` reads; a CSV writes printf's ``nan``, ``inf`` or ``-inf``.
 Every file goes through one write path, ``_write_lines``: UTF-8, LF line
 ends and a trailing newline. The step-CSV layout is read off the trial's
 ``(steps, ·)`` arrays, so a trial of zero steps writes the full header and
@@ -17,6 +19,7 @@ content.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -94,7 +97,8 @@ def summary_record(result, doc_hash: str, version: str) -> dict:
 
 
 def dumps_sorted(value, indent: int = 0) -> str:
-    """JSON with sorted keys and 17-significant-digit floats."""
+    """JSON with sorted keys and 17-significant-digit floats; a non-finite
+    float is ``NaN``, ``Infinity`` or ``-Infinity``, as ``json.dumps`` writes it."""
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
@@ -112,7 +116,7 @@ def dumps_sorted(value, indent: int = 0) -> str:
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, float):
-        return format_float(value)
+        return format_float(value) if math.isfinite(value) else json.dumps(value)
     if isinstance(value, (int, str)):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")

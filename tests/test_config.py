@@ -82,7 +82,7 @@ def test_minimal_document_builds():
 def test_unknown_keys_rejected_with_dotted_path():
     doc = minimal_doc()
     doc["bogus"] = 1
-    assert error_field(doc) == "<document>.bogus"
+    assert error_field(doc) == "bogus"
 
     doc = minimal_doc()
     doc["env"]["bogus"] = 1
@@ -96,7 +96,7 @@ def test_unknown_keys_rejected_with_dotted_path():
 def test_missing_required_sections_and_values():
     doc = minimal_doc()
     del doc["cost"]
-    assert error_field(doc) == "<document>.cost"
+    assert error_field(doc) == "cost"
 
     doc = minimal_doc()
     del doc["mppi"]["temperature"]
@@ -629,6 +629,70 @@ def test_parse_rejects_bad_documents():
         parse_config("")
     with pytest.raises(ConfigError):
         parse_config("- just\n- a\n- list\n")
+    with pytest.raises(ConfigError, match="found unhashable key"):
+        parse_config("? [1, 2]\n: 3\n")
+
+
+@pytest.mark.parametrize("where", ["top", "nested"])
+def test_a_repeated_key_exits_2_at_the_document(where, tmp_path, capsys):
+    # PyYAML keeps a repeated key's last value, which dropped a pasted
+    # section's first copy without a word
+    text = serialize_config(load_config(os.path.join(CONFIG_DIR, "cartpole.yaml")))
+    if where == "top":
+        text, key = text + "mppi:\n  samples: 3\n", "mppi"
+    else:
+        text, key = text.replace("\nmppi:\n", "\nmppi:\n  temperature: 1.0\n"), "temperature"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.field == "<document>"
+    path = tmp_path / "cartpole.yaml"
+    path.write_text(text)
+    for flags in (["--out", str(tmp_path / "out")], ["--config-dump"]):
+        assert cli.main(["run", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error at <document>: not valid YAML")
+        assert f"found duplicate key {key!r}" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_merge_key_still_loads_beside_an_explicit_key():
+    text = """
+base: &base {x: 1, y: 2}
+merged: {<<: *base, y: 3}
+inner: {deep: &deep {<<: *base, x: 4}}
+again: {<<: *deep}
+"""
+    assert parse_config(text) == {
+        "base": {"x": 1, "y": 2}, "merged": {"x": 1, "y": 3},
+        "inner": {"deep": {"x": 4, "y": 2}}, "again": {"x": 4, "y": 2}}
+
+
+def _mapping_paths(doc, path=()):
+    """The key path of ``doc`` and of every mapping nested in it."""
+    yield path
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _mapping_paths(value, (*path, key))
+
+
+@pytest.mark.parametrize("name", ["cartpole", "kernel_ablation", "racing", "rocket"])
+def test_an_unknown_key_exits_2_at_its_dotted_path(name, tmp_path, capsys):
+    # one naming rule: a key is its dotted path from the root, bare at the root
+    resolved = resolve_config(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))[1]
+    paths = list(_mapping_paths(resolved))
+    assert len(paths) >= 10
+    for keys in paths:
+        doc = copy.deepcopy(resolved)
+        functools.reduce(dict.__getitem__, keys, doc)["bogus"] = 1
+        field = ".".join((*keys, "bogus"))
+        assert error_field(doc) == field
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(serialize_config(doc))
+        assert cli.main(["run", str(path), "--config-dump"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error at {field}: unknown key\n"
+        assert captured.out == ""
 
 
 def test_config_hash_is_order_independent():

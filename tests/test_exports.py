@@ -9,8 +9,8 @@ loader. A rename in ``src/`` breaks the benchmark; these tests make it fail here
 ``harness.mppi_solve``, and once per trial, inside the forked workers of a batch,
 for ``harness.run_trial``. A change to either is a change to the benchmark.
 
-The repository has no linter, so one check here stands in for its unused-import
-rule.
+The repository has no linter, so two checks here stand in for its unused-import
+and dead-definition rules.
 """
 import ast
 import dataclasses
@@ -47,12 +47,15 @@ def test_all_names_resolve(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def _tree(name):
+    with open(os.path.join(os.path.dirname(steinmpc.__file__), f"{name}.py")) as fh:
+        return ast.parse(fh.read())
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_imported_name_is_used(name):
     # a name an import binds is read in its module or re-exported by __all__
-    path = os.path.join(os.path.dirname(steinmpc.__file__), f"{name}.py")
-    with open(path) as fh:
-        tree = ast.parse(fh.read())
+    tree = _tree(name)
     imported = {(alias.asname or alias.name).split(".")[0]
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names} - {"annotations"}
@@ -60,6 +63,29 @@ def test_every_imported_name_is_used(name):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = sorted(imported - read - set(importlib.import_module(f"steinmpc.{name}").__all__))
     assert not unused, f"steinmpc.{name} imports names it never reads: {unused}"
+
+
+def _defined(tree):
+    """The names a module's own statements define: functions, classes, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_level_definition_is_read(name):
+    # a module's function, class or assigned name is read somewhere in the
+    # package, by name or as an attribute, or exported by __all__
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for module in (*MODULES, "__init__") for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    exported = {"__all__", *importlib.import_module(f"steinmpc.{name}").__all__}
+    unread = sorted(set(_defined(_tree(name))) - read - exported)
+    assert not unread, f"steinmpc.{name} defines names nothing reads: {unread}"
 
 
 BENCH_NAMES = [

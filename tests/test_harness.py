@@ -641,6 +641,15 @@ def test_dro_lambda_calibrates_from_warm_start_cost():
     expected = 10.0 * abs(rollout_cost_batch(
         config.cost, config.env, config.x0, warm[None], midpoint[None])[0, 0])
     assert calibrated.risk_lambda == pytest.approx(expected)
+    # a given nominal_theta is the parameters the warm start is rolled out
+    # under; this one pushes, since a cart at rest stays at rest under any
+    push = np.full((4, 1), 5.0)
+    theta = config.env.theta_lower + 0.25 * (config.env.theta_upper - config.env.theta_lower)
+    given = _cartpole_trial(controller=ControllerSpec(variant="dro", nominal_theta=theta))
+    at_given, at_midpoint = (10.0 * abs(rollout_cost_batch(
+        config.cost, config.env, config.x0, push[None], at[None])[0, 0]) for at in (theta, midpoint))
+    assert _calibrated_controller(given, push).risk_lambda == pytest.approx(at_given)
+    assert at_given != pytest.approx(at_midpoint)
     # explicit values and other variants pass through untouched
     explicit = _cartpole_trial(controller=ControllerSpec(variant="dro", risk_lambda=2.0))
     assert _calibrated_controller(explicit, warm) is explicit.controller

@@ -1,10 +1,14 @@
 """Byte-stable result files: float formatting, CSV layout, sorted JSON."""
 import json
+import math
+import os
 import random
 
 import numpy as np
 import pytest
 
+from steinmpc import cli
+from steinmpc.configfile import load_config, serialize_config
 from steinmpc.harness import TrialResult
 from steinmpc.inference import ParticleSet
 from steinmpc.reporting import (
@@ -21,6 +25,8 @@ from steinmpc.reporting import (
     write_summary_json,
     write_timing_json,
 )
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_format_float_known_renderings():
@@ -103,9 +109,27 @@ def test_dumps_sorted_golden():
 
 
 def test_dumps_sorted_parses_back():
-    doc = {"z": [1, 2.5, "s"], "a": {"k": False, "j": None}, "m": -0.1}
-    parsed = json.loads(dumps_sorted(doc))
-    assert parsed == doc
+    for doc in (
+        {"z": [1, 2.5, "s"], "a": {"k": False, "j": None}, "m": -0.1},
+        # written as NaN, Infinity and -Infinity, which json.loads reads
+        {"ksd": [math.nan, math.inf, -math.inf, 0.5]},
+    ):
+        parsed = json.loads(dumps_sorted(doc))
+        # compared as json.dumps writes them, where nan matches nan and 1 is not 1.0
+        assert json.dumps(parsed, sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
+def test_a_summary_with_an_infinite_ksd_is_json(tmp_path, capsys):
+    # an extra weight of 7e151 makes the logged KSD overflow to inf, 7e141 not
+    doc = load_config(os.path.join(CONFIG_DIR, "cartpole.yaml"))
+    doc["harness"].update(log_ksd=True, duration=0.1)
+    doc["cost"]["extra"]["weight"] = 7.0e151
+    path = tmp_path / "cartpole.yaml"
+    path.write_text(serialize_config(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    ksd = json.loads((tmp_path / "out" / "trial_0.json").read_text())["ksd"]
+    assert ksd and all(math.isinf(k) for k in ksd)
 
 
 def test_dumps_sorted_rejects_unknown_types():
