@@ -53,8 +53,9 @@ class MppiConfig:
         temperature: softness of the exponential weighting over costs,
             positive and finite.
         noise_fraction: per-channel Gaussian perturbation scale expressed as
-            a fraction of the control range (scalar or one value per channel,
-            a list kept as a tuple), each nonnegative and finite.
+            a fraction of the control range (scalar or one value per channel),
+            each nonnegative and finite; a number is kept as a float and a
+            list as a tuple.
     """
 
     samples: int = 512
@@ -62,14 +63,12 @@ class MppiConfig:
     noise_fraction: float | tuple = 0.1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
-        _check_ranges(self, temperature="positive")
-        if isinstance(self.noise_fraction, list):
-            object.__setattr__(self, "noise_fraction", tuple(self.noise_fraction))
-        noise = np.asarray(self.noise_fraction, dtype=float)
-        if not np.all((0 <= noise) & (noise < np.inf)):
-            raise ValueError(f"noise_fraction must be nonnegative and finite, got {self.noise_fraction}")
+        noise = self.noise_fraction
+        if not isinstance(noise, (tuple, np.ndarray)):
+            noise = tuple(noise) if isinstance(noise, list) else float(noise)
+            object.__setattr__(self, "noise_fraction", noise)
+        _check_ranges(self, samples="positive count", temperature="positive",
+                      noise_fraction="nonnegative")
 
 
 def _candidates(env: EnvModel, warm: np.ndarray, config: MppiConfig,
@@ -218,13 +217,11 @@ class ControllerSpec:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         # an unset risk_lambda is the harness's to calibrate
         lam = {} if self.risk_lambda is None else {"risk_lambda": "positive"}
-        _check_ranges(self, gamma="nonnegative", **lam, risk_epsilon="nonnegative")
+        theta = {}
         if self.nominal_theta is not None:
-            object.__setattr__(
-                self, "nominal_theta", np.asarray(self.nominal_theta, dtype=float)
-            )
-            if not np.all(np.isfinite(self.nominal_theta)):
-                raise ValueError(f"nominal_theta must be real and finite, got {self.nominal_theta}")
+            object.__setattr__(self, "nominal_theta", np.asarray(self.nominal_theta, dtype=float))
+            theta = {"nominal_theta": "real"}
+        _check_ranges(self, gamma="nonnegative", **lam, risk_epsilon="nonnegative", **theta)
 
 
 def nominal_parameters(controller: ControllerSpec, env: EnvModel) -> np.ndarray:

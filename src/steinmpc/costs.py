@@ -146,10 +146,8 @@ class InverseDisplacementReward:
 
     def __init__(self, weights, epsilon: float = 1e-3):
         self.weights = np.asarray(weights, dtype=float)
-        if not np.all((0 <= self.weights) & (self.weights < np.inf)):
-            raise ValueError("weights must be nonnegative and finite")
         self.epsilon = epsilon
-        _check_ranges(self, epsilon="positive")
+        _check_ranges(self, weights="nonnegative", epsilon="positive")
 
     def batch(self, x_terminal, theta, x0) -> np.ndarray:
         disp = np.abs(x_terminal - x0)
@@ -229,6 +227,10 @@ class CostSpec:
                 raise ValueError(
                     f"x_des must have shape ({n},), got {self.x_des.shape}"
                 )
+        # one weight per state coordinate: any other count broadcasts or fails mid-rollout
+        extra = self.extra_terminal
+        if isinstance(extra, InverseDisplacementReward) and extra.weights.shape != (n,):
+            raise ValueError(f"weights must have shape ({n},), got {extra.weights.shape}")
 
     @property
     def tracks_reference(self) -> bool:

@@ -81,18 +81,10 @@ class EnvModel:
     derivative: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
     def __post_init__(self):
-        for name in (
-            "control_lower",
-            "control_upper",
-            "theta_true",
-            "theta_lower",
-            "theta_upper",
-        ):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        _check_ranges(self, dt="positive")
+        arrays = ("control_lower", "control_upper", "theta_true", "theta_lower", "theta_upper")
+        for name in arrays:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        _check_ranges(self, **dict.fromkeys(arrays, "real"), dt="positive")
         if self.control_lower.shape != (self.control_dim,) or self.control_upper.shape != (
             self.control_dim,
         ):
@@ -276,22 +268,34 @@ def _rk4(f, dt: float, x) -> np.ndarray:
     return k2
 
 
+def _each(test):
+    """``test`` of a number, or of each entry of a tuple or array read as floats."""
+    arrays = (tuple, np.ndarray)
+    return lambda v: test(np.asarray(v, float)).all() if isinstance(v, arrays) else test(v)
+
+
+# rule: (test, the phrase its message gives)
 _RANGES = {
-    "real": math.isfinite,
-    "nonnegative": lambda value: 0 <= value < math.inf,
-    "positive": lambda value: 0 < value < math.inf,
+    "real": (_each(np.isfinite), "real and finite"),
+    "nonnegative": (_each(lambda v: (0 <= v) & (v < math.inf)), "nonnegative and finite"),
+    "positive": (_each(lambda v: (0 < v) & (v < math.inf)), "positive and finite"),
+    "positive count": (lambda n: not n < 1, "at least 1"),
+    "nonnegative count": (lambda n: not n < 0, "nonnegative"),
 }
 
 
 def _check_ranges(obj, **rules):
-    """The range rule of every settings class: each named attribute of ``obj``
-    is finite and, by its rule, "real" (any sign), "nonnegative" or
-    "positive". The first that is not, in argument order, raises a
-    ValueError whose message starts with its name."""
+    """The value rule of every settings class: each named attribute of ``obj``
+    keeps its rule. "real" (any sign), "nonnegative" and "positive" hold a
+    number, or each entry of a tuple or array, and ask it to be finite too; a
+    "positive count" fails only below 1, a "nonnegative count" only below 0.
+    The first that fails, in argument order, raises a ValueError that starts
+    with its name: ``{name} must be {phrase}, got {value}``."""
     for name, rule in rules.items():
         value = getattr(obj, name)
-        if not _RANGES[rule](value):
-            raise ValueError(f"{name} must be {rule} and finite, got {value}")
+        test, phrase = _RANGES[rule]
+        if not test(value):
+            raise ValueError(f"{name} must be {phrase}, got {value}")
 
 
 def horizon_steps(horizon_seconds: float, dt: float) -> int:

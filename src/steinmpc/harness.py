@@ -159,11 +159,11 @@ class TrialConfig:
             raise ValueError(
                 f"x0 must have shape ({self.env.state_dim},), got {self.x0.shape}"
             )
-        if not np.all(np.isfinite(self.x0)):
-            raise ValueError("x0 must be finite")
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be at least 1, got {self.n_particles}")
-        _check_ranges(self, duration="nonnegative")
+        # the planner's parameters; any other shape broadcasts against the dynamics
+        theta, p = self.controller.nominal_theta, self.env.param_dim
+        if theta is not None and theta.shape != (p,):
+            raise ValueError(f"nominal_theta must have shape ({p},), got {theta.shape}")
+        _check_ranges(self, x0="real", n_particles="positive count", duration="nonnegative")
         horizon_steps(self.horizon_seconds, self.env.dt)
 
 

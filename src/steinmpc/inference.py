@@ -76,12 +76,10 @@ class ParticleSet:
             raise ValueError(
                 f"bounds must have shape ({dim},), got {self.lower.shape} and {self.upper.shape}"
             )
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
-            raise ValueError("bounds must be finite")
+        _check_ranges(self, lower="real", upper="real")
         if not np.all(self.lower < self.upper):
             raise ValueError("lower bounds must be strictly below upper bounds")
-        if not np.all(np.isfinite(self.particles)):
-            raise ValueError("particles must be finite")
+        _check_ranges(self, particles="real")
         if np.any(self.particles < self.lower) or np.any(self.particles > self.upper):
             raise ValueError("particles must lie inside the bounding box")
 
@@ -126,10 +124,8 @@ class SvgdConfig:
     sign_mode: str = "adversarial"
 
     def __post_init__(self):
-        _check_ranges(self, step_size="nonnegative")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
-        _check_ranges(self, fd_epsilon="positive")
+        _check_ranges(self, step_size="nonnegative", iterations="nonnegative count",
+                      fd_epsilon="positive")
         if self.sign_mode not in ("adversarial", "favoring"):
             raise ValueError(
                 f"sign_mode must be 'adversarial' or 'favoring', got {self.sign_mode!r}"

@@ -34,7 +34,7 @@ from steinmpc.controllers import VARIANTS, ControllerSpec, MppiConfig
 from steinmpc.costs import InverseDisplacementReward, UprightEnergyPenalty
 from steinmpc.dynamics import make_cartpole, make_racecar, make_rocket
 from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig, run_trial
-from steinmpc.inference import SvgdConfig
+from steinmpc.inference import ParticleSet, SvgdConfig
 from steinmpc.kernels import ConstantKernel, ImqKernel, RbfKernel
 from steinmpc.track import CenterlineReference, StadiumTrack
 
@@ -268,17 +268,18 @@ def test_every_invalid_document_exits_2_at_its_field(command, name, patch, field
 
 CARTPOLE_TRIAL = build_trial_config(load_config(os.path.join(CONFIG_DIR, "cartpole.yaml")))[0]
 # (constructor, field, value, rule): every constructor argument that a config
-# document's numbers reach, each set to infinity alone. The loader rejects
-# a non-finite number at its key first; the constructors hold the same rule
-# for callers that build them directly, as MppiConfig already did. ``rule``
-# is the range rule the message names, or None where the message has its own
-# shape.
+# document's numbers reach, and a particle set's bounds and rows, each set to
+# infinity alone. The loader rejects a non-finite number at its key first;
+# the constructors hold the same rule for callers that build them directly,
+# as MppiConfig already did. ``rule``
+# is the ``dynamics._check_ranges`` rule the message names, or None where the
+# message has its own shape.
 INFINITE_FIELDS = [
     (ControllerSpec, "gamma", math.inf, "nonnegative"),
     (ControllerSpec, "risk_lambda", math.inf, "positive"),
     (ControllerSpec, "risk_epsilon", math.inf, "nonnegative"),
     (functools.partial(ControllerSpec, variant="nominal"), "nominal_theta", [math.inf, 1.0],
-     None),
+     "real"),
     (SvgdConfig, "step_size", math.inf, "nonnegative"),
     (SvgdConfig, "fd_epsilon", math.inf, "positive"),
     (RbfKernel, "bandwidth", math.inf, "positive"),
@@ -287,7 +288,7 @@ INFINITE_FIELDS = [
     (StadiumTrack, "straight_length", math.inf, "positive"),
     (StadiumTrack, "radius", math.inf, "positive"),
     (StadiumTrack, "reference_speed", math.inf, "positive"),
-    (InverseDisplacementReward, "weights", [1.0, math.inf], None),
+    (InverseDisplacementReward, "weights", [1.0, math.inf], "nonnegative"),
     (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", math.inf, "positive"),
     (UprightEnergyPenalty, "weight", math.inf, "nonnegative"),
     (CartpoleSuccess, "angle_tol", math.inf, "positive"),
@@ -304,13 +305,22 @@ INFINITE_FIELDS = [
     # a trial of infinite duration runs until it succeeds or fails
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", math.inf,
      "nonnegative"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "x0", [0.0, math.inf, 0.0, 0.0],
+     "real"),
+    *[(functools.partial(dataclasses.replace, make_cartpole()), name, [math.inf] * dim, "real")
+      for name, dim in (("control_lower", 1), ("control_upper", 1), ("theta_true", 2),
+                        ("theta_lower", 2), ("theta_upper", 2))],
+    (functools.partial(ParticleSet, [[0.5]], upper=[1.0]), "lower", [-math.inf], "real"),
+    (functools.partial(ParticleSet, [[0.5]], [0.0]), "upper", [math.inf], "real"),
+    (functools.partial(ParticleSet, lower=[0.0], upper=[1.0]), "particles", [[math.inf]],
+     "real"),
 ]
 # (constructor, field, value, rule, id): one zero or negative value for each
 # range rule of a constructor argument; the loader leaves these rules to the
 # class. ``rule`` is as in INFINITE_FIELDS.
 OUT_OF_RANGE_FIELDS = [
-    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", 0, None,
-     "samples_zero"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", 0,
+     "positive count", "samples_zero"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "temperature", 0,
      "positive", "temperature_zero"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "noise_fraction", -0.1,
@@ -319,7 +329,7 @@ OUT_OF_RANGE_FIELDS = [
     (ControllerSpec, "risk_lambda", 0.0, "positive", "risk_lambda_zero"),
     (ControllerSpec, "risk_epsilon", -1.0, "nonnegative", "risk_epsilon_negative"),
     (SvgdConfig, "step_size", -1.0, "nonnegative", "step_size_negative"),
-    (SvgdConfig, "iterations", -1, None, "iterations_negative"),
+    (SvgdConfig, "iterations", -1, "nonnegative count", "iterations_negative"),
     (SvgdConfig, "fd_epsilon", 0.0, "positive", "fd_epsilon_zero"),
     (RbfKernel, "bandwidth", 0.0, "positive", "bandwidth_zero"),
     (ImqKernel, "offset", 0.0, "positive", "offset_zero"),
@@ -327,7 +337,7 @@ OUT_OF_RANGE_FIELDS = [
     (StadiumTrack, "straight_length", 0.0, "positive", "straight_length_zero"),
     (StadiumTrack, "radius", -1.0, "positive", "radius_negative"),
     (StadiumTrack, "reference_speed", 0.0, "positive", "reference_speed_zero"),
-    (InverseDisplacementReward, "weights", [1.0, -1.0], None, "weights_negative"),
+    (InverseDisplacementReward, "weights", [1.0, -1.0], "nonnegative", "weights_negative"),
     (functools.partial(InverseDisplacementReward, [1.0, 1.0]), "epsilon", 0.0, "positive",
      "epsilon_zero"),
     (UprightEnergyPenalty, "weight", -1.0, "nonnegative", "weight_negative"),
@@ -342,11 +352,15 @@ OUT_OF_RANGE_FIELDS = [
     (functools.partial(dataclasses.replace, make_cartpole()), "dt", 0.0, "positive", "dt_zero"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "duration", -1.0, "nonnegative",
      "duration_negative"),
-    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "n_particles", 0, None,
-     "n_particles_zero"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "n_particles", 0,
+     "positive count", "n_particles_zero"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "horizon_seconds", 0.0, None,
      "horizon_seconds_zero"),
 ]
+
+
+# a count's message gives its least value, where a real rule's says "and finite"
+COUNT_PHRASES = {"positive count": "at least 1", "nonnegative count": "nonnegative"}
 
 
 @pytest.mark.parametrize(
@@ -356,7 +370,9 @@ OUT_OF_RANGE_FIELDS = [
 def test_every_constructor_rejects_an_infinite_number(build, field, value, rule):
     # the message names the field first: a config file reports it at that key
     if rule is not None:
-        message = f"^{field} must be {rule} and finite, got {re.escape(str(value))}$"
+        phrase = COUNT_PHRASES.get(rule, f"{rule} and finite")
+        shown = np.asarray(value, dtype=float) if isinstance(value, list) else value
+        message = f"^{field} must be {phrase}, got {re.escape(str(shown))}$"
     else:
         message = f"^{field} must " + ("be .*and finite" if np.any(np.isinf(value)) else "")
     with pytest.raises(ValueError, match=message):
@@ -368,6 +384,8 @@ def test_every_constructor_rejects_an_infinite_number(build, field, value, rule)
 TWO_BAD_FIELDS = [
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi),
      {"noise_fraction": -1.0, "temperature": 0.0}, "temperature"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi),
+     {"temperature": 0.0, "samples": 0}, "samples"),
     (ControllerSpec, {"risk_epsilon": -1.0, "gamma": -1.0}, "gamma"),
     (SvgdConfig, {"fd_epsilon": 0.0, "iterations": -1}, "iterations"),
     (ImqKernel, {"decay": 0.0, "offset": 0.0}, "offset"),
@@ -378,6 +396,8 @@ TWO_BAD_FIELDS = [
      {"duration": -1.0, "n_particles": 0}, "n_particles"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL),
      {"horizon_seconds": 0.0, "duration": -1.0}, "duration"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL),
+     {"n_particles": 0, "x0": [0.0, math.nan, 0.0, 0.0]}, "x0"),
 ]
 
 
@@ -386,6 +406,92 @@ TWO_BAD_FIELDS = [
 def test_a_constructor_reports_the_first_of_two_bad_fields(build, bad, first):
     with pytest.raises(ValueError, match=f"^{first} must "):
         build(**bad)
+
+
+# The hand-written predicates the settings classes held before their value
+# rules joined ``dynamics._check_ranges``: False where a class raised its own
+# ValueError, True where it let the value pass. An exception a predicate
+# raises itself (OverflowError converting an integer too large for a float,
+# TypeError comparing a tuple) the class raised too.
+PARENT_RULES = {
+    # the scalar rules, already one helper's
+    "real": math.isfinite,
+    "nonnegative": lambda v: 0 <= v < math.inf,
+    "positive": lambda v: 0 < v < math.inf,
+    # `if self.samples < 1: raise`, `if self.iterations < 0: raise`
+    "positive count": lambda v: not v < 1,
+    "nonnegative count": lambda v: not v < 0,
+    # the env arrays, x0, nominal_theta and a particle set's bounds and rows
+    "finite entries": lambda v: np.all(np.isfinite(np.asarray(v, dtype=float))),
+    # noise_fraction and the inverse-displacement weights
+    "nonnegative entries": lambda v: np.all(
+        (0 <= np.asarray(v, dtype=float)) & (np.asarray(v, dtype=float) < np.inf)),
+}
+NUMBER = (st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf])
+          | st.floats() | st.floats(width=32).map(np.float32) | st.booleans()
+          | st.integers(-3, 3) | st.integers(1024, 1100).map(lambda k: (-2) ** k))
+
+
+def _entries(size):
+    """A list, tuple or array of ``size`` numbers; ``size`` None also draws
+    a number alone, and sizes 0 to 3."""
+    sizes = st.integers(0, 3) if size is None else st.just(size)
+    rows = sizes.flatmap(lambda n: st.lists(NUMBER, min_size=n, max_size=n))
+    forms = rows.flatmap(lambda r: st.sampled_from([r, tuple(r), np.array(r)]))
+    return forms | NUMBER if size is None else forms
+
+
+SCALAR_FIELDS = [row[:2] + (row[3],) for row in INFINITE_FIELDS
+                 if row[3] in ("real", "nonnegative", "positive") and row[2] == math.inf]
+# (constructor, field, parent rule, values): every field whose rule joined the
+# helper with this change. A count draws numbers, tuples and arrays, as an
+# array field does; one whose shape is checked before its values draws that
+# shape only.
+VALUE_FIELDS = [
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", "positive count",
+     _entries(None)),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "noise_fraction",
+     "nonnegative entries", _entries(None)),
+    (SvgdConfig, "iterations", "nonnegative count", _entries(None)),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "n_particles", "positive count",
+     _entries(None)),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "x0", "finite entries",
+     _entries(4)),
+    *[(functools.partial(dataclasses.replace, make_cartpole()), name, "finite entries",
+       _entries(None)) for name in ("control_lower", "control_upper", "theta_true",
+                                    "theta_lower", "theta_upper")],
+    (functools.partial(ControllerSpec, variant="nominal"), "nominal_theta", "finite entries",
+     _entries(None)),
+    (InverseDisplacementReward, "weights", "nonnegative entries", _entries(None)),
+    (functools.partial(ParticleSet, [[0.5]], upper=[1.0]), "lower", "finite entries",
+     _entries(1)),
+    (functools.partial(ParticleSet, [[0.5]], [0.0]), "upper", "finite entries", _entries(1)),
+    (functools.partial(ParticleSet, lower=[0.0], upper=[1.0]), "particles", "finite entries",
+     _entries(1)),
+] + [(build, field, rule, NUMBER) for build, field, rule in SCALAR_FIELDS]
+
+
+@pytest.mark.parametrize("build,field,rule,values", VALUE_FIELDS,
+                         ids=[row[1] for row in VALUE_FIELDS])
+@given(data=st.data())
+def test_every_value_rule_accepts_what_its_hand_written_predicate_accepted(build, field, rule,
+                                                                           values, data):
+    value = data.draw(values)
+    try:
+        expected = bool(PARENT_RULES[rule](value))
+    except Exception:  # noqa: BLE001 - the class raised whatever its predicate raised
+        expected = None
+    try:
+        build(**{field: value})
+        error = None
+    except Exception as exc:  # noqa: BLE001 - any exception, compared below
+        error = exc
+    # a later rule of the class (a box, an order) may still refuse the value
+    range_error = isinstance(error, ValueError) and str(error).startswith(f"{field} must be ")
+    if expected is None:
+        assert error is not None, value
+    else:
+        assert range_error == (not expected), (value, error)
 
 
 def test_the_memory_rule_counts_the_next_cycles_grid_in_the_rescore():

@@ -283,9 +283,14 @@ def test_cost_spec_validation():
     ("Q_f", dict(Q=np.eye(4), R=np.eye(1), Q_f=np.eye(3))),
     ("Q", dict(Q=np.ones((4, 3)), R=np.eye(1), Q_f=np.eye(4))),
     ("R", dict(Q=np.eye(4), R=np.ones((1, 2)), Q_f=np.eye(4))),
-], ids=["Q_f-3x3-against-4x4-Q", "Q-4x3", "R-1x2"])
+    *[("weights", dict(Q=np.eye(4), R=np.eye(1), Q_f=np.eye(4),
+                       extra_terminal=InverseDisplacementReward([1e-4] * k))) for k in (1, 3)],
+], ids=["Q_f-3x3-against-4x4-Q", "Q-4x3", "R-1x2", "weights-1-against-4x4-Q",
+        "weights-3-against-4x4-Q"])
 def test_cost_spec_rejects_a_weight_of_the_wrong_shape(label, weights):
     # Q's rows set the state dimension and R's rows the control dimension.
+    # One inverse-displacement weight would broadcast over every coordinate,
+    # and three would fail to broadcast in the middle of the first rollout.
     with pytest.raises(ValueError, match=f"^{label} must have shape"):
         CostSpec(**weights, x_des=np.zeros(4))
 

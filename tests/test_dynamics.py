@@ -299,7 +299,7 @@ def test_env_model_validation():
                       ("theta_true", [0.5, 0.5]), ("theta_lower", [0.0, 0.0]),
                       ("theta_upper", [1.0, 1.0])):
         for bad in (np.nan, np.inf, -np.inf):
-            rules.append(({name: [bad] + row[1:]}, f"{name} must be finite"))
+            rules.append(({name: [bad] + row[1:]}, f"{name} must be real and finite"))
     for change, message in rules:
         with pytest.raises(ValueError, match=message):
             EnvModel(**{**base, **change})

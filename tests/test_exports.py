@@ -9,8 +9,8 @@ loader. A rename in ``src/`` breaks the benchmark; these tests make it fail here
 ``harness.mppi_solve``, and once per trial, inside the forked workers of a batch,
 for ``harness.run_trial``. A change to either is a change to the benchmark.
 
-The repository has no linter, so two checks here stand in for its unused-import
-and dead-definition rules.
+The repository has no linter, so three checks here stand in for its unused-import
+and dead-definition rules and for one that keeps each value rule in its one place.
 """
 import ast
 import dataclasses
@@ -19,6 +19,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,37 @@ def test_every_module_level_definition_is_read(name):
     exported = {"__all__", *importlib.import_module(f"steinmpc.{name}").__all__}
     unread = sorted(set(_defined(_tree(name))) - read - exported)
     assert not unread, f"steinmpc.{name} defines names nothing reads: {unread}"
+
+
+# A message that words a value rule. Each such rule has one home:
+# ``dynamics._check_ranges`` for every settings class, the loader's ``_as_*``
+# for what a document is made of, ``costs._check_weight_matrix`` for a weight
+# matrix and ``harness.run_batch`` for its worker count, a function argument.
+VALUE_RULE = re.compile(r"must be (real|nonnegative|positive|finite|at least)\b")
+
+
+def _value_rule_raises(tree, where="<module>"):
+    """(function, message) of each raise under ``tree`` whose message's text
+    words a value rule, ``function`` the innermost one that holds it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _value_rule_raises(node, node.name)
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = "".join(n.value for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if VALUE_RULE.search(text):
+                yield where, text
+        yield from _value_rule_raises(node, where)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_settings_class_hand_writes_a_value_rule(name):
+    # a new range or count rule is one keyword of a _check_ranges call
+    stray = [(where, text) for where, text in _value_rule_raises(_tree(name))
+             if where not in ("_check_ranges", "_check_weight_matrix", "run_batch")
+             and not (name == "configfile" and where.startswith("_as_"))]
+    assert not stray, f"steinmpc.{name} raises value rules outside their homes: {stray}"
 
 
 BENCH_NAMES = [

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from steinmpc import cli, controllers, costs, harness
-from steinmpc.configfile import build_trial_config, load_config
+from steinmpc.configfile import ConfigError, build_trial_config, load_config
 from steinmpc.controllers import (
     ControllerSpec,
     MppiConfig,
@@ -142,7 +142,7 @@ def test_trial_config_validation():
     with pytest.raises(ValueError):
         _cartpole_trial(x0=np.zeros(3))
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="x0 must be finite"):
+        with pytest.raises(ValueError, match="x0 must be real and finite"):
             _cartpole_trial(x0=np.array([0.0, bad, 0.0, 0.0]))
     with pytest.raises(ValueError):
         _cartpole_trial(n_particles=0)
@@ -154,6 +154,23 @@ def test_trial_config_validation():
     trial = _cartpole_trial(horizon_seconds=0.4)
     with pytest.raises(ValueError, match="integer multiple"):
         dataclasses.replace(trial, env=dataclasses.replace(trial.env, dt=0.03))
+
+
+@pytest.mark.parametrize("theta", [[0.1], [0.1, 0.01, 7.0]], ids=["one-entry", "three-entry"])
+def test_a_nominal_theta_of_the_wrong_shape_is_rejected(theta):
+    # The racecar's theta is (mass, yaw inertia): a one-entry theta would
+    # broadcast to both and a third entry would be ignored, each planning
+    # without a word.
+    doc = load_config(os.path.join(CONFIG_DIR, "racing.yaml"))
+    trial = build_trial_config(doc)[0]
+    message = rf"^nominal_theta must have shape \(2,\), got \({len(theta)},\)$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(trial, controller=ControllerSpec("nominal", nominal_theta=theta))
+    # a document is stopped first by the loader's length check, at the same key
+    doc["controller"] = {"variant": "nominal", "nominal_theta": theta}
+    with pytest.raises(ConfigError) as err:
+        build_trial_config(doc)
+    assert err.value.field == "controller.nominal_theta"
 
 
 def test_timeout_trial_logs_every_step():

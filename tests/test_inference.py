@@ -80,7 +80,7 @@ def test_particle_set_validation():
     # every bound is finite, so every finite-difference step is a box fraction
     for lower, upper in (([np.nan], [1.0]), ([0.0], [np.nan]), ([-np.inf], [1.0]),
                          ([0.0], [np.inf]), ([0.0, -np.inf], [1.0, 1.0])):
-        with pytest.raises(ValueError, match="bounds must be finite"):
+        with pytest.raises(ValueError, match="(lower|upper) must be real and finite"):
             ParticleSet(np.full((1, len(lower)), 0.5), lower, upper)
 
 
