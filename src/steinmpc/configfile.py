@@ -47,7 +47,7 @@ import yaml
 
 from .controllers import ControllerSpec, MppiConfig
 from .costs import CostSpec, InverseDisplacementReward, UprightEnergyPenalty
-from .dynamics import make_cartpole, make_racecar, make_rocket
+from .dynamics import _check_ranges, make_cartpole, make_racecar, make_rocket
 from .harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig
 from .inference import SvgdConfig
 from .kernels import ConstantKernel, ImqKernel, RbfKernel
@@ -373,10 +373,9 @@ def _build_controller(root, env):
         "variant": (None,), "gamma": (_as_float,), "risk_lambda": (_as_float,),
         "risk_epsilon": (_as_float,), "nominal_theta": (_as_float_list, env.param_dim),
     }, required=("variant",))
-    nominal = controller.nominal_theta
-    if nominal is not None and np.any((nominal < env.theta_lower) | (nominal > env.theta_upper)):
-        raise ConfigError(section.path_of("nominal_theta"),
-                          "must lie inside the parameter box, as env.theta_true must")
+    if controller.nominal_theta is not None:
+        _built(section, _check_ranges, controller,
+               nominal_theta=("inside", env.theta_lower, env.theta_upper), keys=("nominal_theta",))
     return controller
 
 

@@ -213,8 +213,7 @@ class ControllerSpec:
     nominal_theta: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        _check_ranges(self, variant=("one of", VARIANTS))
         # an unset risk_lambda is the harness's to calibrate
         lam = {} if self.risk_lambda is None else {"risk_lambda": "positive"}
         theta = {}

@@ -223,14 +223,10 @@ class CostSpec:
         self._q_f_terms = _quad_terms(self.Q_f)
         if not hasattr(self.x_des, "horizon_states"):
             self.x_des = np.asarray(self.x_des, dtype=float)
-            if self.x_des.shape != (n,):
-                raise ValueError(
-                    f"x_des must have shape ({n},), got {self.x_des.shape}"
-                )
+            _check_ranges(self, x_des=("shape", (n,)))
         # one weight per state coordinate: any other count broadcasts or fails mid-rollout
-        extra = self.extra_terminal
-        if isinstance(extra, InverseDisplacementReward) and extra.weights.shape != (n,):
-            raise ValueError(f"weights must have shape ({n},), got {extra.weights.shape}")
+        if isinstance(self.extra_terminal, InverseDisplacementReward):
+            _check_ranges(self.extra_terminal, weights=("shape", (n,)))
 
     @property
     def tracks_reference(self) -> bool:

@@ -23,6 +23,7 @@ bounds with ``dataclasses.replace``, which runs ``EnvModel``'s checks again.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,22 +85,13 @@ class EnvModel:
         arrays = ("control_lower", "control_upper", "theta_true", "theta_lower", "theta_upper")
         for name in arrays:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        # NaN passes every comparison, so each array is real before any order or box
         _check_ranges(self, **dict.fromkeys(arrays, "real"), dt="positive")
-        if self.control_lower.shape != (self.control_dim,) or self.control_upper.shape != (
-            self.control_dim,
-        ):
-            raise ValueError("control bounds must match control_dim")
-        if np.any(self.control_lower >= self.control_upper):
-            raise ValueError("control lower bounds must be strictly below upper bounds")
-        for name in ("theta_true", "theta_lower", "theta_upper"):
-            if getattr(self, name).shape != (self.param_dim,):
-                raise ValueError(f"{name} must match param_dim")
-        if np.any(self.theta_lower >= self.theta_upper):
-            raise ValueError("parameter box must have positive volume")
-        if np.any(self.theta_true < self.theta_lower) or np.any(
-            self.theta_true > self.theta_upper
-        ):
-            raise ValueError("theta_true must lie inside the parameter box")
+        _check_ranges(self, **dict.fromkeys(arrays[:2], ("shape", (self.control_dim,))))
+        _check_ranges(self, control_lower=("below", self.control_upper),
+                      **dict.fromkeys(arrays[2:], ("shape", (self.param_dim,))))
+        _check_ranges(self, theta_lower=("below", self.theta_upper),
+                      theta_true=("inside", self.theta_lower, self.theta_upper))
 
     def clamp_control(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.control_lower, self.control_upper)
@@ -274,28 +266,52 @@ def _each(test):
     return lambda v: test(np.asarray(v, float)).all() if isinstance(v, arrays) else test(v)
 
 
-# rule: (test, the phrase its message gives)
-_RANGES = {
-    "real": (_each(np.isfinite), "real and finite"),
-    "nonnegative": (_each(lambda v: (0 <= v) & (v < math.inf)), "nonnegative and finite"),
-    "positive": (_each(lambda v: (0 < v) & (v < math.inf)), "positive and finite"),
-    "positive count": (lambda n: not n < 1, "at least 1"),
-    "nonnegative count": (lambda n: not n < 0, "nonnegative"),
+def _is_integer(n):
+    try:
+        return operator.index(n) is not None
+    except TypeError:
+        return False
+
+
+def _has_shape(v, shape):
+    return v.shape == shape or len(v.shape) == len(shape) and all(
+        n >= 1 if isinstance(axis, str) else n == axis for n, axis in zip(v.shape, shape))
+
+
+# kind: its checks in order, each (test of the value and arguments, message)
+_INTEGER = (_is_integer, "be an integer, got {value}")
+_RULES = {
+    "real": [(_each(np.isfinite), "be real and finite, got {value}")],
+    "nonnegative": [(_each(lambda v: (0 <= v) & (v < math.inf)),
+                     "be nonnegative and finite, got {value}")],
+    "positive": [(_each(lambda v: (0 < v) & (v < math.inf)),
+                  "be positive and finite, got {value}")],
+    "positive count": [_INTEGER, (lambda n: n >= 1, "be at least 1, got {value}")],
+    "nonnegative count": [_INTEGER, (lambda n: n >= 0, "be nonnegative, got {value}")],
+    "shape": [(_has_shape, "have shape {0}, got {value.shape}")],
+    "below": [(lambda v, upper: (v < upper).all(), "be strictly below {0}, got {value}")],
+    "inside": [(lambda v, lower, upper: not ((v < lower) | (v > upper)).any(),
+                "lie inside the box from {0} to {1}, got {value}")],
+    "one of": [(lambda v, choices: v in choices, "be one of {0}, got {value!r}")],
 }
 
 
 def _check_ranges(obj, **rules):
     """The value rule of every settings class: each named attribute of ``obj``
-    keeps its rule. "real" (any sign), "nonnegative" and "positive" hold a
-    number, or each entry of a tuple or array, and ask it to be finite too; a
-    "positive count" fails only below 1, a "nonnegative count" only below 0.
-    The first that fails, in argument order, raises a ValueError that starts
-    with its name: ``{name} must be {phrase}, got {value}``."""
+    keeps its rule, a ``_RULES`` kind or a (kind, *arguments) tuple, and the
+    first that fails, in argument order, raises a ValueError that starts with
+    its name, ``{name} must ...``. "real", "nonnegative" and "positive" ask a
+    number, or each entry of a tuple or array, to be finite too; a count is an
+    integer, as ``operator.index`` takes one; ("shape", shape) lets a named
+    axis take any length of at least 1; ("below", upper) is strict; ("inside",
+    lower, upper) is closed and NaN passes it, so "real" comes first; and
+    ("one of", choices) asks for a member of the tuple ``choices``."""
     for name, rule in rules.items():
         value = getattr(obj, name)
-        test, phrase = _RANGES[rule]
-        if not test(value):
-            raise ValueError(f"{name} must be {phrase}, got {value}")
+        kind, args = (rule, ()) if isinstance(rule, str) else (rule[0], rule[1:])
+        for test, message in _RULES[kind]:
+            if not test(value, *args):
+                raise ValueError(f"{name} must " + message.format(*args, value=value))
 
 
 def horizon_steps(horizon_seconds: float, dt: float) -> int:

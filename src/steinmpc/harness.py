@@ -155,16 +155,15 @@ class TrialConfig:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        if self.x0.shape != (self.env.state_dim,):
-            raise ValueError(
-                f"x0 must have shape ({self.env.state_dim},), got {self.x0.shape}"
-            )
+        env, controller = self.env, self.controller
+        _check_ranges(self, x0=("shape", (env.state_dim,)))
         # the planner's parameters; any other shape broadcasts against the dynamics
-        theta, p = self.controller.nominal_theta, self.env.param_dim
-        if theta is not None and theta.shape != (p,):
-            raise ValueError(f"nominal_theta must have shape ({p},), got {theta.shape}")
+        if controller.nominal_theta is not None:
+            _check_ranges(controller, nominal_theta=("shape", (env.param_dim,)))
         _check_ranges(self, x0="real", n_particles="positive count", duration="nonnegative")
-        horizon_steps(self.horizon_seconds, self.env.dt)
+        horizon_steps(self.horizon_seconds, env.dt)
+        if controller.nominal_theta is not None:
+            _check_ranges(controller, nominal_theta=("inside", env.theta_lower, env.theta_upper))
 
 
 @dataclass

@@ -69,19 +69,12 @@ class ParticleSet:
             self.particles = self.particles[None, :]
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        n, dim = self.particles.shape
-        if n < 1 or dim < 1:
-            raise ValueError(f"particle stack must be non-empty, got shape {(n, dim)}")
-        if self.lower.shape != (dim,) or self.upper.shape != (dim,):
-            raise ValueError(
-                f"bounds must have shape ({dim},), got {self.lower.shape} and {self.upper.shape}"
-            )
+        # the stack's shape, checked first, sets the bounds'; NaN passes every comparison
+        row = ("shape", self.particles.shape[1:])
+        _check_ranges(self, particles=("shape", ("n", "dim")), lower=row, upper=row)
         _check_ranges(self, lower="real", upper="real")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-        _check_ranges(self, particles="real")
-        if np.any(self.particles < self.lower) or np.any(self.particles > self.upper):
-            raise ValueError("particles must lie inside the bounding box")
+        _check_ranges(self, lower=("below", self.upper), particles="real")
+        _check_ranges(self, particles=("inside", self.lower, self.upper))
 
 
 def draw_particles(lower, upper, count: int, rng: np.random.Generator) -> ParticleSet:
@@ -125,11 +118,7 @@ class SvgdConfig:
 
     def __post_init__(self):
         _check_ranges(self, step_size="nonnegative", iterations="nonnegative count",
-                      fd_epsilon="positive")
-        if self.sign_mode not in ("adversarial", "favoring"):
-            raise ValueError(
-                f"sign_mode must be 'adversarial' or 'favoring', got {self.sign_mode!r}"
-            )
+                      fd_epsilon="positive", sign_mode=("one of", ("adversarial", "favoring")))
 
     @property
     def sign(self) -> float:

@@ -6,6 +6,7 @@ import functools
 import glob
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -356,11 +357,22 @@ OUT_OF_RANGE_FIELDS = [
      "positive count", "n_particles_zero"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "horizon_seconds", 0.0, None,
      "horizon_seconds_zero"),
+    # a count that is no integer used to build, then fail the trial with
+    # "'float' object cannot be interpreted as an integer"
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", 2.5, "integer",
+     "samples_fractional"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", math.nan,
+     "integer", "samples_nan"),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "n_particles", 2.5, "integer",
+     "n_particles_fractional"),
+    (SvgdConfig, "iterations", 0.5, "integer", "iterations_fractional"),
 ]
 
 
-# a count's message gives its least value, where a real rule's says "and finite"
-COUNT_PHRASES = {"positive count": "at least 1", "nonnegative count": "nonnegative"}
+# a count's message gives its least value, or that it is no integer, where a
+# real rule's says "and finite"
+COUNT_PHRASES = {"positive count": "at least 1", "nonnegative count": "nonnegative",
+                 "integer": "an integer"}
 
 
 @pytest.mark.parametrize(
@@ -398,6 +410,11 @@ TWO_BAD_FIELDS = [
      {"horizon_seconds": 0.0, "duration": -1.0}, "duration"),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL),
      {"n_particles": 0, "x0": [0.0, math.nan, 0.0, 0.0]}, "x0"),
+    # a parameter array's shape before the box's order, a particle set's bounds before its rows
+    (functools.partial(dataclasses.replace, make_cartpole()),
+     {"theta_upper": [0.3, 0.3], "theta_true": [0.5]}, "theta_true"),
+    (functools.partial(ParticleSet, upper=[1.0]), {"particles": [[math.nan]], "lower": [1.0]},
+     "lower"),
 ]
 
 
@@ -406,6 +423,14 @@ TWO_BAD_FIELDS = [
 def test_a_constructor_reports_the_first_of_two_bad_fields(build, bad, first):
     with pytest.raises(ValueError, match=f"^{first} must "):
         build(**bad)
+
+
+def _is_integer(v):
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return True
 
 
 # The hand-written predicates the settings classes held before their value
@@ -418,18 +443,138 @@ PARENT_RULES = {
     "real": math.isfinite,
     "nonnegative": lambda v: 0 <= v < math.inf,
     "positive": lambda v: 0 < v < math.inf,
-    # `if self.samples < 1: raise`, `if self.iterations < 0: raise`
-    "positive count": lambda v: not v < 1,
-    "nonnegative count": lambda v: not v < 0,
-    # the env arrays, x0, nominal_theta and a particle set's bounds and rows
+    # `if self.samples < 1: raise`, `if self.iterations < 0: raise`, less the
+    # non-integers they let through to fail the trial: a count is an integer
+    # as operator.index takes one
+    "positive count": lambda v: _is_integer(v) and not v < 1,
+    "nonnegative count": lambda v: _is_integer(v) and not v < 0,
+    # nominal_theta on ControllerSpec
     "finite entries": lambda v: np.all(np.isfinite(np.asarray(v, dtype=float))),
     # noise_fraction and the inverse-displacement weights
     "nonnegative entries": lambda v: np.all(
         (0 <= np.asarray(v, dtype=float)) & (np.asarray(v, dtype=float) < np.inf)),
 }
+CARTPOLE = make_cartpole()
+ENV_ARRAYS = ("control_lower", "control_upper", "theta_true", "theta_lower", "theta_upper")
+
+
+# The hand-written checks of the constructors whose shape, order, box and name
+# rules joined the helper, in their order: each returns the field its first
+# failing check concerned, or None where the class built. ``field`` is the
+# one argument set to ``value``; the rest are the row's valid defaults.
+def _parent_env_model(field, value):
+    env = {name: getattr(CARTPOLE, name) for name in ENV_ARRAYS}
+    env[field] = np.asarray(value, dtype=float)
+    # _check_ranges(self, **dict.fromkeys(arrays, "real"), dt="positive")
+    for name in ENV_ARRAYS:
+        if not np.all(np.isfinite(env[name])):
+            return name
+    # "control bounds must match control_dim"
+    for name in ENV_ARRAYS[:2]:
+        if env[name].shape != (CARTPOLE.control_dim,):
+            return name
+    # "control lower bounds must be strictly below upper bounds"
+    if np.any(env["control_lower"] >= env["control_upper"]):
+        return "control_lower"
+    # "{name} must match param_dim"
+    for name in ENV_ARRAYS[2:]:
+        if env[name].shape != (CARTPOLE.param_dim,):
+            return name
+    # "parameter box must have positive volume"
+    if np.any(env["theta_lower"] >= env["theta_upper"]):
+        return "theta_lower"
+    # "theta_true must lie inside the parameter box"
+    if np.any(env["theta_true"] < env["theta_lower"]) or np.any(
+            env["theta_true"] > env["theta_upper"]):
+        return "theta_true"
+    return None
+
+
+PARTICLE_SET = {"particles": [[0.5, 0.5]], "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+
+
+def _parent_particle_set(field, value):
+    given = {**PARTICLE_SET, field: value}
+    particles = np.array(given["particles"], dtype=float, copy=True)
+    if particles.ndim == 1:
+        particles = particles[None, :]
+    lower = np.asarray(given["lower"], dtype=float)
+    upper = np.asarray(given["upper"], dtype=float)
+    # `n, dim = self.particles.shape` raised its own ValueError
+    if particles.ndim != 2:
+        return "particles"
+    n, dim = particles.shape
+    # "particle stack must be non-empty"
+    if n < 1 or dim < 1:
+        return "particles"
+    # "bounds must have shape ({dim},), got {lower.shape} and {upper.shape}"
+    if lower.shape != (dim,):
+        return "lower"
+    if upper.shape != (dim,):
+        return "upper"
+    # _check_ranges(self, lower="real", upper="real")
+    for name, bound in (("lower", lower), ("upper", upper)):
+        if not np.all(np.isfinite(bound)):
+            return name
+    # "lower bounds must be strictly below upper bounds"
+    if not np.all(lower < upper):
+        return "lower"
+    # _check_ranges(self, particles="real")
+    if not np.all(np.isfinite(particles)):
+        return "particles"
+    # "particles must lie inside the bounding box"
+    if np.any(particles < lower) or np.any(particles > upper):
+        return "particles"
+    return None
+
+
+def _parent_trial(field, value):
+    env = CARTPOLE_TRIAL.env
+    x0, theta = CARTPOLE_TRIAL.x0, None
+    if field == "x0":
+        x0 = np.asarray(value, dtype=float)
+    else:
+        theta = np.asarray(value, dtype=float)
+        # ControllerSpec: _check_ranges(self, ..., nominal_theta="real")
+        if not np.all(np.isfinite(theta)):
+            return "nominal_theta"
+    # "x0 must have shape ({state_dim},)"
+    if x0.shape != (env.state_dim,):
+        return "x0"
+    # "nominal_theta must have shape ({param_dim},)"
+    if theta is not None and theta.shape != (env.param_dim,):
+        return "nominal_theta"
+    # _check_ranges(self, x0="real", ...)
+    if not np.all(np.isfinite(x0)):
+        return "x0"
+    # the one rule this change adds: the box env.theta_true keeps
+    if theta is not None and (np.any(theta < env.theta_lower) or np.any(theta > env.theta_upper)):
+        return "nominal_theta"
+    return None
+
+
+def _parent_cost(field, value):
+    n = CARTPOLE.state_dim
+    given = np.asarray(value, dtype=float)
+    # "x_des must have shape ({n},)"
+    if field == "x_des":
+        return None if given.shape == (n,) else "x_des"
+    # InverseDisplacementReward: _check_ranges(self, weights="nonnegative", ...)
+    if not np.all((0 <= given) & (given < np.inf)):
+        return "weights"
+    # "weights must have shape ({n},)"
+    return None if given.shape == (n,) else "weights"
+
+
+def _parent_name(choices):
+    # `if self.variant not in VARIANTS: raise`, and so for sign_mode
+    return lambda field, value: None if value in choices else field
+
+
 NUMBER = (st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf])
           | st.floats() | st.floats(width=32).map(np.float32) | st.booleans()
-          | st.integers(-3, 3) | st.integers(1024, 1100).map(lambda k: (-2) ** k))
+          | st.integers(-3, 3) | st.integers(-3, 3).map(np.int64)
+          | st.integers(-3, 3).map(np.array) | st.integers(1024, 1100).map(lambda k: (-2) ** k))
 
 
 def _entries(size):
@@ -441,12 +586,48 @@ def _entries(size):
     return forms | NUMBER if size is None else forms
 
 
+def _faces(*bounds):
+    """Each entry of ``bounds`` and the floats either side of it, -0.0 and NaN."""
+    xs = np.concatenate([np.ravel(b) for b in bounds])
+    near = {*xs, *np.nextafter(xs, -np.inf), *np.nextafter(xs, np.inf)}
+    return [*sorted(float(x) for x in near), 0.0, -0.0, math.nan]
+
+
+def _arrays(shapes, faces):
+    """An array of one of ``shapes``, or its nested list, each entry one of
+    ``faces`` or any NUMBER."""
+    entry = st.sampled_from(faces) | NUMBER
+
+    def filled(shape):
+        size = math.prod(shape)
+        return st.lists(entry, min_size=size, max_size=size).map(
+            lambda xs: np.array(xs, dtype=object).reshape(shape))
+    arrays = st.sampled_from(shapes).flatmap(filled)
+    return arrays.flatmap(lambda a: st.sampled_from([a, a.tolist()]))
+
+
+def _names(choices):
+    """A name of ``choices``, a near miss, a tuple of one, or not a string."""
+    near = [form for c in choices
+            for form in (c.upper(), c.title(), f" {c}", c[:-1], c.replace("_", "-"))]
+    others = [(choices[0],), [choices[0]], None, 0, 1.0, choices[0].encode()]
+    return st.sampled_from([*choices, *near, *others]) | st.text(max_size=4)
+
+
+# wrong shapes draw 0-d, empty, an extra axis and one entry more or less
+CONTROL_SHAPES = [(1,), (), (0,), (2,), (1, 1)]
+THETA_SHAPES = [(2,), (), (0,), (1,), (3,), (2, 1), (1, 2)]
+STATE_SHAPES = [(4,), (), (0,), (3,), (4, 1)]
+BOUND_SHAPES = [(2,), (), (0,), (1,), (3,), (2, 1)]
+ENV_FACES = _faces(*(getattr(CARTPOLE, name) for name in ENV_ARRAYS))
+UNIT_FACES = _faces([0.0, 0.5, 1.0])
 SCALAR_FIELDS = [row[:2] + (row[3],) for row in INFINITE_FIELDS
                  if row[3] in ("real", "nonnegative", "positive") and row[2] == math.inf]
-# (constructor, field, parent rule, values): every field whose rule joined the
-# helper with this change. A count draws numbers, tuples and arrays, as an
-# array field does; one whose shape is checked before its values draws that
-# shape only.
+# (constructor, field, parent rule, values[, id]): every field whose rule
+# joined the helper, its rule a key of PARENT_RULES or a function as above. A
+# count draws numbers, tuples and arrays, as an array field does; a
+# constructor whose rules span fields draws each field's shapes and its box's
+# faces.
 VALUE_FIELDS = [
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.mppi), "samples", "positive count",
      _entries(None)),
@@ -455,43 +636,58 @@ VALUE_FIELDS = [
     (SvgdConfig, "iterations", "nonnegative count", _entries(None)),
     (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "n_particles", "positive count",
      _entries(None)),
-    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "x0", "finite entries",
-     _entries(4)),
-    *[(functools.partial(dataclasses.replace, make_cartpole()), name, "finite entries",
-       _entries(None)) for name in ("control_lower", "control_upper", "theta_true",
-                                    "theta_lower", "theta_upper")],
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL), "x0", _parent_trial,
+     _arrays(STATE_SHAPES, [0.0, -0.0, math.nan])),
+    (lambda nominal_theta: dataclasses.replace(
+        CARTPOLE_TRIAL, controller=ControllerSpec("nominal", nominal_theta=nominal_theta)),
+     "nominal_theta", _parent_trial, _arrays(THETA_SHAPES, ENV_FACES), "trial_nominal_theta"),
+    *[(functools.partial(dataclasses.replace, CARTPOLE), name, _parent_env_model,
+       _arrays(CONTROL_SHAPES if name.startswith("control") else THETA_SHAPES, ENV_FACES))
+      for name in ENV_ARRAYS],
     (functools.partial(ControllerSpec, variant="nominal"), "nominal_theta", "finite entries",
      _entries(None)),
     (InverseDisplacementReward, "weights", "nonnegative entries", _entries(None)),
-    (functools.partial(ParticleSet, [[0.5]], upper=[1.0]), "lower", "finite entries",
-     _entries(1)),
-    (functools.partial(ParticleSet, [[0.5]], [0.0]), "upper", "finite entries", _entries(1)),
-    (functools.partial(ParticleSet, lower=[0.0], upper=[1.0]), "particles", "finite entries",
-     _entries(1)),
+    (functools.partial(dataclasses.replace, CARTPOLE_TRIAL.cost), "x_des", _parent_cost,
+     _arrays(STATE_SHAPES, [0.0, math.nan])),
+    (lambda weights: dataclasses.replace(
+        CARTPOLE_TRIAL.cost, extra_terminal=InverseDisplacementReward(weights)),
+     "weights", _parent_cost, _arrays(STATE_SHAPES, [0.0, -0.0, -1.0]),
+     "cost_weights"),
+    *[(functools.partial(ParticleSet, **{k: v for k, v in PARTICLE_SET.items() if k != name}),
+       name, _parent_particle_set, _arrays(shapes, UNIT_FACES))
+      for name, shapes in (
+          ("particles", [(1, 2), (3, 2), (2,), (), (0,), (0, 2), (1, 0), (1, 3), (1, 1, 2)]),
+          ("lower", BOUND_SHAPES), ("upper", BOUND_SHAPES))],
+    (ControllerSpec, "variant", _parent_name(VARIANTS), _names(VARIANTS)),
+    (SvgdConfig, "sign_mode", _parent_name(("adversarial", "favoring")),
+     _names(("adversarial", "favoring"))),
 ] + [(build, field, rule, NUMBER) for build, field, rule in SCALAR_FIELDS]
+RAISED = object()
 
 
-@pytest.mark.parametrize("build,field,rule,values", VALUE_FIELDS,
-                         ids=[row[1] for row in VALUE_FIELDS])
+@pytest.mark.parametrize("build,field,rule,values", [row[:4] for row in VALUE_FIELDS],
+                         ids=[row[4] if len(row) > 4 else row[1] for row in VALUE_FIELDS])
 @given(data=st.data())
 def test_every_value_rule_accepts_what_its_hand_written_predicate_accepted(build, field, rule,
                                                                            values, data):
     value = data.draw(values)
     try:
-        expected = bool(PARENT_RULES[rule](value))
+        expected = rule(field, value) if callable(rule) else (
+            None if PARENT_RULES[rule](value) else field)
     except Exception:  # noqa: BLE001 - the class raised whatever its predicate raised
-        expected = None
+        expected = RAISED
     try:
         build(**{field: value})
         error = None
     except Exception as exc:  # noqa: BLE001 - any exception, compared below
         error = exc
-    # a later rule of the class (a box, an order) may still refuse the value
-    range_error = isinstance(error, ValueError) and str(error).startswith(f"{field} must be ")
-    if expected is None:
+    # the field a rule's message names first, as a config file reports it
+    head, must, _ = str(error).partition(" must ")
+    named = head if isinstance(error, ValueError) and must else None
+    if expected is RAISED:
         assert error is not None, value
     else:
-        assert range_error == (not expected), (value, error)
+        assert named == expected, (value, error)
 
 
 def test_the_memory_rule_counts_the_next_cycles_grid_in_the_rescore():

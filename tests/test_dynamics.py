@@ -288,11 +288,11 @@ def test_env_model_validation():
     EnvModel(**base)
     rules = [
         ({"dt": 0.0}, "dt must be positive"),
-        ({"control_upper": [1.0, 1.0]}, "control bounds must match"),
-        ({"control_lower": [1.0]}, "strictly below"),
-        ({"theta_true": [0.5]}, "theta_true must match"),
-        ({"theta_upper": [1.0, 0.0]}, "positive volume"),
-        ({"theta_true": [0.5, 2.0]}, "inside the parameter box"),
+        ({"control_upper": [1.0, 1.0]}, r"control_upper must have shape \(1,\), got \(2,\)"),
+        ({"control_lower": [1.0]}, "control_lower must be strictly below"),
+        ({"theta_true": [0.5]}, r"theta_true must have shape \(2,\), got \(1,\)"),
+        ({"theta_upper": [1.0, 0.0]}, "theta_lower must be strictly below"),
+        ({"theta_true": [0.5, 2.0]}, "theta_true must lie inside the box"),
     ]
     # NaN passes every box comparison, so each array is checked finite first
     for name, row in (("control_lower", [-1.0]), ("control_upper", [1.0]),

@@ -89,11 +89,13 @@ def test_every_module_level_definition_is_read(name):
     assert not unread, f"steinmpc.{name} defines names nothing reads: {unread}"
 
 
-# A message that words a value rule. Each such rule has one home:
+# A message that words a value rule: a range, a count, a shape, a bound order,
+# a box or a name from a fixed set. Each such rule has one home:
 # ``dynamics._check_ranges`` for every settings class, the loader's ``_as_*``
 # for what a document is made of, ``costs._check_weight_matrix`` for a weight
 # matrix and ``harness.run_batch`` for its worker count, a function argument.
-VALUE_RULE = re.compile(r"must be (real|nonnegative|positive|finite|at least)\b")
+VALUE_RULE = re.compile(r"must (be (real|nonnegative|positive|finite|at least|an integer"
+                        r"|strictly below|one of)|have shape|lie inside)\b")
 
 
 def _value_rule_raises(tree, where="<module>"):
@@ -113,7 +115,8 @@ def _value_rule_raises(tree, where="<module>"):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_settings_class_hand_writes_a_value_rule(name):
-    # a new range or count rule is one keyword of a _check_ranges call
+    # a new range, count, shape, order, box or name rule is one keyword of a
+    # _check_ranges call
     stray = [(where, text) for where, text in _value_rule_raises(_tree(name))
              if where not in ("_check_ranges", "_check_weight_matrix", "run_batch")
              and not (name == "configfile" and where.startswith("_as_"))]

@@ -173,6 +173,25 @@ def test_a_nominal_theta_of_the_wrong_shape_is_rejected(theta):
     assert err.value.field == "controller.nominal_theta"
 
 
+def test_a_nominal_theta_outside_the_parameter_box_is_rejected():
+    # racing's box is [0.05, 0.3] x [1e-5, 0.5]: a mass of 10 used to plan
+    # every step, 33 times the box's top, until the trial timed out
+    doc = load_config(os.path.join(CONFIG_DIR, "racing.yaml"))
+    trial = build_trial_config(doc)[0]
+    message = r"^nominal_theta must lie inside the box from \[.*\] to \[.*\], got \[10\. +0\.01\]$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(trial, controller=ControllerSpec("nominal", nominal_theta=[10.0, 0.01]))
+    # the box is closed
+    for face in (trial.env.theta_lower, trial.env.theta_upper):
+        nominal = ControllerSpec("nominal", nominal_theta=face)
+        assert dataclasses.replace(trial, controller=nominal).controller is nominal
+    # a document is stopped by the same rule, at its key
+    doc["controller"] = {"variant": "nominal", "nominal_theta": [10.0, 0.01]}
+    with pytest.raises(ConfigError, match="nominal_theta must lie inside the box") as err:
+        build_trial_config(doc)
+    assert err.value.field == "controller.nominal_theta"
+
+
 def test_timeout_trial_logs_every_step():
     result = run_trial(_cartpole_trial())
     assert not result.success
