@@ -16,12 +16,12 @@ the two plans that can be chosen decides, reports the cost and carries the probe
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .costs import CostSpec, rollout_cost_batch
-from .dynamics import EnvModel, _check_ranges
+from .dynamics import EnvModel, _check_ranges, _clip
 from .inference import particle_mean
 
 __all__ = [
@@ -71,24 +71,40 @@ class MppiConfig:
                       noise_fraction="nonnegative")
 
 
+@lru_cache(maxsize=16)
+def _draw_rows(lower: bytes, upper: bytes, fraction: bytes, fraction_shape: tuple, horizon: int):
+    """The (H * m,) noise-scale, lower and upper rows ``_candidates`` scales and
+    clips its draws with, each per-channel vector tiled over the horizon.
+
+    A trial's rows are the same from cycle to cycle, so they are built once
+    and kept by the bytes they are made of, read-only, a few at a time.
+    """
+    lo, hi = np.frombuffer(lower), np.frombuffer(upper)
+    scale = np.frombuffer(fraction).reshape(fraction_shape)
+    rows = np.tile(scale * (hi - lo), horizon), np.tile(lo, horizon), np.tile(hi, horizon)
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
 def _candidates(env: EnvModel, warm: np.ndarray, config: MppiConfig,
                 rng: np.random.Generator) -> np.ndarray:
     """A cycle's (samples, H, m) candidates: the clamped warm plan, then
     samples - 1 Gaussian perturbations of it drawn from ``rng``, all clamped
     to the actuator box."""
     warm = np.asarray(warm, dtype=float)
-    lo, hi = env.control_lower, env.control_upper
     # Scale and clip on (samples, H * m) rows with each per-channel vector
     # tiled over the horizon, so no inner loop runs over the m channels alone.
-    horizon = warm.shape[0]
-    std = np.tile(np.asarray(config.noise_fraction, dtype=float) * (hi - lo), horizon)
+    fraction = np.asarray(config.noise_fraction, dtype=float)
+    std, lo, hi = _draw_rows(env.control_lower.tobytes(), env.control_upper.tobytes(),
+                             fraction.tobytes(), fraction.shape, warm.shape[0])
     noise = rng.normal(size=(config.samples - 1, warm.size))
     noise *= std
     candidates = np.empty((config.samples,) + warm.shape)
     flat = candidates.reshape(config.samples, -1)
     flat[0] = warm.reshape(-1)
     np.add(warm.reshape(-1), noise, out=flat[1:])
-    np.clip(flat, np.tile(lo, horizon), np.tile(hi, horizon), out=flat)
+    _clip(flat, lo, hi, out=flat)
     return candidates
 
 
@@ -149,23 +165,24 @@ def mppi_solve(
         candidates, matrix = grid
     costs = np.asarray(objective.reduce(matrix), dtype=float)
     finite = np.isfinite(costs)
-    if not finite.any():
-        raise SolverFailureError("no candidate plan produced a finite objective value")
-    costs = np.where(finite, costs, np.inf)
-    best = int(np.argmin(costs))
+    if not finite.all():
+        if not finite.any():
+            raise SolverFailureError("no candidate plan produced a finite objective value")
+        costs = np.where(finite, costs, np.inf)
+    best = int(costs.argmin())
 
     # A non-finite cost is inf by now, so its weight is exactly exp(-inf) = 0.
     weights = np.exp(-(costs - costs[best]) / config.temperature)
     weights /= weights.sum()
     averaged = np.einsum("k,k...->...", weights, candidates)
-    np.clip(averaged, env.control_lower, env.control_upper, out=averaged)
+    _clip(averaged, env.control_lower, env.control_upper, out=averaged)
 
-    plans = np.stack([averaged, candidates[best]])
+    plans = np.array([averaged, candidates[best]])
     following = None
     if lookahead is not None:
         reach, next_rng = lookahead
         reached = reach(plans[1])
-        if np.all(np.isfinite(reached)):
+        if np.isfinite(reached).all():
             following = objective.at(reached)
     if following is None:
         rows = objective.cost_matrix(plans, probe)
@@ -273,7 +290,8 @@ def rollout_blocks(blocks) -> list:
     probe), else ``ValueError``."""
     objectives, plans, probes = zip(*blocks)
     first, steps = objectives[0], np.shape(plans[0])[-2]
-    thetas = np.concatenate([first.thetas, np.reshape(probes[0], (-1, first.thetas.shape[1]))])
+    probe = np.asarray(probes[0], dtype=float).reshape(-1, first.thetas.shape[1])
+    thetas = np.concatenate([first.thetas, probe])
     if any(o.spec is not first.spec or o.env is not first.env or np.shape(p)[-2] != steps
            or o.thetas.tobytes() + np.asarray(b, float).tobytes() != thetas.tobytes()
            for o, p, b in zip(objectives, plans, probes)):
@@ -282,7 +300,10 @@ def rollout_blocks(blocks) -> list:
     x0 = np.array([o.x0 for o in objectives])
     refs = np.array([o.references(steps) for o in objectives])
     if len(blocks) > 1:
-        x0, refs = np.repeat(x0, counts, axis=0), np.repeat(refs, counts, axis=0)
+        # repeated in the component-first (H + 1, n, rows) order the rollout
+        # reads them in, so that it makes no copy of its own
+        x0 = x0.repeat(counts, axis=0)
+        refs = refs.transpose(1, 2, 0).repeat(counts, axis=2).transpose(2, 0, 1)
     grid = rollout_cost_batch(first.spec, first.env, x0, np.concatenate(plans), thetas, refs=refs)
     return [grid[sum(counts[:i]):sum(counts[:i + 1])] for i in range(len(counts))]
 

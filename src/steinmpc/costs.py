@@ -85,7 +85,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GRAVITY, EnvModel, _check_ranges, _rk4
+from .dynamics import GRAVITY, EnvModel, _check_ranges, _clip, _rk4, _rows
 
 __all__ = [
     "CostSpec",
@@ -153,7 +153,7 @@ class InverseDisplacementReward:
         disp = np.abs(x_terminal - x0)
         weights = self.weights.astype(disp.dtype, copy=False).reshape(
             self.weights.shape + (1,) * (disp.ndim - 1))
-        return np.sum(weights / (disp + self.epsilon), axis=0)
+        return np.add.reduce(weights / (disp + self.epsilon), axis=0)
 
 
 class UprightEnergyPenalty:
@@ -300,7 +300,7 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     """
     plans = np.asarray(plans, dtype=float)
     dtype = np.result_type(np.asarray(x0), np.asarray(thetas), 1.0)  # float64 for integers
-    x0, thetas = np.atleast_2d(np.asarray(x0, dtype)), np.atleast_2d(np.asarray(thetas, dtype))
+    x0, thetas = _rows(x0, dtype), _rows(thetas, dtype)
     n_cand, steps, m = plans.shape
     inverse = None
     if thetas.shape[0] > 1:
@@ -315,7 +315,9 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
 
     # Component-first: the R start rows and their references as (n, R, 1) and
     # (H + 1, n, R, 1), R = 1 broadcasting over the grid's plans, the
-    # references made contiguous once so that no step reads them strided.
+    # references made contiguous once so that no step reads them strided
+    # (no copy when they come as a transposed view of that layout, as
+    # ``controllers.rollout_blocks`` passes them).
     if refs is None:
         refs = [spec.references(env, row, steps) for row in x0]
     start = x0.T[:, :, None]
@@ -325,11 +327,13 @@ def rollout_cost_batch(spec: CostSpec, env: EnvModel, x0, plans, thetas, refs=No
     # steps, over one contiguous component-first (m, H, C) copy of the plans,
     # clipped in place.
     controls = plans.transpose(2, 1, 0).copy()
-    np.clip(controls, env.control_lower[:, None, None], env.control_upper[:, None, None],
-            out=controls)
+    _clip(controls, env.control_lower[:, None, None], env.control_upper[:, None, None],
+          out=controls)
     control_cost = _quad(controls, spec._r_terms)
-    theta = np.broadcast_to(thetas.T[:, None, :], thetas.shape[1:] + grid).copy()
-    x = np.broadcast_to(start, start.shape[:1] + grid).copy()
+    theta = np.empty(thetas.shape[1:] + grid, dtype)
+    theta[...] = thetas.T[:, None, :]
+    x = np.empty(start.shape[:1] + grid, dtype)
+    x[...] = start
     u = np.empty((m,) + grid)
     errors = np.empty((x.shape[0], steps) + grid, dtype)
     dt = env.dt

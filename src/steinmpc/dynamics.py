@@ -29,6 +29,13 @@ from typing import Callable
 
 import numpy as np
 
+# np.clip's own ufunc, which np.clip reaches for float arrays and two bounds
+# after two Python layers; the floats are the same, signed zeros included.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 __all__ = [
     "EnvModel",
     "GRAVITY",
@@ -94,7 +101,7 @@ class EnvModel:
                       theta_true=("inside", self.theta_lower, self.theta_upper))
 
     def clamp_control(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(u, self.control_lower, self.control_upper)
+        return _clip(u, self.control_lower, self.control_upper)
 
 
 def cartpole_derivative(u, theta):
@@ -260,6 +267,12 @@ def _rk4(f, dt: float, x) -> np.ndarray:
     return k2
 
 
+def _rows(a, dtype) -> np.ndarray:
+    """``a`` as a ``dtype`` array of rows, as ``np.atleast_2d`` gives it."""
+    a = np.asarray(a, dtype)
+    return a if a.ndim >= 2 else a.reshape(1, -1)
+
+
 def _each(test):
     """``test`` of a number, or of each entry of a tuple or array read as floats."""
     arrays = (tuple, np.ndarray)
@@ -302,13 +315,16 @@ def _check_ranges(obj, **rules):
     first that fails, in argument order, raises a ValueError that starts with
     its name, ``{name} must ...``. "real", "nonnegative" and "positive" ask a
     number, or each entry of a tuple or array, to be finite too; a count is an
-    integer, as ``operator.index`` takes one; ("shape", shape) lets a named
-    axis take any length of at least 1; ("below", upper) is strict; ("inside",
-    lower, upper) is closed and NaN passes it, so "real" comes first; and
-    ("one of", choices) asks for a member of the tuple ``choices``."""
+    integer, as ``operator.index`` takes one; ("shape", shape) reads a tuple
+    as its array and lets a named axis take any length of at least 1;
+    ("below", upper) is strict; ("inside", lower, upper) is closed and NaN
+    passes it, so "real" comes first; and ("one of", choices) asks for a
+    member of the tuple ``choices``."""
     for name, rule in rules.items():
         value = getattr(obj, name)
         kind, args = (rule, ()) if isinstance(rule, str) else (rule[0], rule[1:])
+        if kind == "shape":
+            value = np.asarray(value)
         for test, message in _RULES[kind]:
             if not test(value, *args):
                 raise ValueError(f"{name} must " + message.format(*args, value=value))

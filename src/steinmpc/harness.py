@@ -134,6 +134,10 @@ class TrialConfig:
             a config file's ``harness`` keys, in this order.
         horizon_seconds: a whole number of ``env.dt`` steps, a rule this
             class owns, so a partial-step horizon fails at construction.
+        mppi, cost: checked against ``env`` here too: a tuple or array
+            ``mppi.noise_fraction`` has one entry per control channel, and
+            ``cost.Q`` and ``cost.R`` are (state_dim, state_dim) and
+            (control_dim, control_dim).
         success: asked ``reached(times, states, progress)`` before each step.
         track: the racetrack whose lap progress the trial logs, set by a config
             file exactly for the racecar; when None, ``RaceSuccess`` never holds.
@@ -164,6 +168,12 @@ class TrialConfig:
         horizon_steps(self.horizon_seconds, env.dt)
         if controller.nominal_theta is not None:
             _check_ranges(controller, nominal_theta=("inside", env.theta_lower, env.theta_upper))
+        # one noise fraction per control channel, or one for all; a weight
+        # matrix per state and control coordinate (CostSpec gives Q_f Q's shape)
+        if np.ndim(self.mppi.noise_fraction) > 0:
+            _check_ranges(self.mppi, noise_fraction=("shape", (env.control_dim,)))
+        n, m = env.state_dim, env.control_dim
+        _check_ranges(self.cost, Q=("shape", (n, n)), R=("shape", (m, m)))
 
 
 @dataclass
@@ -358,7 +368,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
         log_p.append(particles.particles.copy())
 
         next_state = ahead[0].x0 if ahead is not None else reach(new_plan)
-        if not np.all(np.isfinite(next_state)):
+        if not np.isfinite(next_state).all():
             reason = "solver_failure"
             break
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _check_ranges
+from .dynamics import _check_ranges, _clip
 from .kernels import ConstantKernel, RbfKernel
 
 __all__ = [
@@ -207,7 +207,7 @@ def svgd_step(particles: ParticleSet, gaps: np.ndarray, config: SvgdConfig) -> P
     if not finite.all():
         raise ScoreEvaluationError(x[~finite][0])
 
-    moved = np.clip(x + config.step_size * drift, particles.lower, particles.upper)
+    moved = _clip(x + config.step_size * drift, particles.lower, particles.upper)
     return ParticleSet(moved, particles.lower, particles.upper)
 
 

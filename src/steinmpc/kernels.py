@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_ranges
+from .dynamics import _check_ranges, _rows
 
 __all__ = [
     "RbfKernel",
@@ -25,8 +25,7 @@ __all__ = [
 def _pairs(x, y):
     """(diff, sq) over every pair of two particle stacks (N, d) and (M, d):
     diff[i, j] = x[i] - y[j], (N, M, d), and sq its squared norm, (N, M)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    x, y = _rows(x, float), _rows(y, float)
     if x.shape[1] != y.shape[1]:
         raise ValueError(
             f"particle stacks must share the vector dimension, "

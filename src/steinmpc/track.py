@@ -37,6 +37,10 @@ class StadiumTrack:
         straight_length: length of each of the two straights.
         radius: radius of the two semicircular ends.
         reference_speed: target speed along the centerline.
+
+    ``total_length``, the lap length 2 * straight_length + 2 * pi * radius,
+    is computed once, with the segment table; neither is a field, so
+    ``==``, ``hash`` and ``repr`` read the three attributes alone.
     """
 
     straight_length: float = 5.0
@@ -57,10 +61,7 @@ class StadiumTrack:
             (length, False, half, r, -1.0, math.pi),
             (arc, True, -half, 0.0, 0.5 * math.pi, math.pi),
         ))
-
-    @property
-    def total_length(self) -> float:
-        return 2.0 * self.straight_length + 2.0 * math.pi * self.radius
+        object.__setattr__(self, "total_length", 2.0 * length + 2.0 * math.pi * r)
 
     def pose(self, s: float) -> tuple[float, float, float, float]:
         """Centerline (x, y, heading, yaw rate) at arc length s.
@@ -71,8 +72,9 @@ class StadiumTrack:
         lap so costs built from it never see a jump at the finish line. The
         yaw rate is v/R on the arcs and zero on the straights.
         """
-        laps = math.floor(float(s) / self.total_length)
-        a = float(s) - laps * self.total_length
+        total = self.total_length
+        laps = math.floor(float(s) / total)
+        a = float(s) - laps * total
         turns = 2.0 * math.pi * laps
         segments, i = self._segments, 0
         while i < len(segments) - 1 and a >= segments[i][0]:

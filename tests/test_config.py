@@ -32,7 +32,7 @@ from steinmpc.configfile import (
     serialize_config,
 )
 from steinmpc.controllers import VARIANTS, ControllerSpec, MppiConfig
-from steinmpc.costs import InverseDisplacementReward, UprightEnergyPenalty
+from steinmpc.costs import CostSpec, InverseDisplacementReward, UprightEnergyPenalty
 from steinmpc.dynamics import make_cartpole, make_racecar, make_rocket
 from steinmpc.harness import CartpoleSuccess, RaceSuccess, RocketSuccess, TrialConfig, run_trial
 from steinmpc.inference import ParticleSet, SvgdConfig
@@ -529,15 +529,33 @@ def _parent_particle_set(field, value):
 
 
 def _parent_trial(field, value):
-    env = CARTPOLE_TRIAL.env
-    x0, theta = CARTPOLE_TRIAL.x0, None
+    env, cost = CARTPOLE_TRIAL.env, CARTPOLE_TRIAL.cost
+    x0, theta, noise = CARTPOLE_TRIAL.x0, None, CARTPOLE_TRIAL.mppi.noise_fraction
+    weights = {"Q": cost.Q, "R": cost.R}
     if field == "x0":
         x0 = np.asarray(value, dtype=float)
-    else:
+    elif field == "nominal_theta":
         theta = np.asarray(value, dtype=float)
         # ControllerSpec: _check_ranges(self, ..., nominal_theta="real")
         if not np.all(np.isfinite(theta)):
             return "nominal_theta"
+    elif field == "noise_fraction":
+        # MppiConfig: a list is kept as a tuple and a number as a float, then
+        # _check_ranges(self, ..., noise_fraction="nonnegative")
+        noise = value if isinstance(value, (tuple, np.ndarray)) else (
+            tuple(value) if isinstance(value, list) else float(value))
+        if not PARENT_RULES["nonnegative entries"](noise):
+            return "noise_fraction"
+    else:
+        # CostSpec reads the matrix's size from its first axis, then asks for a
+        # square, finite, symmetric PSD matrix; the rows draw square ones
+        # diagonal, whose PSD test is d + 1e-8 >= 0 down the diagonal
+        w = weights[field] = np.asarray(value, dtype=float)
+        size = w.shape[0]
+        if w.shape != (size, size) or not np.all(np.isfinite(w)):
+            return field
+        if np.any(np.diag(w) + 1e-8 < 0):
+            return field
     # "x0 must have shape ({state_dim},)"
     if x0.shape != (env.state_dim,):
         return "x0"
@@ -547,9 +565,16 @@ def _parent_trial(field, value):
     # _check_ranges(self, x0="real", ...)
     if not np.all(np.isfinite(x0)):
         return "x0"
-    # the one rule this change adds: the box env.theta_true keeps
+    # an added rule: the box env.theta_true keeps
     if theta is not None and (np.any(theta < env.theta_lower) or np.any(theta > env.theta_upper)):
         return "nominal_theta"
+    # added rules: one noise fraction per control channel or one for all, and
+    # Q and R by the env's state and control dimensions
+    if np.ndim(noise) > 0 and np.shape(noise) != (env.control_dim,):
+        return "noise_fraction"
+    for name, dim in (("Q", env.state_dim), ("R", env.control_dim)):
+        if weights[name].shape != (dim, dim):
+            return name
     return None
 
 
@@ -616,6 +641,11 @@ def _names(choices):
 
 # wrong shapes draw 0-d, empty, an extra axis and one entry more or less
 CONTROL_SHAPES = [(1,), (), (0,), (2,), (1, 1)]
+WEIGHT_FACES = [0.0, -0.0, -1e-8, float(np.nextafter(-1e-8, -1.0)), 1.0, math.nan]
+# a diagonal weight matrix of 0 to 5 rows, or an array that is not square
+WEIGHTS = st.lists(st.sampled_from(WEIGHT_FACES) | NUMBER, max_size=5).map(
+    lambda d: np.diag(np.array(d, dtype=object))) | _arrays([(), (1,), (4,), (1, 2), (1, 1, 1)],
+                                                            WEIGHT_FACES)
 THETA_SHAPES = [(2,), (), (0,), (1,), (3,), (2, 1), (1, 2)]
 STATE_SHAPES = [(4,), (), (0,), (3,), (4, 1)]
 BOUND_SHAPES = [(2,), (), (0,), (1,), (3,), (2, 1)]
@@ -641,6 +671,15 @@ VALUE_FIELDS = [
     (lambda nominal_theta: dataclasses.replace(
         CARTPOLE_TRIAL, controller=ControllerSpec("nominal", nominal_theta=nominal_theta)),
      "nominal_theta", _parent_trial, _arrays(THETA_SHAPES, ENV_FACES), "trial_nominal_theta"),
+    (lambda noise_fraction: dataclasses.replace(CARTPOLE_TRIAL, mppi=dataclasses.replace(
+        CARTPOLE_TRIAL.mppi, noise_fraction=noise_fraction)),
+     "noise_fraction", _parent_trial, _entries(None) | _arrays(CONTROL_SHAPES, UNIT_FACES),
+     "trial_noise_fraction"),
+    (lambda Q: dataclasses.replace(CARTPOLE_TRIAL, cost=CostSpec(
+        Q=Q, R=CARTPOLE_TRIAL.cost.R, Q_f=Q, x_des=CenterlineReference(StadiumTrack()))),
+     "Q", _parent_trial, WEIGHTS, "trial_Q"),
+    (lambda R: dataclasses.replace(CARTPOLE_TRIAL, cost=dataclasses.replace(
+        CARTPOLE_TRIAL.cost, R=R)), "R", _parent_trial, WEIGHTS, "trial_R"),
     *[(functools.partial(dataclasses.replace, CARTPOLE), name, _parent_env_model,
        _arrays(CONTROL_SHAPES if name.startswith("control") else THETA_SHAPES, ENV_FACES))
       for name in ENV_ARRAYS],

@@ -1,11 +1,13 @@
 """The path-integral solver and the four plan objectives."""
 import contextlib
+import dataclasses
 import functools
 import io
 import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from steinmpc.controllers import (
 )
 from steinmpc.costs import CostSpec, rollout_cost_batch
 from steinmpc.dynamics import EnvModel, horizon_steps, rk4_step
+from steinmpc.harness import run_trial
 from steinmpc.inference import ParticleSet, draw_particles, probe_thetas
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -465,6 +468,80 @@ def test_mppi_raises_when_every_candidate_is_nonfinite():
     with pytest.raises(SolverFailureError):
         mppi_solve(ENV, np.zeros((3, 1)), HopelessObjective(),
                    MppiConfig(samples=16), np.random.default_rng(0))
+
+
+def _per_call_candidates(env, warm, config, rng):
+    """``_candidates`` as it was with its rows tiled again on every call."""
+    warm = np.asarray(warm, dtype=float)
+    lo, hi = env.control_lower, env.control_upper
+    horizon = warm.shape[0]
+    std = np.tile(np.asarray(config.noise_fraction, dtype=float) * (hi - lo), horizon)
+    noise = rng.normal(size=(config.samples - 1, warm.size))
+    noise *= std
+    candidates = np.empty((config.samples,) + warm.shape)
+    flat = candidates.reshape(config.samples, -1)
+    flat[0] = warm.reshape(-1)
+    np.add(warm.reshape(-1), noise, out=flat[1:])
+    np.clip(flat, np.tile(lo, horizon), np.tile(hi, horizon), out=flat)
+    return candidates
+
+
+SHIPPED = {name: build_trial_config(load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")))[0]
+           for name in ("cartpole", "racing", "rocket")}
+
+
+def _widened(env):
+    """``env`` with its upper control bounds one span higher."""
+    return dataclasses.replace(
+        env, control_upper=2.0 * env.control_upper - env.control_lower)
+
+
+def _solve_bytes(name, wide, per_channel, samples, steps, lookahead, seed):
+    """One call's bytes: ``mppi_solve``'s, with or without a lookahead, or
+    ``_candidates``' alone when ``lookahead`` is None."""
+    trial = SHIPPED[name]
+    env = _widened(trial.env) if wide else trial.env
+    noise = tuple(np.linspace(0.05, 0.5, env.control_dim)) if per_channel else 0.3
+    config = MppiConfig(samples=samples, temperature=1.0, noise_fraction=noise)
+    rng = np.random.default_rng(seed)
+    warm = rng.uniform(env.control_lower, env.control_upper, size=(steps, env.control_dim))
+    if lookahead is None:
+        return controllers._candidates(env, warm, config, rng).tobytes()
+    objective = build_objective(ControllerSpec("nominal"), trial.cost, env, trial.x0,
+                                env.theta_true[None])
+    reach = (lambda plan: rk4_step(env, trial.x0, plan[0], env.theta_true),
+             np.random.default_rng(seed + 1)) if lookahead else None
+    plan, cost, row, ahead = mppi_solve(env, warm, objective, config, rng, lookahead=reach)
+    tail = () if ahead is None else (ahead[0].x0, *ahead[1])
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in (plan, cost, row, *tail))
+
+
+@given(calls=st.lists(st.tuples(
+    st.sampled_from(sorted(SHIPPED)), st.booleans(), st.booleans(), st.sampled_from([1, 2, 256]),
+    st.sampled_from([1, 3, 10]), st.sampled_from([None, False, True]), st.integers(0, 2**32 - 2)),
+    min_size=2, max_size=5))
+def test_the_draw_rows_kept_per_trial_give_the_per_call_tiling(calls):
+    # interleaved calls over envs, bounds, noise, sample counts and horizons:
+    # rows kept from one call never stand in for another's
+    got = [_solve_bytes(*call) for call in calls]
+    with mock.patch.object(controllers, "_candidates", _per_call_candidates):
+        assert got == [_solve_bytes(*call) for call in calls]
+
+
+def test_two_trials_in_one_process_keep_their_own_draw_rows():
+    racing = dataclasses.replace(SHIPPED["racing"], duration=0.15)
+    other = dataclasses.replace(racing, env=_widened(racing.env), mppi=MppiConfig(
+        samples=racing.mppi.samples, temperature=racing.mppi.temperature,
+        noise_fraction=(0.4, 0.2)))
+    trials = (racing, other, racing)
+
+    def logs():
+        return [(r.states.tobytes(), r.controls.tobytes(), r.costs.tobytes())
+                for r in map(run_trial, trials)]
+    got = logs()
+    assert got[0] == got[2] != got[1]
+    with mock.patch.object(controllers, "_candidates", _per_call_candidates):
+        assert got == logs()
 
 
 def test_shift_warm_start_drops_head_repeats_tail():

@@ -192,6 +192,35 @@ def test_a_nominal_theta_outside_the_parameter_box_is_rejected():
     assert err.value.field == "controller.nominal_theta"
 
 
+def test_noise_fractions_are_one_per_control_channel():
+    # cartpole has one control: three fractions used to build, then raise
+    # numpy's "operands could not be broadcast together" out of the draw
+    trial = build_trial_config(load_config(os.path.join(CONFIG_DIR, "cartpole.yaml")))[0]
+    for noise in ((0.3, 0.04, 0.1), np.array([0.3, 0.04]), (), np.array([[0.3]])):
+        mppi = dataclasses.replace(trial.mppi, noise_fraction=noise)
+        with pytest.raises(ValueError, match=r"^noise_fraction must have shape \(1,\), got "):
+            dataclasses.replace(trial, mppi=mppi)
+    # one fraction for all channels, as a number or a 0-d array, or one per channel
+    for noise in (0.3, np.array(0.3), (0.3,), np.array([0.3])):
+        mppi = dataclasses.replace(trial.mppi, noise_fraction=noise)
+        assert dataclasses.replace(trial, mppi=mppi).mppi is mppi
+
+
+def test_the_weight_matrices_match_the_state_and_control_dimensions():
+    trial = build_trial_config(load_config(os.path.join(CONFIG_DIR, "rocket.yaml")))[0]
+    cost = trial.cost
+    # a 1 x 1 R used to run, dropping the gimbal channel's control cost
+    with pytest.raises(ValueError, match=r"^R must have shape \(2, 2\), got \(1, 1\)$"):
+        dataclasses.replace(trial, cost=dataclasses.replace(cost, R=[[0.1]]))
+    # a 5 x 5 Q used to stop the trial with numpy's "cannot reshape array"
+    five = dataclasses.replace(cost, Q=np.eye(5), Q_f=np.eye(5), x_des=np.zeros(5))
+    with pytest.raises(ValueError, match=r"^Q must have shape \(6, 6\), got \(5, 5\)$"):
+        dataclasses.replace(trial, cost=five)
+    # Q_f has Q's shape, a rule CostSpec keeps on its own
+    with pytest.raises(ValueError, match=r"^Q_f must have shape \(6, 6\)"):
+        dataclasses.replace(cost, Q_f=np.eye(5))
+
+
 def test_timeout_trial_logs_every_step():
     result = run_trial(_cartpole_trial())
     assert not result.success

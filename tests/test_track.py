@@ -1,4 +1,5 @@
 """Stadium geometry, lap progress accounting, and the moving reference."""
+import dataclasses
 import hashlib
 import math
 
@@ -18,6 +19,21 @@ TRACK = StadiumTrack()  # straights 5, radius 2, speed 2
 
 def test_total_length():
     assert TRACK.total_length == pytest.approx(10.0 + 4.0 * math.pi)
+
+
+@given(straight=st.floats(0.1, 20.0), radius=st.floats(0.1, 20.0), speed=st.floats(0.1, 10.0))
+def test_the_length_computed_once_follows_replace_and_stays_out_of_eq_hash_repr(
+        straight, radius, speed):
+    track = dataclasses.replace(TRACK, straight_length=straight, radius=radius,
+                                reference_speed=speed)
+    assert track.total_length == 2.0 * straight + 2.0 * math.pi * radius
+    fields = (straight, radius, speed)
+    assert hash(track) == hash(fields)
+    assert repr(track) == (f"StadiumTrack(straight_length={straight!r}, radius={radius!r}, "
+                           f"reference_speed={speed!r})")
+    assert track == StadiumTrack(*fields) and (track == TRACK) == (fields == (5.0, 2.0, 2.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        track.total_length = 1.0
 
 
 def test_point_walks_the_four_segments():
